@@ -1,15 +1,24 @@
 """Streaming accumulation of the weighted prime sums.
 
 For the n-th prime p_n the weight is a_n = sqrt(log(p_n)/p_n) (natural
-log throughout).  The stream maintains
+log throughout), defined once by weights().  The stream maintains
 
     S = sum a_k,    M = sum a_k^2,    E = S^2 - M,
 
-where S and M are carried with Neumaier-compensated summation.  E is never
-accumulated directly: snapshots compute it as S^2 - M, which suffers no
-cancellation at scale (E grows like x/log x while M grows like log x).  A
-separate running sum of the per-step jumps 2*a_n*S_{n-1} is carried purely
-as a built-in cross-check: telescoped, it must reproduce S^2 - M.
+where S and M are exact.  Every weight and every squared weight a_k*a_k
+(a double) of a prime <= 2**53 is a multiple of 2**-120, so the sums are
+held as Python ints in units of 2**-120 and rounded to a double only when
+read.  They therefore do not depend on the order of the additions, the
+block or segment boundaries, the thread count, or where a run was split
+and resumed.  E is never accumulated directly: snapshots compute it as
+S^2 - M, which suffers no cancellation at scale (E grows like x/log x
+while M grows like log x).  A separate exact sum of the per-step jumps
+2*a_n*S_{n-1} is carried purely as a built-in cross-check: telescoped, it
+must reproduce S^2 - M.
+
+Bulk absorption takes int64 prime arrays in blocks of BLOCK primes: numpy
+computes the weights, splits each value exactly into 40-bit int64 limbs
+and sums the limbs; only block totals become Python ints.
 
 Checkpoints are immutable snapshots taken on a geometric x-grid; sums are
 inclusive (p <= x), and a grid point that lands exactly on a prime counts
@@ -18,15 +27,26 @@ that prime.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DomainError, SequencingError
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, stream_segments
 
 _MAX_GRID_POINTS = 10_000_000
+
+FRAC_BITS = 120  # the exact sums are integers in units of 2**-FRAC_BITS
+_SCALE = float(1 << FRAC_BITS)
+_UNIT = 1.0 / _SCALE  # float(int) rounds correctly, and scaling by it is exact
+_LIMB_BITS = 40
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_SCALE = float(1 << _LIMB_BITS)
+# Primes per numpy block: keeps limb sums below 2**63 and the block's
+# arrays at a few MB whatever the segment size.
+BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -44,13 +64,24 @@ class WeightedPrimeTerm:
     weight_sq: float
 
 
+def weights(primes: np.ndarray) -> np.ndarray:
+    """a = sqrt(log p / p) for an array of primes.
+
+    The one definition of the weight: make_term, term_stream and
+    extend_primes all call it, so no two paths can differ by the last-bit
+    gap between numpy's log and the C library's.
+    """
+    pf = np.asarray(primes, dtype=np.float64)
+    return np.sqrt(np.log(pf) / pf)
+
+
 def make_term(index: int, prime: int) -> WeightedPrimeTerm:
     """Build the weighted term for the index-th prime."""
     if prime < 2:
         raise DomainError(f"prime must be >= 2, got {prime}")
     if index < 1:
         raise DomainError(f"index must be >= 1, got {index}")
-    w = math.sqrt(math.log(prime) / prime)
+    w = float(weights(np.array([prime], dtype=np.int64))[0])
     return WeightedPrimeTerm(index=index, prime=prime, weight=w, weight_sq=w * w)
 
 
@@ -73,23 +104,80 @@ class Checkpoint:
     mertens_remainder: float
 
 
+def _limbs(v: np.ndarray) -> np.ndarray:
+    """Exact int64 limbs [hi, mid, lo] of values v, v = (hi*2**80 +
+    mid*2**40 + lo) * 2**-120, on a new last axis.
+
+    v must lie in [0, 512) and be a multiple of 2**-120, as every weight,
+    squared weight and half jump of a prime <= 2**53 is.  Scaling by 2**40,
+    floor and subtracting the floor are exact, so no bit is lost, and sums
+    of BLOCK limbs stay below 2**63.
+    """
+    out = np.empty(v.shape + (3,), dtype=np.int64)
+    r = v * _LIMB_SCALE
+    for k in range(2):
+        f = np.floor(r)
+        out[..., k] = f
+        r -= f
+        r *= _LIMB_SCALE
+    out[..., 2] = r  # an integer by now
+    return out
+
+
+def _to_int(limbs: np.ndarray) -> int:
+    """The integer hi*2**80 + mid*2**40 + lo of one limb triple."""
+    hi, mid, lo = limbs.tolist()
+    return (hi << 2 * _LIMB_BITS) + (mid << _LIMB_BITS) + lo
+
+
+def _round_prefixes(base: int, prefix: np.ndarray, top: int) -> np.ndarray:
+    """(base + prefix[i]) * 2**-120 rounded to the nearest double, each i.
+
+    prefix holds nonnegative limb sums [hi, mid, lo] as int64 rows, and top
+    bounds every base + prefix.  Each value's bits from 2**k up are gathered into
+    an int64 h < 2**63, and whether any bit below 2**k is set goes into
+    h's last bit.  When h has at least 55 bits that last bit lies below
+    the rounding position, so one int64 -> float64 conversion rounds as the
+    full value would.  The rare shorter h, where a block starts near zero,
+    is rounded from the exact Python int instead.
+    """
+    k = max(top.bit_length() - 63, _LIMB_BITS)
+    low = base & ((1 << k) - 1)
+    x0 = prefix[:, 2] + (low & _LIMB_MASK)
+    x1 = prefix[:, 1] + ((low >> _LIMB_BITS) & _LIMB_MASK) + (x0 >> _LIMB_BITS)
+    x2 = prefix[:, 0] + (low >> 2 * _LIMB_BITS) + (x1 >> _LIMB_BITS)
+    x0 &= _LIMB_MASK
+    x1 &= _LIMB_MASK
+    if k <= 2 * _LIMB_BITS:
+        h = (x2 << (2 * _LIMB_BITS - k)) | (x1 >> (k - _LIMB_BITS))
+        sticky = (x1 & ((1 << (k - _LIMB_BITS)) - 1)) | x0
+    else:
+        h = x2 >> (k - 2 * _LIMB_BITS)
+        sticky = (x2 & ((1 << (k - 2 * _LIMB_BITS)) - 1)) | x1 | x0
+    h += base >> k
+    out = np.ldexp((h | (sticky != 0)).astype(np.float64), k - FRAC_BITS)
+    for i in np.flatnonzero(h < (1 << 54)).tolist():
+        out[i] = float(base + _to_int(prefix[i])) * _UNIT
+    return out
+
+
 class SumState:
     """Single-writer streaming accumulator; strictly sequential by design.
 
-    S/S_comp and M/M_comp are Neumaier main-plus-compensation pairs; read
-    them through S_total/M_total.  E_incremental (with its own residue
-    E_comp) is the telescoped jump sum used to cross-check S^2 - M.
+    S, M and E_incremental are exact integers in units of 2**-120: the sums
+    of a_n, of a_n*a_n (the rounded double) and of the jumps
+    2*a_n*S_{n-1}, where S_{n-1} is the exact prefix rounded to the
+    nearest double.  Read them through S_total/M_total/E_total, which round
+    correctly.  The state after a run of primes is the same however the run
+    is split into calls.
     """
 
     __slots__ = (
         "n",
         "last_prime",
         "S",
-        "S_comp",
         "M",
-        "M_comp",
         "E_incremental",
-        "E_comp",
         "last_weight",
         "last_anS",
         "weights_decreasing",
@@ -98,12 +186,9 @@ class SumState:
     def __init__(self) -> None:
         self.n = 0
         self.last_prime = 0
-        self.S = 0.0
-        self.S_comp = 0.0
-        self.M = 0.0
-        self.M_comp = 0.0
-        self.E_incremental = 0.0
-        self.E_comp = 0.0
+        self.S = 0
+        self.M = 0
+        self.E_incremental = 0
         self.last_weight = math.inf
         self.last_anS = 0.0
         self.weights_decreasing = True
@@ -114,12 +199,9 @@ class SumState:
         *,
         n: int,
         last_prime: int,
-        S: float,
-        S_comp: float,
-        M: float,
-        M_comp: float,
-        E_incremental: float,
-        E_comp: float,
+        S: int,
+        M: int,
+        E_incremental: int,
         last_weight: float,
         last_anS: float,
         weights_decreasing: bool,
@@ -128,11 +210,8 @@ class SumState:
         state.n = n
         state.last_prime = last_prime
         state.S = S
-        state.S_comp = S_comp
         state.M = M
-        state.M_comp = M_comp
         state.E_incremental = E_incremental
-        state.E_comp = E_comp
         state.last_weight = last_weight
         state.last_anS = last_anS
         state.weights_decreasing = weights_decreasing
@@ -140,15 +219,15 @@ class SumState:
 
     @property
     def S_total(self) -> float:
-        return self.S + self.S_comp
+        return float(self.S) * _UNIT
 
     @property
     def M_total(self) -> float:
-        return self.M + self.M_comp
+        return float(self.M) * _UNIT
 
     @property
     def E_total(self) -> float:
-        return self.E_incremental + self.E_comp
+        return float(self.E_incremental) * _UNIT
 
     def push(self, term: WeightedPrimeTerm) -> "SumState":
         """Absorb one term; primes must arrive strictly ascending."""
@@ -160,109 +239,76 @@ class SumState:
             raise SequencingError(
                 f"term index {term.index} does not follow count {self.n}"
             )
-        self._absorb(term.prime, term.weight, term.weight_sq)
-        return self
-
-    def _absorb(self, p: int, w: float, wsq: float) -> None:
-        # Identical operation order to extend_primes; keep the two in sync.
-        t_before = self.S + self.S_comp
-        half_jump = w * t_before
-        jump = 2.0 * half_jump
-
-        s = self.S
-        t = s + w
-        if s >= w:
-            self.S_comp += (s - t) + w
-        else:
-            self.S_comp += (w - t) + s
-        self.S = t
-
-        m = self.M
-        t = m + wsq
-        if m >= wsq:
-            self.M_comp += (m - t) + wsq
-        else:
-            self.M_comp += (wsq - t) + m
-        self.M = t
-
-        e = self.E_incremental
-        t = e + jump
-        if e >= jump:
-            self.E_comp += (e - t) + jump
-        else:
-            self.E_comp += (jump - t) + e
-        self.E_incremental = t
-
+        w = term.weight
+        half_jump = w * (float(self.S) * _UNIT)
+        # scaling by a power of two is exact, and so is int() of the result
+        self.S += int(w * _SCALE)
+        self.M += int(term.weight_sq * _SCALE)
+        self.E_incremental += int(half_jump * (2.0 * _SCALE))
         self.n += 1
         if self.n >= 3 and w >= self.last_weight:
             self.weights_decreasing = False
         self.last_weight = w
         self.last_anS = half_jump
-        self.last_prime = p
+        self.last_prime = term.prime
+        return self
 
     def extend_primes(
-        self, primes: Sequence[int], sink: Callable[[int, float], None] | None = None
+        self,
+        primes: Sequence[int] | np.ndarray,
+        sink: Callable[[int, float], None] | None = None,
+        marks: Sequence[int] = (),
+        at_mark: Callable[[int], None] | None = None,
     ) -> None:
         """Bulk absorb ascending primes (all above last_prime; not checked).
 
-        Bit-identical to pushing make_term for each prime in turn.  When a
-        sink is given it receives (n, a_n * S_{n-1}) at every n that is a
-        power of two.
+        Bit-identical to pushing make_term for each prime in turn, and to
+        any split of primes over several calls.  When a sink is given it
+        receives (n, a_n * S_{n-1}) at every n that is a power of two.
+        marks are ascending prefix lengths of primes: at_mark(i) is called
+        while the state holds exactly the first marks[i] primes.
         """
-        if not primes:
-            return
-        s, cs = self.S, self.S_comp
-        m, cm = self.M, self.M_comp
-        e, ce = self.E_incremental, self.E_comp
-        n = self.n
-        lw = self.last_weight
-        dec = self.weights_decreasing
-        half_jump = self.last_anS
-        log = math.log
-        sqrt = math.sqrt
-        for p in primes:
-            wsq_def = log(p) / p
-            w = sqrt(wsq_def)
-            wsq = w * w
-            t_before = s + cs
-            half_jump = w * t_before
-            jump = 2.0 * half_jump
+        primes = np.asarray(primes, dtype=np.int64)
+        marks = np.asarray(marks, dtype=np.int64)
+        mi = int(np.searchsorted(marks, 0, side="right"))
+        for i in range(mi):
+            at_mark(i)
+        for b0 in range(0, len(primes), BLOCK):
+            p = primes[b0 : b0 + BLOCK]
+            n0, s0, m0, e0 = self.n, self.S, self.M, self.E_incremental
+            dec0 = self.weights_decreasing
+            w = weights(p)
+            lw = _limbs(w)
+            cs = np.cumsum(lw, axis=0)
+            s_prev = _round_prefixes(s0, cs - lw, s0 + _to_int(cs[-1]))
+            half = w * s_prev
+            cq = np.cumsum(_limbs(np.stack((w * w, half))), axis=1)
+            rises = np.flatnonzero(w >= np.concatenate(([self.last_weight], w[:-1])))
+            rises = rises[rises + n0 >= 2]  # the flag ignores n = 1, 2
+            first_rise = int(rises[0]) if len(rises) else len(p)
+            if sink is not None:
+                k = 1 << n0.bit_length()  # the least power of two above n0
+                while k <= n0 + len(p):
+                    sink(k, float(half[k - n0 - 1]))
+                    k <<= 1
 
-            t = s + w
-            if s >= w:
-                cs += (s - t) + w
-            else:
-                cs += (w - t) + s
-            s = t
+            def advance(j: int) -> None:
+                """Set the state to just after the first j + 1 primes of p."""
+                self.n = n0 + j + 1
+                self.last_prime = int(p[j])
+                self.S = s0 + _to_int(cs[j])
+                self.M = m0 + _to_int(cq[0, j])
+                self.E_incremental = e0 + 2 * _to_int(cq[1, j])
+                self.last_weight = float(w[j])
+                self.last_anS = float(half[j])
+                self.weights_decreasing = dec0 and j < first_rise
 
-            t = m + wsq
-            if m >= wsq:
-                cm += (m - t) + wsq
-            else:
-                cm += (wsq - t) + m
-            m = t
-
-            t = e + jump
-            if e >= jump:
-                ce += (e - t) + jump
-            else:
-                ce += (jump - t) + e
-            e = t
-
-            n += 1
-            if n >= 3 and w >= lw:
-                dec = False
-            lw = w
-            if sink is not None and (n & (n - 1)) == 0:
-                sink(n, half_jump)
-        self.S, self.S_comp = s, cs
-        self.M, self.M_comp = m, cm
-        self.E_incremental, self.E_comp = e, ce
-        self.n = n
-        self.last_weight = lw
-        self.last_anS = half_jump
-        self.weights_decreasing = dec
-        self.last_prime = primes[-1]
+            mj = int(np.searchsorted(marks, b0 + len(p), side="right"))
+            for i, mark in enumerate(marks[mi:mj].tolist(), start=mi):
+                advance(mark - b0 - 1)
+                at_mark(i)
+            mi = mj
+            advance(len(p) - 1)
 
 
 def snapshot(state: SumState, x: float) -> Checkpoint:
@@ -364,17 +410,18 @@ def run_stream(
     gi = 0
     if state.last_prime < limit:
         cfg = SieveConfig(limit=limit, segment_size=segment_size)
+        grid_arr = np.asarray(grid, dtype=np.float64)
         for seg in stream_segments(cfg, start=state.last_prime + 1, threads=threads):
-            plist = seg.primes
-            cut = 0
-            while gi < len(grid) and grid[gi] <= seg.hi:
-                g = grid[gi]
-                nxt = bisect.bisect_right(plist, g, cut)
-                state.extend_primes(plist[cut:nxt], sink)
-                checkpoints.append(snapshot(state, g))
-                gi += 1
-                cut = nxt
-            state.extend_primes(plist[cut:], sink)
+            gj = int(np.searchsorted(grid_arr, seg.hi, side="right"))
+            xs = grid[gi:gj]
+            cuts = np.searchsorted(seg.primes, xs, side="right")
+            state.extend_primes(
+                seg.primes,
+                sink,
+                cuts,
+                lambda k: checkpoints.append(snapshot(state, xs[k])),
+            )
+            gi = gj
     while gi < len(grid):
         checkpoints.append(snapshot(state, grid[gi]))
         gi += 1

@@ -41,7 +41,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--segment-size",
         type=int,
         default=DEFAULT_SEGMENT_SIZE,
-        help="odd numbers per sieve window",
+        help="odd numbers per sieve window (1024 to 2^24)",
     )
     p.add_argument(
         "--A", type=float, default=8.0, help="block ratio for the lower-bound check"
@@ -68,7 +68,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--resume", type=Path, default=None, help="checkpoint file to continue from"
     )
     p.add_argument(
-        "--threads", type=int, default=1, help="sieve worker threads (ordered hand-off)"
+        "--threads", type=int, default=1, help="sieve worker threads, 1 to 8 (ordered hand-off)"
     )
 
 

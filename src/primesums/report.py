@@ -4,10 +4,10 @@ File formats
 ------------
 Checkpoint file (text, versioned): a header with the format version, a
 hash of the accumulation-relevant config fields and creation metadata,
-then the full accumulator state, the sampled a_n*S_{n-1} values, and one
-fixed-column row per checkpoint.  Reals are serialized with 17 significant
-digits, which round-trips binary64 exactly, so a restored run continues
-bit-identically.
+then the full accumulator state (its exact sums as integers in units of
+2**-120), the sampled a_n*S_{n-1} values, and one fixed-column row per
+checkpoint.  Reals are serialized with 17 significant digits, which
+round-trips binary64 exactly, so a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
@@ -53,7 +53,7 @@ from .asymptotics import (
 )
 from .calculus import abel_decompose, main_term_identity
 from .errors import CheckpointFormatError, ConfigError
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_primes
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, check_threads, iter_primes
 from .verify import (
     VerificationRecord,
     check_E_monotone,
@@ -62,8 +62,9 @@ from .verify import (
     identity_record,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
+BUNDLE_FORMAT_VERSION = 1  # of report.json
 
 CSV_COLUMNS = ("x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder")
 
@@ -123,8 +124,9 @@ class RunConfig:
             raise ConfigError(f"A must be > 1, got {self.A}")
         if any(lam <= 1.0 for lam in self.lambdas):
             raise ConfigError(f"every lambda must be > 1, got {self.lambdas}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        # the sieve's bounds, checked before anything is allocated
+        SieveConfig(limit=self.x_max, segment_size=self.segment_size)
+        check_threads(self.threads)
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance ids: {sorted(unknown)}")
@@ -141,7 +143,8 @@ class RunConfig:
         payload = (
             f"grid_start={_fmt(self.grid_start)};"
             f"grid_ratio={_fmt(self.grid_ratio)};"
-            "weights=sqrt(log p / p)"
+            "weights=sqrt(log p / p);"
+            "accumulator=exact fixed point 2**-120"
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -183,12 +186,9 @@ def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None
             [
                 str(st.n),
                 str(st.last_prime),
-                _fmt(st.S),
-                _fmt(st.S_comp),
-                _fmt(st.M),
-                _fmt(st.M_comp),
-                _fmt(st.E_incremental),
-                _fmt(st.E_comp),
+                str(st.S),
+                str(st.M),
+                str(st.E_incremental),
                 _fmt(st.last_weight),
                 _fmt(st.last_anS),
                 "1" if st.weights_decreasing else "0",
@@ -238,18 +238,19 @@ def read_checkpoint_file(path: Path) -> StoredRun:
         if state_key != "state":
             raise CheckpointFormatError(f"{path}: missing state row")
         sv = state_val.split()
+        if len(sv) != 8:
+            raise CheckpointFormatError(
+                f"{path}: state row has {len(sv)} fields, expected 8"
+            )
         state = SumState.restore(
             n=int(sv[0]),
             last_prime=int(sv[1]),
-            S=float(sv[2]),
-            S_comp=float(sv[3]),
-            M=float(sv[4]),
-            M_comp=float(sv[5]),
-            E_incremental=float(sv[6]),
-            E_comp=float(sv[7]),
-            last_weight=float(sv[8]),
-            last_anS=float(sv[9]),
-            weights_decreasing=sv[10] == "1",
+            S=int(sv[2]),
+            M=int(sv[3]),
+            E_incremental=int(sv[4]),
+            last_weight=float(sv[5]),
+            last_anS=float(sv[6]),
+            weights_decreasing=sv[7] == "1",
         )
         samples: list[tuple[int, float]] = []
         checkpoints: list[Checkpoint] = []
@@ -620,7 +621,7 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
         pass
 
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": BUNDLE_FORMAT_VERSION,
         "config": {
             "x_max": stored.x_max,
             "grid_start": stored.grid_start,

@@ -21,7 +21,11 @@ import numpy as np
 from .errors import ConfigError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd slots per window, i.e. ~2M integers
-MAX_LIMIT = 2**63 - 1
+# Every prime <= 2**53 is exact as a float64, which the weights and the grid
+# comparisons rely on; the dense base sieve to isqrt(2**53) then takes ~95 MB.
+MAX_LIMIT = 2**53
+MAX_SEGMENT_SIZE = 1 << 24  # a 16 MB window mask
+MAX_THREADS = 8  # each thread keeps two windows in flight
 
 
 @dataclass(frozen=True)
@@ -35,23 +39,42 @@ class SieveConfig:
         if self.limit < 2:
             raise ConfigError(f"sieve limit must be >= 2, got {self.limit}")
         if self.limit > MAX_LIMIT:
-            raise ConfigError(f"sieve limit must be <= 2**63 - 1, got {self.limit}")
-        if self.segment_size < 1024:
-            raise ConfigError(f"segment_size must be >= 1024, got {self.segment_size}")
+            raise ConfigError(f"sieve limit must be <= 2**53, got {self.limit}")
+        if not 1024 <= self.segment_size <= MAX_SEGMENT_SIZE:
+            raise ConfigError(
+                f"segment_size must be in [1024, {MAX_SEGMENT_SIZE}], "
+                f"got {self.segment_size}"
+            )
 
 
-@dataclass(frozen=True)
+def check_threads(threads: int) -> None:
+    """Reject a worker count outside [1, MAX_THREADS]."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
+
+
+@dataclass(frozen=True, eq=False)
 class PrimeSegment:
-    """All primes in the half-open range (lo, hi], ascending.
+    """All primes in the half-open range (lo, hi], ascending, as int64.
 
     Consecutive segments from one stream tile their range with no gap or
     overlap; each prime therefore belongs to exactly one segment.  Segments
-    are immutable and safe to share across threads.
+    (and the arrays stream_segments puts in them) are read-only and safe to
+    share across threads.
     """
 
     lo: int
     hi: int
-    primes: tuple[int, ...]
+    primes: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrimeSegment):
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi) and np.array_equal(
+            self.primes, other.primes
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def base_primes(bound: int) -> list[int]:
@@ -113,6 +136,7 @@ def stream_segments(
     boundaries are fixed by segment_size alone, so the emitted primes do
     not depend on the thread count.
     """
+    check_threads(threads)
     limit = cfg.limit
     if start > limit:
         return
@@ -122,14 +146,15 @@ def stream_segments(
     def build(window: tuple[int, int]) -> PrimeSegment:
         wlo, hi = window
         first, mask = _window_mask(wlo, hi, odd_base)
-        primes = (first + 2 * np.flatnonzero(mask)).tolist()
+        primes = first + 2 * np.flatnonzero(mask).astype(np.int64, copy=False)
         if wlo == 1 and start <= 2:
-            primes.insert(0, 2)
+            primes = np.concatenate((np.array([2], dtype=np.int64), primes))
         lo = wlo
         if start - 1 > wlo:
-            primes = [p for p in primes if p >= start]
+            primes = primes[np.searchsorted(primes, start) :]
             lo = start - 1
-        return PrimeSegment(lo=lo, hi=hi, primes=tuple(primes))
+        primes.flags.writeable = False
+        return PrimeSegment(lo=lo, hi=hi, primes=primes)
 
     if threads <= 1:
         for window in bounds:
@@ -157,7 +182,7 @@ def iter_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iter
     if limit < 2:
         return
     for seg in stream_segments(SieveConfig(limit, segment_size)):
-        yield from seg.primes
+        yield from seg.primes.tolist()
 
 
 def prime_count(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .accumulate import Checkpoint, SumState, WeightedPrimeTerm, make_term
+from .accumulate import BLOCK, Checkpoint, SumState, WeightedPrimeTerm, weights
 from .errors import SizeError
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_primes
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, stream_segments
 
 _BRUTEFORCE_CAP = 10_000
 
@@ -86,10 +86,18 @@ def bound_record(
 def term_stream(
     x_max: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[WeightedPrimeTerm]:
-    """Weighted terms for every prime <= x_max, ascending."""
+    """Weighted terms for every prime <= x_max, ascending; the same values
+    make_term gives, with the weights computed a segment at a time."""
     limit = int(math.floor(x_max))
-    for index, p in enumerate(iter_primes(limit, segment_size=segment_size), start=1):
-        yield make_term(index, p)
+    if limit < 2:
+        return
+    index = 0
+    for seg in stream_segments(SieveConfig(limit, segment_size)):
+        for b in range(0, len(seg.primes), BLOCK):
+            chunk = seg.primes[b : b + BLOCK]
+            for p, w in zip(chunk.tolist(), weights(chunk).tolist()):
+                index += 1
+                yield WeightedPrimeTerm(index=index, prime=p, weight=w, weight_sq=w * w)
 
 
 def pair_sum_bruteforce(terms: Sequence[WeightedPrimeTerm]) -> float:

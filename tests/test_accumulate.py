@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from primesums import (
     run_stream,
     snapshot,
 )
+from primesums.accumulate import BLOCK, weights
 
 # frozen oracle values (mpmath, 40 digits; see tests/oracles.py)
 W2 = 0.58870501125773733
@@ -30,6 +32,25 @@ def state_over(primes):
     state = SumState()
     state.extend_primes(list(primes))
     return state
+
+
+def fields(state):
+    return tuple(getattr(state, name) for name in SumState.__slots__)
+
+
+PRIME_TABLE = base_primes(300_000)  # 25997 primes: runs can cross a block
+
+# ascending runs the accumulator takes: arbitrary integers anywhere in the
+# sieve's range (extend_primes does not test primality), or runs of
+# consecutive primes long enough to span a BLOCK boundary
+ascending_runs = st.one_of(
+    st.lists(st.integers(2, 2**53), min_size=1, max_size=200, unique=True).map(
+        sorted
+    ),
+    st.tuples(
+        st.integers(0, len(PRIME_TABLE) - 1), st.integers(1, BLOCK + 2000)
+    ).map(lambda t: PRIME_TABLE[t[0] : t[0] + t[1]]),
+)
 
 
 class TestMakeTerm:
@@ -77,15 +98,13 @@ class TestPush:
         with pytest.raises(SequencingError):
             state.push(make_term(3, 5))
 
-    def test_push_equals_extend_bitwise(self):
-        primes = base_primes(10_000)
+    @given(ascending_runs)
+    @settings(max_examples=40, deadline=None)
+    def test_push_equals_extend_bitwise(self, primes):
         pushed = SumState()
         for i, p in enumerate(primes, start=1):
             pushed.push(make_term(i, p))
-        extended = state_over(primes)
-        for field in ("n", "last_prime", "S", "S_comp", "M", "M_comp",
-                      "E_incremental", "E_comp", "last_weight", "last_anS"):
-            assert getattr(pushed, field) == getattr(extended, field)
+        assert fields(pushed) == fields(state_over(primes))
 
     def test_sums_strictly_increase(self):
         state = SumState()
@@ -176,10 +195,10 @@ class TestCompensation:
     def test_matches_fsum_at_1e5(self):
         primes = base_primes(100_000)
         state = state_over(primes)
-        weights = [make_term(i, p).weight for i, p in enumerate(primes, 1)]
+        ws = [make_term(i, p).weight for i, p in enumerate(primes, 1)]
         squares = [make_term(i, p).weight_sq for i, p in enumerate(primes, 1)]
-        assert state.S_total == pytest.approx(math.fsum(weights), rel=1e-15)
-        assert state.M_total == pytest.approx(math.fsum(squares), rel=1e-15)
+        assert state.S_total == math.fsum(ws)
+        assert state.M_total == math.fsum(squares)
 
     def test_jump_cross_check_residual(self):
         state = state_over(base_primes(100_000))
@@ -187,14 +206,29 @@ class TestCompensation:
         direct = s * s - state.M_total
         assert abs(direct - state.E_total) <= 1e-9 * max(1.0, state.E_total)
 
-    @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=300))
-    @settings(max_examples=100)
-    def test_neumaier_tracks_fsum_on_arbitrary_positives(self, values):
-        # exercise the compensated accumulator itself, away from primes
-        state = SumState()
-        for i, v in enumerate(values):
-            state._absorb(i + 2, v, v * v)
-        assert state.S_total == pytest.approx(math.fsum(values), rel=5e-16, abs=1e-300)
+    @given(ascending_runs)
+    @settings(max_examples=100, deadline=None)
+    def test_sums_equal_fsum_exactly(self, primes):
+        # the sums are exact, so reading them rounds exactly as fsum does
+        state = state_over(primes)
+        ws = weights(np.array(primes, dtype=np.int64))
+        assert state.S_total == math.fsum(ws.tolist())
+        assert state.M_total == math.fsum((ws * ws).tolist())
+
+    @given(ascending_runs, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_split_at_any_index_is_identical(self, primes, data):
+        cut = data.draw(st.integers(0, len(primes)))
+        whole = state_over(primes)
+        split = state_over(primes[:cut])
+        split.extend_primes(primes[cut:])
+        assert fields(split) == fields(whole)
+        # a mark at the cut sees the state of the first part alone
+        seen = []
+        marked = SumState()
+        marked.extend_primes(primes, None, [cut], lambda i: seen.append(fields(marked)))
+        assert seen == [fields(state_over(primes[:cut]))]
+        assert fields(marked) == fields(whole)
 
 
 class TestRunStream:

@@ -82,6 +82,10 @@ BUNDLE_SCHEMA = {
 }
 
 
+STATE_FIELDS = ("n", "last_prime", "S", "M", "E_incremental", "last_weight",
+                "last_anS", "weights_decreasing")
+
+
 def cfg_for(tmp_path, x_max, **kw):
     return RunConfig(x_max=x_max, out_dir=tmp_path / "out", **kw)
 
@@ -98,6 +102,21 @@ class TestRunConfig:
             cfg_for(tmp_path, 1000, lambdas=(2.0, 1.0))
         with pytest.raises(ConfigError):
             cfg_for(tmp_path, 1000, tolerances={"no_such_check": 1.0})
+
+    def test_limits_refused_before_any_work(self, tmp_path):
+        from primesums.sieve import MAX_LIMIT, MAX_SEGMENT_SIZE, MAX_THREADS
+
+        cfg_for(tmp_path, MAX_LIMIT, segment_size=MAX_SEGMENT_SIZE,
+                threads=MAX_THREADS)  # the caps themselves are accepted
+        for kw in (
+            {"x_max": MAX_LIMIT + 1},
+            {"x_max": 10**4, "segment_size": MAX_SEGMENT_SIZE + 1},
+            {"x_max": 10**4, "threads": MAX_THREADS + 1},
+            {"x_max": 10**4, "threads": 0},
+        ):
+            with pytest.raises(ConfigError):
+                RunConfig(out_dir=tmp_path / "never", **kw)
+        assert not (tmp_path / "never").exists()
 
     def test_hash_covers_grid_not_xmax(self, tmp_path):
         a = cfg_for(tmp_path, 10**4)
@@ -159,9 +178,8 @@ class TestCheckpointFile:
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
         stored = read_checkpoint_file(cfg.checkpoint_path())
-        assert stored.state.n == result.state.n
-        assert stored.state.S == result.state.S
-        assert stored.state.S_comp == result.state.S_comp
+        for field in STATE_FIELDS:
+            assert getattr(stored.state, field) == getattr(result.state, field)
         assert stored.checkpoints == result.checkpoints
         assert stored.an_sn_samples == result.an_sn_samples
 
@@ -190,6 +208,42 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointFormatError):
             read_checkpoint_file(tmp_path / "nope.txt")
 
+    def test_refuses_format_v1(self, tmp_path, capsys):
+        # a v1 file as the Neumaier accumulator wrote it: float sums with
+        # their compensation terms, 11 state fields
+        v1_rows = [
+            "config_hash 5d1c7a0e9f1b2c3d",
+            "created 2026-01-01T00:00:00+00:00",
+            "x_max 100",
+            "grid_start 100",
+            "grid_ratio 1.1892071150027210",
+            "segment_size 1048576",
+            "state 25 97 9.0916537512498508 -4.4408920985006262e-16 "
+            "3.3792506318468512 1.1102230246251565e-16 79.27302474040741 "
+            "3.5527136788005009e-15 0.21802366497710513 1.9821638473473393 1",
+            "anS 1 0",
+            "checkpoint 100 25 9.0916537512498508 3.3792506318468512 "
+            "79.273024740407425 0.9756 3.17 0.365 -1.226",
+            "end 1",
+        ]
+        v1 = tmp_path / "v1.txt"
+        v1.write_text("\n".join(["primesums-checkpoints v1", *v1_rows]) + "\n")
+        # the same rows under the current header: the state row is refused
+        relabelled = tmp_path / "relabelled.txt"
+        relabelled.write_text(
+            "\n".join(["primesums-checkpoints v2", *v1_rows]) + "\n"
+        )
+        cfg = cfg_for(tmp_path, 1000, resume_from=v1)
+        for path in (v1, relabelled):
+            with pytest.raises(CheckpointFormatError):
+                read_checkpoint_file(path)
+            with pytest.raises(CheckpointFormatError):
+                resume(path, cfg)
+        out = str(tmp_path / "out")
+        assert cli_main(["verify", "--x-max", "100", "--resume", str(v1),
+                         "--out", out]) == 1
+        assert "not a checkpoint file" in capsys.readouterr().err
+
 
 class TestResume:
     def test_split_equals_unsplit(self, tmp_path):
@@ -210,8 +264,7 @@ class TestResume:
         )
         a = read_checkpoint_file(unsplit.checkpoint_path())
         b = read_checkpoint_file(stage2.checkpoint_path())
-        for field in ("n", "last_prime", "S", "S_comp", "M", "M_comp",
-                      "E_incremental", "E_comp", "last_weight", "last_anS"):
+        for field in STATE_FIELDS:
             assert getattr(a.state, field) == getattr(b.state, field)
         assert a.an_sn_samples == b.an_sn_samples
 
@@ -349,6 +402,12 @@ class TestCli:
             ["compute", "--x-max", "2000", "--grid-ratio", "0.5",
              "--out", str(tmp_path)]
         ) == 2
+        out = str(tmp_path / "never")
+        for flags in (["--x-max", str(2**53 + 1)],
+                      ["--x-max", "2000", "--segment-size", str(2**24 + 1)],
+                      ["--x-max", "2000", "--threads", "9"]):
+            assert cli_main(["compute", *flags, "--out", out]) == 2
+        assert not (tmp_path / "never").exists()
 
     def test_corrupted_resume_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -41,7 +41,7 @@ def test_stream_limit_30():
 def test_stream_limit_2_single_segment():
     segs = list(stream_segments(SieveConfig(limit=2)))
     assert len(segs) == 1
-    assert segs[0].primes == (2,)
+    assert segs[0].primes.tolist() == [2]
 
 
 def test_stream_1e6_count():
@@ -116,8 +116,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SieveConfig(limit=100, segment_size=512)
     with pytest.raises(ConfigError):
-        SieveConfig(limit=2**63)
-    SieveConfig(limit=2**63 - 1)  # the cap itself is allowed
+        SieveConfig(limit=2**53 + 1)  # float64(p) would no longer be exact
+    with pytest.raises(ConfigError):
+        SieveConfig(limit=100, segment_size=2**24 + 1)
+    SieveConfig(limit=2**53, segment_size=2**24)  # the caps themselves are allowed
 
 
 def test_segment_is_immutable():
