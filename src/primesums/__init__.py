@@ -36,6 +36,7 @@ from .asymptotics import (
 from .calculus import (
     AbelDecomposition,
     abel_decompose,
+    abel_decompose_grid,
     eval_h,
     eval_h_prime,
     eval_w,
@@ -57,7 +58,7 @@ from .sieve import (
     PrimeSegment,
     SieveConfig,
     base_primes,
-    iter_primes,
+    prime_array,
     prime_count,
     stream_segments,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "VerificationRecord",
     "WeightedPrimeTerm",
     "abel_decompose",
+    "abel_decompose_grid",
     "an_Sn_series",
     "an_sn_band",
     "base_primes",
@@ -108,7 +110,6 @@ __all__ = [
     "eval_w",
     "eval_w_prime",
     "grid_points",
-    "iter_primes",
     "lower_bound_check",
     "main_term_growth",
     "main_term_identity",
@@ -116,6 +117,7 @@ __all__ = [
     "mertens_contraction_record",
     "mertens_width",
     "pair_sum_bruteforce",
+    "prime_array",
     "prime_count",
     "quadrature",
     "resume",

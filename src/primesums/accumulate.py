@@ -115,8 +115,9 @@ def _limbs(v: np.ndarray) -> np.ndarray:
     """
     out = np.empty(v.shape + (3,), dtype=np.int64)
     r = v * _LIMB_SCALE
+    f = np.empty_like(r)
     for k in range(2):
-        f = np.floor(r)
+        np.floor(r, out=f)
         out[..., k] = f
         r -= f
         r *= _LIMB_SCALE
@@ -158,6 +159,56 @@ def _round_prefixes(base: int, prefix: np.ndarray, top: int) -> np.ndarray:
     out = np.ldexp((h | (sticky != 0)).astype(np.float64), k - FRAC_BITS)
     for i in np.flatnonzero(h < (1 << 54)).tolist():
         out[i] = float(base + _to_int(prefix[i])) * _UNIT
+    return out
+
+
+def _signed_limbs(v: np.ndarray) -> np.ndarray:
+    """_limbs of values of either sign: the limbs of |v|, negated where v < 0."""
+    return _limbs(np.abs(v)) * np.sign(v).astype(np.int64)[..., None]
+
+
+def _round_signed(base: int, rows: np.ndarray) -> np.ndarray:
+    """(base + rows[i]) * 2**-120 rounded to the nearest double, each i.
+
+    rows are limb sums of either sign.  _round_prefixes carries with
+    arithmetic shifts and masks, so signed limbs and a negative base are
+    exact there too; any value that is negative or small falls to its exact
+    Python-int path.  The bound it needs comes from the largest limbs.
+    """
+    if not len(rows):
+        return np.empty(0)
+    hi, mid, lo = np.abs(rows).max(axis=0).tolist()
+    top = abs(base) + (hi << 2 * _LIMB_BITS) + (mid << _LIMB_BITS) + lo
+    return _round_prefixes(base, rows, top)
+
+
+def exact_sums_at(
+    v: np.ndarray, cuts: np.ndarray, extra: np.ndarray | None = None
+) -> np.ndarray:
+    """sum(v[:c]) (+ extra[i]) for each c = cuts[i], rounded once to a double.
+
+    Each result is the exact sum rounded to the nearest, so it equals
+    math.fsum of the same terms.  v and extra hold multiples of 2**-120
+    below 512 in magnitude, of either sign (see _limbs); cuts ascend.  The
+    prefixes are summed BLOCK values at a time, with the running total
+    carried as a Python int, so memory and limb sums stay bounded whatever
+    len(v).
+    """
+    cuts = np.asarray(cuts, dtype=np.int64)
+    out = np.empty(len(cuts))
+    el = None if extra is None else _signed_limbs(np.asarray(extra, dtype=np.float64))
+    base = i0 = 0
+    for b0 in range(0, len(v) + 1, BLOCK):
+        lv = _signed_limbs(v[b0 : b0 + BLOCK])
+        rows = np.zeros((len(lv) + 1, 3), dtype=np.int64)
+        np.cumsum(lv, axis=0, out=rows[1:])
+        i1 = int(np.searchsorted(cuts, b0 + len(lv), side="right"))
+        sel = rows[cuts[i0:i1] - b0]
+        if el is not None:
+            sel += el[i0:i1]
+        out[i0:i1] = _round_signed(base, sel)
+        base += _to_int(rows[-1])
+        i0 = i1
     return out
 
 

@@ -19,15 +19,14 @@ bands, block stats, abel decompositions, and run metadata.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .accumulate import (
@@ -51,15 +50,22 @@ from .asymptotics import (
     sandwich_records,
     scale_identity_record,
 )
-from .calculus import abel_decompose, main_term_identity
+# abel_decompose stays importable here: perfbench/trace.py wraps it by name
+from .calculus import (  # noqa: F401
+    AbelDecomposition,
+    abel_decompose,
+    abel_decompose_grid,
+    main_term_identity,
+)
 from .errors import CheckpointFormatError, ConfigError
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, check_threads, iter_primes
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, check_threads, prime_array
 from .verify import (
     VerificationRecord,
     check_E_monotone,
     check_jump_identity,
     check_pair_identity,
     identity_record,
+    pair_prime_bound,
 )
 
 FORMAT_VERSION = 2  # of the checkpoint file
@@ -91,6 +97,23 @@ PAIR_N_CAP = 5000
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _checkpoint_fields(cp: Checkpoint) -> list[str]:
+    """The one row codec of a Checkpoint: its fields in CSV_COLUMNS order,
+    pi as an integer and every real with 17 digits.  The CSV joins them
+    with commas, the checkpoint file with spaces."""
+    return [
+        _fmt(cp.x),
+        str(cp.pi),
+        _fmt(cp.S),
+        _fmt(cp.M),
+        _fmt(cp.E),
+        _fmt(cp.r_S),
+        _fmt(cp.r_E_pi),
+        _fmt(cp.r_E_x),
+        _fmt(cp.mertens_remainder),
+    ]
 
 
 @dataclass
@@ -198,22 +221,7 @@ def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None
     for n, value in result.an_sn_samples:
         lines.append(f"anS {n} {_fmt(value)}")
     for cp in result.checkpoints:
-        lines.append(
-            "checkpoint "
-            + " ".join(
-                [
-                    _fmt(cp.x),
-                    str(cp.pi),
-                    _fmt(cp.S),
-                    _fmt(cp.M),
-                    _fmt(cp.E),
-                    _fmt(cp.r_S),
-                    _fmt(cp.r_E_pi),
-                    _fmt(cp.r_E_x),
-                    _fmt(cp.mertens_remainder),
-                ]
-            )
-        )
+        lines.append("checkpoint " + " ".join(_checkpoint_fields(cp)))
     lines.append(f"end {len(result.checkpoints)}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -305,21 +313,7 @@ def read_checkpoint_file(path: Path) -> StoredRun:
 def write_csv(path: Path, checkpoints: list[Checkpoint]) -> None:
     rows = [",".join(CSV_COLUMNS)]
     for cp in checkpoints:
-        rows.append(
-            ",".join(
-                [
-                    _fmt(cp.x),
-                    str(cp.pi),
-                    _fmt(cp.S),
-                    _fmt(cp.M),
-                    _fmt(cp.E),
-                    _fmt(cp.r_S),
-                    _fmt(cp.r_E_pi),
-                    _fmt(cp.r_E_x),
-                    _fmt(cp.mertens_remainder),
-                ]
-            )
-        )
+        rows.append(",".join(_checkpoint_fields(cp)))
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -437,95 +431,68 @@ def _block_checks(
     return list(records.values()), stats
 
 
+def _abel_xs(series: CheckpointSeries) -> list[float]:
+    return [cp.x for cp in series if cp.x <= ABEL_GRID_CAP]
+
+
 def _abel_records(
-    cfg: RunConfig, series: CheckpointSeries
-) -> tuple[list[VerificationRecord], list]:
-    xs = [cp.x for cp in series if cp.x <= ABEL_GRID_CAP]
-    if not xs:
+    cfg: RunConfig, xs: list[float], primes: np.ndarray
+) -> tuple[list[VerificationRecord], list[AbelDecomposition]]:
+    """The worst Abel identity record over the grid points xs, and the
+    decomposition at each; primes must reach the last of them."""
+    decomps = abel_decompose_grid(xs, primes)
+    if not decomps:
         return [], []
-    primes = list(iter_primes(int(math.floor(xs[-1])), segment_size=cfg.segment_size))
     tol = cfg.tolerance("abel_identity")
-    decomps = []
-    worst: VerificationRecord | None = None
-    for x in xs:
-        cut = bisect.bisect_right(primes, x)
-        dec = abel_decompose(x, primes[:cut])
-        decomps.append(dec)
-        rec = identity_record(
-            "abel_identity",
-            x,
-            dec.direct_S,
-            dec.boundary_term - dec.integral_term,
-            tol,
+    records = (
+        identity_record(
+            "abel_identity", d.x, d.direct_S, d.boundary_term - d.integral_term, tol
         )
-        if worst is None or rec.residual > worst.residual:
-            worst = rec
-    return ([worst] if worst is not None else []), decomps
+        for d in decomps
+    )
+    # max keeps the first of equal residuals
+    return [max(records, key=lambda r: r.residual)], decomps
 
 
 def run_verification(
     cfg: RunConfig, result: RunResult
 ) -> list[VerificationRecord]:
-    """The full check suite over one run's outputs plus fresh streams.
+    """The full check suite over one run's outputs.
 
-    Independent check groups fan out across cfg.threads workers; results
-    are flattened in a fixed order, so the record list is identical for
-    any thread count.
+    The pair, jump and Abel checks share one sieve of the primes they
+    need, up to JUMP_SCAN_CAP at most; the records come in a fixed order.
     """
     series = CheckpointSeries(result.checkpoints)
+    n_pair = min(PAIR_N_CAP, result.state.n)
+    x_jump = min(float(cfg.x_max), float(JUMP_SCAN_CAP))
+    abel_xs = _abel_xs(series)
+    primes = prime_array(
+        max(pair_prime_bound(n_pair), int(x_jump), int(max(abel_xs, default=0.0))),
+        segment_size=cfg.segment_size,
+    )
+    records = check_pair_identity(
+        n_pair, tolerance=cfg.tolerance("pair_identity"), primes=primes
+    )
+    records.append(
+        check_jump_identity(
+            x_jump, tolerance=cfg.tolerance("jump_identity"), primes=primes
+        )
+    )
+    records.append(check_E_monotone(result.checkpoints))
+    records.append(
+        scale_identity_record(result.checkpoints, cfg.tolerance("scale_identity"))
+    )
+    records.append(ratio_positivity_record(result.checkpoints, result.an_sn_samples))
+    try:
+        records.append(mertens_contraction_record(result.checkpoints))
+    except ConfigError:
+        pass  # windows not populated at this x_max
+    records.extend(_abel_records(cfg, abel_xs, primes)[0])
     quad_tol = cfg.tolerance("main_term") / 10.0
-
-    def pair_group() -> list[VerificationRecord]:
-        n_max = min(PAIR_N_CAP, result.state.n)
-        return check_pair_identity(n_max, tolerance=cfg.tolerance("pair_identity"))
-
-    def jump_group() -> list[VerificationRecord]:
-        return [
-            check_jump_identity(
-                min(float(cfg.x_max), float(JUMP_SCAN_CAP)),
-                tolerance=cfg.tolerance("jump_identity"),
-                segment_size=cfg.segment_size,
-            )
-        ]
-
-    def abel_group() -> list[VerificationRecord]:
-        recs, _ = _abel_records(cfg, series)
-        return recs
-
-    def main_term_group() -> list[VerificationRecord]:
-        xs = sorted({min(cfg.x_max, 10**3), min(cfg.x_max, 10**6)})
-        return [main_term_identity(float(x), quad_tol) for x in xs]
-
-    def block_group() -> list[VerificationRecord]:
-        recs, _ = _block_checks(cfg, series)
-        return recs
-
-    def checkpoint_group() -> list[VerificationRecord]:
-        recs = [
-            check_E_monotone(result.checkpoints),
-            scale_identity_record(result.checkpoints, cfg.tolerance("scale_identity")),
-            ratio_positivity_record(result.checkpoints, result.an_sn_samples),
-        ]
-        try:
-            recs.append(mertens_contraction_record(result.checkpoints))
-        except ConfigError:
-            pass  # windows not populated at this x_max
-        return recs
-
-    groups = [
-        pair_group,
-        jump_group,
-        checkpoint_group,
-        abel_group,
-        main_term_group,
-        block_group,
-    ]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            batches = list(pool.map(lambda g: g(), groups))
-    else:
-        batches = [g() for g in groups]
-    return [rec for batch in batches for rec in batch]
+    for x in sorted({min(cfg.x_max, 10**3), min(cfg.x_max, 10**6)}):
+        records.append(main_term_identity(float(x), quad_tol))
+    records.extend(_block_checks(cfg, series)[0])
+    return records
 
 
 def write_verification_csv(path: Path, records: list[VerificationRecord]) -> None:
@@ -607,7 +574,12 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
     records = [check_E_monotone(stored.checkpoints)]
     block_recs, stats = _block_checks(cfg, series)
     records.extend(block_recs)
-    abel_recs, decomps = _abel_records(cfg, series)
+    abel_xs = _abel_xs(series)
+    abel_recs, decomps = _abel_records(
+        cfg,
+        abel_xs,
+        prime_array(int(max(abel_xs, default=0.0)), segment_size=cfg.segment_size),
+    )
     records.extend(abel_recs)
     records.append(
         scale_identity_record(stored.checkpoints, cfg.tolerance("scale_identity"))

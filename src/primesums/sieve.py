@@ -177,12 +177,13 @@ def stream_segments(
             yield pending.popleft().result()
 
 
-def iter_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
-    """All primes <= limit, one by one."""
+def prime_array(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+    """All primes <= limit as one ascending int64 array."""
     if limit < 2:
-        return
-    for seg in stream_segments(SieveConfig(limit, segment_size)):
-        yield from seg.primes.tolist()
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(
+        [seg.primes for seg in stream_segments(SieveConfig(limit, segment_size))]
+    )
 
 
 def prime_count(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:

@@ -1,20 +1,38 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here deliberately avoids the library under test: primes come
+The first part deliberately avoids the library under test: primes come
 from trial division (not a sieve), sums are accumulated in mpmath working
 precision (not compensated doubles), and integrals use fixed-grid Romberg
 (not adaptive Simpson).  Run as a script to regenerate the frozen fixture
 constants quoted in the test modules:
 
     python3 tests/oracles.py [limit]
+
+The second part keeps the scalar forms of the pair, jump and Abel checks,
+one term or one grid point at a time, as references that the vectorized
+checks in primesums must match bit for bit.  Their signatures match the
+calls report.run_verification makes, so a test can swap them in.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
+from typing import Iterable
 
 import mpmath
+
+from primesums import (
+    SumState,
+    VerificationRecord,
+    WeightedPrimeTerm,
+    abel_decompose,
+    pair_sum_bruteforce,
+    prime_array,
+    term_stream,
+)
+from primesums.verify import _log_subsample, identity_record, relative_residual
 
 mpmath.mp.dps = 40
 
@@ -75,6 +93,90 @@ def romberg(f, a: float, b: float, levels: int = 18) -> float:
             row.append((factor * row[j - 1] - rows[-1][j - 1]) / (factor - 1.0))
         rows.append(row)
     return rows[-1][-1]
+
+
+def pair_records_scalar(
+    n_max: int,
+    terms: Iterable[WeightedPrimeTerm] | None = None,
+    tolerance: float = 1e-10,
+    **_: object,
+) -> list[VerificationRecord]:
+    """check_pair_identity one pushed term at a time, with the brute-force
+    pair sum over the terms seen so far at each sampled n."""
+    if terms is None:
+        terms = term_stream(100 + int(n_max * (math.log(max(n_max, 6)) + 3.0)))
+    sample = set(_log_subsample(n_max))
+    state = SumState()
+    seen: list[WeightedPrimeTerm] = []
+    records = []
+    for term in terms:
+        if term.index > n_max:
+            break
+        state.push(term)
+        seen.append(term)
+        if term.index in sample:
+            s = state.S_total
+            lhs = s * s - state.M_total
+            rhs = pair_sum_bruteforce(seen)
+            records.append(
+                identity_record("pair_identity", float(term.index), lhs, rhs, tolerance)
+            )
+    return records
+
+
+def jump_record_scalar(
+    x_max: float,
+    terms: Iterable[WeightedPrimeTerm] | None = None,
+    tolerance: float = 1e-9,
+    **_: object,
+) -> VerificationRecord:
+    """check_jump_identity as a scan that pushes one term at a time and
+    keeps the first strictly worst residual."""
+    if terms is None:
+        terms = term_stream(x_max)
+    state = SumState()
+    prev_e = 0.0
+    worst, worst_at, worst_lhs, worst_rhs = -1.0, 0, 0.0, 0.0
+    for term in terms:
+        predicted = 2.0 * term.weight * state.S_total
+        state.push(term)
+        s = state.S_total
+        e = s * s - state.M_total
+        lhs = e - prev_e
+        prev_e = e
+        residual = relative_residual(lhs, predicted)
+        if residual > worst:
+            worst, worst_at, worst_lhs, worst_rhs = residual, term.index, lhs, predicted
+    if worst < 0.0:
+        worst, worst_at, worst_lhs, worst_rhs = 0.0, 0, 0.0, 0.0
+    return VerificationRecord(
+        check_id="jump_identity",
+        location=float(worst_at),
+        lhs=worst_lhs,
+        rhs=worst_rhs,
+        residual=worst,
+        tolerance=tolerance,
+        passed=worst <= tolerance,
+    )
+
+
+def abel_records_scalar(cfg, xs: list[float], _primes=None) -> tuple[list, list]:
+    """report._abel_records with abel_decompose run afresh at every x."""
+    if not xs:
+        return [], []
+    primes = prime_array(int(math.floor(xs[-1]))).tolist()
+    tol = cfg.tolerance("abel_identity")
+    decomps = []
+    worst = None
+    for x in xs:
+        dec = abel_decompose(x, primes[: bisect.bisect_right(primes, x)])
+        decomps.append(dec)
+        rec = identity_record(
+            "abel_identity", x, dec.direct_S, dec.boundary_term - dec.integral_term, tol
+        )
+        if worst is None or rec.residual > worst.residual:
+            worst = rec
+    return [worst], decomps
 
 
 def _fmt(x: mpmath.mpf) -> str:

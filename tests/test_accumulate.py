@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from primesums import (
     run_stream,
     snapshot,
 )
-from primesums.accumulate import BLOCK, weights
+from primesums.accumulate import BLOCK, exact_sums_at, weights
 
 # frozen oracle values (mpmath, 40 digits; see tests/oracles.py)
 W2 = 0.58870501125773733
@@ -229,6 +230,37 @@ class TestCompensation:
         marked.extend_primes(primes, None, [cut], lambda i: seen.append(fields(marked)))
         assert seen == [fields(state_over(primes[:cut]))]
         assert fields(marked) == fields(whole)
+
+
+# doubles of either sign that are multiples of 2**-120 and below 512: any
+# double of magnitude at least 2**-68 is, as is zero
+exact_doubles = st.one_of(
+    st.just(0.0),
+    st.floats(2.0**-68, 511.0).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+class TestExactSumsAt:
+    @given(
+        st.lists(exact_doubles, max_size=BLOCK + 300),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equal_fsum_of_each_prefix(self, values, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), min_size=1)))
+        extra = data.draw(st.lists(exact_doubles, min_size=len(cuts), max_size=len(cuts)))
+        v = np.array(values)
+        assert exact_sums_at(v, cuts).tolist() == [math.fsum(values[:c]) for c in cuts]
+        assert exact_sums_at(v, cuts, np.array(extra)).tolist() == [
+            math.fsum(values[:c] + [e]) for c, e in zip(cuts, extra)
+        ]
+
+    def test_every_prefix_across_blocks(self):
+        ws = weights(np.array(PRIME_TABLE[: 2 * BLOCK + 5], dtype=np.int64))
+        got = exact_sums_at(ws, np.arange(len(ws) + 1))
+        # exact running sums in units of 2**-120, each rounded by float()
+        units = itertools.accumulate((int(math.ldexp(w, 120)) for w in ws.tolist()), initial=0)
+        assert got.tolist() == [math.ldexp(float(u), -120) for u in units]
 
 
 class TestRunStream:

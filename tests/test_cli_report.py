@@ -4,6 +4,8 @@ import math
 import pytest
 from jsonschema import validate
 
+import primesums.report as report
+from oracles import abel_records_scalar, jump_record_scalar, pair_records_scalar
 from primesums import CheckpointFormatError, ConfigError, RunConfig, resume
 from primesums.cli import main as cli_main
 from primesums.report import (
@@ -370,6 +372,38 @@ class TestReport:
         bad.write_text("")
         with pytest.raises(CheckpointFormatError):
             cmd_report(cfg, bad)
+
+
+def _outputs(out_dir):
+    """verification.csv, report.json without its wall time, and the series
+    CSVs of one output directory."""
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("series_*.csv"))}
+    files["verification.csv"] = (out_dir / "verification.csv").read_bytes()
+    bundle = json.loads((out_dir / "report.json").read_text())
+    del bundle["metadata"]["report_wall_time_s"]
+    files["report.json"] = json.dumps(bundle, sort_keys=True).encode()
+    return files
+
+
+def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
+    """verify and report on a stored 1e6 run write the same bytes as the
+    scalar pair, jump and Abel references do in the same process."""
+    stored = cfg_for(tmp_path / "stored", 10**6)
+    cmd_compute(stored)
+
+    def verify_and_report(name):
+        cfg = RunConfig(
+            x_max=10**6, out_dir=tmp_path / name, resume_from=stored.checkpoint_path()
+        )
+        assert cmd_verify(cfg)[1] == 0
+        cmd_report(cfg, stored.checkpoint_path())
+        return _outputs(cfg.out_dir)
+
+    vectorized = verify_and_report("vectorized")
+    monkeypatch.setattr(report, "check_pair_identity", pair_records_scalar)
+    monkeypatch.setattr(report, "check_jump_identity", jump_record_scalar)
+    monkeypatch.setattr(report, "_abel_records", abel_records_scalar)
+    assert verify_and_report("scalar") == vectorized
 
 
 class TestCli:

@@ -1,9 +1,13 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import jump_record_scalar, pair_records_scalar
 from primesums import (
     Checkpoint,
+    SequencingError,
     SizeError,
     SumState,
     base_primes,
@@ -15,9 +19,12 @@ from primesums import (
     run_stream,
     grid_points,
 )
+from primesums.accumulate import BLOCK
 from primesums.verify import relative_residual, term_stream
 
 TWO_A1_A2 = 0.71250731477826901
+
+TERMS_1E5 = list(term_stream(1e5))  # 9592 terms: the scan crosses a BLOCK
 
 
 def terms_upto(bound):
@@ -78,6 +85,79 @@ class TestPairIdentity:
                     assert residual > 1e-10
                 else:
                     assert residual <= 1e-10
+
+
+class TestPairVectorized:
+    """The numpy pair pass against the scalar push + brute-force loop."""
+
+    @given(st.integers(0, 400))
+    @settings(max_examples=30, deadline=None)
+    def test_records_equal_bruteforce(self, n):
+        assert repr(check_pair_identity(n)) == repr(pair_records_scalar(n))
+
+    @given(st.integers(1, 200), st.integers(0, 199))
+    @settings(max_examples=20, deadline=None)
+    def test_perturbed_terms_equal_bruteforce(self, n, k):
+        terms = TERMS_1E5[:n]
+        k %= n
+        terms[k] = replace(terms[k], weight=terms[k].weight * (1 + 1e-6))
+        assert repr(check_pair_identity(n, terms=terms)) == repr(
+            pair_records_scalar(n, terms=terms)
+        )
+
+
+class TestJumpVectorized:
+    """The numpy jump pass against the scalar scan that pushes each term."""
+
+    def test_equals_push_scan_at_1e5(self):
+        assert repr(check_jump_identity(1e5)) == repr(jump_record_scalar(1e5))
+
+    @given(
+        st.one_of(
+            st.sampled_from([0, 1, 2, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1]),
+            st.integers(0, len(TERMS_1E5) - 1),
+        )
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_perturbed_equals_push_scan(self, k):
+        terms = list(TERMS_1E5)
+        terms[k] = replace(terms[k], weight=terms[k].weight * (1 + 1e-6))
+        rec = check_jump_identity(1e5, terms=terms)
+        assert repr(rec) == repr(jump_record_scalar(1e5, terms=terms))
+
+
+def _swapped(terms, k):
+    """terms with entries k and k + 1 exchanged: primes out of order."""
+    out = list(terms)
+    out[k], out[k + 1] = out[k + 1], out[k]
+    return out
+
+
+def _reindexed(terms, k):
+    """terms with entry k's index bumped: the count no longer follows."""
+    out = list(terms)
+    out[k] = replace(out[k], index=out[k].index + 1)
+    return out
+
+
+def _repeated(terms, k):
+    """terms with entry k repeated, prime and index alike."""
+    return terms[: k + 1] + terms[k:]
+
+
+class TestSequencing:
+    @given(st.sampled_from([_swapped, _reindexed, _repeated]), st.integers(0, 98))
+    @settings(max_examples=30, deadline=None)
+    def test_bad_streams_raise_like_push(self, corrupt, k):
+        terms = corrupt(TERMS_1E5[:100], k)
+        with pytest.raises(SequencingError) as expected:
+            jump_record_scalar(1e5, terms=terms)
+        with pytest.raises(SequencingError) as got:
+            check_jump_identity(1e5, terms=terms)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(SequencingError) as got:
+            check_pair_identity(100, terms=terms)
+        assert str(got.value) == str(expected.value)
 
 
 class TestJumpIdentity:
