@@ -9,12 +9,12 @@ where S and M are exact.  Every weight and every squared weight a_k*a_k
 (a double) of a prime <= 2**53 is a multiple of 2**-120, so the sums are
 held as Python ints in units of 2**-120 and rounded to a double only when
 read.  They therefore do not depend on the order of the additions, the
-block or segment boundaries, the thread count, or where a run was split
-and resumed.  E is never accumulated directly: snapshots compute it as
-S^2 - M, which suffers no cancellation at scale (E grows like x/log x
-while M grows like log x).  A separate exact sum of the per-step jumps
-2*a_n*S_{n-1} is carried purely as a built-in cross-check: telescoped, it
-must reproduce S^2 - M.
+block or segment boundaries, or where a run was split and resumed.  E is
+never accumulated directly: snapshots compute it as S^2 - M, which
+suffers no cancellation at scale (E grows like x/log x while M grows like
+log x).  A separate exact sum of the per-step jumps 2*a_n*S_{n-1} is
+carried purely as a built-in cross-check: telescoped, it must reproduce
+S^2 - M.
 
 Bulk absorption takes int64 prime arrays in blocks of BLOCK primes: numpy
 computes the weights, splits each value exactly into 40-bit int64 limbs
@@ -223,6 +223,7 @@ class SumState:
     is split into calls.
     """
 
+    # also the column order of the checkpoint file's state row
     __slots__ = (
         "n",
         "last_prime",
@@ -243,30 +244,6 @@ class SumState:
         self.last_weight = math.inf
         self.last_anS = 0.0
         self.weights_decreasing = True
-
-    @classmethod
-    def restore(
-        cls,
-        *,
-        n: int,
-        last_prime: int,
-        S: int,
-        M: int,
-        E_incremental: int,
-        last_weight: float,
-        last_anS: float,
-        weights_decreasing: bool,
-    ) -> "SumState":
-        state = cls()
-        state.n = n
-        state.last_prime = last_prime
-        state.S = S
-        state.M = M
-        state.E_incremental = E_incremental
-        state.last_weight = last_weight
-        state.last_anS = last_anS
-        state.weights_decreasing = weights_decreasing
-        return state
 
     @property
     def S_total(self) -> float:
@@ -436,7 +413,6 @@ def run_stream(
     grid: Sequence[float],
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
     state: SumState | None = None,
     samples: list[tuple[int, float]] | None = None,
 ) -> RunResult:
@@ -462,7 +438,7 @@ def run_stream(
     if state.last_prime < limit:
         cfg = SieveConfig(limit=limit, segment_size=segment_size)
         grid_arr = np.asarray(grid, dtype=np.float64)
-        for seg in stream_segments(cfg, start=state.last_prime + 1, threads=threads):
+        for seg in stream_segments(cfg, start=state.last_prime + 1):
             gj = int(np.searchsorted(grid_arr, seg.hi, side="right"))
             xs = grid[gi:gj]
             cuts = np.searchsorted(seg.primes, xs, side="right")
@@ -483,12 +459,10 @@ def run_stream(
 
 
 def an_Sn_series(
-    x_max: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1
+    x_max: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> list[tuple[int, float]]:
     """The products a_n * S_{n-1} sampled at power-of-two n (plus the final
     n) over all primes <= x_max; a_1 * S_0 = 0 by convention."""
     if x_max < 3:
         raise DomainError(f"x_max must be >= 3, got {x_max}")
-    return run_stream(
-        x_max, [], segment_size=segment_size, threads=threads
-    ).an_sn_samples
+    return run_stream(x_max, [], segment_size=segment_size).an_sn_samples

@@ -25,6 +25,10 @@ from .report import (
 )
 from .sieve import DEFAULT_SEGMENT_SIZE
 
+# --threads is accepted, within these bounds, so that existing command lines
+# keep working; the sieve runs on one thread and output never depended on it
+MAX_THREADS = 8
+
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-max", type=int, required=True, help="upper summation limit")
@@ -68,7 +72,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--resume", type=Path, default=None, help="checkpoint file to continue from"
     )
     p.add_argument(
-        "--threads", type=int, default=1, help="sieve worker threads, 1 to 8 (ordered hand-off)"
+        "--threads",
+        type=int,
+        default=1,
+        help=f"accepted for compatibility, 1 to {MAX_THREADS}; no effect",
     )
 
 
@@ -86,6 +93,8 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
     return RunConfig(
         x_max=args.x_max,
         grid_start=args.grid_start,
@@ -96,7 +105,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         tolerances=_parse_tolerances(args.tol),
         out_dir=args.out,
         resume_from=args.resume,
-        threads=args.threads,
     )
 
 

@@ -1,13 +1,15 @@
-"""Run configuration, checkpoint persistence with resume, and reports.
+"""Run configuration, checkpoint persistence with resume, the check
+registry, and reports.
 
 File formats
 ------------
 Checkpoint file (text, versioned): a header with the format version, a
 hash of the accumulation-relevant config fields and creation metadata,
-then the full accumulator state (its exact sums as integers in units of
-2**-120), the sampled a_n*S_{n-1} values, and one fixed-column row per
-checkpoint.  Reals are serialized with 17 significant digits, which
-round-trips binary64 exactly, so a restored run continues bit-identically.
+then the full accumulator state (its slots in SumState.__slots__ order,
+the exact sums as integers in units of 2**-120), the sampled a_n*S_{n-1}
+values, and one fixed-column row per checkpoint.  Reals are serialized
+with 17 significant digits, which round-trips binary64 exactly, so a
+restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
@@ -22,9 +24,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -40,7 +45,6 @@ from .asymptotics import (
     BAND_SERIES,
     BlockStat,
     CheckpointSeries,
-    RatioBand,
     an_sn_band,
     block_sandwich,
     empirical_constants,
@@ -58,7 +62,7 @@ from .calculus import (  # noqa: F401
     main_term_identity,
 )
 from .errors import CheckpointFormatError, ConfigError
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, check_threads, prime_array
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, prime_array
 from .verify import (
     VerificationRecord,
     check_E_monotone,
@@ -72,21 +76,9 @@ FORMAT_VERSION = 2  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
 BUNDLE_FORMAT_VERSION = 1  # of report.json
 
-CSV_COLUMNS = ("x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder")
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "pair_identity": 1e-10,
-    "jump_identity": 1e-9,
-    "e_monotone": 0.0,
-    "abel_identity": 1e-8,
-    "main_term": 1e-8,  # 10x the quadrature tolerance below
-    "lower_bound": 1e-12,
-    "block_sandwich": 1e-12,
-    "scale_identity": 1e-12,
-    "mertens_contraction": 0.0,
-    "ratio_positive": 0.0,
-}
-MAIN_TERM_QUAD_TOL = 1e-9
+CSV_COLUMNS = tuple(f.name for f in fields(Checkpoint))
+# report.json keys that differ from the dataclass field names
+_JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 
 # streaming checks beyond this x cost more than they inform; the jump
 # residual also drifts toward its 1e-9 tolerance at 1e8-scale S values
@@ -116,6 +108,20 @@ def _checkpoint_fields(cp: Checkpoint) -> list[str]:
     ]
 
 
+def _json(record) -> dict:
+    """A flat dataclass as its report.json object.  A shallow asdict: the
+    deep copy of asdict made a report of 1e5 checkpoints 30% slower."""
+    return {_JSON_NAMES.get(k, k): v for k, v in vars(record).items()}
+
+
+def _write_lines(path: Path, *parts: Iterable[str]) -> None:
+    """Write the lines of each part in turn, each ended by a newline, one
+    at a time: memory holds one row, never the whole file."""
+    with open(path, "w") as fh:
+        for line in chain(*parts):
+            fh.write(line + "\n")
+
+
 @dataclass
 class RunConfig:
     """Everything a compute/verify/report invocation needs."""
@@ -129,7 +135,6 @@ class RunConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
     out_dir: Path = Path("primesums_out")
     resume_from: Path | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         self.out_dir = Path(self.out_dir)
@@ -149,7 +154,6 @@ class RunConfig:
             raise ConfigError(f"every lambda must be > 1, got {self.lambdas}")
         # the sieve's bounds, checked before anything is allocated
         SieveConfig(limit=self.x_max, segment_size=self.segment_size)
-        check_threads(self.threads)
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance ids: {sorted(unknown)}")
@@ -179,120 +183,96 @@ class RunConfig:
 
 
 @dataclass
-class StoredRun:
-    """Parsed contents of a checkpoint file."""
+class StoredRun(RunResult):
+    """Parsed contents of a checkpoint file: the run and its header."""
 
     config_hash: str
     x_max: int
     grid_start: float
     grid_ratio: float
     segment_size: int
-    state: SumState
-    an_sn_samples: list[tuple[int, float]]
-    checkpoints: list[Checkpoint]
 
 
 def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None:
-    lines = [
-        _MAGIC,
-        f"config_hash {cfg.config_hash()}",
-        f"created {datetime.now(timezone.utc).isoformat()}",
-        f"x_max {cfg.x_max}",
-        f"grid_start {_fmt(cfg.grid_start)}",
-        f"grid_ratio {_fmt(cfg.grid_ratio)}",
-        f"segment_size {cfg.segment_size}",
-    ]
-    st = result.state
-    lines.append(
-        "state "
-        + " ".join(
-            [
-                str(st.n),
-                str(st.last_prime),
-                str(st.S),
-                str(st.M),
-                str(st.E_incremental),
-                _fmt(st.last_weight),
-                _fmt(st.last_anS),
-                "1" if st.weights_decreasing else "0",
-            ]
-        )
+    state_row = (getattr(result.state, name) for name in SumState.__slots__)
+    _write_lines(
+        path,
+        [
+            _MAGIC,
+            f"config_hash {cfg.config_hash()}",
+            f"created {datetime.now(timezone.utc).isoformat()}",
+            f"x_max {cfg.x_max}",
+            f"grid_start {_fmt(cfg.grid_start)}",
+            f"grid_ratio {_fmt(cfg.grid_ratio)}",
+            f"segment_size {cfg.segment_size}",
+            # sums and counts as integers, the flag as 0/1, reals with 17 digits
+            "state "
+            + " ".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in state_row),
+        ],
+        (f"anS {n} {_fmt(value)}" for n, value in result.an_sn_samples),
+        ("checkpoint " + " ".join(_checkpoint_fields(cp)) for cp in result.checkpoints),
+        [f"end {len(result.checkpoints)}"],
     )
-    for n, value in result.an_sn_samples:
-        lines.append(f"anS {n} {_fmt(value)}")
-    for cp in result.checkpoints:
-        lines.append("checkpoint " + " ".join(_checkpoint_fields(cp)))
-    lines.append(f"end {len(result.checkpoints)}")
-    path.write_text("\n".join(lines) + "\n")
 
 
-def read_checkpoint_file(path: Path) -> StoredRun:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CheckpointFormatError(f"cannot read checkpoint file {path}: {exc}")
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
+def _parse_state(path: Path, values: list[str]) -> SumState:
+    """The state row, read in SumState.__slots__ order; each value takes
+    the type of that slot in a fresh state."""
+    if len(values) != len(SumState.__slots__):
         raise CheckpointFormatError(
-            f"{path}: not a checkpoint file (expected header {_MAGIC!r})"
+            f"{path}: state row has {len(values)} fields, "
+            f"expected {len(SumState.__slots__)}"
         )
+    state = SumState()
+    for name, text in zip(SumState.__slots__, values):
+        kind = type(getattr(state, name))
+        setattr(state, name, float(text) if kind is float else kind(int(text)))
+    return state
+
+
+def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
+    """Parse a checkpoint file, one line at a time.
+
+    With cfg, refuse (CheckpointFormatError) a file written under another
+    accumulation config: silently diverging resumes and checks are
+    forbidden.
+    """
     try:
-        header: dict[str, str] = {}
-        i = 1
-        for i in range(1, 7):
-            key, _, value = lines[i].partition(" ")
-            header[key] = value
-        state_key, _, state_val = lines[7].partition(" ")
-        if state_key != "state":
-            raise CheckpointFormatError(f"{path}: missing state row")
-        sv = state_val.split()
-        if len(sv) != 8:
-            raise CheckpointFormatError(
-                f"{path}: state row has {len(sv)} fields, expected 8"
-            )
-        state = SumState.restore(
-            n=int(sv[0]),
-            last_prime=int(sv[1]),
-            S=int(sv[2]),
-            M=int(sv[3]),
-            E_incremental=int(sv[4]),
-            last_weight=float(sv[5]),
-            last_anS=float(sv[6]),
-            weights_decreasing=sv[7] == "1",
-        )
-        samples: list[tuple[int, float]] = []
-        checkpoints: list[Checkpoint] = []
-        saw_end = False
-        for line in lines[8:]:
-            tag, _, rest = line.partition(" ")
-            if tag == "anS":
-                n_str, v_str = rest.split()
-                samples.append((int(n_str), float(v_str)))
-            elif tag == "checkpoint":
-                v = rest.split()
-                checkpoints.append(
-                    Checkpoint(
-                        x=float(v[0]),
-                        pi=int(v[1]),
-                        S=float(v[2]),
-                        M=float(v[3]),
-                        E=float(v[4]),
-                        r_S=float(v[5]),
-                        r_E_pi=float(v[6]),
-                        r_E_x=float(v[7]),
-                        mertens_remainder=float(v[8]),
-                    )
+        with open(path) as fh:
+            if fh.readline().rstrip("\n") != _MAGIC:
+                raise CheckpointFormatError(
+                    f"{path}: not a checkpoint file (expected header {_MAGIC!r})"
                 )
-            elif tag == "end":
-                if int(rest) != len(checkpoints):
-                    raise CheckpointFormatError(
-                        f"{path}: row count mismatch ({rest} declared, "
-                        f"{len(checkpoints)} found)"
-                    )
-                saw_end = True
-            else:
-                raise CheckpointFormatError(f"{path}: unknown row tag {tag!r}")
-        if not saw_end:
+            header = dict(fh.readline().split() for _ in range(6))
+            if cfg is not None and header["config_hash"] != cfg.config_hash():
+                raise CheckpointFormatError(
+                    f"{path}: config hash {header['config_hash']} does not match "
+                    f"current accumulation config {cfg.config_hash()} "
+                    "(grid_start/grid_ratio changed; start a fresh run instead)"
+                )
+            tag, *values = fh.readline().split()
+            if tag != "state":
+                raise CheckpointFormatError(f"{path}: missing state row")
+            state = _parse_state(path, values)
+            samples: list[tuple[int, float]] = []
+            checkpoints: list[Checkpoint] = []
+            end = None
+            for line in fh:
+                tag, *v = line.split()
+                if tag == "checkpoint":
+                    checkpoints.append(Checkpoint(float(v[0]), int(v[1]), *map(float, v[2:])))
+                elif tag == "anS":
+                    samples.append((int(v[0]), float(v[1])))
+                elif tag == "end":
+                    (end,) = v
+                    if int(end) != len(checkpoints):
+                        raise CheckpointFormatError(
+                            f"{path}: row count mismatch ({end} declared, "
+                            f"{len(checkpoints)} found)"
+                        )
+                else:
+                    raise CheckpointFormatError(f"{path}: unknown row tag {tag!r}")
+        if end is None:
             raise CheckpointFormatError(f"{path}: truncated (no end marker)")
         return StoredRun(
             config_hash=header["config_hash"],
@@ -306,41 +286,29 @@ def read_checkpoint_file(path: Path) -> StoredRun:
         )
     except CheckpointFormatError:
         raise
-    except (IndexError, KeyError, ValueError) as exc:
+    except OSError as exc:
+        raise CheckpointFormatError(f"cannot read checkpoint file {path}: {exc}")
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: malformed checkpoint file: {exc}")
 
 
 def write_csv(path: Path, checkpoints: list[Checkpoint]) -> None:
-    rows = [",".join(CSV_COLUMNS)]
-    for cp in checkpoints:
-        rows.append(",".join(_checkpoint_fields(cp)))
-    path.write_text("\n".join(rows) + "\n")
+    _write_lines(
+        path,
+        [",".join(CSV_COLUMNS)],
+        (",".join(_checkpoint_fields(cp)) for cp in checkpoints),
+    )
 
 
-@dataclass
-class ResumePlan:
-    """Restored state plus the work left to reach the new x_max."""
-
-    state: SumState
-    kept_checkpoints: list[Checkpoint]
-    remaining_grid: list[float]
-    samples: list[tuple[int, float]]
-
-
-def resume(path: Path, cfg: RunConfig) -> ResumePlan:
-    """Validate a stored run against cfg and plan the continuation.
+def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, list[float]]:
+    """Validate a stored run against cfg and plan the continuation: the
+    stored run cut to cfg's grid, and the grid points left to compute.
 
     Refuses (CheckpointFormatError) when the stored accumulation config
-    differs: silently diverging resumes are forbidden.  Refuses
-    (ConfigError) when x_max would shrink below the stored state.
+    differs, and (ConfigError) when x_max would shrink below the stored
+    state.
     """
-    stored = read_checkpoint_file(path)
-    if stored.config_hash != cfg.config_hash():
-        raise CheckpointFormatError(
-            f"{path}: config hash {stored.config_hash} does not match current "
-            f"accumulation config {cfg.config_hash()} "
-            "(grid_start/grid_ratio changed; start a fresh run instead)"
-        )
+    stored = read_checkpoint_file(path, cfg)
     grid = cfg.grid()
     grid_set = set(grid)
     kept = [cp for cp in stored.checkpoints if cp.x in grid_set]
@@ -356,12 +324,7 @@ def resume(path: Path, cfg: RunConfig) -> ResumePlan:
         # drop the final-n sample of the interrupted run; the continuation
         # re-emits its own, making split and unsplit runs identical
         samples.pop()
-    return ResumePlan(
-        state=stored.state,
-        kept_checkpoints=kept,
-        remaining_grid=remaining,
-        samples=samples,
-    )
+    return RunResult(kept, stored.state, samples), remaining
 
 
 def cmd_compute(cfg: RunConfig) -> RunResult:
@@ -371,68 +334,85 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     stored state continues bit-identically to an uninterrupted run.
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    result, grid = RunResult([], SumState(), []), cfg.grid()
     if cfg.resume_from is not None:
-        plan = resume(cfg.resume_from, cfg)
-        if not plan.remaining_grid:
-            # completed run: regenerate derived outputs, leave the file alone
-            if cfg.checkpoint_path() != Path(cfg.resume_from):
-                write_checkpoint_file(
-                    cfg.checkpoint_path(),
-                    cfg,
-                    RunResult(plan.kept_checkpoints, plan.state, plan.samples),
-                )
-            write_csv(cfg.csv_path(), plan.kept_checkpoints)
-            return RunResult(plan.kept_checkpoints, plan.state, plan.samples)
-        result = run_stream(
+        result, grid = resume(cfg.resume_from, cfg)
+    if grid:
+        new = run_stream(
             float(cfg.x_max),
-            plan.remaining_grid,
+            grid,
             segment_size=cfg.segment_size,
-            threads=cfg.threads,
-            state=plan.state,
-            samples=plan.samples,
+            state=result.state,
+            samples=result.an_sn_samples,
         )
-        result.checkpoints = plan.kept_checkpoints + result.checkpoints
-    else:
-        result = run_stream(
-            float(cfg.x_max),
-            cfg.grid(),
-            segment_size=cfg.segment_size,
-            threads=cfg.threads,
-        )
+        result = RunResult(result.checkpoints + new.checkpoints, new.state, new.an_sn_samples)
+    elif cfg.checkpoint_path() == cfg.resume_from:
+        # a completed run resumed in place: leave its file alone
+        write_csv(cfg.csv_path(), result.checkpoints)
+        return result
     write_checkpoint_file(cfg.checkpoint_path(), cfg, result)
     write_csv(cfg.csv_path(), result.checkpoints)
     return result
 
 
-def _block_checks(
-    cfg: RunConfig, series: CheckpointSeries
-) -> tuple[list[VerificationRecord], list[BlockStat]]:
-    """Lower-bound and sandwich checks at every grid point whose snapped
-    block exists, aggregated to the worst record per check id."""
-    records: dict[str, VerificationRecord] = {}
-    stats: list[BlockStat] = []
+@dataclass
+class RunContext:
+    """What the checks over one run share: its checkpoint series, one prime
+    array, and the block and Abel passes, each computed on first use."""
 
-    def keep(rec: VerificationRecord) -> None:
-        cur = records.get(rec.check_id)
+    cfg: RunConfig
+    result: RunResult
+
+    def __post_init__(self) -> None:
+        self.series = CheckpointSeries(self.result.checkpoints)
+        self.n_pair = min(PAIR_N_CAP, self.result.state.n)
+        self.x_jump = min(float(self.cfg.x_max), float(JUMP_SCAN_CAP))
+        self.abel_xs = [cp.x for cp in self.series if cp.x <= ABEL_GRID_CAP]
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """Every prime the pair, jump and Abel checks read."""
+        top = max(pair_prime_bound(self.n_pair), self.x_jump, max(self.abel_xs, default=0.0))
+        return prime_array(int(top), segment_size=self.cfg.segment_size)
+
+    def has_block(self, x: float, ratio: float) -> bool:
+        """Whether the block's lower edge x/ratio is >= 3 and snaps to a grid point."""
+        return x / ratio >= 3.0 and self.series.floor(x / ratio) is not None
+
+    @cached_property
+    def block_stats(self) -> list[BlockStat]:
+        return [
+            block_sandwich(cp.x, lam, self.series)
+            for cp in self.series
+            for lam in self.cfg.lambdas
+            if self.has_block(cp.x, lam)
+        ]
+
+    @cached_property
+    def abel(self) -> tuple[list[VerificationRecord], list[AbelDecomposition]]:
+        return _abel_records(self.cfg, self.abel_xs, self.primes)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry: a check id, its default tolerance, the commands
+    that run it, and its records given the run and the tolerance."""
+
+    check_id: str
+    tolerance: float
+    commands: tuple[str, ...]
+    run: Callable[[RunContext, float], list[VerificationRecord]]
+
+
+def _worst(records: Iterable[VerificationRecord]) -> list[VerificationRecord]:
+    """The record with the largest residual (the first of equals) of each
+    check id, in order of first appearance, holding no other record."""
+    worst: dict[str, VerificationRecord] = {}
+    for rec in records:
+        cur = worst.get(rec.check_id)
         if cur is None or rec.residual > cur.residual:
-            records[rec.check_id] = rec
-
-    tol_lb = cfg.tolerance("lower_bound")
-    tol_bs = cfg.tolerance("block_sandwich")
-    for cp in series:
-        if cp.x / cfg.A >= 3.0 and series.floor(cp.x / cfg.A) is not None:
-            keep(lower_bound_check(cp.x, cfg.A, series, tol_lb))
-        for lam in cfg.lambdas:
-            if cp.x / lam >= 3.0 and series.floor(cp.x / lam) is not None:
-                stat = block_sandwich(cp.x, lam, series)
-                stats.append(stat)
-                for rec in sandwich_records(stat, tol_bs):
-                    keep(rec)
-    return list(records.values()), stats
-
-
-def _abel_xs(series: CheckpointSeries) -> list[float]:
-    return [cp.x for cp in series if cp.x <= ABEL_GRID_CAP]
+            worst[rec.check_id] = rec
+    return list(worst.values())
 
 
 def _abel_records(
@@ -441,8 +421,6 @@ def _abel_records(
     """The worst Abel identity record over the grid points xs, and the
     decomposition at each; primes must reach the last of them."""
     decomps = abel_decompose_grid(xs, primes)
-    if not decomps:
-        return [], []
     tol = cfg.tolerance("abel_identity")
     records = (
         identity_record(
@@ -450,59 +428,77 @@ def _abel_records(
         )
         for d in decomps
     )
-    # max keeps the first of equal residuals
-    return [max(records, key=lambda r: r.residual)], decomps
+    return _worst(records), decomps
 
 
-def run_verification(
-    cfg: RunConfig, result: RunResult
-) -> list[VerificationRecord]:
-    """The full check suite over one run's outputs.
-
-    The pair, jump and Abel checks share one sieve of the primes they
-    need, up to JUMP_SCAN_CAP at most; the records come in a fixed order.
-    """
-    series = CheckpointSeries(result.checkpoints)
-    n_pair = min(PAIR_N_CAP, result.state.n)
-    x_jump = min(float(cfg.x_max), float(JUMP_SCAN_CAP))
-    abel_xs = _abel_xs(series)
-    primes = prime_array(
-        max(pair_prime_bound(n_pair), int(x_jump), int(max(abel_xs, default=0.0))),
-        segment_size=cfg.segment_size,
-    )
-    records = check_pair_identity(
-        n_pair, tolerance=cfg.tolerance("pair_identity"), primes=primes
-    )
-    records.append(
-        check_jump_identity(
-            x_jump, tolerance=cfg.tolerance("jump_identity"), primes=primes
-        )
-    )
-    records.append(check_E_monotone(result.checkpoints))
-    records.append(
-        scale_identity_record(result.checkpoints, cfg.tolerance("scale_identity"))
-    )
-    records.append(ratio_positivity_record(result.checkpoints, result.an_sn_samples))
+def _mertens_contraction(ctx: RunContext, tol: float) -> list[VerificationRecord]:
     try:
-        records.append(mertens_contraction_record(result.checkpoints))
+        return [mertens_contraction_record(ctx.result.checkpoints)]
     except ConfigError:
-        pass  # windows not populated at this x_max
-    records.extend(_abel_records(cfg, abel_xs, primes)[0])
-    quad_tol = cfg.tolerance("main_term") / 10.0
-    for x in sorted({min(cfg.x_max, 10**3), min(cfg.x_max, 10**6)}):
-        records.append(main_term_identity(float(x), quad_tol))
-    records.extend(_block_checks(cfg, series)[0])
-    return records
+        return []  # windows not populated at this x_max
+
+
+def _main_term(ctx: RunContext, tol: float) -> list[VerificationRecord]:
+    """At 1e3 and 1e6 (or x_max below them), with the quadrature at a
+    tenth of the check's tolerance."""
+    xs = sorted({min(ctx.cfg.x_max, 10**3), min(ctx.cfg.x_max, 10**6)})
+    return [main_term_identity(float(x), tol / 10.0) for x in xs]
+
+
+def _block_sandwich(ctx: RunContext, tol: float) -> list[VerificationRecord]:
+    return _worst(rec for stat in ctx.block_stats for rec in sandwich_records(stat, tol))
+
+
+def _lower_bound(ctx: RunContext, tol: float) -> list[VerificationRecord]:
+    A, series = ctx.cfg.A, ctx.series
+    return _worst(
+        lower_bound_check(cp.x, A, series, tol) for cp in series if ctx.has_block(cp.x, A)
+    )
+
+
+_V, _VR = ("verify",), ("verify", "report")
+# The registry, in verification.csv order.  Every entry looks the check
+# functions up in this module when it runs, so rebinding one here (as the
+# tests and the benchmark's tracer do) reaches verify and report alike.
+CHECKS = (
+    Check("pair_identity", 1e-10, _V, lambda c, tol: check_pair_identity(
+        c.n_pair, tolerance=tol, primes=c.primes)),
+    Check("jump_identity", 1e-9, _V, lambda c, tol: [check_jump_identity(
+        c.x_jump, tolerance=tol, primes=c.primes)]),
+    Check("e_monotone", 0.0, _VR, lambda c, tol: [check_E_monotone(c.result.checkpoints)]),
+    Check("scale_identity", 1e-12, _VR, lambda c, tol: [scale_identity_record(
+        c.result.checkpoints, tol)]),
+    Check("ratio_positive", 0.0, _VR, lambda c, tol: [ratio_positivity_record(
+        c.result.checkpoints, c.result.an_sn_samples)]),
+    Check("mertens_contraction", 0.0, _VR, _mertens_contraction),
+    Check("abel_identity", 1e-8, _VR, lambda c, tol: c.abel[0]),
+    Check("main_term", 1e-8, _V, _main_term),
+    Check("block_sandwich", 1e-12, _VR, _block_sandwich),
+    Check("lower_bound", 1e-12, _VR, _lower_bound),
+)
+DEFAULT_TOLERANCES: dict[str, float] = {c.check_id: c.tolerance for c in CHECKS}
+
+
+def run_checks(ctx: RunContext, command: str) -> list[VerificationRecord]:
+    """The records of every check that command runs, in registry order."""
+    return [
+        record
+        for check in CHECKS
+        if command in check.commands
+        for record in check.run(ctx, ctx.cfg.tolerance(check.check_id))
+    ]
 
 
 def write_verification_csv(path: Path, records: list[VerificationRecord]) -> None:
-    rows = ["check_id,location,lhs,rhs,residual,tolerance,pass"]
-    for r in records:
-        rows.append(
+    _write_lines(
+        path,
+        ["check_id,location,lhs,rhs,residual,tolerance,pass"],
+        (
             f"{r.check_id},{_fmt(r.location)},{_fmt(r.lhs)},{_fmt(r.rhs)},"
             f"{_fmt(r.residual)},{_fmt(r.tolerance)},{'1' if r.passed else '0'}"
-        )
-    path.write_text("\n".join(rows) + "\n")
+            for r in records
+        ),
+    )
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[list[VerificationRecord], int]:
@@ -513,84 +509,27 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[VerificationRecord], int]:
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.resume_from is not None:
-        stored = read_checkpoint_file(cfg.resume_from)
-        if stored.config_hash != cfg.config_hash():
-            raise CheckpointFormatError(
-                f"{cfg.resume_from}: config hash mismatch, refusing to verify"
-            )
-        result = RunResult(stored.checkpoints, stored.state, stored.an_sn_samples)
+        result = read_checkpoint_file(cfg.resume_from, cfg)
     else:
-        result = run_stream(
-            float(cfg.x_max),
-            cfg.grid(),
-            segment_size=cfg.segment_size,
-            threads=cfg.threads,
-        )
-    records = run_verification(cfg, result)
+        result = run_stream(float(cfg.x_max), cfg.grid(), segment_size=cfg.segment_size)
+    records = run_checks(RunContext(cfg, result), "verify")
     write_verification_csv(cfg.out_dir / "verification.csv", records)
     status = 0 if all(r.passed for r in records) else 1
     return records, status
 
 
-def _record_dict(r: VerificationRecord) -> dict:
-    return {
-        "check_id": r.check_id,
-        "location": r.location,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "residual": r.residual,
-        "tolerance": r.tolerance,
-        "pass": r.passed,
-    }
-
-
-def _band_dict(b: RatioBand) -> dict:
-    return {
-        "name": b.name,
-        "x_min": b.x_min,
-        "x_max": b.x_max,
-        "inf_value": b.inf_value,
-        "inf_at": b.inf_at,
-        "sup_value": b.sup_value,
-        "sup_at": b.sup_at,
-    }
-
-
 def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
     """Assemble the JSON bundle from a stored run."""
     t0 = time.monotonic()
-    result = RunResult(stored.checkpoints, stored.state, stored.an_sn_samples)
-    series = CheckpointSeries(stored.checkpoints)
-
-    band_lo = 1e3 if any(cp.x >= 1e3 for cp in stored.checkpoints) else (
-        stored.checkpoints[0].x
-    )
-    bands = empirical_constants(stored.checkpoints, band_lo)
+    ctx = RunContext(cfg, stored)
+    checkpoints = stored.checkpoints
+    band_lo = 1e3 if any(cp.x >= 1e3 for cp in checkpoints) else checkpoints[0].x
+    bands = empirical_constants(checkpoints, band_lo)
     try:
         bands.append(an_sn_band(stored.an_sn_samples))
     except ConfigError:
         pass
-
-    records = [check_E_monotone(stored.checkpoints)]
-    block_recs, stats = _block_checks(cfg, series)
-    records.extend(block_recs)
-    abel_xs = _abel_xs(series)
-    abel_recs, decomps = _abel_records(
-        cfg,
-        abel_xs,
-        prime_array(int(max(abel_xs, default=0.0)), segment_size=cfg.segment_size),
-    )
-    records.extend(abel_recs)
-    records.append(
-        scale_identity_record(stored.checkpoints, cfg.tolerance("scale_identity"))
-    )
-    records.append(
-        ratio_positivity_record(stored.checkpoints, stored.an_sn_samples)
-    )
-    try:
-        records.append(mertens_contraction_record(stored.checkpoints))
-    except ConfigError:
-        pass
+    records = run_checks(ctx, "report")
 
     return {
         "format_version": BUNDLE_FORMAT_VERSION,
@@ -609,34 +548,11 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
             "last_prime": stored.state.last_prime,
             "report_wall_time_s": time.monotonic() - t0,
         },
-        "checkpoints": [
-            {name: getattr(cp, name) for name in CSV_COLUMNS}
-            for cp in stored.checkpoints
-        ],
-        "verification_records": [_record_dict(r) for r in records],
-        "ratio_bands": [_band_dict(b) for b in bands],
-        "block_stats": [
-            {
-                "x": s.x,
-                "lambda": s.lam,
-                "x_lower": s.x_lower,
-                "delta_S": s.delta_S,
-                "delta_pi": s.delta_pi,
-                "lower": s.lower,
-                "upper": s.upper,
-            }
-            for s in stats
-        ],
-        "abel_decompositions": [
-            {
-                "x": d.x,
-                "direct_S": d.direct_S,
-                "boundary_term": d.boundary_term,
-                "integral_term": d.integral_term,
-                "residual": d.residual,
-            }
-            for d in decomps
-        ],
+        "checkpoints": [_json(cp) for cp in checkpoints],
+        "verification_records": [_json(r) for r in records],
+        "ratio_bands": [_json(b) for b in bands],
+        "block_stats": [_json(s) for s in ctx.block_stats],
+        "abel_decompositions": [_json(d) for d in ctx.abel[1]],
     }
 
 
@@ -649,12 +565,14 @@ def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
     out.write_text(json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     for name in ("S", "M", "E") + BAND_SERIES:
-        rows = ["x,value"]
-        for cp in stored.checkpoints:
-            rows.append(f"{_fmt(cp.x)},{_fmt(getattr(cp, name))}")
-        (cfg.out_dir / f"series_{name}.csv").write_text("\n".join(rows) + "\n")
-    rows = ["n,value"]
-    for n, value in stored.an_sn_samples:
-        rows.append(f"{n},{_fmt(value)}")
-    (cfg.out_dir / "series_anS.csv").write_text("\n".join(rows) + "\n")
+        _write_lines(
+            cfg.out_dir / f"series_{name}.csv",
+            ["x,value"],
+            (f"{_fmt(cp.x)},{_fmt(getattr(cp, name))}" for cp in stored.checkpoints),
+        )
+    _write_lines(
+        cfg.out_dir / "series_anS.csv",
+        ["n,value"],
+        (f"{n},{_fmt(value)}" for n, value in stored.an_sn_samples),
+    )
     return out

@@ -3,16 +3,13 @@
 The sieve works on odd numbers only: base primes up to sqrt(limit) are
 computed once by a dense sieve, then fixed-size windows are cleared with
 vectorized strided writes.  Memory stays O(sqrt(limit) + segment), so
-limits in the 1e9-1e10 range are workable on one machine.  Windows may be
-sieved by a thread pool, but segments are always handed to the consumer in
-ascending order, so the delivered stream is identical for any thread count.
+limits in the 1e9-1e10 range are workable on one machine.  Segments are
+handed to the consumer in ascending order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,7 +22,6 @@ DEFAULT_SEGMENT_SIZE = 1 << 20  # odd slots per window, i.e. ~2M integers
 # comparisons rely on; the dense base sieve to isqrt(2**53) then takes ~95 MB.
 MAX_LIMIT = 2**53
 MAX_SEGMENT_SIZE = 1 << 24  # a 16 MB window mask
-MAX_THREADS = 8  # each thread keeps two windows in flight
 
 
 @dataclass(frozen=True)
@@ -47,20 +43,13 @@ class SieveConfig:
             )
 
 
-def check_threads(threads: int) -> None:
-    """Reject a worker count outside [1, MAX_THREADS]."""
-    if not 1 <= threads <= MAX_THREADS:
-        raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
-
-
 @dataclass(frozen=True, eq=False)
 class PrimeSegment:
     """All primes in the half-open range (lo, hi], ascending, as int64.
 
     Consecutive segments from one stream tile their range with no gap or
     overlap; each prime therefore belongs to exactly one segment.  Segments
-    (and the arrays stream_segments puts in them) are read-only and safe to
-    share across threads.
+    (and the arrays stream_segments puts in them) are read-only.
     """
 
     lo: int
@@ -125,26 +114,19 @@ def _window_bounds(limit: int, segment_size: int, start: int) -> list[tuple[int,
     return bounds
 
 
-def stream_segments(
-    cfg: SieveConfig, *, start: int = 2, threads: int = 1
-) -> Iterator[PrimeSegment]:
+def stream_segments(cfg: SieveConfig, *, start: int = 2) -> Iterator[PrimeSegment]:
     """Yield PrimeSegments covering (start-1, limit] in ascending order.
 
     With start=2 (the default) the segments tile (1, limit] completely.  A
     larger start is used when resuming a run: windows below it are skipped
     and the first emitted segment is trimmed to primes >= start.  Window
-    boundaries are fixed by segment_size alone, so the emitted primes do
-    not depend on the thread count.
+    boundaries are fixed by segment_size alone.
     """
-    check_threads(threads)
     limit = cfg.limit
     if start > limit:
         return
     odd_base = [p for p in base_primes(math.isqrt(limit)) if p != 2]
-    bounds = _window_bounds(limit, cfg.segment_size, start)
-
-    def build(window: tuple[int, int]) -> PrimeSegment:
-        wlo, hi = window
+    for wlo, hi in _window_bounds(limit, cfg.segment_size, start):
         first, mask = _window_mask(wlo, hi, odd_base)
         primes = first + 2 * np.flatnonzero(mask).astype(np.int64, copy=False)
         if wlo == 1 and start <= 2:
@@ -154,27 +136,7 @@ def stream_segments(
             primes = primes[np.searchsorted(primes, start) :]
             lo = start - 1
         primes.flags.writeable = False
-        return PrimeSegment(lo=lo, hi=hi, primes=primes)
-
-    if threads <= 1:
-        for window in bounds:
-            yield build(window)
-        return
-
-    # Bounded look-ahead keeps memory flat while workers sieve ahead;
-    # results are yielded strictly in submission order.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        it = iter(bounds)
-        for window in it:
-            pending.append(pool.submit(build, window))
-            if len(pending) >= 2 * threads:
-                break
-        for window in it:
-            yield pending.popleft().result()
-            pending.append(pool.submit(build, window))
-        while pending:
-            yield pending.popleft().result()
+        yield PrimeSegment(lo=lo, hi=hi, primes=primes)
 
 
 def prime_array(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:

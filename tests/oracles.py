@@ -11,7 +11,7 @@ constants quoted in the test modules:
 The second part keeps the scalar forms of the pair, jump and Abel checks,
 one term or one grid point at a time, as references that the vectorized
 checks in primesums must match bit for bit.  Their signatures match the
-calls report.run_verification makes, so a test can swap them in.
+calls the check registry in report makes, so a test can swap them in.
 """
 
 from __future__ import annotations

@@ -106,15 +106,13 @@ class TestRunConfig:
             cfg_for(tmp_path, 1000, tolerances={"no_such_check": 1.0})
 
     def test_limits_refused_before_any_work(self, tmp_path):
-        from primesums.sieve import MAX_LIMIT, MAX_SEGMENT_SIZE, MAX_THREADS
+        from primesums.sieve import MAX_LIMIT, MAX_SEGMENT_SIZE
 
-        cfg_for(tmp_path, MAX_LIMIT, segment_size=MAX_SEGMENT_SIZE,
-                threads=MAX_THREADS)  # the caps themselves are accepted
+        # the caps themselves are accepted
+        cfg_for(tmp_path, MAX_LIMIT, segment_size=MAX_SEGMENT_SIZE)
         for kw in (
             {"x_max": MAX_LIMIT + 1},
             {"x_max": 10**4, "segment_size": MAX_SEGMENT_SIZE + 1},
-            {"x_max": 10**4, "threads": MAX_THREADS + 1},
-            {"x_max": 10**4, "threads": 0},
         ):
             with pytest.raises(ConfigError):
                 RunConfig(out_dir=tmp_path / "never", **kw)
@@ -168,11 +166,13 @@ class TestCompute:
         assert cfg.csv_path().read_bytes() == first
 
     def test_threads_do_not_change_output(self, tmp_path):
-        cfg1 = RunConfig(x_max=10**5, out_dir=tmp_path / "a", threads=1)
-        cfg4 = RunConfig(x_max=10**5, out_dir=tmp_path / "b", threads=4)
-        cmd_compute(cfg1)
-        cmd_compute(cfg4)
-        assert cfg1.csv_path().read_bytes() == cfg4.csv_path().read_bytes()
+        # --threads is still accepted, and has no effect
+        for threads in ("1", "4"):
+            out = str(tmp_path / threads)
+            assert cli_main(["compute", "--x-max", "100000", "--threads", threads,
+                             "--out", out]) == 0
+        assert ((tmp_path / "1" / "checkpoints.csv").read_bytes()
+                == (tmp_path / "4" / "checkpoints.csv").read_bytes())
 
 
 class TestCheckpointFile:
@@ -400,10 +400,75 @@ def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
         return _outputs(cfg.out_dir)
 
     vectorized = verify_and_report("vectorized")
-    monkeypatch.setattr(report, "check_pair_identity", pair_records_scalar)
-    monkeypatch.setattr(report, "check_jump_identity", jump_record_scalar)
-    monkeypatch.setattr(report, "_abel_records", abel_records_scalar)
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(report, "check_pair_identity",
+                        counted("pair", pair_records_scalar))
+    monkeypatch.setattr(report, "check_jump_identity",
+                        counted("jump", jump_record_scalar))
+    monkeypatch.setattr(report, "_abel_records", counted("abel", abel_records_scalar))
     assert verify_and_report("scalar") == vectorized
+    # the registry looks the checks up when it runs them, so the swaps took
+    # effect: pair and jump once in verify, Abel in verify and in report
+    assert calls == {"pair": 1, "jump": 1, "abel": 2}
+
+
+def _entry(check_id):
+    """The registry id of a record's check id (block_sandwich_lower and
+    block_sandwich_upper come from block_sandwich)."""
+    (entry,) = [c.check_id for c in report.CHECKS
+                if check_id == c.check_id or check_id.startswith(c.check_id + "_")]
+    return entry
+
+
+class TestRegistry:
+    @pytest.fixture(scope="class")
+    def stored_1e6(self, tmp_path_factory):
+        cfg = RunConfig(x_max=10**6, out_dir=tmp_path_factory.mktemp("stored"))
+        cmd_compute(cfg)
+        return cfg.checkpoint_path()
+
+    def test_report_records_equal_verify_records(self, stored_1e6, tmp_path):
+        cfg = RunConfig(x_max=10**6, out_dir=tmp_path, resume_from=stored_1e6)
+        records, status = cmd_verify(cfg)
+        assert status == 0
+        bundle = json.loads(cmd_report(cfg, stored_1e6).read_text())
+        in_report = {r["check_id"] for r in bundle["verification_records"]}
+        assert {"e_monotone", "abel_identity", "lower_bound"} <= in_report
+        expected = [
+            {"check_id": r.check_id, "location": r.location, "lhs": r.lhs,
+             "rhs": r.rhs, "residual": r.residual, "tolerance": r.tolerance,
+             "pass": r.passed}
+            for r in records if r.check_id in in_report
+        ]
+        assert bundle["verification_records"] == expected
+
+    def test_verify_covers_every_entry_it_runs(self, stored_1e6, tmp_path):
+        cfg = RunConfig(x_max=10**6, out_dir=tmp_path, resume_from=stored_1e6)
+        records, _ = cmd_verify(cfg)
+        in_verify = [c.check_id for c in report.CHECKS if "verify" in c.commands]
+        emitted = [_entry(r.check_id) for r in records]
+        assert set(emitted) == set(in_verify)
+        # and in registry order
+        assert sorted(emitted, key=in_verify.index) == emitted
+
+    def test_tol_accepts_exactly_the_registry_ids(self, tmp_path):
+        ids = [c.check_id for c in report.CHECKS]
+        assert len(set(ids)) == len(ids)
+        assert list(report.DEFAULT_TOLERANCES) == ids
+        out = str(tmp_path / "out")
+        for check_id in ids:
+            assert cli_main(["compute", "--x-max", "100", "--tol",
+                             f"{check_id}=0.5", "--out", out]) == 0
+        for check_id in ("block_sandwich_lower", "no_such_check", ""):
+            assert cli_main(["compute", "--x-max", "100", "--tol",
+                             f"{check_id}=0.5", "--out", out]) == 2
 
 
 class TestCli:

@@ -95,14 +95,6 @@ def test_deterministic_streams():
     assert a == b
 
 
-def test_threaded_stream_identical_and_ordered():
-    cfg = SieveConfig(limit=500_000, segment_size=4096)
-    seq = list(stream_segments(cfg))
-    par = list(stream_segments(cfg, threads=4))
-    assert seq == par
-    assert [s.lo for s in par] == sorted(s.lo for s in par)
-
-
 def test_stream_with_start_trims_absorbed_primes():
     cfg = SieveConfig(limit=10_000, segment_size=1024)
     full = [p for s in stream_segments(cfg) for p in s.primes]
