@@ -22,15 +22,14 @@ from .accumulate import (
 )
 from .asymptotics import (
     BlockStat,
-    CheckpointSeries,
     RatioBand,
     an_sn_band,
     block_sandwich,
-    compute_ratios,
     empirical_constants,
     lower_bound_check,
     mertens_contraction_record,
     mertens_width,
+    sandwich_records,
     scale_identity_record,
 )
 from .calculus import (
@@ -77,7 +76,6 @@ __all__ = [
     "BlockStat",
     "Checkpoint",
     "CheckpointFormatError",
-    "CheckpointSeries",
     "ConfigError",
     "DomainError",
     "PrimeSegment",
@@ -103,7 +101,6 @@ __all__ = [
     "cmd_compute",
     "cmd_report",
     "cmd_verify",
-    "compute_ratios",
     "empirical_constants",
     "eval_h",
     "eval_h_prime",
@@ -122,6 +119,7 @@ __all__ = [
     "quadrature",
     "resume",
     "run_stream",
+    "sandwich_records",
     "scale_identity_record",
     "snapshot",
     "stream_segments",

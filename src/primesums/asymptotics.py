@@ -12,23 +12,25 @@ and this module extracts their inf/sup bands over a window, checks the
 exact block inequalities that follow from w being decreasing beyond e,
 and samples a_n * S_{n-1}.
 
-Block operations read their two endpoints from checkpoints of the same
-run: the lower edge x/ratio is snapped down to the nearest grid point,
-which keeps every asserted inequality exact (any lower edge >= 3 works)
-while avoiding a second sieve pass.
+The block checks read a whole run at once, as arrays of its checkpoint
+fields.  A block's lower edge x/ratio is snapped down to the nearest grid
+point of the same run, which keeps every asserted inequality exact (any
+lower edge >= 3 works) while avoiding a second sieve pass.  One
+searchsorted finds every edge, the bounds and residuals are array
+expressions, and each check reports its worst point, the first of equals.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
+import numpy as np
+
 from .accumulate import Checkpoint
-from .calculus import eval_w
-from .errors import ConfigError, DomainError
-from .verify import VerificationRecord, bound_record, identity_record
+from .errors import ConfigError
+from .verify import VerificationRecord, worst_record
 
 BAND_SERIES = ("r_S", "r_E_pi", "r_E_x", "mertens_remainder")
 AN_SN_SERIES = "anS"
@@ -66,115 +68,106 @@ class RatioBand:
     sup_at: float
 
 
-class CheckpointSeries:
-    """Ascending checkpoints with floor lookup by x."""
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """Every block of a run, one array per BlockStat field, in x-major
+    order over (x, lam)."""
 
-    def __init__(self, checkpoints: Sequence[Checkpoint]):
-        cps = list(checkpoints)
-        for a, b in zip(cps, cps[1:]):
-            if not a.x < b.x:
-                raise ConfigError("checkpoints must be strictly ascending in x")
-        self._cps = cps
-        self._xs = [cp.x for cp in cps]
+    x: np.ndarray
+    lam: np.ndarray
+    x_lower: np.ndarray
+    delta_S: np.ndarray
+    delta_pi: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self._cps)
-
-    def __iter__(self):
-        return iter(self._cps)
-
-    def __getitem__(self, i: int) -> Checkpoint:
-        return self._cps[i]
-
-    def floor(self, x: float) -> Checkpoint | None:
-        """The checkpoint with the largest grid x not exceeding x, if any."""
-        i = bisect.bisect_right(self._xs, x)
-        return self._cps[i - 1] if i else None
+    def stats(self) -> list[BlockStat]:
+        """The blocks as BlockStat rows, as report.json lists them."""
+        cols = (getattr(self, f.name).tolist() for f in fields(BlockStat))
+        return [BlockStat(*row) for row in zip(*cols)]
 
 
-def compute_ratios(checkpoint: Checkpoint) -> Checkpoint:
-    """Recompute the four ratio fields from (x, pi, S, M, E); rejects
-    x < 3 where the x/log x scales degenerate."""
-    x = checkpoint.x
-    if x < 3.0:
-        raise DomainError(f"ratio fields need x >= 3, got {x}")
-    lx = math.log(x)
-    return replace(
-        checkpoint,
-        r_S=checkpoint.S / math.sqrt(x / lx),
-        r_E_pi=checkpoint.E / checkpoint.pi,
-        r_E_x=checkpoint.E * lx / x,
-        mertens_remainder=checkpoint.M - lx,
-    )
+def _columns(checkpoints: Sequence[Checkpoint], *names: str) -> tuple[np.ndarray, ...]:
+    """x, the named fields and log(x) of the checkpoints, an array each.
+    The log is the C library's, as eval_w and snapshot take it, so that no
+    bit moves."""
+    x, *cols = (np.array([getattr(cp, n) for cp in checkpoints]) for n in ("x", *names))
+    return (x, *cols, np.array([math.log(v) for v in x.tolist()]))
 
 
-def _block_edges(
-    x: float, ratio: float, series: CheckpointSeries
-) -> tuple[Checkpoint, Checkpoint]:
-    if ratio <= 1.0:
-        raise ConfigError(f"block ratio must be > 1, got {ratio}")
-    target = x / ratio
-    if target < _MIN_BLOCK_EDGE:
-        raise DomainError(
-            f"block lower edge {target} below {_MIN_BLOCK_EDGE}; "
-            "w is only decreasing beyond e"
-        )
-    hi = series.floor(x)
-    if hi is None or hi.x != x:
-        raise DomainError(f"no checkpoint at x={x}")
-    lo = series.floor(target)
-    if lo is None:
-        raise DomainError(f"no checkpoint at or below x/ratio={target}")
-    return hi, lo
+def _edges(
+    x: np.ndarray, ratios: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, k, lo): the block (x[lo], x[hi]] of ratio ratios[k], for every
+    pair (hi, k) in x-major order whose edge x[hi]/ratios[k] is >= 3 and
+    not below the first grid point; x[lo] is that edge snapped down.  x
+    strictly ascends, as in every run and every checkpoint file that loads."""
+    if any(r <= 1.0 for r in ratios):
+        raise ConfigError(f"block ratios must be > 1, got {tuple(ratios)}")
+    edge = x[:, None] / np.asarray(ratios, dtype=np.float64)
+    lo = np.searchsorted(x, edge, side="right") - 1
+    hi, k = np.nonzero((edge >= _MIN_BLOCK_EDGE) & (lo >= 0))
+    return hi, k, lo[hi, k]
 
 
-def block_sandwich(x: float, lam: float, series: CheckpointSeries) -> BlockStat:
-    """Block sums over (x_lower, x] with their exact bounds: every prime in
-    the block has w(x) <= w(p) <= w(x_lower), so
+def _bound_record(
+    check_id: str, x: np.ndarray, value: np.ndarray, bound: np.ndarray,
+    violation: np.ndarray, tolerance: float,
+) -> VerificationRecord:
+    """The worst point of a one-sided bound on value: its residual is the
+    violation over max(1, |bound|), and zero where the bound holds."""
+    residual = np.maximum(0.0, violation) / np.maximum(1.0, np.abs(bound))
+    return worst_record(check_id, x, value, bound, tolerance, residual)
+
+
+def block_sandwich(checkpoints: Sequence[Checkpoint], lambdas: Sequence[float]) -> Blocks:
+    """Block sums over every block (x_lower, x] of the run, at each ratio
+    of lambdas, with their exact bounds: every prime in a block has
+    w(x) <= w(p) <= w(x_lower), so
 
         delta_pi * w(x) <= delta_S <= delta_pi * w(x_lower).
     """
-    hi, lo = _block_edges(x, lam, series)
-    delta_pi = hi.pi - lo.pi
-    return BlockStat(
-        x=x,
-        lam=lam,
-        x_lower=lo.x,
-        delta_S=hi.S - lo.S,
+    x, pi, S, log_x = _columns(checkpoints, "pi", "S")
+    w = np.sqrt(log_x / x)
+    hi, k, lo = _edges(x, lambdas)
+    delta_pi = pi[hi] - pi[lo]
+    return Blocks(
+        x=x[hi],
+        lam=np.asarray(lambdas, dtype=np.float64)[k],
+        x_lower=x[lo],
+        delta_S=S[hi] - S[lo],
         delta_pi=delta_pi,
-        lower=delta_pi * eval_w(x),
-        upper=delta_pi * eval_w(lo.x),
+        lower=delta_pi * w[hi],
+        upper=delta_pi * w[lo],
     )
 
 
 def sandwich_records(
-    stat: BlockStat, tolerance: float = 1e-12
+    blocks: Blocks, tolerance: float = 1e-12
 ) -> list[VerificationRecord]:
-    """The two one-sided checks for a BlockStat."""
+    """The worst block of each side of the sandwich, lower side first;
+    none when there are no blocks."""
+    if not len(blocks.x):
+        return []
+    x, s, lower, upper = blocks.x, blocks.delta_S, blocks.lower, blocks.upper
     return [
-        bound_record(
-            "block_sandwich_lower", stat.x, stat.delta_S, stat.lower, tolerance
-        ),
-        bound_record(
-            "block_sandwich_upper",
-            stat.x,
-            stat.delta_S,
-            stat.upper,
-            tolerance,
-            direction="le",
-        ),
+        _bound_record("block_sandwich_lower", x, s, lower, lower - s, tolerance),
+        _bound_record("block_sandwich_upper", x, s, upper, s - upper, tolerance),
     ]
 
 
 def lower_bound_check(
-    x: float, A: float, series: CheckpointSeries, tolerance: float = 1e-12
-) -> VerificationRecord:
-    """Check S(x) >= (M(x) - M(y)) / w(y) with y the grid point x/A snaps
-    down to.  Exact mathematics for any y >= 3; the tolerance only covers
-    rounding."""
-    hi, lo = _block_edges(x, A, series)
-    bound = (hi.M - lo.M) / eval_w(lo.x)
-    return bound_record("lower_bound", x, hi.S, bound, tolerance)
+    checkpoints: Sequence[Checkpoint], A: float, tolerance: float = 1e-12
+) -> list[VerificationRecord]:
+    """The worst grid point x of S(x) >= (M(x) - M(y)) / w(y), with y the
+    grid point x/A snaps down to; none when no x/A reaches the grid.
+    Exact mathematics for any y >= 3; the tolerance only covers rounding."""
+    x, S, M, log_x = _columns(checkpoints, "S", "M")
+    hi, _, lo = _edges(x, (A,))
+    if not len(hi):
+        return []
+    bound = (M[hi] - M[lo]) / np.sqrt(log_x[lo] / x[lo])
+    return [_bound_record("lower_bound", x[hi], S[hi], bound, bound - S[hi], tolerance)]
 
 
 def series_band(name: str, samples: Sequence[tuple[float, float]]) -> RatioBand:
@@ -259,18 +252,11 @@ def scale_identity_record(
 ) -> VerificationRecord:
     """r_E_x / r_E_pi must equal pi(x) * log(x) / x, a pure algebraic
     consistency among the ratio fields; reports the worst checkpoint."""
-    worst: VerificationRecord | None = None
-    for cp in checkpoints:
-        if cp.x < 3.0:
-            continue
-        lhs = cp.r_E_x / cp.r_E_pi
-        rhs = cp.pi * math.log(cp.x) / cp.x
-        rec = identity_record("scale_identity", cp.x, lhs, rhs, tolerance)
-        if worst is None or rec.residual > worst.residual:
-            worst = rec
-    if worst is None:
+    x, pi, r_E_x, r_E_pi, log_x = _columns(
+        [cp for cp in checkpoints if cp.x >= 3.0], "pi", "r_E_x", "r_E_pi")
+    if not len(x):
         raise ConfigError("no checkpoints with x >= 3 to check")
-    return worst
+    return worst_record("scale_identity", x, r_E_x / r_E_pi, pi * log_x / x, tolerance)
 
 
 def ratio_positivity_record(

@@ -40,11 +40,11 @@ from .accumulate import (
     SumState,
     grid_points,
     run_stream,
+    weights,
 )
 from .asymptotics import (
     BAND_SERIES,
-    BlockStat,
-    CheckpointSeries,
+    Blocks,
     an_sn_band,
     block_sandwich,
     empirical_constants,
@@ -54,7 +54,11 @@ from .asymptotics import (
     sandwich_records,
     scale_identity_record,
 )
-# abel_decompose stays importable here: perfbench/trace.py wraps it by name
+# perfbench/trace.py times a traced pass by rebinding, in this module, the
+# names write_checkpoint_file, write_csv, read_checkpoint_file, resume,
+# build_report_bundle, check_pair_identity, check_jump_identity,
+# abel_decompose, main_term_identity, block_sandwich, lower_bound_check and
+# sandwich_records (and verify.term_stream); each must stay defined here.
 from .calculus import (  # noqa: F401
     AbelDecomposition,
     abel_decompose,
@@ -68,8 +72,8 @@ from .verify import (
     check_E_monotone,
     check_jump_identity,
     check_pair_identity,
-    identity_record,
     pair_prime_bound,
+    worst_record,
 )
 
 FORMAT_VERSION = 2  # of the checkpoint file
@@ -154,12 +158,16 @@ class RunConfig:
             raise ConfigError(f"every lambda must be > 1, got {self.lambdas}")
         # the sieve's bounds, checked before anything is allocated
         SieveConfig(limit=self.x_max, segment_size=self.segment_size)
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
-            raise ConfigError(f"unknown tolerance ids: {sorted(unknown)}")
+            raise ConfigError(
+                f"no tolerance to set for {unknown}: the exact checks "
+                f"({', '.join(EXACT_CHECKS)}) take none, and other ids are not checks"
+            )
 
-    def tolerance(self, check_id: str) -> float:
-        return self.tolerances.get(check_id, DEFAULT_TOLERANCES[check_id])
+    def tolerance(self, check_id: str) -> float | None:
+        """The check's tolerance; None for an exact check."""
+        return self.tolerances.get(check_id, DEFAULT_TOLERANCES.get(check_id))
 
     def grid(self) -> list[float]:
         return grid_points(self.grid_start, float(self.x_max), self.grid_ratio)
@@ -260,7 +268,13 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
             for line in fh:
                 tag, *v = line.split()
                 if tag == "checkpoint":
-                    checkpoints.append(Checkpoint(float(v[0]), int(v[1]), *map(float, v[2:])))
+                    cp = Checkpoint(float(v[0]), int(v[1]), *map(float, v[2:]))
+                    if checkpoints and not checkpoints[-1].x < cp.x:
+                        raise CheckpointFormatError(
+                            f"{path}: checkpoint x={cp.x!r} does not follow "
+                            f"x={checkpoints[-1].x!r} in strictly ascending order"
+                        )
+                    checkpoints.append(cp)
                 elif tag == "anS":
                     samples.append((int(v[0]), float(v[1])))
                 elif tag == "end":
@@ -357,17 +371,16 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
 
 @dataclass
 class RunContext:
-    """What the checks over one run share: its checkpoint series, one prime
-    array, and the block and Abel passes, each computed on first use."""
+    """What the checks over one run share: one prime array, and the block
+    and Abel passes, each computed on first use."""
 
     cfg: RunConfig
     result: RunResult
 
     def __post_init__(self) -> None:
-        self.series = CheckpointSeries(self.result.checkpoints)
         self.n_pair = min(PAIR_N_CAP, self.result.state.n)
         self.x_jump = min(float(self.cfg.x_max), float(JUMP_SCAN_CAP))
-        self.abel_xs = [cp.x for cp in self.series if cp.x <= ABEL_GRID_CAP]
+        self.abel_xs = [cp.x for cp in self.result.checkpoints if cp.x <= ABEL_GRID_CAP]
 
     @cached_property
     def primes(self) -> np.ndarray:
@@ -375,18 +388,15 @@ class RunContext:
         top = max(pair_prime_bound(self.n_pair), self.x_jump, max(self.abel_xs, default=0.0))
         return prime_array(int(top), segment_size=self.cfg.segment_size)
 
-    def has_block(self, x: float, ratio: float) -> bool:
-        """Whether the block's lower edge x/ratio is >= 3 and snaps to a grid point."""
-        return x / ratio >= 3.0 and self.series.floor(x / ratio) is not None
+    def prime_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The weights of the first n primes and their squares, as the
+        accumulator sums them."""
+        w = weights(self.primes[:n])
+        return w, w * w
 
     @cached_property
-    def block_stats(self) -> list[BlockStat]:
-        return [
-            block_sandwich(cp.x, lam, self.series)
-            for cp in self.series
-            for lam in self.cfg.lambdas
-            if self.has_block(cp.x, lam)
-        ]
+    def blocks(self) -> Blocks:
+        return block_sandwich(self.result.checkpoints, self.cfg.lambdas)
 
     @cached_property
     def abel(self) -> tuple[list[VerificationRecord], list[AbelDecomposition]]:
@@ -395,24 +405,14 @@ class RunContext:
 
 @dataclass(frozen=True)
 class Check:
-    """One registry entry: a check id, its default tolerance, the commands
-    that run it, and its records given the run and the tolerance."""
+    """One registry entry: a check id, its default tolerance (None for an
+    exact check, which takes no --tol), the commands that run it, and its
+    records given the run and the tolerance."""
 
     check_id: str
-    tolerance: float
+    tolerance: float | None
     commands: tuple[str, ...]
-    run: Callable[[RunContext, float], list[VerificationRecord]]
-
-
-def _worst(records: Iterable[VerificationRecord]) -> list[VerificationRecord]:
-    """The record with the largest residual (the first of equals) of each
-    check id, in order of first appearance, holding no other record."""
-    worst: dict[str, VerificationRecord] = {}
-    for rec in records:
-        cur = worst.get(rec.check_id)
-        if cur is None or rec.residual > cur.residual:
-            worst[rec.check_id] = rec
-    return list(worst.values())
+    run: Callable[[RunContext, float | None], list[VerificationRecord]]
 
 
 def _abel_records(
@@ -421,17 +421,15 @@ def _abel_records(
     """The worst Abel identity record over the grid points xs, and the
     decomposition at each; primes must reach the last of them."""
     decomps = abel_decompose_grid(xs, primes)
+    if not decomps:
+        return [], decomps
+    x, direct, boundary, integral = map(np.array, zip(*(
+        (d.x, d.direct_S, d.boundary_term, d.integral_term) for d in decomps)))
     tol = cfg.tolerance("abel_identity")
-    records = (
-        identity_record(
-            "abel_identity", d.x, d.direct_S, d.boundary_term - d.integral_term, tol
-        )
-        for d in decomps
-    )
-    return _worst(records), decomps
+    return [worst_record("abel_identity", x, direct, boundary - integral, tol)], decomps
 
 
-def _mertens_contraction(ctx: RunContext, tol: float) -> list[VerificationRecord]:
+def _mertens_contraction(ctx: RunContext, tol: float | None) -> list[VerificationRecord]:
     try:
         return [mertens_contraction_record(ctx.result.checkpoints)]
     except ConfigError:
@@ -445,38 +443,32 @@ def _main_term(ctx: RunContext, tol: float) -> list[VerificationRecord]:
     return [main_term_identity(float(x), tol / 10.0) for x in xs]
 
 
-def _block_sandwich(ctx: RunContext, tol: float) -> list[VerificationRecord]:
-    return _worst(rec for stat in ctx.block_stats for rec in sandwich_records(stat, tol))
-
-
-def _lower_bound(ctx: RunContext, tol: float) -> list[VerificationRecord]:
-    A, series = ctx.cfg.A, ctx.series
-    return _worst(
-        lower_bound_check(cp.x, A, series, tol) for cp in series if ctx.has_block(cp.x, A)
-    )
-
-
 _V, _VR = ("verify",), ("verify", "report")
 # The registry, in verification.csv order.  Every entry looks the check
 # functions up in this module when it runs, so rebinding one here (as the
 # tests and the benchmark's tracer do) reaches verify and report alike.
 CHECKS = (
     Check("pair_identity", 1e-10, _V, lambda c, tol: check_pair_identity(
-        c.n_pair, tolerance=tol, primes=c.primes)),
+        *c.prime_weights(c.n_pair), tolerance=tol)),
     Check("jump_identity", 1e-9, _V, lambda c, tol: [check_jump_identity(
-        c.x_jump, tolerance=tol, primes=c.primes)]),
-    Check("e_monotone", 0.0, _VR, lambda c, tol: [check_E_monotone(c.result.checkpoints)]),
+        *c.prime_weights(int(np.searchsorted(c.primes, c.x_jump, side="right"))),
+        tolerance=tol)]),
+    Check("e_monotone", None, _VR, lambda c, tol: [check_E_monotone(c.result.checkpoints)]),
     Check("scale_identity", 1e-12, _VR, lambda c, tol: [scale_identity_record(
         c.result.checkpoints, tol)]),
-    Check("ratio_positive", 0.0, _VR, lambda c, tol: [ratio_positivity_record(
+    Check("ratio_positive", None, _VR, lambda c, tol: [ratio_positivity_record(
         c.result.checkpoints, c.result.an_sn_samples)]),
-    Check("mertens_contraction", 0.0, _VR, _mertens_contraction),
+    Check("mertens_contraction", None, _VR, _mertens_contraction),
     Check("abel_identity", 1e-8, _VR, lambda c, tol: c.abel[0]),
     Check("main_term", 1e-8, _V, _main_term),
-    Check("block_sandwich", 1e-12, _VR, _block_sandwich),
-    Check("lower_bound", 1e-12, _VR, _lower_bound),
+    Check("block_sandwich", 1e-12, _VR, lambda c, tol: sandwich_records(c.blocks, tol)),
+    Check("lower_bound", 1e-12, _VR, lambda c, tol: lower_bound_check(
+        c.result.checkpoints, c.cfg.A, tol)),
 )
-DEFAULT_TOLERANCES: dict[str, float] = {c.check_id: c.tolerance for c in CHECKS}
+DEFAULT_TOLERANCES: dict[str, float] = {
+    c.check_id: c.tolerance for c in CHECKS if c.tolerance is not None
+}
+EXACT_CHECKS = tuple(c.check_id for c in CHECKS if c.tolerance is None)
 
 
 def run_checks(ctx: RunContext, command: str) -> list[VerificationRecord]:
@@ -551,7 +543,7 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
         "checkpoints": [_json(cp) for cp in checkpoints],
         "verification_records": [_json(r) for r in records],
         "ratio_bands": [_json(b) for b in bands],
-        "block_stats": [_json(s) for s in ctx.block_stats],
+        "block_stats": [_json(s) for s in ctx.blocks.stats()],
         "abel_decompositions": [_json(d) for d in ctx.abel[1]],
     }
 

@@ -16,10 +16,9 @@ scan takes every n up to its limit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .accumulate import (
     exact_sums_at,
     weights,
 )
-from .errors import SequencingError, SizeError
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, prime_array, stream_segments
+from .errors import SizeError
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, stream_segments
 
 _BRUTEFORCE_CAP = 10_000
 # rows of the pair triangle per numpy pass: 16 rows of 5000 limb triples
@@ -80,24 +79,20 @@ def identity_record(
     )
 
 
-def bound_record(
-    check_id: str, location: float, value: float, bound: float, tolerance: float,
-    *, direction: str = "ge",
+def worst_record(
+    check_id: str, location: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+    tolerance: float, residual: np.ndarray | None = None,
 ) -> VerificationRecord:
-    """Record for 'value >= bound' (direction='ge') or 'value <= bound'."""
-    if direction == "ge":
-        violation = max(0.0, bound - value)
-    else:
-        violation = max(0.0, value - bound)
-    residual = violation / max(1.0, abs(bound))
+    """The record of a check over arrays of points at its largest
+    residual, the first of equals.  The residual defaults to the relative
+    residual of lhs against rhs, as identity_record takes it."""
+    if residual is None:
+        residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    j = int(np.argmax(residual))
+    worst = float(residual[j])
     return VerificationRecord(
-        check_id=check_id,
-        location=location,
-        lhs=value,
-        rhs=bound,
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
+        check_id, float(location[j]), float(lhs[j]), float(rhs[j]), worst, tolerance,
+        worst <= tolerance,
     )
 
 
@@ -150,32 +145,6 @@ def pair_prime_bound(n: int) -> int:
     return 100 + int(n * (math.log(max(n, 6)) + 3.0))
 
 
-def _term_arrays(terms: Iterable[WeightedPrimeTerm]) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, squared weights) of a term stream, which must be in order
-    the way SumState.push requires: primes strictly ascending, indices 1, 2, ..."""
-    terms = list(terms)
-    primes = np.array([0] + [t.prime for t in terms], dtype=np.int64)
-    index = np.array([t.index for t in terms], dtype=np.int64)
-    bad_prime = primes[1:] <= primes[:-1]
-    bad_index = index != np.arange(1, len(terms) + 1)
-    bad = np.flatnonzero(bad_prime | bad_index)
-    if len(bad):
-        j = int(bad[0])
-        if bad_prime[j]:
-            raise SequencingError(
-                f"prime {terms[j].prime} not above last absorbed {int(primes[j])}"
-            )
-        raise SequencingError(f"term index {terms[j].index} does not follow count {j}")
-    w = np.array([t.weight for t in terms], dtype=np.float64)
-    wsq = np.array([t.weight_sq for t in terms], dtype=np.float64)
-    return w, wsq
-
-
-def _prime_weights(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w = weights(primes)
-    return w, w * w
-
-
 def _pair_row_sums(w: np.ndarray, ns: np.ndarray) -> list[float]:
     """2 * fsum of the rows fsum(w_i * w_j for j in i+1..n-1), i < n - 1,
     for each sample n in ns (ascending, at most len(w)).
@@ -206,30 +175,20 @@ def _pair_row_sums(w: np.ndarray, ns: np.ndarray) -> list[float]:
 
 
 def check_pair_identity(
-    n_max: int,
-    terms: Iterable[WeightedPrimeTerm] | None = None,
-    tolerance: float = 1e-10,
-    *,
-    primes: np.ndarray | None = None,
+    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-10
 ) -> list[VerificationRecord]:
     """Compare S_n^2 - M_n against the brute-force pair sum at a
-    logarithmic subsample of n (1, 2, 4, ... and n_max itself).
+    logarithmic subsample of n (1, 2, 4, ... and n = len(w) itself).
 
-    The right side at n is 2 * fsum of the n - 1 correctly rounded row
-    sums, bit for bit what pair_sum_bruteforce returns, computed over the
-    whole triangle in one numpy pass.  The terms come from terms when
-    given, else from primes (an ascending array of all primes from 2, of
-    which the first n_max are used), else from a fresh sieve.
+    w holds the weights a_1, ..., a_n and wsq the squared weights that M
+    sums, as the accumulator holds them (w * w).  The right side at n is
+    2 * fsum of the n - 1 correctly rounded row sums of w, bit for bit
+    what pair_sum_bruteforce returns, computed over the whole triangle in
+    one numpy pass.
     """
-    if n_max > _BRUTEFORCE_CAP:
-        raise SizeError(f"pair identity capped at n={_BRUTEFORCE_CAP}, got {n_max}")
-    if terms is not None:
-        w, wsq = _term_arrays(itertools.takewhile(lambda t: t.index <= n_max, terms))
-    else:
-        if primes is None:
-            primes = prime_array(pair_prime_bound(n_max))
-        w, wsq = _prime_weights(primes[: max(n_max, 0)])
-    ns = np.array([k for k in _log_subsample(n_max) if 1 <= k <= len(w)], dtype=np.int64)
+    if len(w) > _BRUTEFORCE_CAP:
+        raise SizeError(f"pair identity capped at n={_BRUTEFORCE_CAP}, got {len(w)}")
+    ns = np.array([k for k in _log_subsample(len(w)) if k >= 1], dtype=np.int64)
     s = exact_sums_at(w, ns)
     lhs = (s * s - exact_sums_at(wsq, ns)).tolist()
     rhs = _pair_row_sums(w, ns)
@@ -240,28 +199,16 @@ def check_pair_identity(
 
 
 def check_jump_identity(
-    x_max: float,
-    terms: Iterable[WeightedPrimeTerm] | None = None,
-    tolerance: float = 1e-9,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    *,
-    primes: np.ndarray | None = None,
+    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-9
 ) -> VerificationRecord:
-    """Report the worst relative residual, over all primes to x_max, of
+    """Report the worst relative residual, over every n <= len(w), of
     (S_n^2 - M_n) - (S_{n-1}^2 - M_{n-1}) against 2 a_n S_{n-1}.
 
-    S_{n-1}, S_n and M_n are the exact prefixes rounded once, as the
-    accumulator reads them; the scan is one numpy pass, and the first of
-    equal worst residuals is reported.  The terms come from terms when
-    given, else from the primes <= x_max in primes (an ascending array of
-    all primes from 2), else from a fresh sieve.
+    w and wsq are the weights and squared weights, as for
+    check_pair_identity.  S_{n-1}, S_n and M_n are the exact prefixes
+    rounded once, as the accumulator reads them; the scan is one numpy
+    pass, and the first of equal worst residuals is reported.
     """
-    if terms is not None:
-        w, wsq = _term_arrays(terms)
-    else:
-        if primes is None:
-            primes = prime_array(int(math.floor(x_max)), segment_size=segment_size)
-        w, wsq = _prime_weights(primes[: int(np.searchsorted(primes, x_max, side="right"))])
     if not len(w):
         # empty stream: vacuous pass
         return VerificationRecord(
@@ -271,18 +218,8 @@ def check_jump_identity(
     e = s[1:] * s[1:] - exact_sums_at(wsq, np.arange(1, len(w) + 1))
     lhs = np.diff(e, prepend=0.0)
     predicted = 2.0 * w * s[:-1]
-    residual = np.abs(lhs - predicted) / np.maximum(1.0, np.abs(predicted))
-    j = int(np.argmax(residual))
-    worst = float(residual[j])
-    return VerificationRecord(
-        check_id="jump_identity",
-        location=float(j + 1),
-        lhs=float(lhs[j]),
-        rhs=float(predicted[j]),
-        residual=worst,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-    )
+    n = np.arange(1, len(w) + 1)
+    return worst_record("jump_identity", n, lhs, predicted, tolerance)
 
 
 def check_E_monotone(checkpoints: Sequence[Checkpoint]) -> VerificationRecord:

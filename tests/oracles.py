@@ -8,10 +8,11 @@ constants quoted in the test modules:
 
     python3 tests/oracles.py [limit]
 
-The second part keeps the scalar forms of the pair, jump and Abel checks,
-one term or one grid point at a time, as references that the vectorized
-checks in primesums must match bit for bit.  Their signatures match the
-calls the check registry in report makes, so a test can swap them in.
+The second part keeps the scalar forms of the pair, jump, Abel and block
+checks, one term or one grid point at a time, as references that the
+vectorized checks in primesums must match bit for bit.  Their signatures
+match the calls the check registry in report makes, so a test can swap
+them in.
 """
 
 from __future__ import annotations
@@ -19,19 +20,24 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from dataclasses import fields
 from typing import Iterable
 
 import mpmath
+import numpy as np
 
 from primesums import (
+    BlockStat,
     SumState,
     VerificationRecord,
     WeightedPrimeTerm,
     abel_decompose,
+    eval_w,
     pair_sum_bruteforce,
     prime_array,
-    term_stream,
 )
+from primesums.accumulate import weights
+from primesums.asymptotics import Blocks
 from primesums.verify import _log_subsample, identity_record, relative_residual
 
 mpmath.mp.dps = 40
@@ -95,23 +101,32 @@ def romberg(f, a: float, b: float, levels: int = 18) -> float:
     return rows[-1][-1]
 
 
+def weight_arrays(primes) -> tuple[np.ndarray, np.ndarray]:
+    """(w, w * w) of primes: the arrays the check registry passes to the
+    pair and jump checks."""
+    w = weights(np.asarray(primes, dtype=np.int64))
+    return w, w * w
+
+
+def _terms(w: np.ndarray, wsq: np.ndarray) -> list[WeightedPrimeTerm]:
+    """The terms of (w, wsq), each prime standing in as its index: push
+    only needs the primes to ascend."""
+    return [
+        WeightedPrimeTerm(index=n, prime=n, weight=a, weight_sq=b)
+        for n, (a, b) in enumerate(zip(w.tolist(), wsq.tolist()), start=1)
+    ]
+
+
 def pair_records_scalar(
-    n_max: int,
-    terms: Iterable[WeightedPrimeTerm] | None = None,
-    tolerance: float = 1e-10,
-    **_: object,
+    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-10
 ) -> list[VerificationRecord]:
     """check_pair_identity one pushed term at a time, with the brute-force
     pair sum over the terms seen so far at each sampled n."""
-    if terms is None:
-        terms = term_stream(100 + int(n_max * (math.log(max(n_max, 6)) + 3.0)))
-    sample = set(_log_subsample(n_max))
+    sample = set(_log_subsample(len(w)))
     state = SumState()
     seen: list[WeightedPrimeTerm] = []
     records = []
-    for term in terms:
-        if term.index > n_max:
-            break
+    for term in _terms(w, wsq):
         state.push(term)
         seen.append(term)
         if term.index in sample:
@@ -125,19 +140,14 @@ def pair_records_scalar(
 
 
 def jump_record_scalar(
-    x_max: float,
-    terms: Iterable[WeightedPrimeTerm] | None = None,
-    tolerance: float = 1e-9,
-    **_: object,
+    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-9
 ) -> VerificationRecord:
     """check_jump_identity as a scan that pushes one term at a time and
     keeps the first strictly worst residual."""
-    if terms is None:
-        terms = term_stream(x_max)
     state = SumState()
     prev_e = 0.0
     worst, worst_at, worst_lhs, worst_rhs = -1.0, 0, 0.0, 0.0
-    for term in terms:
+    for term in _terms(w, wsq):
         predicted = 2.0 * term.weight * state.S_total
         state.push(term)
         s = state.S_total
@@ -177,6 +187,113 @@ def abel_records_scalar(cfg, xs: list[float], _primes=None) -> tuple[list, list]
         if worst is None or rec.residual > worst.residual:
             worst = rec
     return [worst], decomps
+
+
+def bound_record(
+    check_id: str, location: float, value: float, bound: float, tolerance: float,
+    *, direction: str = "ge",
+) -> VerificationRecord:
+    """Record for 'value >= bound' (direction='ge') or 'value <= bound'."""
+    if direction == "ge":
+        violation = max(0.0, bound - value)
+    else:
+        violation = max(0.0, value - bound)
+    residual = violation / max(1.0, abs(bound))
+    return VerificationRecord(
+        check_id=check_id,
+        location=location,
+        lhs=value,
+        rhs=bound,
+        residual=residual,
+        tolerance=tolerance,
+        passed=residual <= tolerance,
+    )
+
+
+def _worst(records: Iterable[VerificationRecord]) -> list[VerificationRecord]:
+    """The record with the largest residual (the first of equals) of each
+    check id, in order of first appearance, holding no other record."""
+    worst: dict[str, VerificationRecord] = {}
+    for rec in records:
+        cur = worst.get(rec.check_id)
+        if cur is None or rec.residual > cur.residual:
+            worst[rec.check_id] = rec
+    return list(worst.values())
+
+
+def _edge(xs: list[float], x: float, ratio: float) -> int | None:
+    """The index of the grid point x/ratio snaps down to, when x/ratio >= 3
+    and a grid point lies at or below it."""
+    i = bisect.bisect_right(xs, x / ratio)
+    return i - 1 if x / ratio >= 3.0 and i else None
+
+
+def block_sandwich_scalar(checkpoints, lambdas) -> Blocks:
+    """asymptotics.block_sandwich one (x, lam) at a time, with eval_w at
+    both edges; the BlockStat rows are packed into columns."""
+    xs = [cp.x for cp in checkpoints]
+    stats = []
+    for hi in checkpoints:
+        for lam in lambdas:
+            j = _edge(xs, hi.x, lam)
+            if j is not None:
+                lo = checkpoints[j]
+                delta_pi = hi.pi - lo.pi
+                stats.append(BlockStat(
+                    hi.x, lam, lo.x, hi.S - lo.S, delta_pi,
+                    delta_pi * eval_w(hi.x), delta_pi * eval_w(lo.x),
+                ))
+    return Blocks(*(np.array([getattr(s, f.name) for s in stats]) for f in fields(BlockStat)))
+
+
+def sandwich_records_scalar(blocks: Blocks, tolerance: float = 1e-12) -> list:
+    """asymptotics.sandwich_records as the worst of two records per block."""
+    return _worst(
+        rec
+        for s in blocks.stats()
+        for rec in (
+            bound_record("block_sandwich_lower", s.x, s.delta_S, s.lower, tolerance),
+            bound_record("block_sandwich_upper", s.x, s.delta_S, s.upper, tolerance,
+                         direction="le"),
+        )
+    )
+
+
+def lower_bound_scalar(checkpoints, A: float, tolerance: float = 1e-12) -> list:
+    """asymptotics.lower_bound_check as the worst of one record per grid
+    point, with eval_w at the lower edge."""
+    xs = [cp.x for cp in checkpoints]
+    records = []
+    for hi in checkpoints:
+        j = _edge(xs, hi.x, A)
+        if j is not None:
+            lo = checkpoints[j]
+            bound = (hi.M - lo.M) / eval_w(lo.x)
+            records.append(bound_record("lower_bound", hi.x, hi.S, bound, tolerance))
+    return _worst(records)
+
+
+def scale_identity_scalar(checkpoints, tolerance: float = 1e-12) -> VerificationRecord:
+    """asymptotics.scale_identity_record one checkpoint at a time."""
+    worst = None
+    for cp in checkpoints:
+        if cp.x >= 3.0:
+            rhs = cp.pi * math.log(cp.x) / cp.x
+            rec = identity_record("scale_identity", cp.x, cp.r_E_x / cp.r_E_pi, rhs, tolerance)
+            if worst is None or rec.residual > worst.residual:
+                worst = rec
+    return worst
+
+
+def block_records_scalar(checkpoints, lambdas, A: float, tolerance: float = 1e-12):
+    """The reference for the block checks over a run: its BlockStat rows,
+    the sandwich records and the lower-bound records."""
+    blocks = block_sandwich_scalar(checkpoints, lambdas)
+    return (
+        blocks.stats(),
+        sandwich_records_scalar(blocks, tolerance),
+        lower_bound_scalar(checkpoints, A, tolerance),
+    )
 
 
 def _fmt(x: mpmath.mpf) -> str:

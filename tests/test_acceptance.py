@@ -10,13 +10,11 @@ first calibrated run (tests/calibrate.py).
 import json
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from primesums import (
-    CheckpointSeries,
     RunConfig,
     abel_decompose,
     an_sn_band,
@@ -33,12 +31,13 @@ from primesums import (
     lower_bound_check,
     main_term_identity,
     mertens_width,
+    prime_array,
     prime_count,
     run_stream,
+    sandwich_records,
 )
-from primesums.asymptotics import sandwich_records
 from primesums.report import cmd_compute, read_checkpoint_file
-from primesums.verify import term_stream
+from primesums.verify import pair_prime_bound
 
 # --- frozen oracle values (tests/oracles.py, run before the main build) ---
 ORACLE_PI_1E6 = 78498
@@ -68,11 +67,6 @@ def big_run():
     result = run_stream(float(X_BIG), grid_points(GRID_START, float(X_BIG), GRID_RATIO))
     result.elapsed = time.monotonic() - t0
     return result
-
-
-@pytest.fixture(scope="module")
-def big_series(big_run):
-    return CheckpointSeries(big_run.checkpoints)
 
 
 def test_criterion_01_oracle_equivalence_at_1e6():
@@ -115,8 +109,11 @@ def test_criterion_01_oracle_equivalence_at_1e6():
 
 
 def test_criterion_02_pair_identity():
+    from oracles import weight_arrays
+
     t0 = time.monotonic()
-    records = check_pair_identity(5000, tolerance=1e-10)
+    w, wsq = weight_arrays(prime_array(pair_prime_bound(5000))[:5000])
+    records = check_pair_identity(w, wsq, tolerance=1e-10)
     elapsed = time.monotonic() - t0
     ns = [int(r.location) for r in records]
     assert ns == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 5000]
@@ -127,18 +124,16 @@ def test_criterion_02_pair_identity():
 
 
 def test_criterion_03_jump_identity_and_sensitivity():
+    from oracles import weight_arrays
+
     t0 = time.monotonic()
-    rec = check_jump_identity(1e6, tolerance=1e-9)
+    w, wsq = weight_arrays(prime_array(10**6))
+    rec = check_jump_identity(w, wsq, tolerance=1e-9)
     ok_clean = rec.passed
 
-    def perturbed():
-        for term in term_stream(1e6):
-            if term.index == 26:  # p_26 = 101
-                yield replace(term, weight=term.weight * (1 + 1e-6))
-            else:
-                yield term
-
-    bad = check_jump_identity(1e6, terms=perturbed(), tolerance=1e-9)
+    bad_w = w.copy()
+    bad_w[25] *= 1 + 1e-6  # a_26, of p_26 = 101; the squares stay as they were
+    bad = check_jump_identity(bad_w, wsq, tolerance=1e-9)
     elapsed = time.monotonic() - t0
     ok_detected = (not bad.passed) and bad.location == 26
     ok = ok_clean and ok_detected and elapsed <= 5.0
@@ -192,20 +187,17 @@ def test_criterion_05_main_term_identity():
     assert ok
 
 
-def test_criterion_06_lower_bound_to_1e8(big_run, big_series):
+def test_criterion_06_lower_bound_to_1e8(big_run):
     t0 = time.monotonic()
-    checked = 0
-    all_pass = True
-    for cp in big_series:
-        if cp.x / 8.0 < 3.0:
-            continue
-        rec = lower_bound_check(cp.x, 8.0, big_series, tolerance=1e-12)
-        checked += 1
-        all_pass = all_pass and rec.passed
+    records = lower_bound_check(big_run.checkpoints, 8.0, tolerance=1e-12)
+    # the one record is the worst grid point's; the points checked are the
+    # blocks of ratio 8
+    checked = len(block_sandwich(big_run.checkpoints, [8.0]).x)
+    all_pass = all(rec.passed for rec in records)
     elapsed = time.monotonic() - t0 + big_run.elapsed
     # ~90 grid points qualify; the exact count wobbles by one or two where
     # 3*ratio^k lands a float ulp below the x/A >= 3 boundary
-    ok = all_pass and checked >= 85 and elapsed <= 120.0
+    ok = len(records) == 1 and all_pass and checked >= 85 and elapsed <= 120.0
     report(
         6,
         f"lower-bound inequality (A=8) at {checked} grid points to 1e8",
@@ -215,17 +207,11 @@ def test_criterion_06_lower_bound_to_1e8(big_run, big_series):
     assert ok
 
 
-def test_criterion_07_block_sandwich_to_1e8(big_series):
-    checked = 0
-    all_pass = True
-    for lam in (2.0, 4.0, 8.0):
-        for cp in big_series:
-            if cp.x / lam < 3.0:
-                continue
-            stat = block_sandwich(cp.x, lam, big_series)
-            checked += 1
-            for rec in sandwich_records(stat, tolerance=1e-12):
-                all_pass = all_pass and rec.passed
+def test_criterion_07_block_sandwich_to_1e8(big_run):
+    blocks = block_sandwich(big_run.checkpoints, (2.0, 4.0, 8.0))
+    checked = len(blocks.x)
+    records = sandwich_records(blocks, tolerance=1e-12)
+    all_pass = len(records) == 2 and all(rec.passed for rec in records)
     ok = all_pass and checked >= 265
     report(
         7,

@@ -3,14 +3,14 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import block_records_scalar
 from primesums import (
-    CheckpointSeries,
     ConfigError,
     DomainError,
     an_Sn_series,
     an_sn_band,
+    base_primes,
     block_sandwich,
-    compute_ratios,
     empirical_constants,
     eval_w,
     grid_points,
@@ -18,10 +18,11 @@ from primesums import (
     mertens_contraction_record,
     mertens_width,
     run_stream,
+    sandwich_records,
     scale_identity_record,
     snapshot,
 )
-from primesums.asymptotics import ratio_positivity_record, sandwich_records, series_band
+from primesums.asymptotics import ratio_positivity_record, series_band
 from primesums import SumState
 
 R_S_10 = 1.0981183082402295
@@ -34,8 +35,12 @@ def run_1e5():
 
 
 @pytest.fixture(scope="module")
-def series_1e5(run_1e5):
-    return CheckpointSeries(run_1e5.checkpoints)
+def cps_1e5(run_1e5):
+    return run_1e5.checkpoints
+
+
+def checkpoints(x_max, grid):
+    return run_stream(x_max, grid).checkpoints
 
 
 def state_over(primes):
@@ -45,23 +50,24 @@ def state_over(primes):
 
 
 class TestComputeRatios:
+    """The four ratio fields, as snapshot computes them."""
+
     def test_values_at_10(self):
         cp = snapshot(state_over([2, 3, 5, 7]), 10.0)
-        cp = compute_ratios(cp)
         assert cp.r_S == pytest.approx(R_S_10, rel=1e-14)
         assert cp.r_E_pi == pytest.approx(R_E_PI_10, rel=1e-13)
 
     def test_agrees_with_snapshot_population(self, run_1e5):
         cp = run_1e5.checkpoints[10]
-        again = compute_ratios(cp)
-        assert (again.r_S, again.r_E_pi, again.r_E_x, again.mertens_remainder) == (
-            cp.r_S, cp.r_E_pi, cp.r_E_x, cp.mertens_remainder,
-        )
+        assert snapshot(state_over(base_primes(int(cp.x))), cp.x) == cp
 
     def test_domain_floor(self):
-        cp = snapshot(state_over([2]), 2.0)
-        with pytest.raises(DomainError):
-            compute_ratios(replace(cp, x=math.e))
+        below = snapshot(state_over([2]), math.e)
+        assert all(math.isnan(v) for v in (
+            below.r_S, below.r_E_pi, below.r_E_x, below.mertens_remainder))
+        at = snapshot(state_over([2, 3]), 3.0)
+        assert all(math.isfinite(v) for v in (
+            at.r_S, at.r_E_pi, at.r_E_x, at.mertens_remainder))
 
 
 class TestAnSnSeries:
@@ -82,66 +88,98 @@ class TestAnSnSeries:
 
 class TestLowerBound:
     def test_block_10_80(self):
-        res = run_stream(80.0, [10.0, 80.0])
-        rec = lower_bound_check(80.0, 8.0, CheckpointSeries(res.checkpoints))
+        (rec,) = lower_bound_check(checkpoints(80.0, [10.0, 80.0]), 8.0)
+        assert rec.location == 80.0
         assert rec.passed and rec.residual == 0.0
         # S(80) really does dominate the block bound with slack
         assert rec.lhs > rec.rhs > 0.0
 
-    def test_every_grid_point(self, series_1e5):
-        checked = 0
-        for cp in series_1e5:
-            if cp.x / 8.0 >= 3.0:
-                rec = lower_bound_check(cp.x, 8.0, series_1e5)
-                assert rec.passed, f"failed at x={cp.x}"
-                checked += 1
-        assert checked > 30
+    def test_every_grid_point(self, cps_1e5):
+        (rec,) = lower_bound_check(cps_1e5, 8.0)  # the worst grid point
+        assert rec.passed
+        assert len(block_sandwich(cps_1e5, [8.0]).x) > 30
 
-    def test_rejects_shallow_block(self, series_1e5):
-        with pytest.raises(DomainError):
-            lower_bound_check(20.0, 8.0, series_1e5)  # 20/8 < 3
+    def test_rejects_shallow_block(self):
+        # 20/8 < 3 and 10/8 < 3: no block is deep enough to check
+        assert lower_bound_check(checkpoints(20.0, [10.0, 20.0]), 8.0) == []
 
     def test_empty_block_trivially_passes(self):
         # consecutive checkpoints with no prime between them: bound is 0
-        res = run_stream(127.0, [113.5, 126.9, 127.0])
-        series = CheckpointSeries(res.checkpoints)
-        rec = lower_bound_check(126.9, 1.1, series)
+        cols = checkpoints(126.9, [113.5, 126.9])
+        (rec,) = lower_bound_check(cols, 1.1)
+        assert rec.location == 126.9
         assert rec.passed
         assert rec.rhs == 0.0
 
 
 class TestBlockSandwich:
     def test_block_10_20(self):
-        res = run_stream(20.0, [10.0, 20.0])
-        series = CheckpointSeries(res.checkpoints)
-        stat = block_sandwich(20.0, 2.0, series)
+        blocks = block_sandwich(checkpoints(20.0, [10.0, 20.0]), [2.0])
+        (stat,) = blocks.stats()
+        assert stat.x == 20.0
         assert stat.delta_pi == 4  # 11, 13, 17, 19
         assert stat.x_lower == 10.0
         assert stat.lower <= stat.delta_S <= stat.upper
-        assert all(r.passed for r in sandwich_records(stat))
+        assert all(r.passed for r in sandwich_records(blocks))
 
     def test_bounds_use_snapped_edge(self):
-        res = run_stream(40.0, [10.0, 40.0])
-        series = CheckpointSeries(res.checkpoints)
-        stat = block_sandwich(40.0, 3.0, series)  # 40/3 = 13.3 snaps to 10
+        # 40/3 = 13.3 snaps to 10
+        (stat,) = block_sandwich(checkpoints(40.0, [10.0, 40.0]), [3.0]).stats()
         assert stat.x_lower == 10.0
         assert stat.upper == stat.delta_pi * eval_w(10.0)
 
-    def test_every_grid_point_all_lambdas(self, series_1e5):
-        for lam in (2.0, 4.0, 8.0):
-            for cp in series_1e5:
-                if cp.x / lam < 3.0:
-                    continue
-                stat = block_sandwich(cp.x, lam, series_1e5)
-                for rec in sandwich_records(stat):
-                    assert rec.passed, f"x={cp.x} lam={lam}: {rec}"
+    def test_every_grid_point_all_lambdas(self, cps_1e5):
+        lambdas = (2.0, 4.0, 8.0)
+        blocks = block_sandwich(cps_1e5, lambdas)
+        records = sandwich_records(blocks)
+        assert [r.check_id for r in records] == [
+            "block_sandwich_lower", "block_sandwich_upper"]
+        assert all(r.passed for r in records)
+        # the grid starts at 3, so every x/lam >= 3 has a grid point below it
+        assert len(blocks.x) == sum(
+            cp.x / lam >= 3.0 for cp in cps_1e5 for lam in lambdas)
 
     def test_empty_block(self):
-        res = run_stream(127.0, [113.5, 126.9, 127.0])
-        series = CheckpointSeries(res.checkpoints)
-        stat = block_sandwich(126.9, 1.1, series)
+        stats = block_sandwich(checkpoints(127.0, [113.5, 126.9, 127.0]), [1.1]).stats()
+        assert [s.x for s in stats] == [126.9, 127.0]
+        stat = stats[0]
         assert stat.delta_pi == 0
         assert stat.delta_S == 0.0 == stat.lower == stat.upper
+
+    def test_no_blocks_no_records(self):
+        blocks = block_sandwich(checkpoints(10.0, [3.0, 10.0]), [4.0])
+        assert blocks.stats() == [] and sandwich_records(blocks) == []
+
+
+class TestBlockArrays:
+    """The array pass against the per-point reference, by repr."""
+
+    @pytest.mark.parametrize("x_max, grid, lambdas, A", [
+        # x/lambda < 3 at the first points
+        (40.0, [3.5, 5.0, 10.0, 20.0, 40.0], [2.0, 4.0], 2.5),
+        # an empty block, with x/lambda below the first grid point
+        (127.0, [113.5, 126.9, 127.0], [1.1], 1.1),
+        # x/lambda landing exactly on a grid point
+        (640.0, [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0], [2.0, 4.0], 8.0),
+        # lambda below the grid ratio: every edge snaps down a whole step
+        (1e4, grid_points(3, 1e4, 2.0), [1.01, 1.5], 1.9),
+    ])
+    def test_edge_grids(self, x_max, grid, lambdas, A):
+        cps = run_stream(x_max, grid).checkpoints
+        self.assert_equal(cps, lambdas, A)
+
+    def test_dense_grid_to_1e6(self):
+        cps = run_stream(1e6, grid_points(100, 1e6, 1.0001)).checkpoints
+        self.assert_equal(cps, (2.0, 4.0, 8.0), 8.0)
+
+    @staticmethod
+    def assert_equal(cps, lambdas, A):
+        blocks = block_sandwich(cps, lambdas)
+        got = (blocks.stats(), sandwich_records(blocks), lower_bound_check(cps, A))
+        for mine, ref in zip(got, block_records_scalar(cps, lambdas, A)):
+            assert mine and len(mine) == len(ref)
+            # the first pair that differs, not a diff of the whole run
+            assert next(((a, b) for a, b in zip(mine, ref) if repr(a) != repr(b)), None) is None
 
 
 class TestEmpiricalConstants:

@@ -1,11 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
 import primesums.report as report
-from oracles import abel_records_scalar, jump_record_scalar, pair_records_scalar
+from oracles import (
+    abel_records_scalar,
+    block_sandwich_scalar,
+    jump_record_scalar,
+    lower_bound_scalar,
+    pair_records_scalar,
+    sandwich_records_scalar,
+    scale_identity_scalar,
+)
 from primesums import CheckpointFormatError, ConfigError, RunConfig, resume
 from primesums.cli import main as cli_main
 from primesums.report import (
@@ -205,6 +217,24 @@ class TestCheckpointFile:
         clipped.write_text("\n".join(text[:-3]) + "\n")
         with pytest.raises(CheckpointFormatError):
             read_checkpoint_file(clipped)
+
+    def test_rejects_rows_out_of_order(self, tmp_path, capsys):
+        cfg = cfg_for(tmp_path, 10**5)
+        cmd_compute(cfg)
+        lines = cfg.checkpoint_path().read_text().splitlines()
+        rows = [i for i, line in enumerate(lines) if line.startswith("checkpoint ")]
+        i, j = rows[5], rows[6]
+        lines[i], lines[j] = lines[j], lines[i]
+        swapped = tmp_path / "swapped.txt"
+        swapped.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match="ascending"):
+            read_checkpoint_file(swapped)
+        common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
+        for argv in (["compute", *common, "--resume", str(swapped)],
+                     ["verify", *common, "--resume", str(swapped)],
+                     ["report", *common, str(swapped)]):
+            assert cli_main(argv) == 1, argv
+        assert not (tmp_path / "cli" / "checkpoints.csv").exists()
 
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(CheckpointFormatError):
@@ -413,10 +443,17 @@ def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "check_jump_identity",
                         counted("jump", jump_record_scalar))
     monkeypatch.setattr(report, "_abel_records", counted("abel", abel_records_scalar))
+    monkeypatch.setattr(report, "block_sandwich", counted("blocks", block_sandwich_scalar))
+    monkeypatch.setattr(report, "sandwich_records",
+                        counted("sandwich", sandwich_records_scalar))
+    monkeypatch.setattr(report, "lower_bound_check", counted("lower", lower_bound_scalar))
+    monkeypatch.setattr(report, "scale_identity_record",
+                        counted("scale", scale_identity_scalar))
     assert verify_and_report("scalar") == vectorized
     # the registry looks the checks up when it runs them, so the swaps took
-    # effect: pair and jump once in verify, Abel in verify and in report
-    assert calls == {"pair": 1, "jump": 1, "abel": 2}
+    # effect: pair and jump once in verify, the others in verify and in report
+    assert calls == {"pair": 1, "jump": 1, "abel": 2, "blocks": 2, "sandwich": 2,
+                     "lower": 2, "scale": 2}
 
 
 def _entry(check_id):
@@ -458,17 +495,46 @@ class TestRegistry:
         # and in registry order
         assert sorted(emitted, key=in_verify.index) == emitted
 
-    def test_tol_accepts_exactly_the_registry_ids(self, tmp_path):
+    def test_tol_accepts_exactly_the_registry_ids(self, tmp_path, capsys):
         ids = [c.check_id for c in report.CHECKS]
         assert len(set(ids)) == len(ids)
-        assert list(report.DEFAULT_TOLERANCES) == ids
+        exact = ["e_monotone", "ratio_positive", "mertens_contraction"]
+        assert list(report.EXACT_CHECKS) == exact
+        assert list(report.DEFAULT_TOLERANCES) == [i for i in ids if i not in exact]
+        assert len(report.DEFAULT_TOLERANCES) == 7
         out = str(tmp_path / "out")
-        for check_id in ids:
+        for check_id in report.DEFAULT_TOLERANCES:
             assert cli_main(["compute", "--x-max", "100", "--tol",
                              f"{check_id}=0.5", "--out", out]) == 0
-        for check_id in ("block_sandwich_lower", "no_such_check", ""):
+        with pytest.raises(SystemExit):
+            cli_main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(sorted(report.DEFAULT_TOLERANCES)) in help_text
+        assert not any(check_id in help_text for check_id in exact)
+        for check_id in (*exact, "block_sandwich_lower", "no_such_check", ""):
+            capsys.readouterr()
             assert cli_main(["compute", "--x-max", "100", "--tol",
                              f"{check_id}=0.5", "--out", out]) == 2
+            assert f"'{check_id}'" in capsys.readouterr().err
+
+
+def test_benchmark_trace_runs(tmp_path):
+    """perfbench/trace.py finds, by name, every function it times in a
+    checks-1e8 pass, and those layers do work."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace.py"), "--workload",
+         "checks-1e8", "--x", "100000", "--out", str(tmp_path)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["failed"] == 0
+    for layer in ("asymptotics.block_s", "verify.pair_s"):
+        assert trace["metrics"][layer]["value"] > 0, layer
 
 
 class TestCli:

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jump_record_scalar, pair_records_scalar
+from oracles import jump_record_scalar, pair_records_scalar, weight_arrays
 from primesums import (
     Checkpoint,
-    SequencingError,
     SizeError,
     SumState,
     base_primes,
@@ -16,19 +15,33 @@ from primesums import (
     check_pair_identity,
     make_term,
     pair_sum_bruteforce,
+    prime_array,
     run_stream,
     grid_points,
 )
 from primesums.accumulate import BLOCK
-from primesums.verify import relative_residual, term_stream
+from primesums.verify import pair_prime_bound, relative_residual
 
 TWO_A1_A2 = 0.71250731477826901
 
-TERMS_1E5 = list(term_stream(1e5))  # 9592 terms: the scan crosses a BLOCK
+W_1E5, WSQ_1E5 = weight_arrays(prime_array(10**5))  # 9592 primes: the scan crosses a BLOCK
 
 
 def terms_upto(bound):
     return [make_term(i, p) for i, p in enumerate(base_primes(bound), start=1)]
+
+
+def first_n(n):
+    """(w, w * w) of the first n primes."""
+    return weight_arrays(prime_array(pair_prime_bound(n))[:n])
+
+
+def perturbed(w, k):
+    """A copy of w with a_{k+1} off by a relative 1e-6; the squared
+    weights are left as they were, so M no longer matches S."""
+    w = w.copy()
+    w[k] *= 1 + 1e-6
+    return w
 
 
 class TestPairSumBruteforce:
@@ -51,18 +64,18 @@ class TestPairSumBruteforce:
 
 class TestPairIdentity:
     def test_small_sample(self):
-        records = check_pair_identity(16)
+        records = check_pair_identity(*first_n(16))
         assert [int(r.location) for r in records] == [1, 2, 4, 8, 16]
         assert all(r.passed for r in records)
         first = records[0]
         assert first.lhs == 0.0 and first.rhs == 0.0
 
     def test_n_four_matches_hand_value(self):
-        rec = [r for r in check_pair_identity(4) if r.location == 4][0]
+        rec = [r for r in check_pair_identity(*first_n(4)) if r.location == 4][0]
         assert rec.rhs == pytest.approx(3.9243475915771899, rel=1e-13)
 
     def test_residuals_tight_to_500(self):
-        for rec in check_pair_identity(500):
+        for rec in check_pair_identity(*first_n(500)):
             assert rec.residual <= 1e-12
 
     def test_perturbed_weight_detected_from_that_index_on(self):
@@ -93,92 +106,54 @@ class TestPairVectorized:
     @given(st.integers(0, 400))
     @settings(max_examples=30, deadline=None)
     def test_records_equal_bruteforce(self, n):
-        assert repr(check_pair_identity(n)) == repr(pair_records_scalar(n))
+        w, wsq = first_n(n)
+        assert repr(check_pair_identity(w, wsq)) == repr(pair_records_scalar(w, wsq))
 
     @given(st.integers(1, 200), st.integers(0, 199))
     @settings(max_examples=20, deadline=None)
     def test_perturbed_terms_equal_bruteforce(self, n, k):
-        terms = TERMS_1E5[:n]
-        k %= n
-        terms[k] = replace(terms[k], weight=terms[k].weight * (1 + 1e-6))
-        assert repr(check_pair_identity(n, terms=terms)) == repr(
-            pair_records_scalar(n, terms=terms)
-        )
+        w, wsq = perturbed(W_1E5[:n], k % n), WSQ_1E5[:n]
+        assert repr(check_pair_identity(w, wsq)) == repr(pair_records_scalar(w, wsq))
 
 
 class TestJumpVectorized:
     """The numpy jump pass against the scalar scan that pushes each term."""
 
     def test_equals_push_scan_at_1e5(self):
-        assert repr(check_jump_identity(1e5)) == repr(jump_record_scalar(1e5))
+        assert repr(check_jump_identity(W_1E5, WSQ_1E5)) == repr(
+            jump_record_scalar(W_1E5, WSQ_1E5)
+        )
 
     @given(
         st.one_of(
             st.sampled_from([0, 1, 2, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1]),
-            st.integers(0, len(TERMS_1E5) - 1),
+            st.integers(0, len(W_1E5) - 1),
         )
     )
     @settings(max_examples=12, deadline=None)
     def test_perturbed_equals_push_scan(self, k):
-        terms = list(TERMS_1E5)
-        terms[k] = replace(terms[k], weight=terms[k].weight * (1 + 1e-6))
-        rec = check_jump_identity(1e5, terms=terms)
-        assert repr(rec) == repr(jump_record_scalar(1e5, terms=terms))
-
-
-def _swapped(terms, k):
-    """terms with entries k and k + 1 exchanged: primes out of order."""
-    out = list(terms)
-    out[k], out[k + 1] = out[k + 1], out[k]
-    return out
-
-
-def _reindexed(terms, k):
-    """terms with entry k's index bumped: the count no longer follows."""
-    out = list(terms)
-    out[k] = replace(out[k], index=out[k].index + 1)
-    return out
-
-
-def _repeated(terms, k):
-    """terms with entry k repeated, prime and index alike."""
-    return terms[: k + 1] + terms[k:]
-
-
-class TestSequencing:
-    @given(st.sampled_from([_swapped, _reindexed, _repeated]), st.integers(0, 98))
-    @settings(max_examples=30, deadline=None)
-    def test_bad_streams_raise_like_push(self, corrupt, k):
-        terms = corrupt(TERMS_1E5[:100], k)
-        with pytest.raises(SequencingError) as expected:
-            jump_record_scalar(1e5, terms=terms)
-        with pytest.raises(SequencingError) as got:
-            check_jump_identity(1e5, terms=terms)
-        assert str(got.value) == str(expected.value)
-        with pytest.raises(SequencingError) as got:
-            check_pair_identity(100, terms=terms)
-        assert str(got.value) == str(expected.value)
+        w = perturbed(W_1E5, k)
+        rec = check_jump_identity(w, WSQ_1E5)
+        assert repr(rec) == repr(jump_record_scalar(w, WSQ_1E5))
 
 
 class TestJumpIdentity:
     def test_tiny_range_pure_rounding(self):
-        rec = check_jump_identity(10.0)
+        rec = check_jump_identity(*weight_arrays(prime_array(10)))
         assert rec.passed
         assert rec.residual <= 1e-14
 
     def test_single_term(self):
-        rec = check_jump_identity(2.0)
+        rec = check_jump_identity(*weight_arrays([2]))
         assert rec.residual == 0.0  # E_1 - E_0 = 0 and 2 a_1 S_0 = 0
 
     def test_to_1e5(self):
-        rec = check_jump_identity(1e5)
+        rec = check_jump_identity(W_1E5, WSQ_1E5)
         assert rec.passed and rec.residual <= 1e-9
 
     def test_perturbation_detected_at_index(self):
-        terms = list(term_stream(1e5))
         k = 25  # p_26 = 101
-        bad = replace(terms[k], weight=terms[k].weight * (1 + 1e-6))
-        rec = check_jump_identity(1e5, terms=terms[:k] + [bad] + terms[k + 1 :])
+        rec = check_jump_identity(perturbed(W_1E5, k), WSQ_1E5)
         assert not rec.passed
         assert rec.location == k + 1
 
