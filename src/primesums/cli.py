@@ -127,7 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_common_flags(p_verify)
 
     p_report = sub.add_parser(
-        "report", help="emit report.json and per-series CSVs from a checkpoint file"
+        "report",
+        help="emit report.json, checkpoints.csv and series_anS.csv from a checkpoint file",
     )
     _add_common_flags(p_report)
     p_report.add_argument(

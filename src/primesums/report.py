@@ -15,21 +15,25 @@ CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
 byte-identical bodies.
 
-JSON bundle: config echo, checkpoint table, verification records, ratio
-bands, block stats, abel decompositions, and run metadata.
+JSON bundle (format 2): config echo, verification records, ratio bands,
+block stats, abel decompositions, and run metadata.  No checkpoint table:
+report writes that as checkpoints.csv beside it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -43,7 +47,6 @@ from .accumulate import (
     weights,
 )
 from .asymptotics import (
-    BAND_SERIES,
     Blocks,
     an_sn_band,
     block_sandwich,
@@ -78,7 +81,7 @@ from .verify import (
 
 FORMAT_VERSION = 2  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
-BUNDLE_FORMAT_VERSION = 1  # of report.json
+BUNDLE_FORMAT_VERSION = 2  # of report.json
 
 CSV_COLUMNS = tuple(f.name for f in fields(Checkpoint))
 # report.json keys that differ from the dataclass field names
@@ -113,15 +116,27 @@ def _checkpoint_fields(cp: Checkpoint) -> list[str]:
 
 
 def _json(record) -> dict:
-    """A flat dataclass as its report.json object.  A shallow asdict: the
-    deep copy of asdict made a report of 1e5 checkpoints 30% slower."""
+    """A flat dataclass as its report.json object (a shallow asdict)."""
     return {_JSON_NAMES.get(k, k): v for k, v in vars(record).items()}
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """The one file writer: a sibling temporary file that replaces path when
+    the block completes, and is removed, leaving path as it was, if it raises."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after the replace
 
 
 def _write_lines(path: Path, *parts: Iterable[str]) -> None:
     """Write the lines of each part in turn, each ended by a newline, one
     at a time: memory holds one row, never the whole file."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         for line in chain(*parts):
             fh.write(line + "\n")
 
@@ -144,18 +159,16 @@ class RunConfig:
         self.out_dir = Path(self.out_dir)
         if self.resume_from is not None:
             self.resume_from = Path(self.resume_from)
-        if self.grid_start < 3.0:
-            raise ConfigError(f"grid_start must be >= 3, got {self.grid_start}")
+        if not 3.0 <= self.grid_start < math.inf:
+            raise ConfigError(f"grid_start must be finite and >= 3, got {self.grid_start}")
         if self.x_max < self.grid_start:
-            raise ConfigError(
-                f"x_max {self.x_max} below grid_start {self.grid_start}"
-            )
-        if self.grid_ratio <= 1.0:
-            raise ConfigError(f"grid_ratio must be > 1, got {self.grid_ratio}")
-        if self.A <= 1.0:
-            raise ConfigError(f"A must be > 1, got {self.A}")
-        if any(lam <= 1.0 for lam in self.lambdas):
-            raise ConfigError(f"every lambda must be > 1, got {self.lambdas}")
+            raise ConfigError(f"x_max {self.x_max} below grid_start {self.grid_start}")
+        if not 1.0 < self.grid_ratio < math.inf:
+            raise ConfigError(f"grid_ratio must be finite and > 1, got {self.grid_ratio}")
+        if not 1.0 < self.A < math.inf:
+            raise ConfigError(f"A must be finite and > 1, got {self.A}")
+        if not all(1.0 < lam < math.inf for lam in self.lambdas):
+            raise ConfigError(f"every lambda must be finite and > 1, got {self.lambdas}")
         # the sieve's bounds, checked before anything is allocated
         SieveConfig(limit=self.x_max, segment_size=self.segment_size)
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
@@ -164,6 +177,9 @@ class RunConfig:
                 f"no tolerance to set for {unknown}: the exact checks "
                 f"({', '.join(EXACT_CHECKS)}) take none, and other ids are not checks"
             )
+        bad = {k: v for k, v in self.tolerances.items() if not 0.0 <= v < math.inf}
+        if bad:
+            raise ConfigError(f"tolerances must be finite and >= 0, got {bad}")
 
     def tolerance(self, check_id: str) -> float | None:
         """The check's tolerance; None for an exact check."""
@@ -307,11 +323,8 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
 
 
 def write_csv(path: Path, checkpoints: list[Checkpoint]) -> None:
-    _write_lines(
-        path,
-        [",".join(CSV_COLUMNS)],
-        (",".join(_checkpoint_fields(cp)) for cp in checkpoints),
-    )
+    rows = (",".join(_checkpoint_fields(cp)) for cp in checkpoints)
+    _write_lines(path, [",".join(CSV_COLUMNS)], rows)
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, list[float]]:
@@ -352,19 +365,12 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     if cfg.resume_from is not None:
         result, grid = resume(cfg.resume_from, cfg)
     if grid:
-        new = run_stream(
-            float(cfg.x_max),
-            grid,
-            segment_size=cfg.segment_size,
-            state=result.state,
-            samples=result.an_sn_samples,
-        )
+        new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
+                         state=result.state, samples=result.an_sn_samples)
         result = RunResult(result.checkpoints + new.checkpoints, new.state, new.an_sn_samples)
-    elif cfg.checkpoint_path() == cfg.resume_from:
-        # a completed run resumed in place: leave its file alone
-        write_csv(cfg.csv_path(), result.checkpoints)
-        return result
-    write_checkpoint_file(cfg.checkpoint_path(), cfg, result)
+    if grid or cfg.checkpoint_path() != cfg.resume_from:
+        # a completed run resumed in place leaves its file alone
+        write_checkpoint_file(cfg.checkpoint_path(), cfg, result)
     write_csv(cfg.csv_path(), result.checkpoints)
     return result
 
@@ -540,7 +546,6 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
             "last_prime": stored.state.last_prime,
             "report_wall_time_s": time.monotonic() - t0,
         },
-        "checkpoints": [_json(cp) for cp in checkpoints],
         "verification_records": [_json(r) for r in records],
         "ratio_bands": [_json(b) for b in bands],
         "block_stats": [_json(s) for s in ctx.blocks.stats()],
@@ -549,22 +554,15 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
 
 
 def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
-    """Emit report.json and one plot-ready CSV per tracked series."""
+    """Emit report.json, the run's checkpoints.csv and series_anS.csv."""
     stored = read_checkpoint_file(checkpoint_file)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     bundle = build_report_bundle(cfg, stored)
     out = cfg.out_dir / "report.json"
-    out.write_text(json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-    for name in ("S", "M", "E") + BAND_SERIES:
-        _write_lines(
-            cfg.out_dir / f"series_{name}.csv",
-            ["x,value"],
-            (f"{_fmt(cp.x)},{_fmt(getattr(cp, name))}" for cp in stored.checkpoints),
-        )
-    _write_lines(
-        cfg.out_dir / "series_anS.csv",
-        ["n,value"],
-        (f"{n},{_fmt(value)}" for n, value in stored.an_sn_samples),
-    )
+    with _replacing(out) as fh:
+        json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    write_csv(cfg.csv_path(), stored.checkpoints)
+    samples = (f"{n},{_fmt(value)}" for n, value in stored.an_sn_samples)
+    _write_lines(cfg.out_dir / "series_anS.csv", ["n,value"], samples)
     return out

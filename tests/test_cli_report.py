@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -28,21 +29,22 @@ from primesums.report import (
     write_checkpoint_file,
 )
 
-# independent statement of the documented bundle schema (see README)
+# independent statement of the documented bundle schema (see README); the
+# checkpoint table is checkpoints.csv, not a bundle key
 BUNDLE_SCHEMA = {
     "type": "object",
     "required": [
         "format_version",
         "config",
         "metadata",
-        "checkpoints",
         "verification_records",
         "ratio_bands",
         "block_stats",
         "abel_decompositions",
     ],
+    "not": {"required": ["checkpoints"]},
     "properties": {
-        "format_version": {"const": 1},
+        "format_version": {"const": 2},
         "config": {
             "type": "object",
             "required": ["x_max", "grid_start", "grid_ratio", "config_hash"],
@@ -50,15 +52,6 @@ BUNDLE_SCHEMA = {
         "metadata": {
             "type": "object",
             "required": ["library_version", "prime_count", "last_prime"],
-        },
-        "checkpoints": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x",
-                             "mertens_remainder"],
-            },
         },
         "verification_records": {
             "type": "array",
@@ -116,6 +109,15 @@ class TestRunConfig:
             cfg_for(tmp_path, 1000, lambdas=(2.0, 1.0))
         with pytest.raises(ConfigError):
             cfg_for(tmp_path, 1000, tolerances={"no_such_check": 1.0})
+        # NaN passes every comparison with a bound, and inf is no usable ratio
+        for kw in ({"A": math.nan}, {"A": math.inf}, {"lambdas": (2.0, math.nan)},
+                   {"grid_ratio": math.nan}, {"grid_ratio": math.inf},
+                   {"grid_start": math.nan}, {"tolerances": {"lower_bound": math.nan}},
+                   {"tolerances": {"lower_bound": math.inf}},
+                   {"tolerances": {"lower_bound": -1.0}}):
+            with pytest.raises(ConfigError):
+                cfg_for(tmp_path, 1000, **kw)
+        cfg_for(tmp_path, 1000, tolerances={"lower_bound": 0.0})
 
     def test_limits_refused_before_any_work(self, tmp_path):
         from primesums.sieve import MAX_LIMIT, MAX_SEGMENT_SIZE
@@ -235,6 +237,26 @@ class TestCheckpointFile:
                      ["report", *common, str(swapped)]):
             assert cli_main(argv) == 1, argv
         assert not (tmp_path / "cli" / "checkpoints.csv").exists()
+
+    def test_write_cut_short_keeps_old_file(self, tmp_path):
+        """A resume in place rewrites the only copy of the state: a write
+        that raises midway must leave that copy whole."""
+        cfg = cfg_for(tmp_path, 10**4)
+        result = cmd_compute(cfg)
+        before = cfg.checkpoint_path().read_bytes()
+
+        class Killed(list):
+            def __iter__(self):
+                yield from list.__iter__(self[:5])
+                raise KeyboardInterrupt
+
+        cut = dataclasses.replace(result, checkpoints=Killed(result.checkpoints))
+        with pytest.raises(KeyboardInterrupt):
+            write_checkpoint_file(cfg.checkpoint_path(), cfg, cut)
+        assert cfg.checkpoint_path().read_bytes() == before
+        assert read_checkpoint_file(cfg.checkpoint_path()).checkpoints == result.checkpoints
+        assert sorted(p.name for p in cfg.out_dir.iterdir()) == [
+            "checkpoints.csv", "checkpoints.txt"]
 
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(CheckpointFormatError):
@@ -377,7 +399,9 @@ class TestReport:
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
         bundle = json.loads(cmd_report(cfg, cfg.checkpoint_path()).read_text())
-        xs = {cp["x"] for cp in bundle["checkpoints"]}
+        rows = (cfg.out_dir / "checkpoints.csv").read_text().splitlines()[1:]
+        xs = {float(row.split(",")[0]) for row in rows}
+        assert len(xs) == len(rows) > 0
         for stat in bundle["block_stats"]:
             assert stat["x"] in xs and stat["x_lower"] in xs
         for dec in bundle["abel_decompositions"]:
@@ -385,16 +409,19 @@ class TestReport:
         for rec in bundle["verification_records"]:
             assert rec["pass"] is True
 
-    def test_series_csvs(self, tmp_path):
+    def test_report_writes_computes_table(self, tmp_path):
+        """Each fact in one file: the table is compute's checkpoints.csv, byte
+        for byte, and the a_n*S_{n-1} samples are series_anS.csv."""
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
-        cmd_report(cfg, cfg.checkpoint_path())
-        for name in ("S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder"):
-            lines = (cfg.out_dir / f"series_{name}.csv").read_text().splitlines()
-            assert lines[0] == "x,value"
-            assert len(lines) == len(result.checkpoints) + 1
-        an_lines = (cfg.out_dir / "series_anS.csv").read_text().splitlines()
+        out = RunConfig(x_max=10**4, out_dir=tmp_path / "report")
+        cmd_report(out, cfg.checkpoint_path())
+        assert sorted(p.name for p in out.out_dir.iterdir()) == [
+            "checkpoints.csv", "report.json", "series_anS.csv"]
+        assert out.csv_path().read_bytes() == cfg.csv_path().read_bytes()
+        an_lines = (out.out_dir / "series_anS.csv").read_text().splitlines()
         assert an_lines[0] == "n,value"
+        assert len(an_lines) == len(result.an_sn_samples) + 1
 
     def test_empty_file_is_format_error(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
@@ -405,10 +432,10 @@ class TestReport:
 
 
 def _outputs(out_dir):
-    """verification.csv, report.json without its wall time, and the series
-    CSVs of one output directory."""
-    files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("series_*.csv"))}
-    files["verification.csv"] = (out_dir / "verification.csv").read_bytes()
+    """verification.csv, checkpoints.csv, series_anS.csv and report.json
+    without its wall time, of one output directory."""
+    files = {name: (out_dir / name).read_bytes()
+             for name in ("verification.csv", "checkpoints.csv", "series_anS.csv")}
     bundle = json.loads((out_dir / "report.json").read_text())
     del bundle["metadata"]["report_wall_time_s"]
     files["report.json"] = json.dumps(bundle, sort_keys=True).encode()
@@ -518,6 +545,17 @@ class TestRegistry:
             assert f"'{check_id}'" in capsys.readouterr().err
 
 
+def test_benchmark_accepts_report(tmp_path, monkeypatch):
+    """The benchmark's own check of report.json, imported unchanged from
+    perfbench/checks.py, passes on a 1e5 report."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from checks import check_report
+
+    cfg = cfg_for(tmp_path, 10**5)
+    cmd_compute(cfg)
+    check_report(cmd_report(cfg, cfg.checkpoint_path()))
+
+
 def test_benchmark_trace_runs(tmp_path):
     """perfbench/trace.py finds, by name, every function it times in a
     checks-1e8 pass, and those layers do work."""
@@ -572,6 +610,10 @@ class TestCli:
                       ["--x-max", "2000", "--segment-size", str(2**24 + 1)],
                       ["--x-max", "2000", "--threads", "9"]):
             assert cli_main(["compute", *flags, "--out", out]) == 2
+        for flags in (["--A", "nan"], ["--A", "inf"], ["--lambda", "nan"],
+                      ["--grid-ratio", "nan"], ["--tol", "lower_bound=nan"],
+                      ["--tol", "lower_bound=-1"]):
+            assert cli_main(["verify", "--x-max", "100000", *flags, "--out", out]) == 2
         assert not (tmp_path / "never").exists()
 
     def test_corrupted_resume_exit_nonzero(self, tmp_path, capsys):
