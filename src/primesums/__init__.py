@@ -21,7 +21,6 @@ from .accumulate import (
     snapshot,
 )
 from .asymptotics import (
-    BlockStat,
     RatioBand,
     an_sn_band,
     block_sandwich,
@@ -73,7 +72,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "AbelDecomposition",
-    "BlockStat",
     "Checkpoint",
     "CheckpointFormatError",
     "ConfigError",

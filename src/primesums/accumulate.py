@@ -10,8 +10,8 @@ where S and M are exact.  Every weight and every squared weight a_k*a_k
 held as Python ints in units of 2**-120 and rounded to a double only when
 read.  They therefore do not depend on the order of the additions, the
 block or segment boundaries, or where a run was split and resumed.  E is
-never accumulated directly: snapshots compute it as S^2 - M, which
-suffers no cancellation at scale (E grows like x/log x while M grows like
+never accumulated directly: the checkpoint table computes it as S^2 - M,
+which suffers no cancellation at scale (E grows like x/log x while M grows like
 log x).  A separate exact sum of the per-step jumps 2*a_n*S_{n-1} is
 carried purely as a built-in cross-check: telescoped, it must reproduce
 S^2 - M.
@@ -20,15 +20,15 @@ Bulk absorption takes int64 prime arrays in blocks of BLOCK primes: numpy
 computes the weights, splits each value exactly into 40-bit int64 limbs
 and sums the limbs; only block totals become Python ints.
 
-Checkpoints are immutable snapshots taken on a geometric x-grid; sums are
-inclusive (p <= x), and a grid point that lands exactly on a prime counts
-that prime.
+Checkpoints are one table over a geometric x-grid, one array per column,
+built in one pass by checkpoint_table; sums are inclusive (p <= x), and a
+grid point that lands exactly on a prime counts that prime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, SequencingError
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, stream_segments
 
-_MAX_GRID_POINTS = 10_000_000
+MAX_GRID_POINTS = 10_000_000
 
 FRAC_BITS = 120  # the exact sums are integers in units of 2**-FRAC_BITS
 _SCALE = float(1 << FRAC_BITS)
@@ -85,23 +85,65 @@ def make_term(index: int, prime: int) -> WeightedPrimeTerm:
     return WeightedPrimeTerm(index=index, prime=prime, weight=w, weight_sq=w * w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """Immutable snapshot of the sums at grid point x.
+    """The checkpoint table of a run: one array per CSV column, a row per
+    grid point x in ascending order, pi as int64.
 
-    Ratio fields are NaN below x = 3, where the x/log x scales are not
+    Ratio columns are NaN below x = 3, where the x/log x scales are not
     meaningful; every pipeline grid starts at 3 or above.
     """
 
-    x: float
-    pi: int
-    S: float
-    M: float
-    E: float
-    r_S: float
-    r_E_pi: float
-    r_E_x: float
-    mertens_remainder: float
+    x: np.ndarray
+    pi: np.ndarray
+    S: np.ndarray
+    M: np.ndarray
+    E: np.ndarray
+    r_S: np.ndarray
+    r_E_pi: np.ndarray
+    r_E_x: np.ndarray
+    mertens_remainder: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def select(self, rows) -> "Checkpoint":
+        """The table of the rows a boolean mask, index array or slice picks."""
+        return Checkpoint(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def libm_log(x: np.ndarray) -> np.ndarray:
+    """log of each value with the C library's log (math.log), which numpy's
+    log can miss by the last bit: every log of an x or a prime that a check
+    compares bit for bit with a per-point form is taken here."""
+    return np.array([math.log(v) for v in np.asarray(x, dtype=np.float64).tolist()])
+
+
+def checkpoint_table(x, pi, S, M) -> Checkpoint:
+    """The checkpoint table at grid points x with prime counts pi and sums
+    S, M there: E = S*S - M and the four ratios, in one pass.
+
+    The one formula of the derived columns; snapshot is its one-row case.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.int64)
+    S = np.asarray(S, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    E = S * S - M
+    scaled = x >= 3.0
+    lx = np.full(len(x), math.nan)  # NaN below 3 carries into r_S, r_E_x, M - lx
+    lx[scaled] = libm_log(x[scaled])
+    return Checkpoint(
+        x=x,
+        pi=pi,
+        S=S,
+        M=M,
+        E=E,
+        r_S=S / np.sqrt(x / lx),
+        r_E_pi=E / np.where(scaled, pi, math.nan),
+        r_E_x=E * lx / x,
+        mertens_remainder=M - lx,
+    )
 
 
 def _limbs(v: np.ndarray) -> np.ndarray:
@@ -286,61 +328,57 @@ class SumState:
         primes: Sequence[int] | np.ndarray,
         sink: Callable[[int, float], None] | None = None,
         marks: Sequence[int] = (),
-        at_mark: Callable[[int], None] | None = None,
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Bulk absorb ascending primes (all above last_prime; not checked).
 
         Bit-identical to pushing make_term for each prime in turn, and to
         any split of primes over several calls.  When a sink is given it
         receives (n, a_n * S_{n-1}) at every n that is a power of two.
-        marks are ascending prefix lengths of primes: at_mark(i) is called
-        while the state holds exactly the first marks[i] primes.
+        marks are ascending prefix lengths of primes; the result is S and M,
+        correctly rounded, after the first marks[i] primes, for each i.
         """
         primes = np.asarray(primes, dtype=np.int64)
         marks = np.asarray(marks, dtype=np.int64)
+        s_at, m_at = np.empty(len(marks)), np.empty(len(marks))
         mi = int(np.searchsorted(marks, 0, side="right"))
-        for i in range(mi):
-            at_mark(i)
+        s_at[:mi], m_at[:mi] = self.S_total, self.M_total
         for b0 in range(0, len(primes), BLOCK):
             p = primes[b0 : b0 + BLOCK]
-            n0, s0, m0, e0 = self.n, self.S, self.M, self.E_incremental
-            dec0 = self.weights_decreasing
+            n0, s0, m0 = self.n, self.S, self.M
             w = weights(p)
             lw = _limbs(w)
             cs = np.cumsum(lw, axis=0)
-            s_prev = _round_prefixes(s0, cs - lw, s0 + _to_int(cs[-1]))
+            s_top = s0 + _to_int(cs[-1])
+            s_prev = _round_prefixes(s0, cs - lw, s_top)
             half = w * s_prev
             cq = np.cumsum(_limbs(np.stack((w * w, half))), axis=1)
+            m_top = m0 + _to_int(cq[0, -1])
             rises = np.flatnonzero(w >= np.concatenate(([self.last_weight], w[:-1])))
-            rises = rises[rises + n0 >= 2]  # the flag ignores n = 1, 2
-            first_rise = int(rises[0]) if len(rises) else len(p)
+            if np.any(rises + n0 >= 2):  # the flag ignores n = 1, 2
+                self.weights_decreasing = False
             if sink is not None:
                 k = 1 << n0.bit_length()  # the least power of two above n0
                 while k <= n0 + len(p):
                     sink(k, float(half[k - n0 - 1]))
                     k <<= 1
-
-            def advance(j: int) -> None:
-                """Set the state to just after the first j + 1 primes of p."""
-                self.n = n0 + j + 1
-                self.last_prime = int(p[j])
-                self.S = s0 + _to_int(cs[j])
-                self.M = m0 + _to_int(cq[0, j])
-                self.E_incremental = e0 + 2 * _to_int(cq[1, j])
-                self.last_weight = float(w[j])
-                self.last_anS = float(half[j])
-                self.weights_decreasing = dec0 and j < first_rise
-
             mj = int(np.searchsorted(marks, b0 + len(p), side="right"))
-            for i, mark in enumerate(marks[mi:mj].tolist(), start=mi):
-                advance(mark - b0 - 1)
-                at_mark(i)
-            mi = mj
-            advance(len(p) - 1)
+            if mj > mi:  # the marks in this block, from its prefixes
+                j = marks[mi:mj] - b0 - 1
+                s_at[mi:mj] = _round_prefixes(s0, cs[j], s_top)
+                m_at[mi:mj] = _round_prefixes(m0, cq[0, j], m_top)
+                mi = mj
+            self.n = n0 + len(p)
+            self.last_prime = int(p[-1])
+            self.S = s_top
+            self.M = m_top
+            self.E_incremental += 2 * _to_int(cq[1, -1])
+            self.last_weight = float(w[-1])
+            self.last_anS = float(half[-1])
+        return s_at, m_at
 
 
 def snapshot(state: SumState, x: float) -> Checkpoint:
-    """Freeze the sums as a Checkpoint at x.
+    """The one-row checkpoint table of the sums at x.
 
     Valid only while x is at or beyond the last absorbed prime and below
     the next unabsorbed one, so the sums over p <= x equal the state; the
@@ -352,28 +390,7 @@ def snapshot(state: SumState, x: float) -> Checkpoint:
         )
     if x >= 2.0 and state.n == 0:
         raise SequencingError(f"snapshot at x={x} before any prime was absorbed")
-    s = state.S_total
-    m = state.M_total
-    e = s * s - m
-    if x >= 3.0:
-        lx = math.log(x)
-        r_s = s / math.sqrt(x / lx)
-        r_e_pi = e / state.n
-        r_e_x = e * lx / x
-        remainder = m - lx
-    else:
-        r_s = r_e_pi = r_e_x = remainder = math.nan
-    return Checkpoint(
-        x=x,
-        pi=state.n,
-        S=s,
-        M=m,
-        E=e,
-        r_S=r_s,
-        r_E_pi=r_e_pi,
-        r_E_x=r_e_x,
-        mertens_remainder=remainder,
-    )
+    return checkpoint_table([x], [state.n], [state.S_total], [state.M_total])
 
 
 def grid_points(x_start: float, x_max: float, ratio: float) -> list[float]:
@@ -393,7 +410,7 @@ def grid_points(x_start: float, x_max: float, ratio: float) -> list[float]:
             break
         points.append(pt)
         k += 1
-        if k > _MAX_GRID_POINTS:
+        if k > MAX_GRID_POINTS:
             raise ConfigError("grid ratio too close to 1: more than 1e7 points")
     points.append(x_max)
     return points
@@ -403,7 +420,7 @@ def grid_points(x_start: float, x_max: float, ratio: float) -> list[float]:
 class RunResult:
     """Everything one accumulation pass produces."""
 
-    checkpoints: list[Checkpoint]
+    checkpoints: Checkpoint
     state: SumState
     an_sn_samples: list[tuple[int, float]]
 
@@ -416,8 +433,9 @@ def run_stream(
     state: SumState | None = None,
     samples: list[tuple[int, float]] | None = None,
 ) -> RunResult:
-    """Sieve to x_max, fold every prime into the state, snapshot at each
-    grid point, and sample a_n * S_{n-1} at power-of-two n plus the final n.
+    """Sieve to x_max, fold every prime into the state, read the sums at
+    each grid point, and sample a_n * S_{n-1} at power-of-two n plus the
+    final n.
 
     grid must be ascending and entirely above the state's last prime; pass
     a restored state (and its previously collected samples) to continue an
@@ -425,11 +443,16 @@ def run_stream(
     """
     state = state if state is not None else SumState()
     samples = samples if samples is not None else []
-    checkpoints: list[Checkpoint] = []
     limit = int(math.floor(x_max))
     if limit < 2:
         raise ConfigError(f"x_max must be >= 2, got {x_max}")
-    grid = list(grid)
+    grid = np.asarray(grid, dtype=np.float64)
+    if len(grid) and grid[0] < state.last_prime:
+        raise SequencingError(
+            f"grid point x={grid[0]} behind last absorbed prime {state.last_prime}"
+        )
+    pi = np.empty(len(grid), dtype=np.int64)
+    S, M = np.empty(len(grid)), np.empty(len(grid))
 
     def sink(n: int, value: float) -> None:
         samples.append((n, value))
@@ -437,25 +460,18 @@ def run_stream(
     gi = 0
     if state.last_prime < limit:
         cfg = SieveConfig(limit=limit, segment_size=segment_size)
-        grid_arr = np.asarray(grid, dtype=np.float64)
         for seg in stream_segments(cfg, start=state.last_prime + 1):
-            gj = int(np.searchsorted(grid_arr, seg.hi, side="right"))
-            xs = grid[gi:gj]
-            cuts = np.searchsorted(seg.primes, xs, side="right")
-            state.extend_primes(
-                seg.primes,
-                sink,
-                cuts,
-                lambda k: checkpoints.append(snapshot(state, xs[k])),
-            )
+            gj = int(np.searchsorted(grid, seg.hi, side="right"))
+            cuts = np.searchsorted(seg.primes, grid[gi:gj], side="right")
+            pi[gi:gj] = state.n + cuts
+            S[gi:gj], M[gi:gj] = state.extend_primes(seg.primes, sink, cuts)
             gi = gj
-    while gi < len(grid):
-        checkpoints.append(snapshot(state, grid[gi]))
-        gi += 1
+    # grid points past the last segment hold every prime absorbed
+    pi[gi:], S[gi:], M[gi:] = state.n, state.S_total, state.M_total
     n = state.n
     if n >= 1 and (n & (n - 1)) != 0:
         samples.append((n, state.last_anS))
-    return RunResult(checkpoints=checkpoints, state=state, an_sn_samples=samples)
+    return RunResult(checkpoint_table(grid, pi, S, M), state, samples)
 
 
 def an_Sn_series(

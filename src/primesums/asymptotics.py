@@ -12,23 +12,23 @@ and this module extracts their inf/sup bands over a window, checks the
 exact block inequalities that follow from w being decreasing beyond e,
 and samples a_n * S_{n-1}.
 
-The block checks read a whole run at once, as arrays of its checkpoint
-fields.  A block's lower edge x/ratio is snapped down to the nearest grid
-point of the same run, which keeps every asserted inequality exact (any
-lower edge >= 3 works) while avoiding a second sieve pass.  One
-searchsorted finds every edge, the bounds and residuals are array
+Every check here reads a whole run at once, as the columns of its
+checkpoint table.  A block's lower edge x/ratio is snapped down to the
+nearest grid point of the same run, which keeps every asserted inequality
+exact (any lower edge >= 3 works) while avoiding a second sieve pass.  One
+searchsorted finds every edge, the bounds, bands and residuals are array
 expressions, and each check reports its worst point, the first of equals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .accumulate import Checkpoint
+from .accumulate import Checkpoint, libm_log
 from .errors import ConfigError
 from .verify import VerificationRecord, worst_record
 
@@ -36,23 +36,6 @@ BAND_SERIES = ("r_S", "r_E_pi", "r_E_x", "mertens_remainder")
 AN_SN_SERIES = "anS"
 
 _MIN_BLOCK_EDGE = 3.0  # smallest prime above e; w is decreasing from here on
-
-
-@dataclass(frozen=True)
-class BlockStat:
-    """Sums over one block (x_lower, x] with the exact sandwich bounds.
-
-    lam is the requested block ratio; x_lower is the grid point that
-    x/lam snapped down to, so the effective ratio x/x_lower is >= lam.
-    """
-
-    x: float
-    lam: float
-    x_lower: float
-    delta_S: float
-    delta_pi: int
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -70,8 +53,12 @@ class RatioBand:
 
 @dataclass(frozen=True, eq=False)
 class Blocks:
-    """Every block of a run, one array per BlockStat field, in x-major
-    order over (x, lam)."""
+    """Every block (x_lower, x] of a run with its exact sandwich bounds, one
+    array per column, in x-major order over (x, lam).
+
+    lam is the requested block ratio; x_lower is the grid point that x/lam
+    snapped down to, so the effective ratio x/x_lower is >= lam.
+    """
 
     x: np.ndarray
     lam: np.ndarray
@@ -80,19 +67,6 @@ class Blocks:
     delta_pi: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-
-    def stats(self) -> list[BlockStat]:
-        """The blocks as BlockStat rows, as report.json lists them."""
-        cols = (getattr(self, f.name).tolist() for f in fields(BlockStat))
-        return [BlockStat(*row) for row in zip(*cols)]
-
-
-def _columns(checkpoints: Sequence[Checkpoint], *names: str) -> tuple[np.ndarray, ...]:
-    """x, the named fields and log(x) of the checkpoints, an array each.
-    The log is the C library's, as eval_w and snapshot take it, so that no
-    bit moves."""
-    x, *cols = (np.array([getattr(cp, n) for cp in checkpoints]) for n in ("x", *names))
-    return (x, *cols, np.array([math.log(v) for v in x.tolist()]))
 
 
 def _edges(
@@ -120,15 +94,15 @@ def _bound_record(
     return worst_record(check_id, x, value, bound, tolerance, residual)
 
 
-def block_sandwich(checkpoints: Sequence[Checkpoint], lambdas: Sequence[float]) -> Blocks:
+def block_sandwich(checkpoints: Checkpoint, lambdas: Sequence[float]) -> Blocks:
     """Block sums over every block (x_lower, x] of the run, at each ratio
     of lambdas, with their exact bounds: every prime in a block has
     w(x) <= w(p) <= w(x_lower), so
 
         delta_pi * w(x) <= delta_S <= delta_pi * w(x_lower).
     """
-    x, pi, S, log_x = _columns(checkpoints, "pi", "S")
-    w = np.sqrt(log_x / x)
+    x, pi, S = checkpoints.x, checkpoints.pi, checkpoints.S
+    w = np.sqrt(libm_log(x) / x)
     hi, k, lo = _edges(x, lambdas)
     delta_pi = pi[hi] - pi[lo]
     return Blocks(
@@ -157,77 +131,70 @@ def sandwich_records(
 
 
 def lower_bound_check(
-    checkpoints: Sequence[Checkpoint], A: float, tolerance: float = 1e-12
+    checkpoints: Checkpoint, A: float, tolerance: float = 1e-12
 ) -> list[VerificationRecord]:
     """The worst grid point x of S(x) >= (M(x) - M(y)) / w(y), with y the
     grid point x/A snaps down to; none when no x/A reaches the grid.
     Exact mathematics for any y >= 3; the tolerance only covers rounding."""
-    x, S, M, log_x = _columns(checkpoints, "S", "M")
+    x, S, M = checkpoints.x, checkpoints.S, checkpoints.M
     hi, _, lo = _edges(x, (A,))
     if not len(hi):
         return []
-    bound = (M[hi] - M[lo]) / np.sqrt(log_x[lo] / x[lo])
+    bound = (M[hi] - M[lo]) / np.sqrt(libm_log(x[lo]) / x[lo])
     return [_bound_record("lower_bound", x[hi], S[hi], bound, bound - S[hi], tolerance)]
 
 
-def series_band(name: str, samples: Sequence[tuple[float, float]]) -> RatioBand:
-    """inf/sup with arg-locations over (location, value) samples."""
-    if not samples:
+def series_band(name: str, at: np.ndarray, values: np.ndarray) -> RatioBand:
+    """inf/sup of values with their locations at, each the first of equals."""
+    if not len(values):
         raise ConfigError(f"no samples to band for series {name!r}")
-    inf_at, inf_value = samples[0]
-    sup_at, sup_value = samples[0]
-    for at, value in samples:
-        if value < inf_value:
-            inf_value, inf_at = value, at
-        if value > sup_value:
-            sup_value, sup_at = value, at
+    i, j = int(np.argmin(values)), int(np.argmax(values))
     return RatioBand(
         name=name,
-        x_min=min(at for at, _ in samples),
-        x_max=max(at for at, _ in samples),
-        inf_value=inf_value,
-        inf_at=inf_at,
-        sup_value=sup_value,
-        sup_at=sup_at,
+        x_min=float(at.min()),
+        x_max=float(at.max()),
+        inf_value=float(values[i]),
+        inf_at=float(at[i]),
+        sup_value=float(values[j]),
+        sup_at=float(at[j]),
     )
 
 
 def empirical_constants(
-    checkpoints: Sequence[Checkpoint],
+    checkpoints: Checkpoint,
     x_min: float,
     x_max: float = math.inf,
 ) -> list[RatioBand]:
     """Bands of the four checkpoint series over checkpoints with
     x_min <= x <= x_max; these are the run's empirical constants."""
-    selected = [cp for cp in checkpoints if x_min <= cp.x <= x_max]
-    if not selected:
+    selected = checkpoints.select((x_min <= checkpoints.x) & (checkpoints.x <= x_max))
+    if not len(selected):
         raise ConfigError(f"no checkpoints in window [{x_min}, {x_max}]")
-    bands = []
-    for name in BAND_SERIES:
-        samples = [(cp.x, getattr(cp, name)) for cp in selected]
-        bands.append(series_band(name, samples))
-    return bands
+    return [series_band(name, selected.x, getattr(selected, name)) for name in BAND_SERIES]
+
+
+def _samples(samples: Sequence[tuple[int, float]], n_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled n >= n_min, as floats, and their values a_n * S_{n-1}."""
+    n, values = np.array(samples, dtype=np.float64).reshape(-1, 2).T
+    return n[n >= n_min], values[n >= n_min]
 
 
 def an_sn_band(samples: Sequence[tuple[int, float]], n_min: int = 2) -> RatioBand:
     """Band of a_n * S_{n-1} over sampled n >= n_min (n=1 is always zero
     and excluded).  Locations are the sample indices n."""
-    kept = [(float(n), v) for n, v in samples if n >= n_min]
-    return series_band(AN_SN_SERIES, kept)
+    return series_band(AN_SN_SERIES, *_samples(samples, n_min))
 
 
-def mertens_width(
-    checkpoints: Sequence[Checkpoint], lo: float, hi: float
-) -> float:
+def mertens_width(checkpoints: Checkpoint, lo: float, hi: float) -> float:
     """max - min of the Mertens remainder over checkpoints in [lo, hi]."""
-    values = [cp.mertens_remainder for cp in checkpoints if lo <= cp.x <= hi]
-    if not values:
+    values = checkpoints.mertens_remainder[(lo <= checkpoints.x) & (checkpoints.x <= hi)]
+    if not len(values):
         raise ConfigError(f"no checkpoints in window [{lo}, {hi}]")
-    return max(values) - min(values)
+    return float(values.max() - values.min())
 
 
 def mertens_contraction_record(
-    checkpoints: Sequence[Checkpoint],
+    checkpoints: Checkpoint,
     early_window: tuple[float, float] = (1e2, 1e4),
     late_window: tuple[float, float] = (1e6, 1e8),
 ) -> VerificationRecord:
@@ -248,37 +215,35 @@ def mertens_contraction_record(
 
 
 def scale_identity_record(
-    checkpoints: Sequence[Checkpoint], tolerance: float = 1e-12
+    checkpoints: Checkpoint, tolerance: float = 1e-12
 ) -> VerificationRecord:
     """r_E_x / r_E_pi must equal pi(x) * log(x) / x, a pure algebraic
     consistency among the ratio fields; reports the worst checkpoint."""
-    x, pi, r_E_x, r_E_pi, log_x = _columns(
-        [cp for cp in checkpoints if cp.x >= 3.0], "pi", "r_E_x", "r_E_pi")
-    if not len(x):
+    cp = checkpoints.select(checkpoints.x >= 3.0)
+    if not len(cp):
         raise ConfigError("no checkpoints with x >= 3 to check")
-    return worst_record("scale_identity", x, r_E_x / r_E_pi, pi * log_x / x, tolerance)
+    rhs = cp.pi * libm_log(cp.x) / cp.x
+    return worst_record("scale_identity", cp.x, cp.r_E_x / cp.r_E_pi, rhs, tolerance)
 
 
 def ratio_positivity_record(
-    checkpoints: Sequence[Checkpoint],
+    checkpoints: Checkpoint,
     an_sn_samples: Sequence[tuple[int, float]] = (),
     x_min: float = 100.0,
 ) -> VerificationRecord:
     """All of r_S, r_E_pi, r_E_x (for x >= x_min) and a_n S_{n-1} (for
-    n >= 2) must be finite and strictly positive."""
-    worst = math.inf
-    location = x_min
-    for cp in checkpoints:
-        if cp.x < x_min:
-            continue
-        low = min(cp.r_S, cp.r_E_pi, cp.r_E_x)
-        if math.isnan(low):
-            low = -math.inf
-        if low < worst:
-            worst, location = low, cp.x
-    for n, value in an_sn_samples:
-        if n >= 2 and value < worst:
-            worst, location = value, float(n)
+    n >= 2) must be finite and strictly positive; a NaN counts as -inf.
+    Reports the lowest value, the first of equals, checkpoints before
+    samples."""
+    cp = checkpoints
+    low = np.minimum(np.minimum(cp.r_S, cp.r_E_pi), cp.r_E_x)[cp.x >= x_min]
+    n, values = _samples(an_sn_samples, 2)
+    # +inf at x_min leads, so only a value below it moves the worst point
+    at = np.concatenate(([x_min], cp.x[cp.x >= x_min], n))
+    values = np.concatenate(([math.inf], low, values))
+    values[np.isnan(values)] = -math.inf
+    i = int(np.argmin(values))
+    worst, location = float(values[i]), float(at[i])
     passed = worst > 0.0 and math.isfinite(worst)
     violation = 0.0 if passed else 1.0
     return VerificationRecord(

@@ -20,8 +20,8 @@ summation identity
 telescopes exactly over the prime partition (integral of h' between jumps
 is just a difference of h values); abel_decompose turns that into a
 machine-checkable identity with no quadrature error at all, and
-abel_decompose_grid evaluates it at a whole grid of x in one pass, bit for
-bit as abel_decompose would at each point.  The remaining
+abel_decompose_grid evaluates it at a whole grid of x in one pass, as
+columns, bit for bit as abel_decompose would at each point.  The remaining
 integrals here are smooth and go through adaptive Simpson quadrature.
 """
 
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .accumulate import exact_sums_at
+from .accumulate import exact_sums_at, libm_log
 from .errors import DomainError, QuadratureError
 from .verify import VerificationRecord, identity_record
 
@@ -134,7 +134,11 @@ def _simpson_rec(
 @dataclass(frozen=True)
 class AbelDecomposition:
     """The three members of S(x) = h(x) M(x) - integral, telescoped exactly
-    over the prime partition, plus the relative residual between them."""
+    over the prime partition, plus the relative residual between them.
+
+    abel_decompose gives them at one x; abel_decompose_grid gives the same
+    fields as columns, an array each with one entry per grid point.
+    """
 
     x: float
     direct_S: float
@@ -186,10 +190,9 @@ def abel_decompose(x: float, primes: Iterable[int]) -> AbelDecomposition:
     )
 
 
-def abel_decompose_grid(
-    xs: Sequence[float], primes: np.ndarray
-) -> list[AbelDecomposition]:
-    """abel_decompose(x, primes) at every x of xs, bit for bit, in one pass.
+def abel_decompose_grid(xs: Sequence[float], primes: np.ndarray) -> AbelDecomposition:
+    """abel_decompose(x, primes) at every x of xs, bit for bit, in one pass,
+    as columns in the order of xs.
 
     primes is an ascending int64 array holding every prime up to max(xs).
     The logs are the C library's, taken once per prime as abel_decompose
@@ -201,7 +204,7 @@ def abel_decompose_grid(
     """
     xs = np.asarray(xs, dtype=np.float64)
     if not len(xs):
-        return []
+        return AbelDecomposition(xs, xs, xs, xs, xs)
     if xs.min() < 2.0:
         raise DomainError(f"abel decomposition needs x >= 2, got {xs.min()}")
     cuts = np.searchsorted(primes, xs, side="right")
@@ -209,7 +212,7 @@ def abel_decompose_grid(
         raise DomainError(f"no primes supplied at or below x={xs[cuts.argmin()]}")
     ps = primes[: cuts.max()]
     pf = ps.astype(np.float64)
-    log_p = np.array([math.log(p) for p in pf.tolist()])
+    log_p = libm_log(pf)
     wsq = log_p / pf
     m_run = np.cumsum(wsq)
     h = np.sqrt(pf / log_p)
@@ -217,7 +220,7 @@ def abel_decompose_grid(
     order = np.argsort(cuts, kind="stable")
     x_up = xs[order]
     last = cuts[order] - 1
-    h_x = np.sqrt(x_up / np.array([math.log(x) for x in x_up.tolist()]))
+    h_x = np.sqrt(x_up / libm_log(x_up))
     m_x = m_run[last]
     direct = exact_sums_at(np.sqrt(wsq), last + 1)
     # the cells [p_k, p_{k+1}) below x, then x's own cell [p_last, x]
@@ -232,10 +235,7 @@ def abel_decompose_grid(
         integral,
         np.abs(direct - (boundary - integral)) / direct,
     )
-    return [
-        AbelDecomposition(x=x, direct_S=d, boundary_term=b, integral_term=g, residual=r)
-        for x, d, b, g, r in zip(xs.tolist(), *cols.tolist())
-    ]
+    return AbelDecomposition(xs, *cols)
 
 
 def _integral_inverse_sqrt(x: float, tol: float) -> float:

@@ -140,10 +140,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from(args)
         if args.command == "compute":
             result = cmd_compute(cfg)
-            last = result.checkpoints[-1]
+            table = result.checkpoints
             print(
-                f"wrote {len(result.checkpoints)} checkpoints to {cfg.csv_path()} "
-                f"(pi({last.x:g}) = {last.pi})"
+                f"wrote {len(table)} checkpoints to {cfg.csv_path()} "
+                f"(pi({table.x[-1]:g}) = {table.pi[-1]})"
             )
             return 0
         if args.command == "verify":

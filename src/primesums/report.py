@@ -7,9 +7,9 @@ Checkpoint file (text, versioned): a header with the format version, a
 hash of the accumulation-relevant config fields and creation metadata,
 then the full accumulator state (its slots in SumState.__slots__ order,
 the exact sums as integers in units of 2**-120), the sampled a_n*S_{n-1}
-values, and one fixed-column row per checkpoint.  Reals are serialized
-with 17 significant digits, which round-trips binary64 exactly, so a
-restored run continues bit-identically.
+values, one fixed-column row per checkpoint, and `end <row count>` as the
+last line.  Reals are serialized with 17 significant digits, which
+round-trips binary64 exactly, so a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
@@ -18,6 +18,9 @@ byte-identical bodies.
 JSON bundle (format 2): config echo, verification records, ratio bands,
 block stats, abel decompositions, and run metadata.  No checkpoint table:
 report writes that as checkpoints.csv beside it.
+
+Tables stay columns (a dataclass of equal-length arrays) from the code
+that computes them to the writers; rows exist only inside the writers.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ import numpy as np
 
 from . import __version__
 from .accumulate import (
+    MAX_GRID_POINTS,
     Checkpoint,
     RunResult,
     SumState,
+    checkpoint_table,
     grid_points,
     run_stream,
     weights,
@@ -61,7 +66,10 @@ from .asymptotics import (
 # names write_checkpoint_file, write_csv, read_checkpoint_file, resume,
 # build_report_bundle, check_pair_identity, check_jump_identity,
 # abel_decompose, main_term_identity, block_sandwich, lower_bound_check and
-# sandwich_records (and verify.term_stream); each must stay defined here.
+# sandwich_records (and accumulate.snapshot and verify.term_stream); each
+# must stay defined here.  No command calls abel_decompose, snapshot or
+# term_stream: abel_decompose is imported here, and term_stream kept in
+# verify, only for the tracer.
 from .calculus import (  # noqa: F401
     AbelDecomposition,
     abel_decompose,
@@ -84,6 +92,8 @@ _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
 BUNDLE_FORMAT_VERSION = 2  # of report.json
 
 CSV_COLUMNS = tuple(f.name for f in fields(Checkpoint))
+# a checkpoint row of the checkpoint file, its tag removed
+_ROW_DTYPE = [(name, np.int64 if name == "pi" else np.float64) for name in CSV_COLUMNS]
 # report.json keys that differ from the dataclass field names
 _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 
@@ -92,32 +102,34 @@ _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 JUMP_SCAN_CAP = 10**6
 ABEL_GRID_CAP = 10**6
 PAIR_N_CAP = 5000
+_CHUNK = 4096  # table rows formatted at a time
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _checkpoint_fields(cp: Checkpoint) -> list[str]:
-    """The one row codec of a Checkpoint: its fields in CSV_COLUMNS order,
-    pi as an integer and every real with 17 digits.  The CSV joins them
-    with commas, the checkpoint file with spaces."""
-    return [
-        _fmt(cp.x),
-        str(cp.pi),
-        _fmt(cp.S),
-        _fmt(cp.M),
-        _fmt(cp.E),
-        _fmt(cp.r_S),
-        _fmt(cp.r_E_pi),
-        _fmt(cp.r_E_x),
-        _fmt(cp.mertens_remainder),
-    ]
+def _table_lines(table: Checkpoint, sep: str) -> Iterator[str]:
+    """The one row codec of the checkpoint table: each row's columns in
+    CSV_COLUMNS order, pi as an integer and every real with 17 digits,
+    joined by sep (commas in the CSV, spaces in the checkpoint file).
+    Rows are formatted _CHUNK at a time, never the whole table at once."""
+    for i in range(0, len(table), _CHUNK):
+        cols = [getattr(table, name)[i : i + _CHUNK].tolist() for name in CSV_COLUMNS]
+        for x, pi, *reals in zip(*cols):
+            yield sep.join([_fmt(x), str(pi), *map(_fmt, reals)])
 
 
 def _json(record) -> dict:
     """A flat dataclass as its report.json object (a shallow asdict)."""
     return {_JSON_NAMES.get(k, k): v for k, v in vars(record).items()}
+
+
+def _json_rows(table) -> list[dict]:
+    """A column table (a dataclass of equal-length arrays) as report.json
+    row objects, one per row, with the keys _json gives the columns."""
+    cols = _json(table)
+    return [dict(zip(cols, row)) for row in zip(*(v.tolist() for v in cols.values()))]
 
 
 @contextmanager
@@ -165,6 +177,9 @@ class RunConfig:
             raise ConfigError(f"x_max {self.x_max} below grid_start {self.grid_start}")
         if not 1.0 < self.grid_ratio < math.inf:
             raise ConfigError(f"grid_ratio must be finite and > 1, got {self.grid_ratio}")
+        # grid_points' own cap, from the closed-form count of its lattice points
+        if math.log(self.x_max / self.grid_start) / math.log(self.grid_ratio) > MAX_GRID_POINTS:
+            raise ConfigError("grid ratio too close to 1: more than 1e7 points")
         if not 1.0 < self.A < math.inf:
             raise ConfigError(f"A must be finite and > 1, got {self.A}")
         if not all(1.0 < lam < math.inf for lam in self.lambdas):
@@ -234,7 +249,7 @@ def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None
             + " ".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in state_row),
         ],
         (f"anS {n} {_fmt(value)}" for n, value in result.an_sn_samples),
-        ("checkpoint " + " ".join(_checkpoint_fields(cp)) for cp in result.checkpoints),
+        ("checkpoint " + row for row in _table_lines(result.checkpoints, " ")),
         [f"end {len(result.checkpoints)}"],
     )
 
@@ -255,7 +270,7 @@ def _parse_state(path: Path, values: list[str]) -> SumState:
 
 
 def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
-    """Parse a checkpoint file, one line at a time.
+    """Parse a checkpoint file, one line at a time, its rows into columns.
 
     With cfg, refuse (CheckpointFormatError) a file written under another
     accumulation config: silently diverging resumes and checks are
@@ -279,31 +294,38 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
                 raise CheckpointFormatError(f"{path}: missing state row")
             state = _parse_state(path, values)
             samples: list[tuple[int, float]] = []
-            checkpoints: list[Checkpoint] = []
+            rows: list[str] = []
             end = None
             for line in fh:
-                tag, *v = line.split()
+                tag, _, rest = line.rstrip("\n").partition(" ")
                 if tag == "checkpoint":
-                    cp = Checkpoint(float(v[0]), int(v[1]), *map(float, v[2:]))
-                    if checkpoints and not checkpoints[-1].x < cp.x:
-                        raise CheckpointFormatError(
-                            f"{path}: checkpoint x={cp.x!r} does not follow "
-                            f"x={checkpoints[-1].x!r} in strictly ascending order"
-                        )
-                    checkpoints.append(cp)
+                    rows.append(rest)
                 elif tag == "anS":
-                    samples.append((int(v[0]), float(v[1])))
+                    n, value = rest.split()
+                    samples.append((int(n), float(value)))
                 elif tag == "end":
-                    (end,) = v
-                    if int(end) != len(checkpoints):
-                        raise CheckpointFormatError(
-                            f"{path}: row count mismatch ({end} declared, "
-                            f"{len(checkpoints)} found)"
-                        )
+                    end = int(rest)
+                    break
                 else:
                     raise CheckpointFormatError(f"{path}: unknown row tag {tag!r}")
-        if end is None:
-            raise CheckpointFormatError(f"{path}: truncated (no end marker)")
+            if end is None:
+                raise CheckpointFormatError(f"{path}: truncated (no end marker)")
+            if fh.readline():
+                raise CheckpointFormatError(f"{path}: lines after the end marker")
+        if end != len(rows):
+            raise CheckpointFormatError(
+                f"{path}: row count mismatch ({end} declared, {len(rows)} found)"
+            )
+        if not rows:
+            raise CheckpointFormatError(f"{path}: no checkpoint rows")
+        cells = np.loadtxt(rows, dtype=_ROW_DTYPE, ndmin=1)
+        x = cells["x"]
+        bad = np.flatnonzero(~(x[:-1] < x[1:]))
+        if len(bad):
+            raise CheckpointFormatError(
+                f"{path}: checkpoint x={float(x[bad[0] + 1])!r} does not follow "
+                f"x={float(x[bad[0]])!r} in strictly ascending order"
+            )
         return StoredRun(
             config_hash=header["config_hash"],
             x_max=int(header["x_max"]),
@@ -312,7 +334,7 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
             segment_size=int(header["segment_size"]),
             state=state,
             an_sn_samples=samples,
-            checkpoints=checkpoints,
+            checkpoints=Checkpoint(*(cells[name].copy() for name in CSV_COLUMNS)),
         )
     except CheckpointFormatError:
         raise
@@ -322,12 +344,11 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
         raise CheckpointFormatError(f"{path}: malformed checkpoint file: {exc}")
 
 
-def write_csv(path: Path, checkpoints: list[Checkpoint]) -> None:
-    rows = (",".join(_checkpoint_fields(cp)) for cp in checkpoints)
-    _write_lines(path, [",".join(CSV_COLUMNS)], rows)
+def write_csv(path: Path, checkpoints: Checkpoint) -> None:
+    _write_lines(path, [",".join(CSV_COLUMNS)], _table_lines(checkpoints, ","))
 
 
-def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, list[float]]:
+def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:
     """Validate a stored run against cfg and plan the continuation: the
     stored run cut to cfg's grid, and the grid points left to compute.
 
@@ -336,18 +357,16 @@ def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, list[float]]:
     state.
     """
     stored = read_checkpoint_file(path, cfg)
-    grid = cfg.grid()
-    grid_set = set(grid)
-    kept = [cp for cp in stored.checkpoints if cp.x in grid_set]
-    have = {cp.x for cp in kept}
-    remaining = [g for g in grid if g not in have]
-    if remaining and min(remaining) < stored.state.last_prime:
+    grid = np.asarray(cfg.grid())
+    kept = stored.checkpoints.select(np.isin(stored.checkpoints.x, grid))
+    remaining = grid[~np.isin(grid, kept.x)]
+    if len(remaining) and remaining[0] < stored.state.last_prime:
         raise ConfigError(
             f"cannot resume to x_max={cfg.x_max}: stored state already covers "
             f"primes to {stored.state.last_prime}"
         )
     samples = list(stored.an_sn_samples)
-    if remaining and samples and (samples[-1][0] & (samples[-1][0] - 1)) != 0:
+    if len(remaining) and samples and (samples[-1][0] & (samples[-1][0] - 1)) != 0:
         # drop the final-n sample of the interrupted run; the continuation
         # re-emits its own, making split and unsplit runs identical
         samples.pop()
@@ -361,14 +380,16 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     stored state continues bit-identically to an uninterrupted run.
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    result, grid = RunResult([], SumState(), []), cfg.grid()
+    result, grid = RunResult(checkpoint_table([], [], [], []), SumState(), []), cfg.grid()
     if cfg.resume_from is not None:
         result, grid = resume(cfg.resume_from, cfg)
-    if grid:
+    if len(grid):
         new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
                          state=result.state, samples=result.an_sn_samples)
-        result = RunResult(result.checkpoints + new.checkpoints, new.state, new.an_sn_samples)
-    if grid or cfg.checkpoint_path() != cfg.resume_from:
+        stored, added = vars(result.checkpoints).values(), vars(new.checkpoints).values()
+        table = Checkpoint(*map(np.concatenate, zip(stored, added)))
+        result = RunResult(table, new.state, new.an_sn_samples)
+    if len(grid) or cfg.checkpoint_path() != cfg.resume_from:
         # a completed run resumed in place leaves its file alone
         write_checkpoint_file(cfg.checkpoint_path(), cfg, result)
     write_csv(cfg.csv_path(), result.checkpoints)
@@ -386,12 +407,13 @@ class RunContext:
     def __post_init__(self) -> None:
         self.n_pair = min(PAIR_N_CAP, self.result.state.n)
         self.x_jump = min(float(self.cfg.x_max), float(JUMP_SCAN_CAP))
-        self.abel_xs = [cp.x for cp in self.result.checkpoints if cp.x <= ABEL_GRID_CAP]
+        x = self.result.checkpoints.x
+        self.abel_xs = x[x <= ABEL_GRID_CAP]
 
     @cached_property
     def primes(self) -> np.ndarray:
         """Every prime the pair, jump and Abel checks read."""
-        top = max(pair_prime_bound(self.n_pair), self.x_jump, max(self.abel_xs, default=0.0))
+        top = max(pair_prime_bound(self.n_pair), self.x_jump, self.abel_xs.max(initial=0.0))
         return prime_array(int(top), segment_size=self.cfg.segment_size)
 
     def prime_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +427,7 @@ class RunContext:
         return block_sandwich(self.result.checkpoints, self.cfg.lambdas)
 
     @cached_property
-    def abel(self) -> tuple[list[VerificationRecord], list[AbelDecomposition]]:
+    def abel(self) -> tuple[list[VerificationRecord], AbelDecomposition]:
         return _abel_records(self.cfg, self.abel_xs, self.primes)
 
 
@@ -422,17 +444,16 @@ class Check:
 
 
 def _abel_records(
-    cfg: RunConfig, xs: list[float], primes: np.ndarray
-) -> tuple[list[VerificationRecord], list[AbelDecomposition]]:
+    cfg: RunConfig, xs: np.ndarray, primes: np.ndarray
+) -> tuple[list[VerificationRecord], AbelDecomposition]:
     """The worst Abel identity record over the grid points xs, and the
-    decomposition at each; primes must reach the last of them."""
-    decomps = abel_decompose_grid(xs, primes)
-    if not decomps:
-        return [], decomps
-    x, direct, boundary, integral = map(np.array, zip(*(
-        (d.x, d.direct_S, d.boundary_term, d.integral_term) for d in decomps)))
+    decomposition columns; primes must reach the last of them."""
+    abel = abel_decompose_grid(xs, primes)
+    if not len(abel.x):
+        return [], abel
     tol = cfg.tolerance("abel_identity")
-    return [worst_record("abel_identity", x, direct, boundary - integral, tol)], decomps
+    rhs = abel.boundary_term - abel.integral_term
+    return [worst_record("abel_identity", abel.x, abel.direct_S, rhs, tol)], abel
 
 
 def _mertens_contraction(ctx: RunContext, tol: float | None) -> list[VerificationRecord]:
@@ -520,9 +541,9 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
     """Assemble the JSON bundle from a stored run."""
     t0 = time.monotonic()
     ctx = RunContext(cfg, stored)
-    checkpoints = stored.checkpoints
-    band_lo = 1e3 if any(cp.x >= 1e3 for cp in checkpoints) else checkpoints[0].x
-    bands = empirical_constants(checkpoints, band_lo)
+    x = stored.checkpoints.x
+    band_lo = 1e3 if x[-1] >= 1e3 else float(x[0])
+    bands = empirical_constants(stored.checkpoints, band_lo)
     try:
         bands.append(an_sn_band(stored.an_sn_samples))
     except ConfigError:
@@ -548,8 +569,8 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
         },
         "verification_records": [_json(r) for r in records],
         "ratio_bands": [_json(b) for b in bands],
-        "block_stats": [_json(s) for s in ctx.blocks.stats()],
-        "abel_decompositions": [_json(d) for d in ctx.abel[1]],
+        "block_stats": _json_rows(ctx.blocks),
+        "abel_decompositions": _json_rows(ctx.abel[1]),
     }
 
 

@@ -222,17 +222,18 @@ def check_jump_identity(
     return worst_record("jump_identity", n, lhs, predicted, tolerance)
 
 
-def check_E_monotone(checkpoints: Sequence[Checkpoint]) -> VerificationRecord:
-    """Pass iff E is nonnegative and nondecreasing across the checkpoints."""
-    violation = 0.0
-    location = checkpoints[-1].x if checkpoints else 0.0
-    prev = 0.0
-    for cp in checkpoints:
-        drop = max(prev - cp.E, -cp.E, 0.0)
-        if drop > violation:
-            violation = drop
-            location = cp.x
-        prev = cp.E
+def check_E_monotone(checkpoints: Checkpoint) -> VerificationRecord:
+    """Pass iff E is nonnegative and nondecreasing across the checkpoints.
+
+    The residual is the largest drop, below the previous E or below zero,
+    at its first point; a NaN in E counts as a drop and fails.
+    """
+    x, E = checkpoints.x, checkpoints.E
+    # a zero drop at the last point leads, so only a real drop moves it
+    drop = np.concatenate(([0.0], np.maximum(-np.diff(E, prepend=0.0), -E)))
+    at = np.concatenate(([x[-1] if len(x) else 0.0], x))
+    i = int(np.argmax(drop))
+    violation, location = float(drop[i]), float(at[i])
     return VerificationRecord(
         check_id="e_monotone",
         location=location,

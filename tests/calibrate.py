@@ -61,7 +61,7 @@ def main() -> None:
     n_min = prime_count(int(lo) - 1) + 1
     bands["anS"] = band_dict(an_sn_band(result.an_sn_samples, n_min=n_min))
 
-    last = result.checkpoints[-1]
+    cps = result.checkpoints
     fixtures = {
         "config": {
             "x_max": X_MAX,
@@ -71,11 +71,11 @@ def main() -> None:
         },
         "bands": bands,
         "final_checkpoint": {
-            "x": last.x,
-            "pi": last.pi,
-            "S": last.S,
-            "M": last.M,
-            "E": last.E,
+            "x": cps.x[-1].item(),
+            "pi": cps.pi[-1].item(),
+            "S": cps.S[-1].item(),
+            "M": cps.M[-1].item(),
+            "E": cps.E[-1].item(),
         },
         "main_term_growth": {
             "1e3": main_term_growth(1e3),

@@ -8,11 +8,13 @@ constants quoted in the test modules:
 
     python3 tests/oracles.py [limit]
 
-The second part keeps the scalar forms of the pair, jump, Abel and block
+The second part keeps the scalar forms of the accumulation and of the
 checks, one term or one grid point at a time, as references that the
-vectorized checks in primesums must match bit for bit.  Their signatures
-match the calls the check registry in report makes, so a test can swap
-them in.
+column forms in primesums must match bit for bit: push and a one-row
+snapshot at each grid point for the checkpoint table, and the row loops
+of the pair, jump, Abel, block, E-monotone, positivity, band and
+Mertens-width checks.  Their signatures match the calls primesums makes,
+so a test can swap them in.
 """
 
 from __future__ import annotations
@@ -20,24 +22,29 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections import namedtuple
 from dataclasses import fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import mpmath
 import numpy as np
 
 from primesums import (
-    BlockStat,
+    AbelDecomposition,
+    Checkpoint,
+    RatioBand,
+    SequencingError,
     SumState,
     VerificationRecord,
     WeightedPrimeTerm,
     abel_decompose,
     eval_w,
+    make_term,
     pair_sum_bruteforce,
     prime_array,
 )
 from primesums.accumulate import weights
-from primesums.asymptotics import Blocks
+from primesums.asymptotics import AN_SN_SERIES, BAND_SERIES, Blocks
 from primesums.verify import _log_subsample, identity_record, relative_residual
 
 mpmath.mp.dps = 40
@@ -99,6 +106,144 @@ def romberg(f, a: float, b: float, levels: int = 18) -> float:
             row.append((factor * row[j - 1] - rows[-1][j - 1]) / (factor - 1.0))
         rows.append(row)
     return rows[-1][-1]
+
+
+Row = namedtuple("Row", "x pi S M E r_S r_E_pi r_E_x mertens_remainder")
+BlockRow = namedtuple("BlockRow", "x lam x_lower delta_S delta_pi lower upper")
+
+
+def rows(table) -> list:
+    """The rows of a column table as namedtuples of Python numbers, as the
+    row objects of the per-point forms held them."""
+    kind = BlockRow if isinstance(table, Blocks) else Row
+    return [kind(*row) for row in zip(*(getattr(table, f).tolist() for f in kind._fields))]
+
+
+def table_of(row_list: Sequence, kind=Checkpoint):
+    """The column table of rows (namedtuples or per-point dataclasses)."""
+    return kind(*(np.array([getattr(r, f.name) for r in row_list]) for f in fields(kind)))
+
+
+def assert_same_table(mine, ref) -> None:
+    """Equal column dtypes, and equal values by repr, naming the first row
+    that differs rather than diffing the whole table."""
+    assert len(mine.x) == len(ref.x)
+    for f in fields(mine):
+        a, b = getattr(mine, f.name), getattr(ref, f.name)
+        assert a.dtype == b.dtype, f.name
+        i = next((i for i, (u, v) in enumerate(zip(a.tolist(), b.tolist()))
+                  if repr(u) != repr(v)), None)
+        assert i is None, (f.name, i, a[i], b[i])
+
+
+def snapshot_scalar(state: SumState, x: float) -> Row:
+    """The checkpoint row at x from the state, one Python float at a time."""
+    if x < state.last_prime:
+        raise SequencingError(
+            f"snapshot at x={x} behind last absorbed prime {state.last_prime}"
+        )
+    s = state.S_total
+    m = state.M_total
+    e = s * s - m
+    if x >= 3.0:
+        lx = math.log(x)
+        r_s = s / math.sqrt(x / lx)
+        r_e_pi = e / state.n
+        r_e_x = e * lx / x
+        remainder = m - lx
+    else:
+        r_s = r_e_pi = r_e_x = remainder = math.nan
+    return Row(x, state.n, s, m, e, r_s, r_e_pi, r_e_x, remainder)
+
+
+def checkpoints_scalar(x_max: float, grid, state: SumState | None = None) -> Checkpoint:
+    """run_stream's checkpoint table by pushing one prime at a time and
+    taking snapshot_scalar at each grid point; state continues a run."""
+    state = state if state is not None else SumState()
+    primes = prime_array(int(math.floor(x_max))).tolist()
+    i = bisect.bisect_right(primes, state.last_prime)
+    out = []
+    for x in grid:
+        while i < len(primes) and primes[i] <= x:
+            state.push(make_term(state.n + 1, primes[i]))
+            i += 1
+        out.append(snapshot_scalar(state, x))
+    return table_of(out)
+
+
+def check_E_monotone_scalar(checkpoints) -> VerificationRecord:
+    """verify.check_E_monotone as a loop over the rows."""
+    cps = rows(checkpoints)
+    violation = 0.0
+    location = cps[-1].x if cps else 0.0
+    prev = 0.0
+    for cp in cps:
+        drop = max(prev - cp.E, -cp.E, 0.0)
+        if drop > violation:
+            violation = drop
+            location = cp.x
+        prev = cp.E
+    return VerificationRecord(
+        "e_monotone", location, violation, 0.0, violation, 0.0, violation <= 0.0
+    )
+
+
+def ratio_positivity_scalar(checkpoints, an_sn_samples=(), x_min: float = 100.0):
+    """asymptotics.ratio_positivity_record as a loop over the rows, then
+    over the samples."""
+    worst = math.inf
+    location = x_min
+    for cp in rows(checkpoints):
+        if cp.x < x_min:
+            continue
+        low = min(cp.r_S, cp.r_E_pi, cp.r_E_x)
+        if math.isnan(low):
+            low = -math.inf
+        if low < worst:
+            worst, location = low, cp.x
+    for n, value in an_sn_samples:
+        if n >= 2 and value < worst:
+            worst, location = value, float(n)
+    passed = worst > 0.0 and math.isfinite(worst)
+    return VerificationRecord(
+        "ratio_positive", location, worst, 0.0, 0.0 if passed else 1.0, 0.0, passed
+    )
+
+
+def series_band_scalar(name: str, samples) -> RatioBand:
+    """asymptotics.series_band over (location, value) pairs, as a loop."""
+    inf_at, inf_value = samples[0]
+    sup_at, sup_value = samples[0]
+    for at, value in samples:
+        if value < inf_value:
+            inf_value, inf_at = value, at
+        if value > sup_value:
+            sup_value, sup_at = value, at
+    return RatioBand(
+        name, min(at for at, _ in samples), max(at for at, _ in samples),
+        inf_value, inf_at, sup_value, sup_at,
+    )
+
+
+def empirical_constants_scalar(checkpoints, x_min: float, x_max: float = math.inf):
+    """asymptotics.empirical_constants over the rows in the window."""
+    selected = [cp for cp in rows(checkpoints) if x_min <= cp.x <= x_max]
+    return [
+        series_band_scalar(name, [(cp.x, getattr(cp, name)) for cp in selected])
+        for name in BAND_SERIES
+    ]
+
+
+def an_sn_band_scalar(samples, n_min: int = 2) -> RatioBand:
+    """asymptotics.an_sn_band over the samples with n >= n_min."""
+    return series_band_scalar(
+        AN_SN_SERIES, [(float(n), v) for n, v in samples if n >= n_min])
+
+
+def mertens_width_scalar(checkpoints, lo: float, hi: float) -> float:
+    """asymptotics.mertens_width over the rows in [lo, hi]."""
+    values = [cp.mertens_remainder for cp in rows(checkpoints) if lo <= cp.x <= hi]
+    return max(values) - min(values)
 
 
 def weight_arrays(primes) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +315,11 @@ def jump_record_scalar(
     )
 
 
-def abel_records_scalar(cfg, xs: list[float], _primes=None) -> tuple[list, list]:
+def abel_records_scalar(cfg, xs, _primes=None) -> tuple[list, AbelDecomposition]:
     """report._abel_records with abel_decompose run afresh at every x."""
+    xs = list(xs)
     if not xs:
-        return [], []
+        return [], table_of([], AbelDecomposition)
     primes = prime_array(int(math.floor(xs[-1]))).tolist()
     tol = cfg.tolerance("abel_identity")
     decomps = []
@@ -186,7 +332,7 @@ def abel_records_scalar(cfg, xs: list[float], _primes=None) -> tuple[list, list]
         )
         if worst is None or rec.residual > worst.residual:
             worst = rec
-    return [worst], decomps
+    return [worst], table_of(decomps, AbelDecomposition)
 
 
 def bound_record(
@@ -230,27 +376,28 @@ def _edge(xs: list[float], x: float, ratio: float) -> int | None:
 
 def block_sandwich_scalar(checkpoints, lambdas) -> Blocks:
     """asymptotics.block_sandwich one (x, lam) at a time, with eval_w at
-    both edges; the BlockStat rows are packed into columns."""
-    xs = [cp.x for cp in checkpoints]
+    both edges; the block rows are packed into columns."""
+    cps = rows(checkpoints)
+    xs = [cp.x for cp in cps]
     stats = []
-    for hi in checkpoints:
+    for hi in cps:
         for lam in lambdas:
             j = _edge(xs, hi.x, lam)
             if j is not None:
-                lo = checkpoints[j]
+                lo = cps[j]
                 delta_pi = hi.pi - lo.pi
-                stats.append(BlockStat(
+                stats.append(BlockRow(
                     hi.x, lam, lo.x, hi.S - lo.S, delta_pi,
                     delta_pi * eval_w(hi.x), delta_pi * eval_w(lo.x),
                 ))
-    return Blocks(*(np.array([getattr(s, f.name) for s in stats]) for f in fields(BlockStat)))
+    return table_of(stats, Blocks)
 
 
 def sandwich_records_scalar(blocks: Blocks, tolerance: float = 1e-12) -> list:
     """asymptotics.sandwich_records as the worst of two records per block."""
     return _worst(
         rec
-        for s in blocks.stats()
+        for s in rows(blocks)
         for rec in (
             bound_record("block_sandwich_lower", s.x, s.delta_S, s.lower, tolerance),
             bound_record("block_sandwich_upper", s.x, s.delta_S, s.upper, tolerance,
@@ -262,12 +409,13 @@ def sandwich_records_scalar(blocks: Blocks, tolerance: float = 1e-12) -> list:
 def lower_bound_scalar(checkpoints, A: float, tolerance: float = 1e-12) -> list:
     """asymptotics.lower_bound_check as the worst of one record per grid
     point, with eval_w at the lower edge."""
-    xs = [cp.x for cp in checkpoints]
+    cps = rows(checkpoints)
+    xs = [cp.x for cp in cps]
     records = []
-    for hi in checkpoints:
+    for hi in cps:
         j = _edge(xs, hi.x, A)
         if j is not None:
-            lo = checkpoints[j]
+            lo = cps[j]
             bound = (hi.M - lo.M) / eval_w(lo.x)
             records.append(bound_record("lower_bound", hi.x, hi.S, bound, tolerance))
     return _worst(records)
@@ -276,7 +424,7 @@ def lower_bound_scalar(checkpoints, A: float, tolerance: float = 1e-12) -> list:
 def scale_identity_scalar(checkpoints, tolerance: float = 1e-12) -> VerificationRecord:
     """asymptotics.scale_identity_record one checkpoint at a time."""
     worst = None
-    for cp in checkpoints:
+    for cp in rows(checkpoints):
         if cp.x >= 3.0:
             rhs = cp.pi * math.log(cp.x) / cp.x
             rec = identity_record("scale_identity", cp.x, cp.r_E_x / cp.r_E_pi, rhs, tolerance)
@@ -286,11 +434,11 @@ def scale_identity_scalar(checkpoints, tolerance: float = 1e-12) -> Verification
 
 
 def block_records_scalar(checkpoints, lambdas, A: float, tolerance: float = 1e-12):
-    """The reference for the block checks over a run: its BlockStat rows,
-    the sandwich records and the lower-bound records."""
+    """The reference for the block checks over a run: its block rows, the
+    sandwich records and the lower-bound records."""
     blocks = block_sandwich_scalar(checkpoints, lambdas)
     return (
-        blocks.stats(),
+        rows(blocks),
         sandwich_records_scalar(blocks, tolerance),
         lower_bound_scalar(checkpoints, A, tolerance),
     )

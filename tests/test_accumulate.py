@@ -1,24 +1,42 @@
 import itertools
 import math
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    an_sn_band_scalar,
+    assert_same_table,
+    check_E_monotone_scalar,
+    checkpoints_scalar,
+    empirical_constants_scalar,
+    mertens_width_scalar,
+    ratio_positivity_scalar,
+)
 from primesums import (
+    Checkpoint,
     ConfigError,
     DomainError,
     SequencingError,
+    SieveConfig,
     SumState,
     an_Sn_series,
+    an_sn_band,
     base_primes,
+    check_E_monotone,
+    empirical_constants,
     grid_points,
     make_term,
+    mertens_width,
     run_stream,
     snapshot,
+    stream_segments,
 )
 from primesums.accumulate import BLOCK, exact_sums_at, weights
+from primesums.asymptotics import ratio_positivity_record
 
 # frozen oracle values (mpmath, 40 digits; see tests/oracles.py)
 W2 = 0.58870501125773733
@@ -123,17 +141,20 @@ class TestPush:
 
 
 class TestSnapshot:
+    """snapshot is the one-row checkpoint table."""
+
     def test_four_primes_at_10(self):
         cp = snapshot(state_over([2, 3, 5, 7]), 10.0)
-        assert cp.S == pytest.approx(S_2357, rel=1e-14)
-        assert cp.M == pytest.approx(M_2357, rel=1e-14)
-        assert cp.E == pytest.approx(E_2357, rel=1e-13)
-        assert cp.pi == 4
+        assert len(cp) == 1 and cp.pi.dtype == np.int64
+        assert cp.S[0] == pytest.approx(S_2357, rel=1e-14)
+        assert cp.M[0] == pytest.approx(M_2357, rel=1e-14)
+        assert cp.E[0] == pytest.approx(E_2357, rel=1e-13)
+        assert cp.pi[0] == 4
 
     def test_single_prime_E_is_exactly_zero(self):
         cp = snapshot(state_over([2]), 2.0)
-        assert cp.E == 0.0
-        assert math.isnan(cp.r_S)  # ratio fields undefined below x=3
+        assert cp.E[0] == 0.0
+        assert math.isnan(cp.r_S[0])  # ratio fields undefined below x=3
 
     def test_snapshot_behind_state_rejected(self):
         state = state_over([2, 3, 5, 7])
@@ -150,13 +171,13 @@ class TestSnapshot:
         at_7 = snapshot(state, 7.0)
         for x in (7.0, 7.5, 9.2, 10.999):
             cp = snapshot(state, x)
-            assert (cp.S, cp.M, cp.E) == (at_7.S, at_7.M, at_7.E)
+            assert (cp.S[0], cp.M[0], cp.E[0]) == (at_7.S[0], at_7.M[0], at_7.E[0])
 
     def test_E_nonnegative_along_stream(self):
         state = SumState()
         for i, p in enumerate(base_primes(2000), start=1):
             state.push(make_term(i, p))
-            assert snapshot(state, float(p)).E >= 0.0
+            assert snapshot(state, float(p)).E[0] >= 0.0
 
 
 class TestGridPoints:
@@ -221,14 +242,17 @@ class TestCompensation:
     def test_split_at_any_index_is_identical(self, primes, data):
         cut = data.draw(st.integers(0, len(primes)))
         whole = state_over(primes)
+        first = state_over(primes[:cut])
         split = state_over(primes[:cut])
-        split.extend_primes(primes[cut:])
+        # a mark at 0 reads the state the call starts from
+        s_at, m_at = split.extend_primes(primes[cut:], None, [0])
+        assert (s_at.tolist(), m_at.tolist()) == ([first.S_total], [first.M_total])
         assert fields(split) == fields(whole)
-        # a mark at the cut sees the state of the first part alone
-        seen = []
+        # marks return the sums after the first part alone, and after all
         marked = SumState()
-        marked.extend_primes(primes, None, [cut], lambda i: seen.append(fields(marked)))
-        assert seen == [fields(state_over(primes[:cut]))]
+        s_at, m_at = marked.extend_primes(primes, None, [0, cut, cut, len(primes)])
+        assert s_at.tolist() == [0.0, first.S_total, first.S_total, whole.S_total]
+        assert m_at.tolist() == [0.0, first.M_total, first.M_total, whole.M_total]
         assert fields(marked) == fields(whole)
 
 
@@ -267,22 +291,19 @@ class TestRunStream:
     def test_checkpoints_on_grid(self):
         grid = grid_points(100, 10**4, 2 ** 0.25)
         res = run_stream(1e4, grid)
-        assert [cp.x for cp in res.checkpoints] == grid
-        assert res.checkpoints[-1].pi == 1229
+        assert res.checkpoints.x.tolist() == grid
+        assert res.checkpoints.pi[-1] == 1229
 
     def test_monotone_checkpoint_fields(self):
         res = run_stream(1e5, grid_points(3, 1e5, 2 ** 0.25))
-        cps = res.checkpoints
         for field in ("pi", "S", "M", "E"):
-            vals = [getattr(cp, field) for cp in cps]
-            assert vals == sorted(vals)
+            assert np.all(np.diff(getattr(res.checkpoints, field)) >= 0)
 
     def test_ratios_finite_and_positive_from_3(self):
-        res = run_stream(1e4, grid_points(3, 1e4, 2 ** 0.25))
-        for cp in res.checkpoints:
-            for value in (cp.r_S, cp.r_E_pi, cp.r_E_x):
-                assert math.isfinite(value) and value > 0.0
-            assert math.isfinite(cp.mertens_remainder)
+        cps = run_stream(1e4, grid_points(3, 1e4, 2 ** 0.25)).checkpoints
+        for values in (cps.r_S, cps.r_E_pi, cps.r_E_x):
+            assert np.all(np.isfinite(values) & (values > 0.0))
+        assert np.all(np.isfinite(cps.mertens_remainder))
 
     def test_an_sn_samples(self):
         samples = an_Sn_series(10**4)
@@ -295,4 +316,81 @@ class TestRunStream:
 
     def test_x_max_on_prime_includes_it(self):
         res = run_stream(13.0, [13.0])
-        assert res.checkpoints[0].pi == 6  # 2,3,5,7,11,13
+        assert res.checkpoints.pi.tolist() == [6]  # 2,3,5,7,11,13
+
+    def test_grid_behind_state_rejected(self):
+        state = state_over([2, 3, 5, 7])
+        with pytest.raises(SequencingError):
+            run_stream(20.0, [6.9, 20.0], state=state)
+
+
+class TestTableAgainstPerPoint:
+    """The checkpoint table and the checks that read it, against push plus
+    a one-row snapshot at each grid point and the row loops, by repr."""
+
+    X_MAX = 1_000_000.5  # past the last prime below 1e6 and past the sieve limit
+    SEGMENT = 1024  # about 490 segments to 1e6
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        dense = grid_points(100, 1e6, 1.0001)
+        segments = list(stream_segments(SieveConfig(10**6, self.SEGMENT)))
+        # before the first prime of a later segment, that segment's cut is 0
+        cut_zero = [seg.lo + 0.5 for seg in segments[100:103]]
+        assert all(x < seg.primes[0] for x, seg in zip(cut_zero, segments[100:103]))
+        on_primes = [7919.0, 999983.0]
+        past = [999990.0, 1_000_000.25, self.X_MAX]
+        return sorted(set(dense[:-1] + cut_zero + on_primes + past))
+
+    @pytest.fixture(scope="class")
+    def reference(self, grid):
+        return checkpoints_scalar(self.X_MAX, grid)
+
+    @pytest.fixture(scope="class")
+    def run(self, grid):
+        return run_stream(self.X_MAX, grid, segment_size=self.SEGMENT)
+
+    def test_table_equals_per_point(self, grid, run, reference):
+        assert len(grid) > 90_000
+        assert_same_table(run.checkpoints, reference)
+
+    def test_resumed_split_equals_per_point(self, grid, run, reference):
+        k = len(grid) // 2
+        first = run_stream(grid[k - 1], grid[:k], segment_size=self.SEGMENT)
+        rest = run_stream(self.X_MAX, grid[k:], segment_size=self.SEGMENT,
+                          state=first.state, samples=first.an_sn_samples[:-1])
+        joined = Checkpoint(*(np.concatenate((getattr(first.checkpoints, f.name),
+                                              getattr(rest.checkpoints, f.name)))
+                              for f in dataclass_fields(Checkpoint)))
+        assert_same_table(joined, reference)
+        assert rest.an_sn_samples == run.an_sn_samples
+
+    def test_checks_equal_row_loops(self, run, reference):
+        cps, samples = run.checkpoints, run.an_sn_samples
+        pairs = [
+            (check_E_monotone(cps), check_E_monotone_scalar(cps)),
+            (ratio_positivity_record(cps, samples),
+             ratio_positivity_scalar(cps, samples)),
+            (empirical_constants(cps, 1e3), empirical_constants_scalar(cps, 1e3)),
+            (empirical_constants(cps, 1e2, 1e4), empirical_constants_scalar(cps, 1e2, 1e4)),
+            (an_sn_band(samples), an_sn_band_scalar(samples)),
+            (an_sn_band(samples, 100), an_sn_band_scalar(samples, 100)),
+            (mertens_width(cps, 1e2, 1e4), mertens_width_scalar(cps, 1e2, 1e4)),
+            (mertens_width(cps, 1e5, 1e6), mertens_width_scalar(cps, 1e5, 1e6)),
+        ]
+        for mine, ref in pairs:
+            assert repr(mine) == repr(ref)
+
+    @pytest.mark.parametrize("break_at", [0, 5000, -1])
+    def test_checks_equal_row_loops_on_faults(self, reference, break_at):
+        """A drop in E, and a nonpositive ratio, at the first, a middle and
+        the last row: the same worst point as the row loops."""
+        E, r_S = reference.E.copy(), reference.r_S.copy()
+        E[break_at] = -1.0
+        r_S[break_at] = 0.0
+        bad = replace(reference, E=E, r_S=r_S)
+        assert repr(check_E_monotone(bad)) == repr(check_E_monotone_scalar(bad))
+        assert not check_E_monotone(bad).passed
+        assert repr(ratio_positivity_record(bad, [(2, -1.0)], 1e3)) == repr(
+            ratio_positivity_scalar(bad, [(2, -1.0)], 1e3))
+        assert repr(ratio_positivity_record(bad)) == repr(ratio_positivity_scalar(bad))

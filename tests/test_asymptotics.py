@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from oracles import block_records_scalar
+from oracles import block_records_scalar, rows
 from primesums import (
     ConfigError,
     DomainError,
@@ -54,20 +55,19 @@ class TestComputeRatios:
 
     def test_values_at_10(self):
         cp = snapshot(state_over([2, 3, 5, 7]), 10.0)
-        assert cp.r_S == pytest.approx(R_S_10, rel=1e-14)
-        assert cp.r_E_pi == pytest.approx(R_E_PI_10, rel=1e-13)
+        assert cp.r_S[0] == pytest.approx(R_S_10, rel=1e-14)
+        assert cp.r_E_pi[0] == pytest.approx(R_E_PI_10, rel=1e-13)
 
     def test_agrees_with_snapshot_population(self, run_1e5):
-        cp = run_1e5.checkpoints[10]
-        assert snapshot(state_over(base_primes(int(cp.x))), cp.x) == cp
+        (row,) = rows(run_1e5.checkpoints.select([10]))
+        (again,) = rows(snapshot(state_over(base_primes(int(row.x))), row.x))
+        assert repr(again) == repr(row)
 
     def test_domain_floor(self):
-        below = snapshot(state_over([2]), math.e)
-        assert all(math.isnan(v) for v in (
-            below.r_S, below.r_E_pi, below.r_E_x, below.mertens_remainder))
-        at = snapshot(state_over([2, 3]), 3.0)
-        assert all(math.isfinite(v) for v in (
-            at.r_S, at.r_E_pi, at.r_E_x, at.mertens_remainder))
+        (below,) = rows(snapshot(state_over([2]), math.e))
+        assert all(math.isnan(v) for v in below[5:])
+        (at,) = rows(snapshot(state_over([2, 3]), 3.0))
+        assert all(math.isfinite(v) for v in at[5:])
 
 
 class TestAnSnSeries:
@@ -115,7 +115,7 @@ class TestLowerBound:
 class TestBlockSandwich:
     def test_block_10_20(self):
         blocks = block_sandwich(checkpoints(20.0, [10.0, 20.0]), [2.0])
-        (stat,) = blocks.stats()
+        (stat,) = rows(blocks)
         assert stat.x == 20.0
         assert stat.delta_pi == 4  # 11, 13, 17, 19
         assert stat.x_lower == 10.0
@@ -124,7 +124,7 @@ class TestBlockSandwich:
 
     def test_bounds_use_snapped_edge(self):
         # 40/3 = 13.3 snaps to 10
-        (stat,) = block_sandwich(checkpoints(40.0, [10.0, 40.0]), [3.0]).stats()
+        (stat,) = rows(block_sandwich(checkpoints(40.0, [10.0, 40.0]), [3.0]))
         assert stat.x_lower == 10.0
         assert stat.upper == stat.delta_pi * eval_w(10.0)
 
@@ -137,10 +137,11 @@ class TestBlockSandwich:
         assert all(r.passed for r in records)
         # the grid starts at 3, so every x/lam >= 3 has a grid point below it
         assert len(blocks.x) == sum(
-            cp.x / lam >= 3.0 for cp in cps_1e5 for lam in lambdas)
+            x / lam >= 3.0 for x in cps_1e5.x.tolist() for lam in lambdas)
+        assert blocks.delta_pi.dtype == np.int64
 
     def test_empty_block(self):
-        stats = block_sandwich(checkpoints(127.0, [113.5, 126.9, 127.0]), [1.1]).stats()
+        stats = rows(block_sandwich(checkpoints(127.0, [113.5, 126.9, 127.0]), [1.1]))
         assert [s.x for s in stats] == [126.9, 127.0]
         stat = stats[0]
         assert stat.delta_pi == 0
@@ -148,7 +149,7 @@ class TestBlockSandwich:
 
     def test_no_blocks_no_records(self):
         blocks = block_sandwich(checkpoints(10.0, [3.0, 10.0]), [4.0])
-        assert blocks.stats() == [] and sandwich_records(blocks) == []
+        assert len(blocks.x) == 0 and sandwich_records(blocks) == []
 
 
 class TestBlockArrays:
@@ -175,7 +176,7 @@ class TestBlockArrays:
     @staticmethod
     def assert_equal(cps, lambdas, A):
         blocks = block_sandwich(cps, lambdas)
-        got = (blocks.stats(), sandwich_records(blocks), lower_bound_check(cps, A))
+        got = (rows(blocks), sandwich_records(blocks), lower_bound_check(cps, A))
         for mine, ref in zip(got, block_records_scalar(cps, lambdas, A)):
             assert mine and len(mine) == len(ref)
             # the first pair that differs, not a diff of the whole run
@@ -184,11 +185,11 @@ class TestBlockArrays:
 
 class TestEmpiricalConstants:
     def test_single_checkpoint(self, run_1e5):
-        cp = run_1e5.checkpoints[-1]
-        bands = empirical_constants([cp], x_min=3.0)
+        cp = run_1e5.checkpoints.select([-1])
+        bands = empirical_constants(cp, x_min=3.0)
         for band in bands:
             assert band.inf_value == band.sup_value
-            assert band.inf_at == cp.x
+            assert band.inf_at == cp.x[0]
 
     def test_band_window_selection(self, run_1e5):
         bands = empirical_constants(run_1e5.checkpoints, 1e2, 1e4)
@@ -202,9 +203,11 @@ class TestEmpiricalConstants:
             empirical_constants(run_1e5.checkpoints, 1e9)
 
     def test_series_band_locations(self):
-        band = series_band("demo", [(1.0, 5.0), (2.0, 3.0), (3.0, 4.0)])
-        assert band.inf_value == 3.0 and band.inf_at == 2.0
+        band = series_band("demo", np.array([1.0, 2.0, 3.0, 4.0]), np.array([5.0, 3.0, 4.0, 3.0]))
+        assert band.inf_value == 3.0 and band.inf_at == 2.0  # the first of equals
         assert band.sup_value == 5.0 and band.sup_at == 1.0
+        with pytest.raises(ConfigError):
+            series_band("demo", np.empty(0), np.empty(0))
 
 
 class TestMertensRemainder:
@@ -231,6 +234,12 @@ class TestConsistencyRecords:
         assert rec.passed
 
     def test_ratio_positivity_catches_corruption(self, run_1e5):
-        bad = [replace(run_1e5.checkpoints[-1], r_S=-1.0)]
-        rec = ratio_positivity_record(bad, [])
+        last = run_1e5.checkpoints.select([-1])
+        rec = ratio_positivity_record(replace(last, r_S=np.array([-1.0])), [])
         assert not rec.passed
+        assert rec.location == last.x[0] and rec.lhs == -1.0
+        # a NaN in any ratio column fails, as a NaN sample does
+        for field in ("r_S", "r_E_pi", "r_E_x"):
+            rec = ratio_positivity_record(replace(last, **{field: np.array([math.nan])}))
+            assert not rec.passed and rec.lhs == -math.inf
+        assert not ratio_positivity_record(last, [(2, math.nan)]).passed

@@ -2,11 +2,13 @@ import bisect
 import math
 import random
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from primesums import (
+    AbelDecomposition,
     DomainError,
     QuadratureError,
     RunConfig,
@@ -150,35 +152,42 @@ class TestAbelDecomposition:
 class TestAbelGrid:
     """The one-pass grid form against abel_decompose at each point."""
 
+    @staticmethod
+    def row(abel, i):
+        """Row i of the grid's columns, as the per-point record."""
+        return AbelDecomposition(*(getattr(abel, f.name)[i].item() for f in fields(abel)))
+
     def test_edge_points_unsorted(self, primes_1e6):
         xs = [10.0, 2.0, 5.0, 2.5, 4.99, 3.0, 9.5, 1e6, 7.0, 100.0]
-        decomps = abel_decompose_grid(xs, np.array(primes_1e6))
-        for x, dec in zip(xs, decomps):
-            assert repr(dec) == repr(abel_decompose(x, primes_to(primes_1e6, x)))
+        abel = abel_decompose_grid(xs, np.array(primes_1e6))
+        assert abel.x.tolist() == xs
+        for i, x in enumerate(xs):
+            assert repr(self.row(abel, i)) == repr(abel_decompose(x, primes_to(primes_1e6, x)))
 
     def test_rejects_small_x_and_missing_primes(self):
         with pytest.raises(DomainError):
             abel_decompose_grid([3.0, 1.5], np.array([2, 3]))
         with pytest.raises(DomainError):
             abel_decompose_grid([3.0], np.array([5, 7]))
-        assert abel_decompose_grid([], np.array([2, 3])) == []
+        empty = abel_decompose_grid([], np.array([2, 3]))
+        assert all(len(getattr(empty, f.name)) == 0 for f in fields(empty))
 
     def test_dense_grid_to_1e6(self, primes_1e6):
         # ~9.2e4 points below 1e6: one abel_decompose per point would take
         # on the order of a quarter of an hour
         cfg = RunConfig(x_max=10**6, grid_ratio=1.0001)
-        xs = [x for x in cfg.grid() if x <= ABEL_GRID_CAP]
+        xs = np.array([x for x in cfg.grid() if x <= ABEL_GRID_CAP])
         assert len(xs) > 90_000
         t0 = time.perf_counter()
-        (worst,), decomps = _abel_records(cfg, xs, np.array(primes_1e6))
+        (worst,), abel = _abel_records(cfg, xs, np.array(primes_1e6))
         assert time.perf_counter() - t0 < 30.0
         assert worst.passed
-        assert [d.x for d in decomps] == xs
-        at = max(range(len(xs)), key=lambda i: decomps[i].residual)
+        assert abel.x.tolist() == xs.tolist()
+        at = int(np.argmax(abel.residual))
         sample = [0, 1, len(xs) - 1, at] + random.Random(0).sample(range(len(xs)), 8)
         for i in sample:
-            x = xs[i]
-            assert repr(decomps[i]) == repr(abel_decompose(x, primes_to(primes_1e6, x)))
+            x = float(xs[i])
+            assert repr(self.row(abel, i)) == repr(abel_decompose(x, primes_to(primes_1e6, x)))
 
 
 class TestMainTermIdentity:

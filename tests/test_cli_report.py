@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -12,10 +11,15 @@ from jsonschema import validate
 import primesums.report as report
 from oracles import (
     abel_records_scalar,
+    an_sn_band_scalar,
+    assert_same_table,
     block_sandwich_scalar,
+    check_E_monotone_scalar,
+    empirical_constants_scalar,
     jump_record_scalar,
     lower_bound_scalar,
     pair_records_scalar,
+    ratio_positivity_scalar,
     sandwich_records_scalar,
     scale_identity_scalar,
 )
@@ -118,6 +122,10 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 cfg_for(tmp_path, 1000, **kw)
         cfg_for(tmp_path, 1000, tolerances={"lower_bound": 0.0})
+        # more than 1e7 grid points, counted before any is built
+        with pytest.raises(ConfigError, match="1e7 points"):
+            cfg_for(tmp_path, 1000, grid_ratio=1.0000001)
+        cfg_for(tmp_path, 1000, grid_ratio=1.000001)  # 2.3e6 points
 
     def test_limits_refused_before_any_work(self, tmp_path):
         from primesums.sieve import MAX_LIMIT, MAX_SEGMENT_SIZE
@@ -153,17 +161,15 @@ class TestCompute:
     def test_single_row_at_100(self, tmp_path):
         cfg = cfg_for(tmp_path, 100)
         result = cmd_compute(cfg)
-        assert len(result.checkpoints) == 1
-        assert result.checkpoints[0].x == 100.0
-        assert result.checkpoints[0].pi == 25
+        assert result.checkpoints.x.tolist() == [100.0]
+        assert result.checkpoints.pi.tolist() == [25]
 
     def test_final_row_matches_oracle_at_1e6(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**6)
-        result = cmd_compute(cfg)
-        last = result.checkpoints[-1]
-        assert last.pi == 78498
-        assert last.S == pytest.approx(586.82519310647922, rel=1e-10)
-        assert last.M == pytest.approx(12.483585396239194, rel=1e-10)
+        last = cmd_compute(cfg).checkpoints
+        assert last.pi[-1] == 78498
+        assert last.S[-1] == pytest.approx(586.82519310647922, rel=1e-10)
+        assert last.M[-1] == pytest.approx(12.483585396239194, rel=1e-10)
 
     def test_deterministic_csv_bytes(self, tmp_path):
         cfg1 = RunConfig(x_max=10**4, out_dir=tmp_path / "a")
@@ -196,7 +202,7 @@ class TestCheckpointFile:
         stored = read_checkpoint_file(cfg.checkpoint_path())
         for field in STATE_FIELDS:
             assert getattr(stored.state, field) == getattr(result.state, field)
-        assert stored.checkpoints == result.checkpoints
+        assert_same_table(stored.checkpoints, result.checkpoints)
         assert stored.an_sn_samples == result.an_sn_samples
 
     def test_rejects_garbage(self, tmp_path):
@@ -238,23 +244,50 @@ class TestCheckpointFile:
             assert cli_main(argv) == 1, argv
         assert not (tmp_path / "cli" / "checkpoints.csv").exists()
 
-    def test_write_cut_short_keeps_old_file(self, tmp_path):
+    def test_rejects_lines_after_end_and_empty_tables(self, tmp_path, capsys):
+        """end N is the last line, N counts the rows, and N >= 1."""
+        cfg = cfg_for(tmp_path, 10**4)
+        cmd_compute(cfg)
+        lines = cfg.checkpoint_path().read_text().splitlines()
+        assert lines[-1] == "end 28"
+        row = lines[-2].split()
+        head = [line for line in lines if not line.startswith("checkpoint ")][:-1]
+        trailing = tmp_path / "trailing.txt"
+        trailing.write_text("\n".join(lines + [" ".join(row[:1] + ["5000"] + row[2:])]) + "\n")
+        empty = tmp_path / "empty_table.txt"
+        empty.write_text("\n".join(head + ["end 0"]) + "\n")
+        for path, message in ((trailing, "after the end marker"), (empty, "no checkpoint rows")):
+            with pytest.raises(CheckpointFormatError, match=message):
+                read_checkpoint_file(path)
+            common = ["--x-max", str(10**4), "--out", str(tmp_path / "cli")]
+            for argv in (["verify", *common, "--resume", str(path)],
+                         ["report", *common, str(path)],
+                         ["compute", *common, "--resume", str(path)]):
+                capsys.readouterr()
+                assert cli_main(argv) == 1, argv
+                assert message in capsys.readouterr().err
+
+    def test_write_cut_short_keeps_old_file(self, tmp_path, monkeypatch):
         """A resume in place rewrites the only copy of the state: a write
         that raises midway must leave that copy whole."""
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
         before = cfg.checkpoint_path().read_bytes()
+        calls = []
 
-        class Killed(list):
-            def __iter__(self):
-                yield from list.__iter__(self[:5])
+        def killed(value):
+            # the header and the state row take a few reals, each row nine
+            calls.append(value)
+            if len(calls) > 60:
                 raise KeyboardInterrupt
+            return f"{value:.17g}"
 
-        cut = dataclasses.replace(result, checkpoints=Killed(result.checkpoints))
+        monkeypatch.setattr(report, "_fmt", killed)
         with pytest.raises(KeyboardInterrupt):
-            write_checkpoint_file(cfg.checkpoint_path(), cfg, cut)
+            write_checkpoint_file(cfg.checkpoint_path(), cfg, result)
         assert cfg.checkpoint_path().read_bytes() == before
-        assert read_checkpoint_file(cfg.checkpoint_path()).checkpoints == result.checkpoints
+        stored = read_checkpoint_file(cfg.checkpoint_path())
+        assert_same_table(stored.checkpoints, result.checkpoints)
         assert sorted(p.name for p in cfg.out_dir.iterdir()) == [
             "checkpoints.csv", "checkpoints.txt"]
 
@@ -345,7 +378,7 @@ class TestResume:
         )
         result = cmd_compute(again)
         assert cfg.checkpoint_path().read_bytes() == before
-        assert result.checkpoints[-1].pi == 1229
+        assert result.checkpoints.pi[-1] == 1229
 
     def test_shrinking_xmax_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**5)
@@ -444,7 +477,7 @@ def _outputs(out_dir):
 
 def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
     """verify and report on a stored 1e6 run write the same bytes as the
-    scalar pair, jump and Abel references do in the same process."""
+    scalar references of the checks and bands do in the same process."""
     stored = cfg_for(tmp_path / "stored", 10**6)
     cmd_compute(stored)
 
@@ -476,11 +509,19 @@ def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "lower_bound_check", counted("lower", lower_bound_scalar))
     monkeypatch.setattr(report, "scale_identity_record",
                         counted("scale", scale_identity_scalar))
+    monkeypatch.setattr(report, "check_E_monotone", counted("e", check_E_monotone_scalar))
+    monkeypatch.setattr(report, "ratio_positivity_record",
+                        counted("positive", ratio_positivity_scalar))
+    monkeypatch.setattr(report, "empirical_constants",
+                        counted("bands", empirical_constants_scalar))
+    monkeypatch.setattr(report, "an_sn_band", counted("anS", an_sn_band_scalar))
     assert verify_and_report("scalar") == vectorized
     # the registry looks the checks up when it runs them, so the swaps took
-    # effect: pair and jump once in verify, the others in verify and in report
+    # effect: pair and jump once in verify, the checks in verify and in
+    # report, the bands in report
     assert calls == {"pair": 1, "jump": 1, "abel": 2, "blocks": 2, "sandwich": 2,
-                     "lower": 2, "scale": 2}
+                     "lower": 2, "scale": 2, "e": 2, "positive": 2, "bands": 1,
+                     "anS": 1}
 
 
 def _entry(check_id):
@@ -556,6 +597,24 @@ def test_benchmark_accepts_report(tmp_path, monkeypatch):
     check_report(cmd_report(cfg, cfg.checkpoint_path()))
 
 
+def test_benchmark_accepts_rows(tmp_path, monkeypatch):
+    """The benchmark's own check of checkpoints.csv, imported unchanged from
+    perfbench/checks.py, passes on a 1e5 compute and on a resumed run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from checks import Reference, check_rows
+
+    ref = Reference(2 * 10**5)
+    cfg = cfg_for(tmp_path, 10**5)
+    cmd_compute(cfg)
+    check_rows(cfg.csv_path(), ref, 10**5, cfg.grid_ratio)
+    first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path / "first")
+    cmd_compute(first)
+    resumed = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path / "resumed",
+                        resume_from=first.checkpoint_path())
+    cmd_compute(resumed)
+    check_rows(resumed.csv_path(), ref, 2 * 10**5, 1.001)
+
+
 def test_benchmark_trace_runs(tmp_path):
     """perfbench/trace.py finds, by name, every function it times in a
     checks-1e8 pass, and those layers do work."""
@@ -611,7 +670,8 @@ class TestCli:
                       ["--x-max", "2000", "--threads", "9"]):
             assert cli_main(["compute", *flags, "--out", out]) == 2
         for flags in (["--A", "nan"], ["--A", "inf"], ["--lambda", "nan"],
-                      ["--grid-ratio", "nan"], ["--tol", "lower_bound=nan"],
+                      ["--grid-ratio", "nan"], ["--grid-ratio", "1.0000001"],
+                      ["--tol", "lower_bound=nan"],
                       ["--tol", "lower_bound=-1"]):
             assert cli_main(["verify", "--x-max", "100000", *flags, "--out", out]) == 2
         assert not (tmp_path / "never").exists()

@@ -1,5 +1,7 @@
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,13 +161,14 @@ class TestJumpIdentity:
 
 
 def cps_at(es):
-    return [
-        Checkpoint(
-            x=10.0 * (i + 1), pi=i + 1, S=1.0, M=1.0, E=e,
-            r_S=1, r_E_pi=1, r_E_x=1, mertens_remainder=0,
-        )
-        for i, e in enumerate(es)
-    ]
+    """A table with E = es at x = 10, 20, ..., every other column constant."""
+    n = len(es)
+    ones = np.ones(n)
+    return Checkpoint(
+        x=10.0 * np.arange(1, n + 1), pi=np.arange(1, n + 1), S=ones, M=ones,
+        E=np.array(es, dtype=np.float64), r_S=ones, r_E_pi=ones, r_E_x=ones,
+        mertens_remainder=np.zeros(n),
+    )
 
 
 class TestEMonotone:
@@ -184,6 +187,14 @@ class TestEMonotone:
 
     def test_negative_E_fails(self):
         assert not check_E_monotone(cps_at([-0.5, 1.0])).passed
+
+    def test_first_of_equal_drops_and_nan(self):
+        rec = check_E_monotone(cps_at([3.0, 2.0, 4.0, 3.0]))
+        assert (rec.location, rec.residual) == (20.0, 1.0)
+        rec = check_E_monotone(cps_at([1.0, math.nan, 2.0]))
+        assert not rec.passed and rec.location == 20.0
+        rec = check_E_monotone(cps_at([]))
+        assert rec.passed and rec.location == 0.0
 
 
 def test_relative_residual_normalization():
