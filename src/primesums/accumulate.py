@@ -422,7 +422,13 @@ class RunResult:
 
     checkpoints: Checkpoint
     state: SumState
-    an_sn_samples: list[tuple[int, float]]
+    power_samples: list[tuple[int, float]]
+
+    @property
+    def an_sn_samples(self) -> list[tuple[int, float]]:
+        """a_n * S_{n-1} at the power-of-two n (power_samples) and the final n."""
+        n = self.state.n
+        return self.power_samples + ([(n, self.state.last_anS)] if n & (n - 1) else [])
 
 
 def run_stream(
@@ -434,15 +440,14 @@ def run_stream(
     samples: list[tuple[int, float]] | None = None,
 ) -> RunResult:
     """Sieve to x_max, fold every prime into the state, read the sums at
-    each grid point, and sample a_n * S_{n-1} at power-of-two n plus the
-    final n.
+    each grid point, and sample a_n * S_{n-1} at power-of-two n.
 
     grid must be ascending and entirely above the state's last prime; pass
-    a restored state (and its previously collected samples) to continue an
-    earlier run bit-identically.
+    a restored state (and its power-of-two samples) to continue an earlier
+    run bit-identically.
     """
     state = state if state is not None else SumState()
-    samples = samples if samples is not None else []
+    samples = list(samples or ())
     limit = int(math.floor(x_max))
     if limit < 2:
         raise ConfigError(f"x_max must be >= 2, got {x_max}")
@@ -468,9 +473,6 @@ def run_stream(
             gi = gj
     # grid points past the last segment hold every prime absorbed
     pi[gi:], S[gi:], M[gi:] = state.n, state.S_total, state.M_total
-    n = state.n
-    if n >= 1 and (n & (n - 1)) != 0:
-        samples.append((n, state.last_anS))
     return RunResult(checkpoint_table(grid, pi, S, M), state, samples)
 
 

@@ -39,6 +39,7 @@ from .verify import VerificationRecord, identity_record
 
 _SUBSTITUTION_THRESHOLD = 1e8  # above this, integrate in u = sqrt(log t)
 _MAX_DEPTH = 50
+QUADRATURE_TOL_FLOOR = 1e-12  # of main_term_identity
 
 
 def _check_domain(t: float) -> None:
@@ -270,7 +271,7 @@ def main_term_identity(x: float, tol: float) -> VerificationRecord:
     difference is below 10*tol."""
     if x < 2.0:
         raise DomainError(f"main-term identity needs x >= 2, got {x}")
-    if tol < 1e-12:
+    if tol < QUADRATURE_TOL_FLOOR:
         raise DomainError(f"quadrature tolerance floor is 1e-12, got {tol}")
     anchor = eval_h(2.0) * math.log(2.0)
     if x == 2.0:

@@ -3,13 +3,13 @@ registry, and reports.
 
 File formats
 ------------
-Checkpoint file (text, versioned): a header with the format version, a
+Checkpoint file (text, format 3): a header with the format version, a
 hash of the accumulation-relevant config fields and creation metadata,
 then the full accumulator state (its slots in SumState.__slots__ order,
-the exact sums as integers in units of 2**-120), the sampled a_n*S_{n-1}
-values, one fixed-column row per checkpoint, and `end <row count>` as the
-last line.  Reals are serialized with 17 significant digits, which
-round-trips binary64 exactly, so a restored run continues bit-identically.
+the exact sums as integers in units of 2**-120), a_n*S_{n-1} at the
+power-of-two n, one `x pi S M` row per checkpoint (checkpoint_table derives
+the rest), and `end <row count>` last.  Reals have 17 significant digits,
+which round-trip binary64 exactly, so a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
@@ -71,6 +71,7 @@ from .asymptotics import (
 # term_stream: abel_decompose is imported here, and term_stream kept in
 # verify, only for the tracer.
 from .calculus import (  # noqa: F401
+    QUADRATURE_TOL_FLOOR,
     AbelDecomposition,
     abel_decompose,
     abel_decompose_grid,
@@ -87,13 +88,13 @@ from .verify import (
     worst_record,
 )
 
-FORMAT_VERSION = 2  # of the checkpoint file
+FORMAT_VERSION = 3  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
 BUNDLE_FORMAT_VERSION = 2  # of report.json
 
 CSV_COLUMNS = tuple(f.name for f in fields(Checkpoint))
-# a checkpoint row of the checkpoint file, its tag removed
-_ROW_DTYPE = [(name, np.int64 if name == "pi" else np.float64) for name in CSV_COLUMNS]
+# a checkpoint row of the checkpoint file, its tag removed: what checkpoint_table takes
+_ROW = np.dtype([("x", np.float64), ("pi", np.int64), ("S", np.float64), ("M", np.float64)])
 # report.json keys that differ from the dataclass field names
 _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 
@@ -109,13 +110,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _table_lines(table: Checkpoint, sep: str) -> Iterator[str]:
-    """The one row codec of the checkpoint table: each row's columns in
-    CSV_COLUMNS order, pi as an integer and every real with 17 digits,
+def _table_lines(table: Checkpoint, columns: Iterable[str], sep: str) -> Iterator[str]:
+    """The one row codec of the checkpoint table: each row's columns (x,
+    pi, then reals), pi as an integer and every real with 17 digits,
     joined by sep (commas in the CSV, spaces in the checkpoint file).
     Rows are formatted _CHUNK at a time, never the whole table at once."""
     for i in range(0, len(table), _CHUNK):
-        cols = [getattr(table, name)[i : i + _CHUNK].tolist() for name in CSV_COLUMNS]
+        cols = [getattr(table, name)[i : i + _CHUNK].tolist() for name in columns]
         for x, pi, *reals in zip(*cols):
             yield sep.join([_fmt(x), str(pi), *map(_fmt, reals)])
 
@@ -195,6 +196,9 @@ class RunConfig:
         bad = {k: v for k, v in self.tolerances.items() if not 0.0 <= v < math.inf}
         if bad:
             raise ConfigError(f"tolerances must be finite and >= 0, got {bad}")
+        main = self.tolerance("main_term")
+        if main / 10.0 < QUADRATURE_TOL_FLOOR:  # _main_term's quadrature tolerance
+            raise ConfigError(f"main_term tolerance must be >= 1e-11, got {main}")
 
     def tolerance(self, check_id: str) -> float | None:
         """The check's tolerance; None for an exact check."""
@@ -248,8 +252,8 @@ def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None
             "state "
             + " ".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in state_row),
         ],
-        (f"anS {n} {_fmt(value)}" for n, value in result.an_sn_samples),
-        ("checkpoint " + row for row in _table_lines(result.checkpoints, " ")),
+        (f"anS {n} {_fmt(value)}" for n, value in result.power_samples),
+        ("checkpoint " + row for row in _table_lines(result.checkpoints, _ROW.names, " ")),
         [f"end {len(result.checkpoints)}"],
     )
 
@@ -318,7 +322,7 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
             )
         if not rows:
             raise CheckpointFormatError(f"{path}: no checkpoint rows")
-        cells = np.loadtxt(rows, dtype=_ROW_DTYPE, ndmin=1)
+        cells = np.loadtxt(rows, dtype=_ROW, ndmin=1)
         x = cells["x"]
         bad = np.flatnonzero(~(x[:-1] < x[1:]))
         if len(bad):
@@ -333,8 +337,8 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
             grid_ratio=float(header["grid_ratio"]),
             segment_size=int(header["segment_size"]),
             state=state,
-            an_sn_samples=samples,
-            checkpoints=Checkpoint(*(cells[name].copy() for name in CSV_COLUMNS)),
+            power_samples=samples,
+            checkpoints=checkpoint_table(*(cells[name] for name in _ROW.names)),
         )
     except CheckpointFormatError:
         raise
@@ -345,7 +349,7 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
 
 
 def write_csv(path: Path, checkpoints: Checkpoint) -> None:
-    _write_lines(path, [",".join(CSV_COLUMNS)], _table_lines(checkpoints, ","))
+    _write_lines(path, [",".join(CSV_COLUMNS)], _table_lines(checkpoints, CSV_COLUMNS, ","))
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:
@@ -360,17 +364,13 @@ def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:
     grid = np.asarray(cfg.grid())
     kept = stored.checkpoints.select(np.isin(stored.checkpoints.x, grid))
     remaining = grid[~np.isin(grid, kept.x)]
-    if len(remaining) and remaining[0] < stored.state.last_prime:
+    last = stored.state.last_prime
+    if cfg.x_max < last or (len(remaining) and remaining[0] < last):
         raise ConfigError(
             f"cannot resume to x_max={cfg.x_max}: stored state already covers "
-            f"primes to {stored.state.last_prime}"
+            f"primes to {last}"
         )
-    samples = list(stored.an_sn_samples)
-    if len(remaining) and samples and (samples[-1][0] & (samples[-1][0] - 1)) != 0:
-        # drop the final-n sample of the interrupted run; the continuation
-        # re-emits its own, making split and unsplit runs identical
-        samples.pop()
-    return RunResult(kept, stored.state, samples), remaining
+    return RunResult(kept, stored.state, stored.power_samples), remaining
 
 
 def cmd_compute(cfg: RunConfig) -> RunResult:
@@ -379,16 +379,16 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     Deterministic and idempotent for a fixed config; with resume_from the
     stored state continues bit-identically to an uninterrupted run.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     result, grid = RunResult(checkpoint_table([], [], [], []), SumState(), []), cfg.grid()
     if cfg.resume_from is not None:
         result, grid = resume(cfg.resume_from, cfg)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if len(grid):
         new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
-                         state=result.state, samples=result.an_sn_samples)
+                         state=result.state, samples=result.power_samples)
         stored, added = vars(result.checkpoints).values(), vars(new.checkpoints).values()
         table = Checkpoint(*map(np.concatenate, zip(stored, added)))
-        result = RunResult(table, new.state, new.an_sn_samples)
+        result = RunResult(table, new.state, new.power_samples)
     if len(grid) or cfg.checkpoint_path() != cfg.resume_from:
         # a completed run resumed in place leaves its file alone
         write_checkpoint_file(cfg.checkpoint_path(), cfg, result)

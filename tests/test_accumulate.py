@@ -358,7 +358,7 @@ class TestTableAgainstPerPoint:
         k = len(grid) // 2
         first = run_stream(grid[k - 1], grid[:k], segment_size=self.SEGMENT)
         rest = run_stream(self.X_MAX, grid[k:], segment_size=self.SEGMENT,
-                          state=first.state, samples=first.an_sn_samples[:-1])
+                          state=first.state, samples=first.power_samples)
         joined = Checkpoint(*(np.concatenate((getattr(first.checkpoints, f.name),
                                               getattr(rest.checkpoints, f.name)))
                               for f in dataclass_fields(Checkpoint)))

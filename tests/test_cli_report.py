@@ -101,6 +101,21 @@ def cfg_for(tmp_path, x_max, **kw):
     return RunConfig(x_max=x_max, out_dir=tmp_path / "out", **kw)
 
 
+def as_format_v2(cfg, path):
+    """Write to path the checkpoint file that format 2 held for cfg's
+    computed run: the CSV's nine columns in each checkpoint row, and the
+    final-n sample repeated as the last anS line."""
+    lines = cfg.checkpoint_path().read_text().splitlines()
+    state = read_checkpoint_file(cfg.checkpoint_path()).state
+    head = ["primesums-checkpoints v2"] + [
+        line for line in lines[1:] if not line.startswith(("checkpoint ", "end "))]
+    if state.n & (state.n - 1):
+        head.append(f"anS {state.n} {state.last_anS:.17g}")
+    rows = cfg.csv_path().read_text().splitlines()[1:]
+    path.write_text("\n".join([*head, *("checkpoint " + row.replace(",", " ") for row in rows),
+                               f"end {len(rows)}"]) + "\n")
+
+
 class TestRunConfig:
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -122,6 +137,11 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 cfg_for(tmp_path, 1000, **kw)
         cfg_for(tmp_path, 1000, tolerances={"lower_bound": 0.0})
+        # main_term's quadrature runs at a tenth of its tolerance, floor 1e-12
+        for value in (0.0, 5e-12):
+            with pytest.raises(ConfigError, match="main_term"):
+                cfg_for(tmp_path, 1000, tolerances={"main_term": value})
+        cfg_for(tmp_path, 1000, tolerances={"main_term": 1e-11})
         # more than 1e7 grid points, counted before any is built
         with pytest.raises(ConfigError, match="1e7 points"):
             cfg_for(tmp_path, 1000, grid_ratio=1.0000001)
@@ -197,13 +217,47 @@ class TestCompute:
 
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
+        """Format 3 rows hold x, pi, S and M, and anS lines only the
+        power-of-two n; the reader derives the rest, equal by repr to
+        compute's table, and the final-n sample from the state."""
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
+        lines = cfg.checkpoint_path().read_text().splitlines()
+        assert lines[0] == "primesums-checkpoints v3"
+        table = result.checkpoints
+        columns = (c.tolist() for c in (table.x, table.pi, table.S, table.M))
+        assert [line.split()[1:] for line in lines if line.startswith("checkpoint ")] == [
+            [f"{x:.17g}", str(pi), f"{S:.17g}", f"{M:.17g}"] for x, pi, S, M in zip(*columns)]
+        ns = [int(line.split()[1]) for line in lines if line.startswith("anS ")]
+        assert ns == [1 << k for k in range(11)]
         stored = read_checkpoint_file(cfg.checkpoint_path())
         for field in STATE_FIELDS:
             assert getattr(stored.state, field) == getattr(result.state, field)
-        assert_same_table(stored.checkpoints, result.checkpoints)
+        assert_same_table(stored.checkpoints, table)
         assert stored.an_sn_samples == result.an_sn_samples
+        assert stored.an_sn_samples[-1] == (1229, result.state.last_anS)
+        assert len(stored.an_sn_samples) == 12
+
+    def test_refuses_format_v2(self, tmp_path, capsys):
+        """A format-2 file, as that writer made it (nine columns a row, the
+        final sample twice), is refused by every command that reads one."""
+        cfg = cfg_for(tmp_path, 10**4)
+        cmd_compute(cfg)
+        v2 = tmp_path / "v2.txt"
+        as_format_v2(cfg, v2)
+        lines = v2.read_text().splitlines()
+        last_anS = lines[7].split()[7]  # of the state row
+        assert f"anS 1229 {last_anS}" in lines and len(lines[-2].split()) == 10
+        with pytest.raises(CheckpointFormatError, match="not a checkpoint file"):
+            read_checkpoint_file(v2)
+        common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
+        for argv in (["compute", *common, "--resume", str(v2)],
+                     ["verify", *common, "--resume", str(v2)],
+                     ["report", *common, str(v2)]):
+            capsys.readouterr()
+            assert cli_main(argv) == 1, argv
+            assert "not a checkpoint file" in capsys.readouterr().err
+        assert not (tmp_path / "cli" / "checkpoints.csv").exists()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.txt"
@@ -276,7 +330,8 @@ class TestCheckpointFile:
         calls = []
 
         def killed(value):
-            # the header and the state row take a few reals, each row nine
+            # the header and the state row take a few reals, each anS line
+            # one and each row three
             calls.append(value)
             if len(calls) > 60:
                 raise KeyboardInterrupt
@@ -317,9 +372,7 @@ class TestCheckpointFile:
         v1.write_text("\n".join(["primesums-checkpoints v1", *v1_rows]) + "\n")
         # the same rows under the current header: the state row is refused
         relabelled = tmp_path / "relabelled.txt"
-        relabelled.write_text(
-            "\n".join(["primesums-checkpoints v2", *v1_rows]) + "\n"
-        )
+        relabelled.write_text("\n".join([report._MAGIC, *v1_rows]) + "\n")
         cfg = cfg_for(tmp_path, 1000, resume_from=v1)
         for path in (v1, relabelled):
             with pytest.raises(CheckpointFormatError):
@@ -354,6 +407,33 @@ class TestResume:
         for field in STATE_FIELDS:
             assert getattr(a.state, field) == getattr(b.state, field)
         assert a.an_sn_samples == b.an_sn_samples
+
+    def test_split_where_stored_n_is_a_power_of_two(self, tmp_path):
+        """pi(8161) = 1024: the stored final sample is a power-of-two one, so
+        there is no extra sample to add; the resumed run still gives the
+        unsplit run's samples, files and series bytes."""
+        unsplit = RunConfig(x_max=10**5, out_dir=tmp_path / "unsplit")
+        cmd_compute(unsplit)
+        first = RunConfig(x_max=8161, out_dir=tmp_path / "first")
+        cmd_compute(first)
+        ns = [k for k, _ in read_checkpoint_file(first.checkpoint_path()).an_sn_samples]
+        assert ns == [1 << k for k in range(11)]  # to 1024, once
+        resumed = RunConfig(x_max=10**5, out_dir=tmp_path / "resumed",
+                            resume_from=first.checkpoint_path())
+        cmd_compute(resumed)
+        a = read_checkpoint_file(unsplit.checkpoint_path())
+        b = read_checkpoint_file(resumed.checkpoint_path())
+        assert a.power_samples == b.power_samples
+        assert a.an_sn_samples == b.an_sn_samples
+        assert [k for k, _ in b.an_sn_samples] == [1 << k for k in range(14)] + [9592]
+        for cfg in (unsplit, resumed):
+            cmd_report(cfg, cfg.checkpoint_path())
+        for name in ("checkpoints.csv", "series_anS.csv"):
+            assert ((unsplit.out_dir / name).read_bytes()
+                    == (resumed.out_dir / name).read_bytes()), name
+        text_a, text_b = (cfg.checkpoint_path().read_text().splitlines()
+                          for cfg in (unsplit, resumed))
+        assert text_a[:2] + text_a[3:] == text_b[:2] + text_b[3:]  # all but created
 
     def test_regrid_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
@@ -390,6 +470,22 @@ class TestResume:
         )
         with pytest.raises(ConfigError):
             cmd_compute(smaller)
+
+    def test_shrinking_xmax_onto_stored_grid_point_refused(self, tmp_path, capsys):
+        """x_max = 1000 is a stored grid point, so no point is left to
+        compute; a state with primes past it is refused all the same, with
+        exit 2 and before anything is written."""
+        first = tmp_path / "first"
+        ten = ["--grid-ratio", "10"]
+        assert cli_main(["compute", "--x-max", "10000", *ten, "--out", str(first)]) == 0
+        before = {p.name: p.read_bytes() for p in first.iterdir()}
+        for out in (first, tmp_path / "second"):
+            capsys.readouterr()
+            assert cli_main(["compute", "--x-max", "1000", *ten, "--out", str(out),
+                             "--resume", str(first / "checkpoints.txt")]) == 2
+            assert "primes to 9973" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in first.iterdir()} == before
+        assert not (tmp_path / "second").exists()
 
 
 class TestVerify:
@@ -615,22 +711,34 @@ def test_benchmark_accepts_rows(tmp_path, monkeypatch):
     check_rows(resumed.csv_path(), ref, 2 * 10**5, 1.001)
 
 
-def test_benchmark_trace_runs(tmp_path):
+# workload -> (its --x, layers that must read nonzero); resume-dense-1e7
+# writes, reads and resumes a checkpoint file through the rebound names
+TRACED = {
+    "stream-1e8": (10**5, ("accumulate.extend_s", "report.ckpt_write_s")),
+    "checks-1e8": (10**5, ("asymptotics.block_s", "verify.pair_s")),
+    "resume-dense-1e7": (10**3, ("report.ckpt_write_s", "report.ckpt_read_s",
+                                 "report.resume_s")),
+}
+
+
+@pytest.mark.parametrize("workload", list(TRACED))
+def test_benchmark_trace_runs(tmp_path, workload):
     """perfbench/trace.py finds, by name, every function it times in a
-    checks-1e8 pass, and those layers do work."""
+    pass of the workload, every command succeeds, and the layers do work."""
+    x, layers = TRACED[workload]
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "trace.py"), "--workload",
-         "checks-1e8", "--x", "100000", "--out", str(tmp_path)],
+         workload, "--x", str(x), "--out", str(tmp_path)],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["failed"] == 0
-    for layer in ("asymptotics.block_s", "verify.pair_s"):
+    for layer in layers:
         assert trace["metrics"][layer]["value"] > 0, layer
 
 
@@ -672,7 +780,8 @@ class TestCli:
         for flags in (["--A", "nan"], ["--A", "inf"], ["--lambda", "nan"],
                       ["--grid-ratio", "nan"], ["--grid-ratio", "1.0000001"],
                       ["--tol", "lower_bound=nan"],
-                      ["--tol", "lower_bound=-1"]):
+                      ["--tol", "lower_bound=-1"], ["--tol", "main_term=0"],
+                      ["--tol", "main_term=5e-12"]):
             assert cli_main(["verify", "--x-max", "100000", *flags, "--out", out]) == 2
         assert not (tmp_path / "never").exists()
 
