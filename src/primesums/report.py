@@ -21,6 +21,11 @@ report writes that as checkpoints.csv beside it.
 
 Tables stay columns (a dataclass of equal-length arrays) from the code
 that computes them to the writers; rows exist only inside the writers.
+One codec, _table_chunks, writes the checkpoint table into both files,
+one %-template call per _CHUNK rows.  write_checkpoint_file and write_csv
+stay two functions, each formatting the rows it writes, because
+perfbench/trace.py times each by its name here; a fused two-file pass
+would hide one of those layers.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -110,15 +115,24 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _table_lines(table: Checkpoint, columns: Iterable[str], sep: str) -> Iterator[str]:
-    """The one row codec of the checkpoint table: each row's columns (x,
-    pi, then reals), pi as an integer and every real with 17 digits,
-    joined by sep (commas in the CSV, spaces in the checkpoint file).
-    Rows are formatted _CHUNK at a time, never the whole table at once."""
+def _table_chunks(
+    table: Checkpoint, columns: Sequence[str], sep: str, prefix: str = ""
+) -> Iterator[str]:
+    """The one row codec of the checkpoint table, _CHUNK rows at a time:
+    each row is prefix and then its columns (x, pi, then reals) joined by
+    sep (commas in the CSV, spaces in the checkpoint file), pi as an
+    integer and every real with 17 digits; a chunk is its rows joined by
+    newlines.  A chunk is formatted by one C-level % call: its columns are
+    stacked into one float64 array and fed to a template of one "%.17g" or
+    "%d" field per cell.  The stack is exact, since pi < x <=
+    sieve.MAX_LIMIT = 2**53 and every integer up to 2**53 is a double;
+    '%d' prints such a double as the integer, and '%.17g' % v gives the
+    bytes of f"{v:.17g}" for every double.  Memory holds one chunk's text,
+    never the whole table."""
+    row = prefix + sep.join(["%.17g", "%d", *["%.17g"] * (len(columns) - 2)])
     for i in range(0, len(table), _CHUNK):
-        cols = [getattr(table, name)[i : i + _CHUNK].tolist() for name in columns]
-        for x, pi, *reals in zip(*cols):
-            yield sep.join([_fmt(x), str(pi), *map(_fmt, reals)])
+        cells = np.column_stack([getattr(table, name)[i : i + _CHUNK] for name in columns])
+        yield "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _json(record) -> dict:
@@ -147,8 +161,9 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 
 def _write_lines(path: Path, *parts: Iterable[str]) -> None:
-    """Write the lines of each part in turn, each ended by a newline, one
-    at a time: memory holds one row, never the whole file."""
+    """Write the items of each part in turn, each ended by a newline, one
+    at a time: an item is one line, or a chunk of table rows from
+    _table_chunks, so memory never holds the whole file."""
     with _replacing(path) as fh:
         for line in chain(*parts):
             fh.write(line + "\n")
@@ -253,7 +268,7 @@ def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None
             + " ".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in state_row),
         ],
         (f"anS {n} {_fmt(value)}" for n, value in result.power_samples),
-        ("checkpoint " + row for row in _table_lines(result.checkpoints, _ROW.names, " ")),
+        _table_chunks(result.checkpoints, _ROW.names, " ", "checkpoint "),
         [f"end {len(result.checkpoints)}"],
     )
 
@@ -349,7 +364,7 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
 
 
 def write_csv(path: Path, checkpoints: Checkpoint) -> None:
-    _write_lines(path, [",".join(CSV_COLUMNS)], _table_lines(checkpoints, CSV_COLUMNS, ","))
+    _write_lines(path, [",".join(CSV_COLUMNS)], _table_chunks(checkpoints, CSV_COLUMNS, ","))
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:

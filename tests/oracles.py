@@ -13,8 +13,9 @@ checks, one term or one grid point at a time, as references that the
 column forms in primesums must match bit for bit: push and a one-row
 snapshot at each grid point for the checkpoint table, and the row loops
 of the pair, jump, Abel, block, E-monotone, positivity, band and
-Mertens-width checks.  Their signatures match the calls primesums makes,
-so a test can swap them in.
+Mertens-width checks, and the per-value row codec of the checkpoint
+table.  Their signatures match the calls primesums makes, so a test can
+swap them in.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import mpmath
 import numpy as np
@@ -442,6 +443,15 @@ def block_records_scalar(checkpoints, lambdas, A: float, tolerance: float = 1e-1
         sandwich_records_scalar(blocks, tolerance),
         lower_bound_scalar(checkpoints, A, tolerance),
     )
+
+
+def table_lines_scalar(table, columns: Sequence[str], sep: str) -> Iterator[str]:
+    """The rows of a checkpoint table as text lines, its columns (x, pi,
+    then reals) joined by sep: pi through str and each real through its
+    own f"{v:.17g}" call, one value at a time."""
+    cols = [getattr(table, name).tolist() for name in columns]
+    for x, pi, *reals in zip(*cols):
+        yield sep.join([f"{x:.17g}", str(pi), *(f"{v:.17g}" for v in reals)])
 
 
 def _fmt(x: mpmath.mpf) -> str:

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 import primesums.report as report
@@ -22,8 +25,17 @@ from oracles import (
     ratio_positivity_scalar,
     sandwich_records_scalar,
     scale_identity_scalar,
+    table_lines_scalar,
 )
-from primesums import CheckpointFormatError, ConfigError, RunConfig, resume
+from primesums import (
+    Checkpoint,
+    CheckpointFormatError,
+    ConfigError,
+    RunConfig,
+    grid_points,
+    resume,
+    run_stream,
+)
 from primesums.cli import main as cli_main
 from primesums.report import (
     cmd_compute,
@@ -323,25 +335,29 @@ class TestCheckpointFile:
 
     def test_write_cut_short_keeps_old_file(self, tmp_path, monkeypatch):
         """A resume in place rewrites the only copy of the state: a write
-        that raises midway must leave that copy whole."""
-        cfg = cfg_for(tmp_path, 10**4)
+        that raises midway, once a chunk of rows has gone to the
+        temporary file, must leave that copy whole."""
+        cfg = cfg_for(tmp_path, 10**6, grid_ratio=1.001)
         result = cmd_compute(cfg)
-        before = cfg.checkpoint_path().read_bytes()
-        calls = []
+        assert len(result.checkpoints) > report._CHUNK
+        path = cfg.checkpoint_path()
+        before = path.read_bytes()
+        tmp = path.with_name(path.name + ".tmp")
+        table_chunks = report._table_chunks
+        cut_at = []  # the temporary file's size when the write is cut
 
-        def killed(value):
-            # the header and the state row take a few reals, each anS line
-            # one and each row three
-            calls.append(value)
-            if len(calls) > 60:
-                raise KeyboardInterrupt
-            return f"{value:.17g}"
+        def killed(*args):
+            yield next(table_chunks(*args))
+            # resumed once the first chunk has been written
+            cut_at.append(tmp.stat().st_size)
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(report, "_fmt", killed)
+        monkeypatch.setattr(report, "_table_chunks", killed)
         with pytest.raises(KeyboardInterrupt):
-            write_checkpoint_file(cfg.checkpoint_path(), cfg, result)
-        assert cfg.checkpoint_path().read_bytes() == before
-        stored = read_checkpoint_file(cfg.checkpoint_path())
+            write_checkpoint_file(path, cfg, result)
+        assert cut_at[0] > 0
+        assert path.read_bytes() == before
+        stored = read_checkpoint_file(path)
         assert_same_table(stored.checkpoints, result.checkpoints)
         assert sorted(p.name for p in cfg.out_dir.iterdir()) == [
             "checkpoints.csv", "checkpoints.txt"]
@@ -383,6 +399,55 @@ class TestCheckpointFile:
         assert cli_main(["verify", "--x-max", "100", "--resume", str(v1),
                          "--out", out]) == 1
         assert "not a checkpoint file" in capsys.readouterr().err
+
+
+# (columns, sep, prefix) of the two files that hold the checkpoint table
+TABLE_FORMATS = [(report._ROW.names, " ", "checkpoint "), (report.CSV_COLUMNS, ",", "")]
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+               1.7976931348623157e308, -1.7976931348623157e308,
+               math.nan, -math.nan, math.inf, -math.inf, 0.1, -1.0 / 3]
+
+
+def assert_codec_matches(table) -> None:
+    """report._table_chunks gives, in each file format, the bytes of the
+    per-value codec, in chunks of _CHUNK rows (the last one shorter)."""
+    sizes = [min(report._CHUNK, len(table) - i) for i in range(0, len(table), report._CHUNK)]
+    for columns, sep, prefix in TABLE_FORMATS:
+        chunks = list(report._table_chunks(table, columns, sep, prefix))
+        assert [c.count("\n") + 1 for c in chunks] == sizes
+        lines = "\n".join(chunks).split("\n")
+        scalar = [prefix + line for line in table_lines_scalar(table, columns, sep)]
+        assert len(lines) == len(scalar)
+        # the first row that differs, not a diff of the whole text
+        i = next((i for i, (a, b) in enumerate(zip(lines, scalar)) if a != b), None)
+        assert i is None, (i, lines[i], scalar[i])
+
+
+real = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+table_rows = st.lists(
+    st.tuples(real, st.integers(0, 2**53 - 1), *[real] * 7), min_size=1, max_size=40)
+
+
+class TestTableCodec:
+    @pytest.fixture(scope="class")
+    def dense(self):
+        table = run_stream(1e6, grid_points(100.0, 1e6, 1.001)).checkpoints
+        assert len(table) > report._CHUNK + 1
+        return table
+
+    @pytest.mark.parametrize("rows", [1, report._CHUNK - 1, report._CHUNK, report._CHUNK + 1])
+    def test_chunk_edges(self, dense, rows):
+        assert_codec_matches(dense.select(slice(0, rows)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_rows)
+    @example([(math.nan, 2**53 - 1, *EDGE_FLOATS[:7])])
+    @example([(-0.0, 0, *EDGE_FLOATS[7:])])
+    def test_any_doubles(self, row_list):
+        cols = list(zip(*row_list))
+        table = Checkpoint(*(np.array(c, dtype=np.int64 if f == "pi" else np.float64)
+                             for f, c in zip(report.CSV_COLUMNS, cols)))
+        assert_codec_matches(table)
 
 
 class TestResume:
@@ -714,10 +779,11 @@ def test_benchmark_accepts_rows(tmp_path, monkeypatch):
 # workload -> (its --x, layers that must read nonzero); resume-dense-1e7
 # writes, reads and resumes a checkpoint file through the rebound names
 TRACED = {
-    "stream-1e8": (10**5, ("accumulate.extend_s", "report.ckpt_write_s")),
+    "stream-1e8": (10**5, ("accumulate.extend_s", "report.ckpt_write_s",
+                           "report.csv_write_s")),
     "checks-1e8": (10**5, ("asymptotics.block_s", "verify.pair_s")),
-    "resume-dense-1e7": (10**3, ("report.ckpt_write_s", "report.ckpt_read_s",
-                                 "report.resume_s")),
+    "resume-dense-1e7": (10**3, ("report.ckpt_write_s", "report.csv_write_s",
+                                 "report.ckpt_read_s", "report.resume_s")),
 }
 
 
