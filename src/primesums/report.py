@@ -3,13 +3,15 @@ registry, and reports.
 
 File formats
 ------------
-Checkpoint file (text, format 3): a header with the format version, a
-hash of the accumulation-relevant config fields and creation metadata,
-then the full accumulator state (its slots in SumState.__slots__ order,
-the exact sums as integers in units of 2**-120), a_n*S_{n-1} at the
-power-of-two n, one `x pi S M` row per checkpoint (checkpoint_table derives
-the rest), and `end <row count>` last.  Reals have 17 significant digits,
-which round-trip binary64 exactly, so a restored run continues bit-identically.
+Checkpoint file (format 4): text lines but for the table.  A header with
+the format version, a hash of the accumulation-relevant config fields and
+creation metadata, then the full accumulator state (its slots in
+SumState.__slots__ order, the exact sums as integers in units of 2**-120),
+a_n*S_{n-1} at the power-of-two n, the `x pi S M` table (checkpoint_table
+derives the rest) as `rows <k> <base64>` lines of k binary _ROW records,
+_CHUNK records a line, and `end <row count> <crc32>` last, the CRC-32 of
+every byte before that line.  The records hold the doubles themselves, so
+a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
@@ -21,27 +23,24 @@ report writes that as checkpoints.csv beside it.
 
 Tables stay columns (a dataclass of equal-length arrays) from the code
 that computes them to the writers; rows exist only inside the writers.
-One codec, _table_chunks, writes the checkpoint table into both files,
-one %-template call per _CHUNK rows.  write_checkpoint_file and write_csv
-stay two functions, each formatting the rows it writes, because
-perfbench/trace.py times each by its name here; a fused two-file pass
-would hide one of those layers.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
 import os
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -93,13 +92,16 @@ from .verify import (
     worst_record,
 )
 
-FORMAT_VERSION = 3  # of the checkpoint file
+FORMAT_VERSION = 4  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
 BUNDLE_FORMAT_VERSION = 2  # of report.json
 
 CSV_COLUMNS = tuple(f.name for f in fields(Checkpoint))
-# a checkpoint row of the checkpoint file, its tag removed: what checkpoint_table takes
-_ROW = np.dtype([("x", np.float64), ("pi", np.int64), ("S", np.float64), ("M", np.float64)])
+# one CSV row: x, pi as an integer, then the reals, each with 17 digits
+_CSV_ROW = ",".join(["%.17g", "%d", *["%.17g"] * (len(CSV_COLUMNS) - 2)])
+# a record of the checkpoint file's table, little-endian on every host:
+# what checkpoint_table takes
+_ROW = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
 # report.json keys that differ from the dataclass field names
 _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 
@@ -108,31 +110,56 @@ _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 JUMP_SCAN_CAP = 10**6
 ABEL_GRID_CAP = 10**6
 PAIR_N_CAP = 5000
-_CHUNK = 4096  # table rows formatted at a time
+_CHUNK = 4096  # table rows encoded at a time
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _table_chunks(
-    table: Checkpoint, columns: Sequence[str], sep: str, prefix: str = ""
-) -> Iterator[str]:
-    """The one row codec of the checkpoint table, _CHUNK rows at a time:
-    each row is prefix and then its columns (x, pi, then reals) joined by
-    sep (commas in the CSV, spaces in the checkpoint file), pi as an
-    integer and every real with 17 digits; a chunk is its rows joined by
-    newlines.  A chunk is formatted by one C-level % call: its columns are
-    stacked into one float64 array and fed to a template of one "%.17g" or
-    "%d" field per cell.  The stack is exact, since pi < x <=
+def _table_chunks(table: Checkpoint) -> Iterator[str]:
+    """The CSV rows of the checkpoint table, _CHUNK rows at a time, joined
+    by newlines.  A chunk is formatted by one C-level % call: its columns
+    are stacked into one float64 array and fed to a template of one "%.17g"
+    or "%d" field per cell.  The stack is exact, since pi < x <=
     sieve.MAX_LIMIT = 2**53 and every integer up to 2**53 is a double;
     '%d' prints such a double as the integer, and '%.17g' % v gives the
     bytes of f"{v:.17g}" for every double.  Memory holds one chunk's text,
     never the whole table."""
-    row = prefix + sep.join(["%.17g", "%d", *["%.17g"] * (len(columns) - 2)])
     for i in range(0, len(table), _CHUNK):
-        cells = np.column_stack([getattr(table, name)[i : i + _CHUNK] for name in columns])
-        yield "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+        cells = np.column_stack([getattr(table, name)[i : i + _CHUNK] for name in CSV_COLUMNS])
+        yield "\n".join([_CSV_ROW] * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def _row_records(table: Checkpoint) -> Iterator[str]:
+    """The checkpoint file's table, _CHUNK rows a line: `rows <k>` and the
+    base64 of k _ROW records, the columns' own bits, no value formatted."""
+    for i in range(0, len(table), _CHUNK):
+        records = np.empty(min(_CHUNK, len(table) - i), dtype=_ROW)
+        for name in _ROW.names:
+            records[name] = getattr(table, name)[i : i + _CHUNK]
+        yield f"rows {len(records)} {base64.b64encode(records.tobytes()).decode('ascii')}"
+
+
+def _decode_rows(count: str, data: str) -> bytes:
+    """The bytes of the _ROW records of one `rows` line, refused unless
+    they are count whole records."""
+    records = base64.b64decode(data, validate=True)
+    if len(records) != int(count) * _ROW.itemsize:
+        raise ValueError(
+            f"rows line declares {count} records, holds {len(records) / _ROW.itemsize:g}"
+        )
+    return records
+
+
+def _checksummed(lines: Iterable[str], count: int) -> Iterator[str]:
+    """lines, then `end <count> <crc32>`: the CRC-32 of every byte of lines,
+    each with its newline, as 8 hex digits."""
+    crc = 0
+    for line in lines:
+        crc = zlib.crc32(f"{line}\n".encode("ascii"), crc)
+        yield line
+    yield f"end {count} {crc:08x}"
 
 
 def _json(record) -> dict:
@@ -162,8 +189,8 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 def _write_lines(path: Path, *parts: Iterable[str]) -> None:
     """Write the items of each part in turn, each ended by a newline, one
-    at a time: an item is one line, or a chunk of table rows from
-    _table_chunks, so memory never holds the whole file."""
+    at a time: an item is one line, or a chunk of table rows, so memory
+    never holds the whole file."""
     with _replacing(path) as fh:
         for line in chain(*parts):
             fh.write(line + "\n")
@@ -253,8 +280,7 @@ class StoredRun(RunResult):
 
 def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None:
     state_row = (getattr(result.state, name) for name in SumState.__slots__)
-    _write_lines(
-        path,
+    head = chain(
         [
             _MAGIC,
             f"config_hash {cfg.config_hash()}",
@@ -268,9 +294,9 @@ def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None
             + " ".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in state_row),
         ],
         (f"anS {n} {_fmt(value)}" for n, value in result.power_samples),
-        _table_chunks(result.checkpoints, _ROW.names, " ", "checkpoint "),
-        [f"end {len(result.checkpoints)}"],
+        _row_records(result.checkpoints),
     )
+    _write_lines(path, _checksummed(head, len(result.checkpoints)))
 
 
 def _parse_state(path: Path, values: list[str]) -> SumState:
@@ -289,55 +315,65 @@ def _parse_state(path: Path, values: list[str]) -> SumState:
 
 
 def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
-    """Parse a checkpoint file, one line at a time, its rows into columns.
+    """Parse a checkpoint file, one line at a time, its records into columns.
 
     With cfg, refuse (CheckpointFormatError) a file written under another
     accumulation config: silently diverging resumes and checks are
     forbidden.
     """
     try:
-        with open(path) as fh:
-            if fh.readline().rstrip("\n") != _MAGIC:
+        with open(path, "rb") as fh:
+            head = [fh.readline() for _ in range(8)]  # magic, 6 header lines, state
+            if head[0].rstrip(b"\n") != _MAGIC.encode():
                 raise CheckpointFormatError(
                     f"{path}: not a checkpoint file (expected header {_MAGIC!r})"
                 )
-            header = dict(fh.readline().split() for _ in range(6))
+            crc = zlib.crc32(b"".join(head))  # of every line before the end marker
+            header = dict(line.decode("ascii").split() for line in head[1:7])
             if cfg is not None and header["config_hash"] != cfg.config_hash():
                 raise CheckpointFormatError(
                     f"{path}: config hash {header['config_hash']} does not match "
                     f"current accumulation config {cfg.config_hash()} "
                     "(grid_start/grid_ratio changed; start a fresh run instead)"
                 )
-            tag, *values = fh.readline().split()
+            tag, *values = head[7].decode("ascii").split()
             if tag != "state":
                 raise CheckpointFormatError(f"{path}: missing state row")
             state = _parse_state(path, values)
             samples: list[tuple[int, float]] = []
-            rows: list[str] = []
+            records = bytearray()
             end = None
-            for line in fh:
-                tag, _, rest = line.rstrip("\n").partition(" ")
-                if tag == "checkpoint":
-                    rows.append(rest)
-                elif tag == "anS":
-                    n, value = rest.split()
-                    samples.append((int(n), float(value)))
-                elif tag == "end":
-                    end = int(rest)
+            for raw in fh:
+                tag, *values = raw.decode("ascii").split()
+                if tag == "end":
+                    end = values
                     break
+                crc = zlib.crc32(raw, crc)
+                if tag == "rows":
+                    records += _decode_rows(*values)
+                elif tag == "anS":
+                    n, value = values
+                    samples.append((int(n), float(value)))
                 else:
                     raise CheckpointFormatError(f"{path}: unknown row tag {tag!r}")
             if end is None:
                 raise CheckpointFormatError(f"{path}: truncated (no end marker)")
             if fh.readline():
                 raise CheckpointFormatError(f"{path}: lines after the end marker")
-        if end != len(rows):
+        count, checksum = end
+        if checksum != f"{crc:08x}":
             raise CheckpointFormatError(
-                f"{path}: row count mismatch ({end} declared, {len(rows)} found)"
+                f"{path}: checksum mismatch (crc32 {checksum} declared, "
+                f"{crc:08x} computed): the file was altered or damaged"
             )
-        if not rows:
+        found = len(records) // _ROW.itemsize
+        if int(count) != found:
+            raise CheckpointFormatError(
+                f"{path}: row count mismatch ({count} declared, {found} found)"
+            )
+        if not found:
             raise CheckpointFormatError(f"{path}: no checkpoint rows")
-        cells = np.loadtxt(rows, dtype=_ROW, ndmin=1)
+        cells = np.frombuffer(records, dtype=_ROW)  # the records, not copied
         x = cells["x"]
         bad = np.flatnonzero(~(x[:-1] < x[1:]))
         if len(bad):
@@ -364,7 +400,7 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
 
 
 def write_csv(path: Path, checkpoints: Checkpoint) -> None:
-    _write_lines(path, [",".join(CSV_COLUMNS)], _table_chunks(checkpoints, CSV_COLUMNS, ","))
+    _write_lines(path, [",".join(CSV_COLUMNS)], _table_chunks(checkpoints))
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:

@@ -1,8 +1,10 @@
+import base64
 import json
 import math
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -113,18 +115,57 @@ def cfg_for(tmp_path, x_max, **kw):
     return RunConfig(x_max=x_max, out_dir=tmp_path / "out", **kw)
 
 
+# the documented record of a format-4 `rows` line, stated independently of report._ROW
+V4_RECORD = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
+
+
+def read_v4(path):
+    """A format-4 checkpoint file as (its text lines up to the table, its
+    records): the `rows` lines decoded, the end marker dropped."""
+    head, chunks = [], []
+    for line in path.read_text().splitlines():
+        tag, *values = line.split()
+        if tag == "rows":
+            chunks.append(np.frombuffer(base64.b64decode(values[1]), dtype=V4_RECORD))
+        elif tag != "end":
+            head.append(line)
+    return head, np.concatenate(chunks)
+
+
+def write_v4(path, head, records, count=None, after=(), extra=0):
+    """Write a format-4 file: head, records re-encoded as `rows` lines of at
+    most 4096 records, each declaring its record count plus extra,
+    `end <count> <crc32>` with the correct checksum (count defaults to the
+    number of records), then the lines of after."""
+    records = np.asarray(records, dtype=V4_RECORD)
+    rows = [f"rows {len(c) + extra} {base64.b64encode(c.tobytes()).decode()}"
+            for c in (records[i : i + 4096] for i in range(0, len(records), 4096))]
+    body = "".join(line + "\n" for line in [*head, *rows])
+    count = len(records) if count is None else count
+    end = f"end {count} {zlib.crc32(body.encode()):08x}\n"
+    path.write_text(body + end + "".join(line + "\n" for line in after))
+
+
 def as_format_v2(cfg, path):
     """Write to path the checkpoint file that format 2 held for cfg's
     computed run: the CSV's nine columns in each checkpoint row, and the
     final-n sample repeated as the last anS line."""
-    lines = cfg.checkpoint_path().read_text().splitlines()
+    head = ["primesums-checkpoints v2"] + read_v4(cfg.checkpoint_path())[0][1:]
     state = read_checkpoint_file(cfg.checkpoint_path()).state
-    head = ["primesums-checkpoints v2"] + [
-        line for line in lines[1:] if not line.startswith(("checkpoint ", "end "))]
     if state.n & (state.n - 1):
         head.append(f"anS {state.n} {state.last_anS:.17g}")
     rows = cfg.csv_path().read_text().splitlines()[1:]
     path.write_text("\n".join([*head, *("checkpoint " + row.replace(",", " ") for row in rows),
+                               f"end {len(rows)}"]) + "\n")
+
+
+def as_format_v3(cfg, path):
+    """Write to path the checkpoint file that format 3 held for cfg's
+    computed run: x, pi, S and M as 17-digit text in each checkpoint row,
+    and `end <row count>` with no checksum."""
+    head = ["primesums-checkpoints v3"] + read_v4(cfg.checkpoint_path())[0][1:]
+    rows = [row.split(",")[:4] for row in cfg.csv_path().read_text().splitlines()[1:]]
+    path.write_text("\n".join([*head, *("checkpoint " + " ".join(row) for row in rows),
                                f"end {len(rows)}"]) + "\n")
 
 
@@ -229,17 +270,23 @@ class TestCompute:
 
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
-        """Format 3 rows hold x, pi, S and M, and anS lines only the
-        power-of-two n; the reader derives the rest, equal by repr to
-        compute's table, and the final-n sample from the state."""
+        """Format 4 records hold x, pi, S and M, bit for bit, and anS lines
+        only the power-of-two n; the end marker counts the records and
+        checksums every byte before it; the reader derives the rest, equal
+        by repr to compute's table, and the final-n sample from the state."""
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
-        lines = cfg.checkpoint_path().read_text().splitlines()
-        assert lines[0] == "primesums-checkpoints v3"
+        text = cfg.checkpoint_path().read_bytes()
+        lines = text.decode().splitlines()
+        assert lines[0] == "primesums-checkpoints v4"
+        body, end = text[: text.rindex(b"end ")], lines[-1]
+        assert end == f"end 28 {zlib.crc32(body):08x}"
+        assert [line.split()[:2] for line in lines if line.startswith("rows ")] == [["rows", "28"]]
         table = result.checkpoints
-        columns = (c.tolist() for c in (table.x, table.pi, table.S, table.M))
-        assert [line.split()[1:] for line in lines if line.startswith("checkpoint ")] == [
-            [f"{x:.17g}", str(pi), f"{S:.17g}", f"{M:.17g}"] for x, pi, S, M in zip(*columns)]
+        records = read_v4(cfg.checkpoint_path())[1]
+        for name in V4_RECORD.names:
+            assert np.array_equal(records[name].view(np.int64),
+                                  getattr(table, name).view(np.int64)), name
         ns = [int(line.split()[1]) for line in lines if line.startswith("anS ")]
         assert ns == [1 << k for k in range(11)]
         stored = read_checkpoint_file(cfg.checkpoint_path())
@@ -250,22 +297,27 @@ class TestCheckpointFile:
         assert stored.an_sn_samples[-1] == (1229, result.state.last_anS)
         assert len(stored.an_sn_samples) == 12
 
-    def test_refuses_format_v2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("older, width", [(as_format_v2, 10), (as_format_v3, 5)],
+                             ids=["v2", "v3"])
+    def test_refuses_format_v2(self, tmp_path, capsys, older, width):
         """A format-2 file, as that writer made it (nine columns a row, the
-        final sample twice), is refused by every command that reads one."""
+        final sample twice), and a format-3 one (x pi S M as text, no
+        checksum) are refused by every command that reads one."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
-        v2 = tmp_path / "v2.txt"
-        as_format_v2(cfg, v2)
-        lines = v2.read_text().splitlines()
+        old = tmp_path / "old.txt"
+        older(cfg, old)
+        lines = old.read_text().splitlines()
         last_anS = lines[7].split()[7]  # of the state row
-        assert f"anS 1229 {last_anS}" in lines and len(lines[-2].split()) == 10
+        # only format 2 repeats the final sample
+        assert (f"anS 1229 {last_anS}" in lines) == (width == 10)
+        assert len(lines[-2].split()) == width and lines[-1] == "end 28"
         with pytest.raises(CheckpointFormatError, match="not a checkpoint file"):
-            read_checkpoint_file(v2)
+            read_checkpoint_file(old)
         common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
-        for argv in (["compute", *common, "--resume", str(v2)],
-                     ["verify", *common, "--resume", str(v2)],
-                     ["report", *common, str(v2)]):
+        for argv in (["compute", *common, "--resume", str(old)],
+                     ["verify", *common, "--resume", str(old)],
+                     ["report", *common, str(old)]):
             capsys.readouterr()
             assert cli_main(argv) == 1, argv
             assert "not a checkpoint file" in capsys.readouterr().err
@@ -295,12 +347,11 @@ class TestCheckpointFile:
     def test_rejects_rows_out_of_order(self, tmp_path, capsys):
         cfg = cfg_for(tmp_path, 10**5)
         cmd_compute(cfg)
-        lines = cfg.checkpoint_path().read_text().splitlines()
-        rows = [i for i, line in enumerate(lines) if line.startswith("checkpoint ")]
-        i, j = rows[5], rows[6]
-        lines[i], lines[j] = lines[j], lines[i]
+        head, records = read_v4(cfg.checkpoint_path())
+        records = records.copy()
+        records[[5, 6]] = records[[6, 5]]
         swapped = tmp_path / "swapped.txt"
-        swapped.write_text("\n".join(lines) + "\n")
+        write_v4(swapped, head, records)
         with pytest.raises(CheckpointFormatError, match="ascending"):
             read_checkpoint_file(swapped)
         common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
@@ -311,18 +362,27 @@ class TestCheckpointFile:
         assert not (tmp_path / "cli" / "checkpoints.csv").exists()
 
     def test_rejects_lines_after_end_and_empty_tables(self, tmp_path, capsys):
-        """end N is the last line, N counts the rows, and N >= 1."""
+        """end N is the last line, N counts the rows, N >= 1, and each rows
+        line holds the records it declares."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
         lines = cfg.checkpoint_path().read_text().splitlines()
-        assert lines[-1] == "end 28"
-        row = lines[-2].split()
-        head = [line for line in lines if not line.startswith("checkpoint ")][:-1]
+        assert lines[-1].split()[:2] == ["end", "28"]
+        head, records = read_v4(cfg.checkpoint_path())
+        row = records[-1:].copy()
+        row["pi"] = 5000
         trailing = tmp_path / "trailing.txt"
-        trailing.write_text("\n".join(lines + [" ".join(row[:1] + ["5000"] + row[2:])]) + "\n")
+        write_v4(trailing, head, records,
+                 after=[f"rows 1 {base64.b64encode(row.tobytes()).decode()}"])
         empty = tmp_path / "empty_table.txt"
-        empty.write_text("\n".join(head + ["end 0"]) + "\n")
-        for path, message in ((trailing, "after the end marker"), (empty, "no checkpoint rows")):
+        write_v4(empty, head, records[:0])
+        miscounted = tmp_path / "miscounted.txt"
+        write_v4(miscounted, head, records, count=27)
+        misdeclared = tmp_path / "misdeclared.txt"
+        write_v4(misdeclared, head, records, extra=-1)
+        for path, message in ((trailing, "after the end marker"), (empty, "no checkpoint rows"),
+                              (miscounted, "row count mismatch"),
+                              (misdeclared, "declares 27 records, holds 28")):
             with pytest.raises(CheckpointFormatError, match=message):
                 read_checkpoint_file(path)
             common = ["--x-max", str(10**4), "--out", str(tmp_path / "cli")]
@@ -332,6 +392,39 @@ class TestCheckpointFile:
                 capsys.readouterr()
                 assert cli_main(argv) == 1, argv
                 assert message in capsys.readouterr().err
+
+    def test_refuses_altered_bytes(self, tmp_path, capsys):
+        """One base64 character of a record changed to another valid one, or
+        one digit of the state row, still parses; the end marker's checksum
+        refuses both, in every command that reads the file."""
+        cfg = cfg_for(tmp_path, 10**4)
+        cmd_compute(cfg)
+        lines = cfg.checkpoint_path().read_text().splitlines()
+        altered = {}
+        for tag, field in (("rows", 2), ("state", 3)):
+            i = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+            values = lines[i].split()
+            text = values[field]
+            k = len(text) // 2
+            swap = {"A": "B", "9": "8"}.get(text[k], "A" if tag == "rows" else "9")
+            values[field] = text[:k] + swap + text[k + 1 :]
+            assert values[field] != text
+            path = altered[tag] = tmp_path / f"{tag}.txt"
+            path.write_text("\n".join(lines[:i] + [" ".join(values)] + lines[i + 1 :]) + "\n")
+        # the records still decode: only the checksum tells
+        assert len(read_v4(altered["rows"])[1]) == 28
+        for tag, path in altered.items():
+            with pytest.raises(CheckpointFormatError, match="checksum mismatch"):
+                read_checkpoint_file(path)
+            out = tmp_path / f"cli_{tag}"
+            common = ["--x-max", str(10**5), "--out", str(out)]
+            for argv in (["verify", *common, "--resume", str(path)],
+                         ["report", *common, str(path)],
+                         ["compute", *common, "--resume", str(path)]):
+                capsys.readouterr()
+                assert cli_main(argv) == 1, argv
+                assert "checksum" in capsys.readouterr().err
+            assert not (out / "checkpoints.csv").exists()
 
     def test_write_cut_short_keeps_old_file(self, tmp_path, monkeypatch):
         """A resume in place rewrites the only copy of the state: a write
@@ -343,16 +436,16 @@ class TestCheckpointFile:
         path = cfg.checkpoint_path()
         before = path.read_bytes()
         tmp = path.with_name(path.name + ".tmp")
-        table_chunks = report._table_chunks
+        row_records = report._row_records
         cut_at = []  # the temporary file's size when the write is cut
 
         def killed(*args):
-            yield next(table_chunks(*args))
+            yield next(row_records(*args))
             # resumed once the first chunk has been written
             cut_at.append(tmp.stat().st_size)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(report, "_table_chunks", killed)
+        monkeypatch.setattr(report, "_row_records", killed)
         with pytest.raises(KeyboardInterrupt):
             write_checkpoint_file(path, cfg, result)
         assert cut_at[0] > 0
@@ -401,26 +494,36 @@ class TestCheckpointFile:
         assert "not a checkpoint file" in capsys.readouterr().err
 
 
-# (columns, sep, prefix) of the two files that hold the checkpoint table
-TABLE_FORMATS = [(report._ROW.names, " ", "checkpoint "), (report.CSV_COLUMNS, ",", "")]
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
                1.7976931348623157e308, -1.7976931348623157e308,
                math.nan, -math.nan, math.inf, -math.inf, 0.1, -1.0 / 3]
 
 
 def assert_codec_matches(table) -> None:
-    """report._table_chunks gives, in each file format, the bytes of the
-    per-value codec, in chunks of _CHUNK rows (the last one shorter)."""
+    """In chunks of _CHUNK rows (the last one shorter), report._table_chunks
+    gives the CSV bytes of the per-value codec, and report._row_records
+    gives `rows` lines whose records hold the x, pi, S and M columns bit
+    for bit."""
     sizes = [min(report._CHUNK, len(table) - i) for i in range(0, len(table), report._CHUNK)]
-    for columns, sep, prefix in TABLE_FORMATS:
-        chunks = list(report._table_chunks(table, columns, sep, prefix))
-        assert [c.count("\n") + 1 for c in chunks] == sizes
-        lines = "\n".join(chunks).split("\n")
-        scalar = [prefix + line for line in table_lines_scalar(table, columns, sep)]
-        assert len(lines) == len(scalar)
-        # the first row that differs, not a diff of the whole text
-        i = next((i for i, (a, b) in enumerate(zip(lines, scalar)) if a != b), None)
-        assert i is None, (i, lines[i], scalar[i])
+    chunks = list(report._table_chunks(table))
+    assert [c.count("\n") + 1 for c in chunks] == sizes
+    lines = "\n".join(chunks).split("\n")
+    scalar = list(table_lines_scalar(table, report.CSV_COLUMNS, ","))
+    assert len(lines) == len(scalar)
+    # the first row that differs, not a diff of the whole text
+    i = next((i for i, (a, b) in enumerate(zip(lines, scalar)) if a != b), None)
+    assert i is None, (i, lines[i], scalar[i])
+    rows = [line.split(" ") for line in report._row_records(table)]
+    assert [(tag, int(k)) for tag, k, _ in rows] == [("rows", k) for k in sizes]
+    # decoded as documented, and as the reader decodes them
+    for decode in (lambda k, data: np.frombuffer(base64.b64decode(data), dtype=V4_RECORD),
+                   lambda k, data: np.frombuffer(report._decode_rows(k, data), report._ROW)):
+        records = np.concatenate([decode(k, data) for _, k, data in rows])
+        for name in V4_RECORD.names:
+            bits, written = records[name].view(np.int64), getattr(table, name).view(np.int64)
+            # the first row whose bits differ
+            i = next(iter(np.flatnonzero(bits != written)), None)
+            assert i is None, (name, i, bits[i], written[i])
 
 
 real = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
@@ -498,7 +601,9 @@ class TestResume:
                     == (resumed.out_dir / name).read_bytes()), name
         text_a, text_b = (cfg.checkpoint_path().read_text().splitlines()
                           for cfg in (unsplit, resumed))
-        assert text_a[:2] + text_a[3:] == text_b[:2] + text_b[3:]  # all but created
+        # all but created, and the end marker's checksum, which covers created
+        assert text_a[:2] + text_a[3:-1] == text_b[:2] + text_b[3:-1]
+        assert text_a[-1].split()[:2] == text_b[-1].split()[:2] == ["end", "41"]
 
     def test_regrid_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
