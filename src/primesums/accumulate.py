@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SequencingError
+from .errors import ConfigError, SequencingError
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, stream_segments
 
 MAX_GRID_POINTS = 10_000_000
@@ -67,22 +67,12 @@ class WeightedPrimeTerm:
 def weights(primes: np.ndarray) -> np.ndarray:
     """a = sqrt(log p / p) for an array of primes.
 
-    The one definition of the weight: make_term, term_stream and
-    extend_primes all call it, so no two paths can differ by the last-bit
-    gap between numpy's log and the C library's.
+    The one definition of the weight: term_stream, extend_primes and the
+    one-term references in tests/oracles.py all call it, so no two paths
+    can differ by the last-bit gap between numpy's log and the C library's.
     """
     pf = np.asarray(primes, dtype=np.float64)
     return np.sqrt(np.log(pf) / pf)
-
-
-def make_term(index: int, prime: int) -> WeightedPrimeTerm:
-    """Build the weighted term for the index-th prime."""
-    if prime < 2:
-        raise DomainError(f"prime must be >= 2, got {prime}")
-    if index < 1:
-        raise DomainError(f"index must be >= 1, got {index}")
-    w = float(weights(np.array([prime], dtype=np.int64))[0])
-    return WeightedPrimeTerm(index=index, prime=prime, weight=w, weight_sq=w * w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,30 +289,6 @@ class SumState:
     def E_total(self) -> float:
         return float(self.E_incremental) * _UNIT
 
-    def push(self, term: WeightedPrimeTerm) -> "SumState":
-        """Absorb one term; primes must arrive strictly ascending."""
-        if term.prime <= self.last_prime:
-            raise SequencingError(
-                f"prime {term.prime} not above last absorbed {self.last_prime}"
-            )
-        if term.index != self.n + 1:
-            raise SequencingError(
-                f"term index {term.index} does not follow count {self.n}"
-            )
-        w = term.weight
-        half_jump = w * (float(self.S) * _UNIT)
-        # scaling by a power of two is exact, and so is int() of the result
-        self.S += int(w * _SCALE)
-        self.M += int(term.weight_sq * _SCALE)
-        self.E_incremental += int(half_jump * (2.0 * _SCALE))
-        self.n += 1
-        if self.n >= 3 and w >= self.last_weight:
-            self.weights_decreasing = False
-        self.last_weight = w
-        self.last_anS = half_jump
-        self.last_prime = term.prime
-        return self
-
     def extend_primes(
         self,
         primes: Sequence[int] | np.ndarray,
@@ -331,8 +297,8 @@ class SumState:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bulk absorb ascending primes (all above last_prime; not checked).
 
-        Bit-identical to pushing make_term for each prime in turn, and to
-        any split of primes over several calls.  When a sink is given it
+        Bit-identical to the one-term push of tests/oracles.py for each
+        prime in turn, and to any split of primes over several calls.  When a sink is given it
         receives (n, a_n * S_{n-1}) at every n that is a power of two.
         marks are ascending prefix lengths of primes; the result is S and M,
         correctly rounded, after the first marks[i] primes, for each i.
@@ -475,12 +441,3 @@ def run_stream(
     pi[gi:], S[gi:], M[gi:] = state.n, state.S_total, state.M_total
     return RunResult(checkpoint_table(grid, pi, S, M), state, samples)
 
-
-def an_Sn_series(
-    x_max: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> list[tuple[int, float]]:
-    """The products a_n * S_{n-1} sampled at power-of-two n (plus the final
-    n) over all primes <= x_max; a_1 * S_0 = 0 by convention."""
-    if x_max < 3:
-        raise DomainError(f"x_max must be >= 3, got {x_max}")
-    return run_stream(x_max, [], segment_size=segment_size).an_sn_samples

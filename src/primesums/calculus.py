@@ -53,13 +53,6 @@ def eval_w(t: float) -> float:
     return math.sqrt(math.log(t) / t)
 
 
-def eval_w_prime(t: float) -> float:
-    """w'(t) = (1 - log t) / (2 t^{3/2} sqrt(log t))."""
-    _check_domain(t)
-    lt = math.log(t)
-    return (1.0 - lt) / (2.0 * t * math.sqrt(t) * math.sqrt(lt))
-
-
 def eval_h(t: float) -> float:
     """h(t) = sqrt(t/log(t)), the reciprocal of w."""
     _check_domain(t)
@@ -280,11 +273,3 @@ def main_term_identity(x: float, tol: float) -> VerificationRecord:
     rhs = anchor + _integral_inverse_sqrt(x, tol)
     return identity_record("main_term", x, lhs, rhs, 10.0 * tol)
 
-
-def main_term_growth(x: float, tol: float = 1e-10) -> float:
-    """(integral_2^x dt/sqrt(t log t)) / sqrt(x/log x), the normalized size
-    of the main-term integral; tends to 0 as x -> 2+ and is reported
-    alongside r_S at scale."""
-    if not x > 2.0:
-        raise DomainError(f"growth ratio needs x > 2, got {x}")
-    return _integral_inverse_sqrt(x, tol) / eval_h(x)

@@ -1,12 +1,14 @@
 """Command-line interface.
 
     primesums compute --x-max 1000000 --out run/
-    primesums verify  --x-max 1000000 --out run/
-    primesums report  --x-max 1000000 --out run/ run/checkpoints.txt
+    primesums verify  --resume run/checkpoints.txt --out run/
+    primesums report  --out run/ run/checkpoints.txt
 
-Exit status: 0 on success (and when every verification record passes),
-1 on failed checks or unreadable data files, 2 on usage/config errors.
-Unknown flags are errors.
+A checkpoint file answers the --x-max (not compute's), --grid-start and
+--grid-ratio left out, and refuses one given otherwise.  Exit status: 0 on
+success (and when every verification record passes), 1 on failed checks
+or unreadable data files, 2 on usage/config errors.  Unknown flags are
+errors.
 """
 
 from __future__ import annotations
@@ -31,15 +33,19 @@ MAX_THREADS = 8
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x-max", type=int, required=True, help="upper summation limit")
+    # None when left out: the checkpoint file's header answers it, or else the default
     p.add_argument(
-        "--grid-start", type=float, default=100.0, help="first checkpoint x (>= 3)"
+        "--x-max",
+        type=int,
+        help="upper summation limit (required; verify --resume and report: the file's)",
+    )
+    p.add_argument(
+        "--grid-start", type=float, help="first checkpoint x (>= 3; 100, or the file's)"
     )
     p.add_argument(
         "--grid-ratio",
         type=float,
-        default=2.0**0.25,
-        help="geometric spacing of checkpoints (> 1, default 2^(1/4))",
+        help="geometric spacing of checkpoints (> 1; 2^(1/4), or the file's)",
     )
     p.add_argument(
         "--segment-size",
@@ -95,10 +101,14 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
+    stored = args.checkpoint_file if args.command == "report" else args.resume
+    if args.x_max is None and (stored is None or args.command == "compute"):
+        raise ConfigError("--x-max is required, but for verify --resume and report")
+    grid = {"grid_start": args.grid_start, "grid_ratio": args.grid_ratio}
     return RunConfig(
         x_max=args.x_max,
-        grid_start=args.grid_start,
-        grid_ratio=args.grid_ratio,
+        # with no file to answer them, the flags left out take the defaults
+        **(grid if stored is not None else {k: v for k, v in grid.items() if v is not None}),
         segment_size=args.segment_size,
         A=args.A,
         lambdas=tuple(args.lambdas) if args.lambdas else (2.0, 4.0, 8.0),

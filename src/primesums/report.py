@@ -66,14 +66,14 @@ from .asymptotics import (
     sandwich_records,
     scale_identity_record,
 )
-# perfbench/trace.py times a traced pass by rebinding, in this module, the
-# names write_checkpoint_file, write_csv, read_checkpoint_file, resume,
-# build_report_bundle, check_pair_identity, check_jump_identity,
-# abel_decompose, main_term_identity, block_sandwich, lower_bound_check and
-# sandwich_records (and accumulate.snapshot and verify.term_stream); each
-# must stay defined here.  No command calls abel_decompose, snapshot or
-# term_stream: abel_decompose is imported here, and term_stream kept in
-# verify, only for the tracer.
+# perfbench/trace.py times a pass by rebinding module names, which the code
+# looks up when it calls them: here write_checkpoint_file, write_csv,
+# read_checkpoint_file, resume, build_report_bundle, check_pair_identity,
+# check_jump_identity, abel_decompose, main_term_identity, block_sandwich,
+# lower_bound_check and sandwich_records; cli's three cmd_ names;
+# accumulate.snapshot and verify.term_stream.  No command calls
+# abel_decompose, snapshot or term_stream: they stay, and abel_decompose is
+# imported here, only so that the tracer finds them.
 from .calculus import (  # noqa: F401
     QUADRATURE_TOL_FLOOR,
     AbelDecomposition,
@@ -198,11 +198,12 @@ def _write_lines(path: Path, *parts: Iterable[str]) -> None:
 
 @dataclass
 class RunConfig:
-    """Everything a compute/verify/report invocation needs."""
+    """Everything a compute/verify/report invocation needs.  With a checkpoint
+    file, x_max, grid_start and grid_ratio may be None: its header answers them."""
 
-    x_max: int
-    grid_start: float = 100.0
-    grid_ratio: float = 2.0**0.25
+    x_max: int | None
+    grid_start: float | None = 100.0
+    grid_ratio: float | None = 2.0**0.25
     segment_size: int = DEFAULT_SEGMENT_SIZE
     A: float = 8.0
     lambdas: tuple[float, ...] = (2.0, 4.0, 8.0)
@@ -214,21 +215,23 @@ class RunConfig:
         self.out_dir = Path(self.out_dir)
         if self.resume_from is not None:
             self.resume_from = Path(self.resume_from)
-        if not 3.0 <= self.grid_start < math.inf:
-            raise ConfigError(f"grid_start must be finite and >= 3, got {self.grid_start}")
-        if self.x_max < self.grid_start:
-            raise ConfigError(f"x_max {self.x_max} below grid_start {self.grid_start}")
-        if not 1.0 < self.grid_ratio < math.inf:
-            raise ConfigError(f"grid_ratio must be finite and > 1, got {self.grid_ratio}")
-        # grid_points' own cap, from the closed-form count of its lattice points
-        if math.log(self.x_max / self.grid_start) / math.log(self.grid_ratio) > MAX_GRID_POINTS:
-            raise ConfigError("grid ratio too close to 1: more than 1e7 points")
+        if None not in (self.x_max, self.grid_start, self.grid_ratio):
+            # else these run again once a header has answered the Nones
+            if not 3.0 <= self.grid_start < math.inf:
+                raise ConfigError(f"grid_start must be finite and >= 3, got {self.grid_start}")
+            if self.x_max < self.grid_start:
+                raise ConfigError(f"x_max {self.x_max} below grid_start {self.grid_start}")
+            if not 1.0 < self.grid_ratio < math.inf:
+                raise ConfigError(f"grid_ratio must be finite and > 1, got {self.grid_ratio}")
+            # grid_points' own cap, from the closed-form count of its lattice points
+            if math.log(self.x_max / self.grid_start) / math.log(self.grid_ratio) > MAX_GRID_POINTS:
+                raise ConfigError("grid ratio too close to 1: more than 1e7 points")
+            # the sieve's bounds, checked before anything is allocated
+            SieveConfig(limit=self.x_max, segment_size=self.segment_size)
         if not 1.0 < self.A < math.inf:
             raise ConfigError(f"A must be finite and > 1, got {self.A}")
         if not all(1.0 < lam < math.inf for lam in self.lambdas):
             raise ConfigError(f"every lambda must be finite and > 1, got {self.lambdas}")
-        # the sieve's bounds, checked before anything is allocated
-        SieveConfig(limit=self.x_max, segment_size=self.segment_size)
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError(
@@ -267,17 +270,6 @@ class RunConfig:
         return self.out_dir / "checkpoints.csv"
 
 
-@dataclass
-class StoredRun(RunResult):
-    """Parsed contents of a checkpoint file: the run and its header."""
-
-    config_hash: str
-    x_max: int
-    grid_start: float
-    grid_ratio: float
-    segment_size: int
-
-
 def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None:
     state_row = (getattr(result.state, name) for name in SumState.__slots__)
     head = chain(
@@ -314,12 +306,13 @@ def _parse_state(path: Path, values: list[str]) -> SumState:
     return state
 
 
-def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
+def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False) -> RunResult:
     """Parse a checkpoint file, one line at a time, its records into columns.
 
-    With cfg, refuse (CheckpointFormatError) a file written under another
-    accumulation config: silently diverging resumes and checks are
-    forbidden.
+    With cfg, the stored run is its own config: the header fills in, in
+    place, what cfg leaves None of x_max, grid_start and grid_ratio, and
+    refuses another grid (CheckpointFormatError, by the config hash) and,
+    unless extend (x_max is a resume's target), another x_max (ConfigError).
     """
     try:
         with open(path, "rb") as fh:
@@ -330,12 +323,6 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
                 )
             crc = zlib.crc32(b"".join(head))  # of every line before the end marker
             header = dict(line.decode("ascii").split() for line in head[1:7])
-            if cfg is not None and header["config_hash"] != cfg.config_hash():
-                raise CheckpointFormatError(
-                    f"{path}: config hash {header['config_hash']} does not match "
-                    f"current accumulation config {cfg.config_hash()} "
-                    "(grid_start/grid_ratio changed; start a fresh run instead)"
-                )
             tag, *values = head[7].decode("ascii").split()
             if tag != "state":
                 raise CheckpointFormatError(f"{path}: missing state row")
@@ -381,17 +368,22 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None) -> StoredRun:
                 f"{path}: checkpoint x={float(x[bad[0] + 1])!r} does not follow "
                 f"x={float(x[bad[0]])!r} in strictly ascending order"
             )
-        return StoredRun(
-            config_hash=header["config_hash"],
-            x_max=int(header["x_max"]),
-            grid_start=float(header["grid_start"]),
-            grid_ratio=float(header["grid_ratio"]),
-            segment_size=int(header["segment_size"]),
-            state=state,
-            power_samples=samples,
-            checkpoints=checkpoint_table(*(cells[name] for name in _ROW.names)),
-        )
-    except CheckpointFormatError:
+        if cfg is not None:
+            for name, kind in (("x_max", int), ("grid_start", float), ("grid_ratio", float)):
+                if getattr(cfg, name) is None:
+                    setattr(cfg, name, kind(header[name]))
+            cfg.__post_init__()  # the answered fields' own checks
+            if header["config_hash"] != cfg.config_hash():
+                raise CheckpointFormatError(
+                    f"{path}: config hash {header['config_hash']} does not match "
+                    f"current accumulation config {cfg.config_hash()} "
+                    "(grid_start/grid_ratio changed; start a fresh run instead)"
+                )
+            if not extend and cfg.x_max != int(header["x_max"]):
+                raise ConfigError(f"{path} holds a run to x_max={header['x_max']}, not "
+                                  f"{cfg.x_max}: leave --x-max out to take the file's")
+        return RunResult(checkpoint_table(*(cells[name] for name in _ROW.names)), state, samples)
+    except (CheckpointFormatError, ConfigError):
         raise
     except OSError as exc:
         raise CheckpointFormatError(f"cannot read checkpoint file {path}: {exc}")
@@ -404,17 +396,18 @@ def write_csv(path: Path, checkpoints: Checkpoint) -> None:
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:
-    """Validate a stored run against cfg and plan the continuation: the
-    stored run cut to cfg's grid, and the grid points left to compute.
+    """Read a stored run into cfg (read_checkpoint_file, extend) and plan the
+    continuation: the stored run cut to cfg's grid, and the points left.
 
-    Refuses (CheckpointFormatError) when the stored accumulation config
-    differs, and (ConfigError) when x_max would shrink below the stored
-    state.
-    """
-    stored = read_checkpoint_file(path, cfg)
+    Both grids are the points start * ratio**k below their x_max, then x_max,
+    with one start and ratio (the config hash): the rows they share are a
+    common prefix.  Refuses (ConfigError) an x_max below the stored state."""
+    stored = read_checkpoint_file(path, cfg, extend=True)
     grid = np.asarray(cfg.grid())
-    kept = stored.checkpoints.select(np.isin(stored.checkpoints.x, grid))
-    remaining = grid[~np.isin(grid, kept.x)]
+    n = min(len(stored.checkpoints), len(grid))
+    # the first row where they differ, or n
+    k = int(np.argmin(np.append(stored.checkpoints.x[:n] == grid[:n], False)))
+    kept, remaining = stored.checkpoints.select(slice(0, k)), grid[k:]
     last = stored.state.last_prime
     if cfg.x_max < last or (len(remaining) and remaining[0] < last):
         raise ConfigError(
@@ -430,9 +423,10 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     Deterministic and idempotent for a fixed config; with resume_from the
     stored state continues bit-identically to an uninterrupted run.
     """
-    result, grid = RunResult(checkpoint_table([], [], [], []), SumState(), []), cfg.grid()
     if cfg.resume_from is not None:
         result, grid = resume(cfg.resume_from, cfg)
+    else:
+        result, grid = RunResult(checkpoint_table([], [], [], []), SumState(), []), cfg.grid()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if len(grid):
         new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
@@ -574,22 +568,23 @@ def write_verification_csv(path: Path, records: list[VerificationRecord]) -> Non
 def cmd_verify(cfg: RunConfig) -> tuple[list[VerificationRecord], int]:
     """Run every check; exit status 0 iff all records pass.
 
-    With resume_from set, checkpoints are loaded from that file (after
-    hash validation) instead of being recomputed.
+    With resume_from set, the run is read from that file, which answers
+    cfg's unset fields (see read_checkpoint_file), instead of recomputed.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.resume_from is not None:
         result = read_checkpoint_file(cfg.resume_from, cfg)
     else:
         result = run_stream(float(cfg.x_max), cfg.grid(), segment_size=cfg.segment_size)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     records = run_checks(RunContext(cfg, result), "verify")
     write_verification_csv(cfg.out_dir / "verification.csv", records)
     status = 0 if all(r.passed for r in records) else 1
     return records, status
 
 
-def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
-    """Assemble the JSON bundle from a stored run."""
+def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
+    """Assemble the JSON bundle from a stored run and its config, as
+    read_checkpoint_file has reconciled them."""
     t0 = time.monotonic()
     ctx = RunContext(cfg, stored)
     x = stored.checkpoints.x
@@ -604,13 +599,13 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
     return {
         "format_version": BUNDLE_FORMAT_VERSION,
         "config": {
-            "x_max": stored.x_max,
-            "grid_start": stored.grid_start,
-            "grid_ratio": stored.grid_ratio,
-            "segment_size": stored.segment_size,
+            "x_max": cfg.x_max,
+            "grid_start": cfg.grid_start,
+            "grid_ratio": cfg.grid_ratio,
+            "segment_size": cfg.segment_size,
             "A": cfg.A,
             "lambdas": list(cfg.lambdas),
-            "config_hash": stored.config_hash,
+            "config_hash": cfg.config_hash(),
         },
         "metadata": {
             "library_version": __version__,
@@ -627,7 +622,7 @@ def build_report_bundle(cfg: RunConfig, stored: StoredRun) -> dict:
 
 def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
     """Emit report.json, the run's checkpoints.csv and series_anS.csv."""
-    stored = read_checkpoint_file(checkpoint_file)
+    stored = read_checkpoint_file(checkpoint_file, cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     bundle = build_report_bundle(cfg, stored)
     out = cfg.out_dir / "report.json"

@@ -10,15 +10,15 @@ only, so the checks here record relative residuals between the two sides.
 Both checks are numpy passes over one array of weights.  S and M are read
 as the accumulator reads them: exact prefix sums, rounded once.  The pair
 side is the O(n^2) brute-force sum, each row's exact sum rounded once as
-fsum rounds it, so it equals pair_sum_bruteforce bit for bit.  The jump
-scan takes every n up to its limit.
+fsum rounds it, so it equals the fsum loop of tests/oracles.py bit for
+bit.  The jump scan takes every n up to its limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -99,8 +99,8 @@ def worst_record(
 def term_stream(
     x_max: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[WeightedPrimeTerm]:
-    """Weighted terms for every prime <= x_max, ascending; the same values
-    make_term gives, with the weights computed a segment at a time."""
+    """Weighted terms for every prime <= x_max, ascending, with the weights
+    computed a segment at a time."""
     limit = int(math.floor(x_max))
     if limit < 2:
         return
@@ -111,21 +111,6 @@ def term_stream(
             for p, w in zip(chunk.tolist(), weights(chunk).tolist()):
                 index += 1
                 yield WeightedPrimeTerm(index=index, prime=p, weight=w, weight_sq=w * w)
-
-
-def pair_sum_bruteforce(terms: Sequence[WeightedPrimeTerm]) -> float:
-    """2 * sum_{i<j} a_i a_j by direct double loop; the independent oracle
-    for S_n^2 - M_n.  Row sums are exactly rounded via fsum."""
-    if len(terms) > _BRUTEFORCE_CAP:
-        raise SizeError(
-            f"brute-force pair sum capped at n={_BRUTEFORCE_CAP}, got {len(terms)}"
-        )
-    weights = [t.weight for t in terms]
-    rows = []
-    for i in range(len(weights) - 1):
-        wi = weights[i]
-        rows.append(math.fsum(wi * wj for wj in weights[i + 1 :]))
-    return 2.0 * math.fsum(rows)
 
 
 def _log_subsample(n_max: int) -> list[int]:
@@ -183,8 +168,8 @@ def check_pair_identity(
     w holds the weights a_1, ..., a_n and wsq the squared weights that M
     sums, as the accumulator holds them (w * w).  The right side at n is
     2 * fsum of the n - 1 correctly rounded row sums of w, bit for bit
-    what pair_sum_bruteforce returns, computed over the whole triangle in
-    one numpy pass.
+    what the brute-force loop of tests/oracles.py returns, computed over
+    the whole triangle in one numpy pass.
     """
     if len(w) > _BRUTEFORCE_CAP:
         raise SizeError(f"pair identity capped at n={_BRUTEFORCE_CAP}, got {len(w)}")

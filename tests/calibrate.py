@@ -15,14 +15,10 @@ import sys
 import time
 from pathlib import Path
 
-from primesums import (
-    an_sn_band,
-    empirical_constants,
-    grid_points,
-    main_term_growth,
-    prime_count,
-    run_stream,
-)
+from oracles import main_term_growth
+from primesums.accumulate import grid_points, run_stream
+from primesums.asymptotics import an_sn_band, empirical_constants
+from primesums.sieve import prime_count
 
 X_MAX = 10**8
 GRID_START = 3.0

@@ -10,12 +10,14 @@ constants quoted in the test modules:
 
 The second part keeps the scalar forms of the accumulation and of the
 checks, one term or one grid point at a time, as references that the
-column forms in primesums must match bit for bit: push and a one-row
-snapshot at each grid point for the checkpoint table, and the row loops
-of the pair, jump, Abel, block, E-monotone, positivity, band and
-Mertens-width checks, and the per-value row codec of the checkpoint
-table.  Their signatures match the calls primesums makes, so a test can
-swap them in.
+column forms in primesums must match bit for bit: make_term and push, and
+a one-row snapshot at each grid point for the checkpoint table, the
+brute-force pair sum, and the row loops of the pair, jump, Abel, block,
+E-monotone, positivity, band and Mertens-width checks, and the per-value
+row codec of the checkpoint table.  Their signatures match the calls
+primesums makes, so a test can swap them in.  The third part keeps
+quantities no command computes: the sampled a_n * S_{n-1} series, the
+growth of the main-term integral, and w'.
 """
 
 from __future__ import annotations
@@ -30,23 +32,33 @@ from typing import Iterable, Iterator, Sequence
 import mpmath
 import numpy as np
 
-from primesums import (
-    AbelDecomposition,
+from primesums.accumulate import (
+    _SCALE,
+    _UNIT,
     Checkpoint,
-    RatioBand,
-    SequencingError,
     SumState,
-    VerificationRecord,
     WeightedPrimeTerm,
-    abel_decompose,
-    eval_w,
-    make_term,
-    pair_sum_bruteforce,
-    prime_array,
+    run_stream,
+    weights,
 )
-from primesums.accumulate import weights
-from primesums.asymptotics import AN_SN_SERIES, BAND_SERIES, Blocks
-from primesums.verify import _log_subsample, identity_record, relative_residual
+from primesums.asymptotics import AN_SN_SERIES, BAND_SERIES, Blocks, RatioBand
+from primesums.calculus import (
+    AbelDecomposition,
+    _check_domain,
+    _integral_inverse_sqrt,
+    abel_decompose,
+    eval_h,
+    eval_w,
+)
+from primesums.errors import DomainError, SequencingError, SizeError
+from primesums.sieve import DEFAULT_SEGMENT_SIZE, prime_array
+from primesums.verify import (
+    _BRUTEFORCE_CAP,
+    VerificationRecord,
+    _log_subsample,
+    identity_record,
+    relative_residual,
+)
 
 mpmath.mp.dps = 40
 
@@ -137,6 +149,57 @@ def assert_same_table(mine, ref) -> None:
         assert i is None, (f.name, i, a[i], b[i])
 
 
+def make_term(index: int, prime: int) -> WeightedPrimeTerm:
+    """Build the weighted term for the index-th prime."""
+    if prime < 2:
+        raise DomainError(f"prime must be >= 2, got {prime}")
+    if index < 1:
+        raise DomainError(f"index must be >= 1, got {index}")
+    w = float(weights(np.array([prime], dtype=np.int64))[0])
+    return WeightedPrimeTerm(index=index, prime=prime, weight=w, weight_sq=w * w)
+
+
+def push(state: SumState, term: WeightedPrimeTerm) -> SumState:
+    """SumState.extend_primes one term at a time: absorb term into state
+    and return state; primes must arrive strictly ascending."""
+    if term.prime <= state.last_prime:
+        raise SequencingError(
+            f"prime {term.prime} not above last absorbed {state.last_prime}"
+        )
+    if term.index != state.n + 1:
+        raise SequencingError(
+            f"term index {term.index} does not follow count {state.n}"
+        )
+    w = term.weight
+    half_jump = w * (float(state.S) * _UNIT)
+    # scaling by a power of two is exact, and so is int() of the result
+    state.S += int(w * _SCALE)
+    state.M += int(term.weight_sq * _SCALE)
+    state.E_incremental += int(half_jump * (2.0 * _SCALE))
+    state.n += 1
+    if state.n >= 3 and w >= state.last_weight:
+        state.weights_decreasing = False
+    state.last_weight = w
+    state.last_anS = half_jump
+    state.last_prime = term.prime
+    return state
+
+
+def pair_sum_bruteforce(terms: Sequence[WeightedPrimeTerm]) -> float:
+    """2 * sum_{i<j} a_i a_j by direct double loop; the independent oracle
+    for S_n^2 - M_n.  Row sums are exactly rounded via fsum."""
+    if len(terms) > _BRUTEFORCE_CAP:
+        raise SizeError(
+            f"brute-force pair sum capped at n={_BRUTEFORCE_CAP}, got {len(terms)}"
+        )
+    weights = [t.weight for t in terms]
+    rows = []
+    for i in range(len(weights) - 1):
+        wi = weights[i]
+        rows.append(math.fsum(wi * wj for wj in weights[i + 1 :]))
+    return 2.0 * math.fsum(rows)
+
+
 def snapshot_scalar(state: SumState, x: float) -> Row:
     """The checkpoint row at x from the state, one Python float at a time."""
     if x < state.last_prime:
@@ -166,7 +229,7 @@ def checkpoints_scalar(x_max: float, grid, state: SumState | None = None) -> Che
     out = []
     for x in grid:
         while i < len(primes) and primes[i] <= x:
-            state.push(make_term(state.n + 1, primes[i]))
+            push(state, make_term(state.n + 1, primes[i]))
             i += 1
         out.append(snapshot_scalar(state, x))
     return table_of(out)
@@ -273,7 +336,7 @@ def pair_records_scalar(
     seen: list[WeightedPrimeTerm] = []
     records = []
     for term in _terms(w, wsq):
-        state.push(term)
+        push(state, term)
         seen.append(term)
         if term.index in sample:
             s = state.S_total
@@ -295,7 +358,7 @@ def jump_record_scalar(
     worst, worst_at, worst_lhs, worst_rhs = -1.0, 0, 0.0, 0.0
     for term in _terms(w, wsq):
         predicted = 2.0 * term.weight * state.S_total
-        state.push(term)
+        push(state, term)
         s = state.S_total
         e = s * s - state.M_total
         lhs = e - prev_e
@@ -452,6 +515,32 @@ def table_lines_scalar(table, columns: Sequence[str], sep: str) -> Iterator[str]
     cols = [getattr(table, name).tolist() for name in columns]
     for x, pi, *reals in zip(*cols):
         yield sep.join([f"{x:.17g}", str(pi), *(f"{v:.17g}" for v in reals)])
+
+
+def an_Sn_series(
+    x_max: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> list[tuple[int, float]]:
+    """The products a_n * S_{n-1} sampled at power-of-two n (plus the final
+    n) over all primes <= x_max; a_1 * S_0 = 0 by convention."""
+    if x_max < 3:
+        raise DomainError(f"x_max must be >= 3, got {x_max}")
+    return run_stream(x_max, [], segment_size=segment_size).an_sn_samples
+
+
+def main_term_growth(x: float, tol: float = 1e-10) -> float:
+    """(integral_2^x dt/sqrt(t log t)) / sqrt(x/log x), the normalized size
+    of the main-term integral; tends to 0 as x -> 2+ and is reported
+    alongside r_S at scale."""
+    if not x > 2.0:
+        raise DomainError(f"growth ratio needs x > 2, got {x}")
+    return _integral_inverse_sqrt(x, tol) / eval_h(x)
+
+
+def eval_w_prime(t: float) -> float:
+    """w'(t) = (1 - log t) / (2 t^{3/2} sqrt(log t))."""
+    _check_domain(t)
+    lt = math.log(t)
+    return (1.0 - lt) / (2.0 * t * math.sqrt(t) * math.sqrt(lt))
 
 
 def _fmt(x: mpmath.mpf) -> str:

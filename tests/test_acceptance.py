@@ -15,31 +15,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import rows
-from primesums import (
-    RunConfig,
-    abel_decompose,
+from oracles import eval_w_prime, rows
+from primesums.accumulate import grid_points, run_stream
+from primesums.asymptotics import (
     an_sn_band,
-    base_primes,
     block_sandwich,
-    check_jump_identity,
-    check_pair_identity,
     empirical_constants,
-    eval_h_prime,
-    eval_w_prime,
-    eval_h,
-    eval_w,
-    grid_points,
     lower_bound_check,
-    main_term_identity,
     mertens_width,
-    prime_array,
-    prime_count,
-    run_stream,
     sandwich_records,
 )
-from primesums.report import cmd_compute, read_checkpoint_file
-from primesums.verify import pair_prime_bound
+from primesums.calculus import abel_decompose, eval_h, eval_h_prime, eval_w, main_term_identity
+from primesums.report import RunConfig, cmd_compute, read_checkpoint_file
+from primesums.sieve import base_primes, prime_array, prime_count
+from primesums.verify import check_jump_identity, check_pair_identity, pair_prime_bound
 
 # --- frozen oracle values (tests/oracles.py, run before the main build) ---
 ORACLE_PI_1E6 = 78498

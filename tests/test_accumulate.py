@@ -8,35 +8,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    an_Sn_series,
     an_sn_band_scalar,
     assert_same_table,
     check_E_monotone_scalar,
     checkpoints_scalar,
     empirical_constants_scalar,
+    make_term,
     mertens_width_scalar,
+    push,
     ratio_positivity_scalar,
 )
-from primesums import (
+from primesums.accumulate import (
+    BLOCK,
     Checkpoint,
-    ConfigError,
-    DomainError,
-    SequencingError,
-    SieveConfig,
     SumState,
-    an_Sn_series,
-    an_sn_band,
-    base_primes,
-    check_E_monotone,
-    empirical_constants,
+    exact_sums_at,
     grid_points,
-    make_term,
-    mertens_width,
     run_stream,
     snapshot,
-    stream_segments,
+    weights,
 )
-from primesums.accumulate import BLOCK, exact_sums_at, weights
-from primesums.asymptotics import ratio_positivity_record
+from primesums.asymptotics import (
+    an_sn_band,
+    empirical_constants,
+    mertens_width,
+    ratio_positivity_record,
+)
+from primesums.errors import ConfigError, DomainError, SequencingError
+from primesums.sieve import SieveConfig, base_primes, stream_segments
+from primesums.verify import check_E_monotone
 
 # frozen oracle values (mpmath, 40 digits; see tests/oracles.py)
 W2 = 0.58870501125773733
@@ -95,41 +96,41 @@ class TestMakeTerm:
 
 class TestPush:
     def test_first_push(self):
-        state = SumState().push(make_term(1, 2))
+        state = push(SumState(), make_term(1, 2))
         assert state.n == 1
         assert state.S_total == pytest.approx(0.5887050, abs=1e-7)
         assert state.M_total == pytest.approx(0.3465736, abs=1e-7)
         assert state.E_incremental == 0.0
 
     def test_second_push_jump(self):
-        state = SumState().push(make_term(1, 2)).push(make_term(2, 3))
+        state = push(push(SumState(), make_term(1, 2)), make_term(2, 3))
         assert state.E_total == pytest.approx(TWO_A1_A2, rel=1e-15)
 
     def test_out_of_order_prime_rejected(self):
-        state = SumState().push(make_term(1, 5))
+        state = push(SumState(), make_term(1, 5))
         with pytest.raises(SequencingError):
-            state.push(make_term(2, 3))
+            push(state, make_term(2, 3))
         with pytest.raises(SequencingError):
-            state.push(make_term(2, 5))
+            push(state, make_term(2, 5))
 
     def test_wrong_index_rejected(self):
-        state = SumState().push(make_term(1, 2))
+        state = push(SumState(), make_term(1, 2))
         with pytest.raises(SequencingError):
-            state.push(make_term(3, 5))
+            push(state, make_term(3, 5))
 
     @given(ascending_runs)
     @settings(max_examples=40, deadline=None)
     def test_push_equals_extend_bitwise(self, primes):
         pushed = SumState()
         for i, p in enumerate(primes, start=1):
-            pushed.push(make_term(i, p))
+            push(pushed, make_term(i, p))
         assert fields(pushed) == fields(state_over(primes))
 
     def test_sums_strictly_increase(self):
         state = SumState()
         prev = (0.0, 0.0, 0.0)
         for i, p in enumerate(base_primes(5000), start=1):
-            state.push(make_term(i, p))
+            push(state, make_term(i, p))
             now = (state.S_total, state.M_total, state.E_total)
             if i >= 2:
                 assert now[0] > prev[0] and now[1] > prev[1] and now[2] > prev[2]
@@ -176,7 +177,7 @@ class TestSnapshot:
     def test_E_nonnegative_along_stream(self):
         state = SumState()
         for i, p in enumerate(base_primes(2000), start=1):
-            state.push(make_term(i, p))
+            push(state, make_term(i, p))
             assert snapshot(state, float(p)).E[0] >= 0.0
 
 

@@ -4,27 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import block_records_scalar, rows
-from primesums import (
-    ConfigError,
-    DomainError,
-    an_Sn_series,
+from oracles import an_Sn_series, block_records_scalar, rows
+from primesums.accumulate import SumState, grid_points, run_stream, snapshot
+from primesums.asymptotics import (
     an_sn_band,
-    base_primes,
     block_sandwich,
     empirical_constants,
-    eval_w,
-    grid_points,
     lower_bound_check,
     mertens_contraction_record,
     mertens_width,
-    run_stream,
+    ratio_positivity_record,
     sandwich_records,
     scale_identity_record,
-    snapshot,
+    series_band,
 )
-from primesums.asymptotics import ratio_positivity_record, series_band
-from primesums import SumState
+from primesums.calculus import eval_w
+from primesums.errors import ConfigError, DomainError
+from primesums.sieve import base_primes
 
 R_S_10 = 1.0981183082402295
 R_E_PI_10 = 0.98108689789429748

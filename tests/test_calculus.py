@@ -7,25 +7,20 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from primesums import (
+from oracles import eval_w_prime, main_term_growth, romberg
+from primesums.calculus import (
     AbelDecomposition,
-    DomainError,
-    QuadratureError,
-    RunConfig,
     abel_decompose,
     abel_decompose_grid,
-    base_primes,
     eval_h,
     eval_h_prime,
     eval_w,
-    eval_w_prime,
-    main_term_growth,
     main_term_identity,
     quadrature,
 )
-
-from oracles import romberg
-from primesums.report import ABEL_GRID_CAP, _abel_records
+from primesums.errors import DomainError, QuadratureError
+from primesums.report import ABEL_GRID_CAP, RunConfig, _abel_records
+from primesums.sieve import base_primes
 
 ROMBERG_2_10 = 2.8630264312956002  # int_2^10 dt/sqrt(t log t), frozen oracle
 

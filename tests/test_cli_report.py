@@ -29,21 +29,16 @@ from oracles import (
     scale_identity_scalar,
     table_lines_scalar,
 )
-from primesums import (
-    Checkpoint,
-    CheckpointFormatError,
-    ConfigError,
-    RunConfig,
-    grid_points,
-    resume,
-    run_stream,
-)
+from primesums.accumulate import Checkpoint, grid_points, run_stream
 from primesums.cli import main as cli_main
+from primesums.errors import CheckpointFormatError, ConfigError
 from primesums.report import (
+    RunConfig,
     cmd_compute,
     cmd_report,
     cmd_verify,
     read_checkpoint_file,
+    resume,
     write_checkpoint_file,
 )
 
@@ -728,6 +723,87 @@ class TestReport:
         bad.write_text("")
         with pytest.raises(CheckpointFormatError):
             cmd_report(cfg, bad)
+
+
+class TestStoredRun:
+    """A checkpoint file is its own config: its header answers the --x-max
+    (but compute's) and grid flags left out, and refuses one given otherwise."""
+
+    @pytest.fixture(scope="class")
+    def stored_1e6(self, tmp_path_factory):
+        cfg = RunConfig(x_max=10**6, out_dir=tmp_path_factory.mktemp("stored"))
+        cmd_compute(cfg)
+        return str(cfg.checkpoint_path())
+
+    def test_flags_left_out_give_the_same_bytes(self, tmp_path):
+        grid = ["--grid-ratio", "1.01"]
+        stored = tmp_path / "stored"
+        assert cli_main(["compute", "--x-max", "100000", *grid, "--out", str(stored)]) == 0
+        ckpt = str(stored / "checkpoints.txt")
+        for name, flags in (("given", ["--x-max", "100000", *grid]), ("left_out", [])):
+            out = str(tmp_path / name)
+            assert cli_main(["verify", *flags, "--resume", ckpt, "--out", out]) == 0
+            assert cli_main(["report", *flags, "--out", out, ckpt]) == 0
+        assert _outputs(tmp_path / "left_out") == _outputs(tmp_path / "given")
+
+    def test_other_x_max_refused_before_any_work(self, stored_1e6, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (["verify", "--x-max", "2000", "--resume", stored_1e6, "--out", str(out)],
+                     ["report", "--x-max", "2000", "--out", str(out), stored_1e6]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            assert "x_max=1000000, not 2000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_other_grid_refused_by_hash(self, stored_1e6, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (["report", "--grid-ratio", "1.5", "--out", str(out), stored_1e6],
+                     ["verify", "--grid-ratio", "1.5", "--resume", stored_1e6, "--out", str(out)],
+                     ["compute", "--x-max", "2000000", "--grid-start", "50",
+                      "--resume", stored_1e6, "--out", str(out)]):
+            capsys.readouterr()
+            assert cli_main(argv) == 1, argv
+            assert "config hash" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_x_max_required_by_compute_and_plain_verify(self, stored_1e6, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (["compute", "--out", str(out)], ["verify", "--out", str(out)],
+                     ["compute", "--resume", stored_1e6, "--out", str(out)]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            assert "--x-max is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_resume_without_grid_flags_equals_unsplit(self, tmp_path):
+        grid = ["--grid-ratio", "1.001"]  # 7.6e3 rows to 2e5: more than one chunk
+        unsplit, first, resumed = (tmp_path / name for name in ("unsplit", "first", "resumed"))
+        assert cli_main(["compute", "--x-max", "200000", *grid, "--out", str(unsplit)]) == 0
+        assert cli_main(["compute", "--x-max", "100000", *grid, "--out", str(first)]) == 0
+        assert cli_main(["compute", "--x-max", "200000", "--out", str(resumed),
+                         "--resume", str(first / "checkpoints.txt")]) == 0
+        assert ((unsplit / "checkpoints.csv").read_bytes()
+                == (resumed / "checkpoints.csv").read_bytes())
+        text_a, text_b = ((out / "checkpoints.txt").read_text().splitlines()
+                          for out in (unsplit, resumed))
+        # all but created, and the end marker's checksum, which covers created
+        assert text_a[:2] + text_a[3:-1] == text_b[:2] + text_b[3:-1]
+
+    @pytest.mark.parametrize("target", [12800, 10**4, 9980, 20000],
+                             ids=["on_lattice", "stored", "past_last_prime", "off_lattice"])
+    def test_prefix_cut_keeps_the_rows_isin_kept(self, tmp_path, target):
+        """On the lattice 100 * 2**k, a stored run to 1e4 (last prime 9973)
+        resumed to target keeps the rows np.isin picks, and leaves the same
+        points to compute."""
+        first = RunConfig(x_max=10**4, grid_ratio=2.0, out_dir=tmp_path)
+        cmd_compute(first)
+        cfg = RunConfig(x_max=target, grid_ratio=2.0, out_dir=tmp_path / "next")
+        kept, remaining = resume(first.checkpoint_path(), cfg)
+        stored = read_checkpoint_file(first.checkpoint_path()).checkpoints
+        grid = np.asarray(cfg.grid())
+        isin = stored.select(np.isin(stored.x, grid))
+        assert_same_table(kept.checkpoints, isin)
+        assert remaining.tolist() == grid[~np.isin(grid, isin.x)].tolist()
 
 
 def _outputs(out_dir):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primesums import ConfigError, PrimeSegment, SieveConfig, base_primes, prime_count
-from primesums.sieve import stream_segments
+from primesums.errors import ConfigError
+from primesums.sieve import PrimeSegment, SieveConfig, base_primes, prime_count, stream_segments
 
 from oracles import trial_division_primes
 

@@ -6,23 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jump_record_scalar, pair_records_scalar, weight_arrays
-from primesums import (
-    Checkpoint,
-    SizeError,
-    SumState,
-    base_primes,
+from oracles import (
+    jump_record_scalar,
+    make_term,
+    pair_records_scalar,
+    pair_sum_bruteforce,
+    push,
+    weight_arrays,
+)
+from primesums.accumulate import BLOCK, Checkpoint, SumState, grid_points, run_stream
+from primesums.errors import SizeError
+from primesums.sieve import base_primes, prime_array
+from primesums.verify import (
     check_E_monotone,
     check_jump_identity,
     check_pair_identity,
-    make_term,
-    pair_sum_bruteforce,
-    prime_array,
-    run_stream,
-    grid_points,
+    pair_prime_bound,
+    relative_residual,
 )
-from primesums.accumulate import BLOCK
-from primesums.verify import pair_prime_bound, relative_residual
 
 TWO_A1_A2 = 0.71250731477826901
 
@@ -90,7 +91,7 @@ class TestPairIdentity:
         state = SumState()
         clean_seen = []
         for clean, dirty in zip(terms, corrupted):
-            state.push(dirty)
+            push(state, dirty)
             clean_seen.append(clean)
             if state.n in (4, 8, 16, 32):
                 s = state.S_total
