@@ -75,9 +75,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--out", type=Path, default=Path("primesums_out"), help="output directory"
     )
     p.add_argument(
-        "--resume", type=Path, default=None, help="checkpoint file to continue from"
-    )
-    p.add_argument(
         "--threads",
         type=int,
         default=1,
@@ -101,7 +98,8 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
-    stored = args.checkpoint_file if args.command == "report" else args.resume
+    resume = getattr(args, "resume", None)  # report names its file as an argument
+    stored = args.checkpoint_file if args.command == "report" else resume
     if args.x_max is None and (stored is None or args.command == "compute"):
         raise ConfigError("--x-max is required, but for verify --resume and report")
     grid = {"grid_start": args.grid_start, "grid_ratio": args.grid_ratio}
@@ -114,7 +112,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         lambdas=tuple(args.lambdas) if args.lambdas else (2.0, 4.0, 8.0),
         tolerances=_parse_tolerances(args.tol),
         out_dir=args.out,
-        resume_from=args.resume,
+        resume_from=resume,
     )
 
 
@@ -129,12 +127,18 @@ def main(argv: list[str] | None = None) -> int:
         "compute", help="sieve, accumulate, write checkpoints.txt and checkpoints.csv"
     )
     _add_common_flags(p_compute)
+    p_compute.add_argument(
+        "--resume", type=Path, help="checkpoint file to continue from"
+    )
 
     p_verify = sub.add_parser(
         "verify",
         help="run all identity/inequality checks; exit 0 iff every record passes",
     )
     _add_common_flags(p_verify)
+    p_verify.add_argument(
+        "--resume", type=Path, help="checkpoint file to check in place of a fresh run"
+    )
 
     p_report = sub.add_parser(
         "report",

@@ -3,19 +3,22 @@ registry, and reports.
 
 File formats
 ------------
-Checkpoint file (format 4): text lines but for the table.  A header with
-the format version, a hash of the accumulation-relevant config fields and
-creation metadata, then the full accumulator state (its slots in
-SumState.__slots__ order, the exact sums as integers in units of 2**-120),
-a_n*S_{n-1} at the power-of-two n, the `x pi S M` table (checkpoint_table
-derives the rest) as `rows <k> <base64>` lines of k binary _ROW records,
-_CHUNK records a line, and `end <row count> <crc32>` last, the CRC-32 of
-every byte before that line.  The records hold the doubles themselves, so
-a restored run continues bit-identically.
+Checkpoint file (format 5): text lines but for the table.  A header with
+the format version, a hash of the accumulation-relevant config fields,
+creation metadata and `csv <bytes> <crc32>`, the digest of the
+checkpoints.csv written beside it, then the full accumulator state (its
+slots in SumState.__slots__ order, the exact sums as integers in units of
+2**-120), a_n*S_{n-1} at the power-of-two n, the `x pi S M` table
+(checkpoint_table derives the rest) as `rows <k> <base64>` lines of k
+binary _ROW records, _CHUNK records a line, and `end <row count> <crc32>`
+last, the CRC-32 of every byte before that line.  The records hold the
+doubles themselves, so a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
-byte-identical bodies.
+byte-identical bodies.  A resume or report copies the rows it keeps from
+the stored CSV, when the checkpoint file's digest vouches for its bytes,
+and formats only the others.
 
 JSON bundle (format 2): config echo, verification records, ratio bands,
 block stats, abel decompositions, and run metadata.  No checkpoint table:
@@ -40,7 +43,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import IO, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -92,13 +95,13 @@ from .verify import (
     worst_record,
 )
 
-FORMAT_VERSION = 4  # of the checkpoint file
+FORMAT_VERSION = 5  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
 BUNDLE_FORMAT_VERSION = 2  # of report.json
 
 CSV_COLUMNS = tuple(f.name for f in fields(Checkpoint))
-# one CSV row: x, pi as an integer, then the reals, each with 17 digits
-_CSV_ROW = ",".join(["%.17g", "%d", *["%.17g"] * (len(CSV_COLUMNS) - 2)])
+# one CSV line: x, pi as an integer, then the reals, each with 17 digits
+_CSV_ROW = ",".join(["%.17g", "%d", *["%.17g"] * (len(CSV_COLUMNS) - 2)]).encode() + b"\n"
 # a record of the checkpoint file's table, little-endian on every host:
 # what checkpoint_table takes
 _ROW = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
@@ -111,24 +114,25 @@ JUMP_SCAN_CAP = 10**6
 ABEL_GRID_CAP = 10**6
 PAIR_N_CAP = 5000
 _CHUNK = 4096  # table rows encoded at a time
+_BLOCK = 1 << 20  # bytes of a stored CSV read at a time
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _table_chunks(table: Checkpoint) -> Iterator[str]:
-    """The CSV rows of the checkpoint table, _CHUNK rows at a time, joined
-    by newlines.  A chunk is formatted by one C-level % call: its columns
-    are stacked into one float64 array and fed to a template of one "%.17g"
-    or "%d" field per cell.  The stack is exact, since pi < x <=
-    sieve.MAX_LIMIT = 2**53 and every integer up to 2**53 is a double;
-    '%d' prints such a double as the integer, and '%.17g' % v gives the
-    bytes of f"{v:.17g}" for every double.  Memory holds one chunk's text,
-    never the whole table."""
+def _table_chunks(table: Checkpoint) -> Iterator[bytes]:
+    """The CSV lines of the checkpoint table, each ended by a newline, as
+    ASCII bytes, _CHUNK rows at a time.  A chunk is formatted by one C-level
+    bytes % call: its columns are stacked into one float64 array and fed to
+    a template of one "%.17g" or "%d" field per cell.  The stack is exact,
+    since pi < x <= sieve.MAX_LIMIT = 2**53 and every integer up to 2**53
+    is a double; '%d' prints such a double as the integer, and
+    b'%.17g' % v gives the bytes of f"{v:.17g}" for every double.  Memory
+    holds one chunk's text, never the whole table."""
     for i in range(0, len(table), _CHUNK):
         cells = np.column_stack([getattr(table, name)[i : i + _CHUNK] for name in CSV_COLUMNS])
-        yield "\n".join([_CSV_ROW] * len(cells)) % tuple(cells.ravel().tolist())
+        yield _CSV_ROW * len(cells) % tuple(cells.ravel().tolist())
 
 
 def _row_records(table: Checkpoint) -> Iterator[str]:
@@ -175,12 +179,12 @@ def _json_rows(table) -> list[dict]:
 
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
+def _replacing(path: Path, mode: str = "w") -> Iterator[IO]:
     """The one file writer: a sibling temporary file that replaces path when
     the block completes, and is removed, leaving path as it was, if it raises."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -270,7 +274,17 @@ class RunConfig:
         return self.out_dir / "checkpoints.csv"
 
 
-def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None:
+@dataclass
+class StoredRun(RunResult):
+    """A run read back from its checkpoint file, with the (byte length,
+    CRC-32) of the checkpoints.csv written beside it, from its csv line."""
+
+    csv_digest: tuple[int, int]
+
+
+def write_checkpoint_file(
+    path: Path, cfg: RunConfig, result: RunResult, csv_digest: tuple[int, int]
+) -> None:
     state_row = (getattr(result.state, name) for name in SumState.__slots__)
     head = chain(
         [
@@ -281,6 +295,7 @@ def write_checkpoint_file(path: Path, cfg: RunConfig, result: RunResult) -> None
             f"grid_start {_fmt(cfg.grid_start)}",
             f"grid_ratio {_fmt(cfg.grid_ratio)}",
             f"segment_size {cfg.segment_size}",
+            "csv {} {:08x}".format(*csv_digest),
             # sums and counts as integers, the flag as 0/1, reals with 17 digits
             "state "
             + " ".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in state_row),
@@ -306,8 +321,9 @@ def _parse_state(path: Path, values: list[str]) -> SumState:
     return state
 
 
-def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False) -> RunResult:
-    """Parse a checkpoint file, one line at a time, its records into columns.
+def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False) -> StoredRun:
+    """Parse a checkpoint file, one line at a time, its records into columns,
+    and its csv line into the csv_digest of the run.
 
     With cfg, the stored run is its own config: the header fills in, in
     place, what cfg leaves None of x_max, grid_start and grid_ratio, and
@@ -316,14 +332,17 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
     """
     try:
         with open(path, "rb") as fh:
-            head = [fh.readline() for _ in range(8)]  # magic, 6 header lines, state
+            head = [fh.readline() for _ in range(9)]  # magic, 7 header lines, state
             if head[0].rstrip(b"\n") != _MAGIC.encode():
                 raise CheckpointFormatError(
                     f"{path}: not a checkpoint file (expected header {_MAGIC!r})"
                 )
             crc = zlib.crc32(b"".join(head))  # of every line before the end marker
             header = dict(line.decode("ascii").split() for line in head[1:7])
-            tag, *values = head[7].decode("ascii").split()
+            tag, size, csv_crc = head[7].decode("ascii").split()
+            if tag != "csv":
+                raise CheckpointFormatError(f"{path}: missing csv line")
+            tag, *values = head[8].decode("ascii").split()
             if tag != "state":
                 raise CheckpointFormatError(f"{path}: missing state row")
             state = _parse_state(path, values)
@@ -382,7 +401,8 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
             if not extend and cfg.x_max != int(header["x_max"]):
                 raise ConfigError(f"{path} holds a run to x_max={header['x_max']}, not "
                                   f"{cfg.x_max}: leave --x-max out to take the file's")
-        return RunResult(checkpoint_table(*(cells[name] for name in _ROW.names)), state, samples)
+        table = checkpoint_table(*(cells[name] for name in _ROW.names))
+        return StoredRun(table, state, samples, (int(size), int(csv_crc, 16)))
     except (CheckpointFormatError, ConfigError):
         raise
     except OSError as exc:
@@ -391,13 +411,77 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
         raise CheckpointFormatError(f"{path}: malformed checkpoint file: {exc}")
 
 
-def write_csv(path: Path, checkpoints: Checkpoint) -> None:
-    _write_lines(path, [",".join(CSV_COLUMNS)], _table_chunks(checkpoints))
+def _vouched_prefix(fh: BinaryIO, digest: tuple[int, int], rows: int) -> int:
+    """The byte length of the header and first `rows` rows of the CSV open
+    as fh, if its bytes are those that digest (byte length, CRC-32) vouches
+    for, else 0.  Reads the whole file, _BLOCK bytes at a time."""
+    size = crc = lines = end = 0  # lines: the newlines before this block
+    while block := fh.read(_BLOCK):
+        crc = zlib.crc32(block, crc)
+        n = block.count(b"\n")
+        if not end and lines + n > rows:  # the block holds newline number rows + 1
+            at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+            end = size + int(at[rows - lines]) + 1
+        lines += n
+        size += len(block)
+    return end if (size, crc) == digest else 0
 
 
-def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:
+def _csv_blocks(
+    table: Checkpoint, source: Path | None, digest: tuple[int, int] | None, kept: int
+) -> Iterator[bytes]:
+    """The bytes of the table's CSV: the header and first kept rows copied
+    from the CSV beside the checkpoint file source, if digest vouches for
+    all of its bytes, and every other row formatted by _table_chunks."""
+    end = 0
+    try:
+        fh = open(source.with_name("checkpoints.csv"), "rb") if digest else None
+    except OSError:
+        fh = None  # no stored CSV: every row is formatted
+    if fh is not None:
+        with fh:
+            end = left = _vouched_prefix(fh, digest, kept)
+            fh.seek(0)
+            while left:
+                block = fh.read(min(_BLOCK, left))
+                if not block:
+                    raise OSError(f"{fh.name} shrank while it was copied")
+                left -= len(block)
+                yield block
+    if not end:
+        yield (",".join(CSV_COLUMNS) + "\n").encode()
+    yield from _table_chunks(table.select(slice(kept if end else 0, None)))
+
+
+def write_csv(
+    path: Path,
+    checkpoints: Checkpoint,
+    source: Path | None = None,
+    digest: tuple[int, int] | None = None,
+    kept: int = 0,
+) -> tuple[int, int]:
+    """Write the table as CSV to path; return the (byte length, CRC-32) of
+    what was written, which the checkpoint file's `csv` line records.
+
+    source is the checkpoint file of a stored run whose first kept rows
+    begin the table, and digest the `csv` line it holds.  If the
+    checkpoints.csv beside source has exactly those bytes, its header and
+    first kept rows are copied, and only the rows after them formatted;
+    if it is missing, truncated or altered, none is copied.  Either way
+    the bytes written are the same."""
+    size = crc = 0
+    with _replacing(path, "wb") as fh:
+        for block in _csv_blocks(checkpoints, source, digest, kept):
+            fh.write(block)
+            size += len(block)
+            crc = zlib.crc32(block, crc)
+    return size, crc
+
+
+def resume(path: Path, cfg: RunConfig) -> tuple[StoredRun, np.ndarray]:
     """Read a stored run into cfg (read_checkpoint_file, extend) and plan the
-    continuation: the stored run cut to cfg's grid, and the points left.
+    continuation: the stored run cut to cfg's grid, with the digest of the
+    stored CSV whose first rows those are, and the points left.
 
     Both grids are the points start * ratio**k below their x_max, then x_max,
     with one start and ratio (the config hash): the rows they share are a
@@ -414,19 +498,24 @@ def resume(path: Path, cfg: RunConfig) -> tuple[RunResult, np.ndarray]:
             f"cannot resume to x_max={cfg.x_max}: stored state already covers "
             f"primes to {last}"
         )
-    return RunResult(kept, stored.state, stored.power_samples), remaining
+    return StoredRun(kept, stored.state, stored.power_samples, stored.csv_digest), remaining
 
 
 def cmd_compute(cfg: RunConfig) -> RunResult:
-    """Sieve to x_max, accumulate, and write the checkpoint file and CSV.
+    """Sieve to x_max, accumulate, and write the CSV, then the checkpoint
+    file with the CSV's digest.
 
     Deterministic and idempotent for a fixed config; with resume_from the
-    stored state continues bit-identically to an uninterrupted run.
+    stored state continues bit-identically to an uninterrupted run, and the
+    kept rows are copied from the stored CSV (see write_csv).
     """
     if cfg.resume_from is not None:
         result, grid = resume(cfg.resume_from, cfg)
+        stored_csv = result.csv_digest
     else:
         result, grid = RunResult(checkpoint_table([], [], [], []), SumState(), []), cfg.grid()
+        stored_csv = None
+    kept = len(result.checkpoints)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if len(grid):
         new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
@@ -434,10 +523,10 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
         stored, added = vars(result.checkpoints).values(), vars(new.checkpoints).values()
         table = Checkpoint(*map(np.concatenate, zip(stored, added)))
         result = RunResult(table, new.state, new.power_samples)
+    csv_digest = write_csv(cfg.csv_path(), result.checkpoints, cfg.resume_from, stored_csv, kept)
     if len(grid) or cfg.checkpoint_path() != cfg.resume_from:
         # a completed run resumed in place leaves its file alone
-        write_checkpoint_file(cfg.checkpoint_path(), cfg, result)
-    write_csv(cfg.csv_path(), result.checkpoints)
+        write_checkpoint_file(cfg.checkpoint_path(), cfg, result, csv_digest)
     return result
 
 
@@ -621,7 +710,8 @@ def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
 
 
 def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
-    """Emit report.json, the run's checkpoints.csv and series_anS.csv."""
+    """Emit report.json, the run's checkpoints.csv (copied from the stored
+    CSV where its digest vouches for it) and series_anS.csv."""
     stored = read_checkpoint_file(checkpoint_file, cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     bundle = build_report_bundle(cfg, stored)
@@ -629,7 +719,8 @@ def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
     with _replacing(out) as fh:
         json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    write_csv(cfg.csv_path(), stored.checkpoints)
+    write_csv(cfg.csv_path(), stored.checkpoints, checkpoint_file, stored.csv_digest,
+              len(stored.checkpoints))
     samples = (f"{n},{_fmt(value)}" for n, value in stored.an_sn_samples)
     _write_lines(cfg.out_dir / "series_anS.csv", ["n,value"], samples)
     return out

@@ -110,29 +110,30 @@ def cfg_for(tmp_path, x_max, **kw):
     return RunConfig(x_max=x_max, out_dir=tmp_path / "out", **kw)
 
 
-# the documented record of a format-4 `rows` line, stated independently of report._ROW
-V4_RECORD = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
+# the documented record of a `rows` line (formats 4 and 5), stated
+# independently of report._ROW
+RECORD = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
 
 
-def read_v4(path):
-    """A format-4 checkpoint file as (its text lines up to the table, its
+def read_v5(path):
+    """A format-5 checkpoint file as (its text lines up to the table, its
     records): the `rows` lines decoded, the end marker dropped."""
     head, chunks = [], []
     for line in path.read_text().splitlines():
         tag, *values = line.split()
         if tag == "rows":
-            chunks.append(np.frombuffer(base64.b64decode(values[1]), dtype=V4_RECORD))
+            chunks.append(np.frombuffer(base64.b64decode(values[1]), dtype=RECORD))
         elif tag != "end":
             head.append(line)
     return head, np.concatenate(chunks)
 
 
-def write_v4(path, head, records, count=None, after=(), extra=0):
-    """Write a format-4 file: head, records re-encoded as `rows` lines of at
+def write_v5(path, head, records, count=None, after=(), extra=0):
+    """Write a format-5 file: head, records re-encoded as `rows` lines of at
     most 4096 records, each declaring its record count plus extra,
     `end <count> <crc32>` with the correct checksum (count defaults to the
     number of records), then the lines of after."""
-    records = np.asarray(records, dtype=V4_RECORD)
+    records = np.asarray(records, dtype=RECORD)
     rows = [f"rows {len(c) + extra} {base64.b64encode(c.tobytes()).decode()}"
             for c in (records[i : i + 4096] for i in range(0, len(records), 4096))]
     body = "".join(line + "\n" for line in [*head, *rows])
@@ -141,11 +142,19 @@ def write_v4(path, head, records, count=None, after=(), extra=0):
     path.write_text(body + end + "".join(line + "\n" for line in after))
 
 
+def older_head(cfg, version):
+    """The header, state and anS lines of cfg's checkpoint file as formats
+    2 to 4 wrote them: the magic of that version, and no csv line."""
+    head = read_v5(cfg.checkpoint_path())[0]
+    return [f"primesums-checkpoints v{version}"] + [
+        line for line in head[1:] if not line.startswith("csv ")]
+
+
 def as_format_v2(cfg, path):
     """Write to path the checkpoint file that format 2 held for cfg's
     computed run: the CSV's nine columns in each checkpoint row, and the
     final-n sample repeated as the last anS line."""
-    head = ["primesums-checkpoints v2"] + read_v4(cfg.checkpoint_path())[0][1:]
+    head = older_head(cfg, 2)
     state = read_checkpoint_file(cfg.checkpoint_path()).state
     if state.n & (state.n - 1):
         head.append(f"anS {state.n} {state.last_anS:.17g}")
@@ -158,10 +167,16 @@ def as_format_v3(cfg, path):
     """Write to path the checkpoint file that format 3 held for cfg's
     computed run: x, pi, S and M as 17-digit text in each checkpoint row,
     and `end <row count>` with no checksum."""
-    head = ["primesums-checkpoints v3"] + read_v4(cfg.checkpoint_path())[0][1:]
+    head = older_head(cfg, 3)
     rows = [row.split(",")[:4] for row in cfg.csv_path().read_text().splitlines()[1:]]
     path.write_text("\n".join([*head, *("checkpoint " + " ".join(row) for row in rows),
                                f"end {len(rows)}"]) + "\n")
+
+
+def as_format_v4(cfg, path):
+    """Write to path the checkpoint file that format 4 held for cfg's
+    computed run: format 5 without the csv line, with its own checksum."""
+    write_v5(path, older_head(cfg, 4), read_v5(cfg.checkpoint_path())[1])
 
 
 class TestRunConfig:
@@ -265,21 +280,25 @@ class TestCompute:
 
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
-        """Format 4 records hold x, pi, S and M, bit for bit, and anS lines
-        only the power-of-two n; the end marker counts the records and
-        checksums every byte before it; the reader derives the rest, equal
-        by repr to compute's table, and the final-n sample from the state."""
+        """Format 5 records hold x, pi, S and M, bit for bit, and anS lines
+        only the power-of-two n; the csv line holds the byte length and
+        CRC-32 of the CSV beside the file; the end marker counts the records
+        and checksums every byte before it; the reader derives the rest,
+        equal by repr to compute's table, and the final-n sample from the
+        state."""
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
         text = cfg.checkpoint_path().read_bytes()
         lines = text.decode().splitlines()
-        assert lines[0] == "primesums-checkpoints v4"
+        assert lines[0] == "primesums-checkpoints v5"
+        csv = cfg.csv_path().read_bytes()
+        assert lines[7] == f"csv {len(csv)} {zlib.crc32(csv):08x}"
         body, end = text[: text.rindex(b"end ")], lines[-1]
         assert end == f"end 28 {zlib.crc32(body):08x}"
         assert [line.split()[:2] for line in lines if line.startswith("rows ")] == [["rows", "28"]]
         table = result.checkpoints
-        records = read_v4(cfg.checkpoint_path())[1]
-        for name in V4_RECORD.names:
+        records = read_v5(cfg.checkpoint_path())[1]
+        for name in RECORD.names:
             assert np.array_equal(records[name].view(np.int64),
                                   getattr(table, name).view(np.int64)), name
         ns = [int(line.split()[1]) for line in lines if line.startswith("anS ")]
@@ -288,16 +307,19 @@ class TestCheckpointFile:
         for field in STATE_FIELDS:
             assert getattr(stored.state, field) == getattr(result.state, field)
         assert_same_table(stored.checkpoints, table)
+        assert stored.csv_digest == (len(csv), zlib.crc32(csv))
         assert stored.an_sn_samples == result.an_sn_samples
         assert stored.an_sn_samples[-1] == (1229, result.state.last_anS)
         assert len(stored.an_sn_samples) == 12
 
-    @pytest.mark.parametrize("older, width", [(as_format_v2, 10), (as_format_v3, 5)],
-                             ids=["v2", "v3"])
-    def test_refuses_format_v2(self, tmp_path, capsys, older, width):
+    @pytest.mark.parametrize("older, width, end", [(as_format_v2, 10, 2), (as_format_v3, 5, 2),
+                                                   (as_format_v4, 3, 3)],
+                             ids=["v2", "v3", "v4"])
+    def test_refuses_format_v2(self, tmp_path, capsys, older, width, end):
         """A format-2 file, as that writer made it (nine columns a row, the
-        final sample twice), and a format-3 one (x pi S M as text, no
-        checksum) are refused by every command that reads one."""
+        final sample twice), a format-3 one (x pi S M as text, no checksum)
+        and a format-4 one (no csv line) are refused by every command that
+        reads one."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
         old = tmp_path / "old.txt"
@@ -306,7 +328,8 @@ class TestCheckpointFile:
         last_anS = lines[7].split()[7]  # of the state row
         # only format 2 repeats the final sample
         assert (f"anS 1229 {last_anS}" in lines) == (width == 10)
-        assert len(lines[-2].split()) == width and lines[-1] == "end 28"
+        assert len(lines[-2].split()) == width
+        assert lines[-1].split()[:2] == ["end", "28"] and len(lines[-1].split()) == end
         with pytest.raises(CheckpointFormatError, match="not a checkpoint file"):
             read_checkpoint_file(old)
         common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
@@ -342,11 +365,11 @@ class TestCheckpointFile:
     def test_rejects_rows_out_of_order(self, tmp_path, capsys):
         cfg = cfg_for(tmp_path, 10**5)
         cmd_compute(cfg)
-        head, records = read_v4(cfg.checkpoint_path())
+        head, records = read_v5(cfg.checkpoint_path())
         records = records.copy()
         records[[5, 6]] = records[[6, 5]]
         swapped = tmp_path / "swapped.txt"
-        write_v4(swapped, head, records)
+        write_v5(swapped, head, records)
         with pytest.raises(CheckpointFormatError, match="ascending"):
             read_checkpoint_file(swapped)
         common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
@@ -363,18 +386,18 @@ class TestCheckpointFile:
         cmd_compute(cfg)
         lines = cfg.checkpoint_path().read_text().splitlines()
         assert lines[-1].split()[:2] == ["end", "28"]
-        head, records = read_v4(cfg.checkpoint_path())
+        head, records = read_v5(cfg.checkpoint_path())
         row = records[-1:].copy()
         row["pi"] = 5000
         trailing = tmp_path / "trailing.txt"
-        write_v4(trailing, head, records,
+        write_v5(trailing, head, records,
                  after=[f"rows 1 {base64.b64encode(row.tobytes()).decode()}"])
         empty = tmp_path / "empty_table.txt"
-        write_v4(empty, head, records[:0])
+        write_v5(empty, head, records[:0])
         miscounted = tmp_path / "miscounted.txt"
-        write_v4(miscounted, head, records, count=27)
+        write_v5(miscounted, head, records, count=27)
         misdeclared = tmp_path / "misdeclared.txt"
-        write_v4(misdeclared, head, records, extra=-1)
+        write_v5(misdeclared, head, records, extra=-1)
         for path, message in ((trailing, "after the end marker"), (empty, "no checkpoint rows"),
                               (miscounted, "row count mismatch"),
                               (misdeclared, "declares 27 records, holds 28")):
@@ -407,7 +430,7 @@ class TestCheckpointFile:
             path = altered[tag] = tmp_path / f"{tag}.txt"
             path.write_text("\n".join(lines[:i] + [" ".join(values)] + lines[i + 1 :]) + "\n")
         # the records still decode: only the checksum tells
-        assert len(read_v4(altered["rows"])[1]) == 28
+        assert len(read_v5(altered["rows"])[1]) == 28
         for tag, path in altered.items():
             with pytest.raises(CheckpointFormatError, match="checksum mismatch"):
                 read_checkpoint_file(path)
@@ -442,7 +465,8 @@ class TestCheckpointFile:
 
         monkeypatch.setattr(report, "_row_records", killed)
         with pytest.raises(KeyboardInterrupt):
-            write_checkpoint_file(path, cfg, result)
+            # the cut file is discarded, so its digest is never read
+            write_checkpoint_file(path, cfg, result, (0, 0))
         assert cut_at[0] > 0
         assert path.read_bytes() == before
         stored = read_checkpoint_file(path)
@@ -495,14 +519,15 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
 
 
 def assert_codec_matches(table) -> None:
-    """In chunks of _CHUNK rows (the last one shorter), report._table_chunks
-    gives the CSV bytes of the per-value codec, and report._row_records
-    gives `rows` lines whose records hold the x, pi, S and M columns bit
-    for bit."""
+    """In chunks of _CHUNK rows (the last one shorter), each line ended by a
+    newline, report._table_chunks gives the CSV bytes of the per-value
+    codec, and report._row_records gives `rows` lines whose records hold
+    the x, pi, S and M columns bit for bit."""
     sizes = [min(report._CHUNK, len(table) - i) for i in range(0, len(table), report._CHUNK)]
     chunks = list(report._table_chunks(table))
-    assert [c.count("\n") + 1 for c in chunks] == sizes
-    lines = "\n".join(chunks).split("\n")
+    assert [c.count(b"\n") for c in chunks] == sizes
+    assert all(c.endswith(b"\n") for c in chunks)
+    lines = b"".join(chunks).decode("ascii").split("\n")[:-1]
     scalar = list(table_lines_scalar(table, report.CSV_COLUMNS, ","))
     assert len(lines) == len(scalar)
     # the first row that differs, not a diff of the whole text
@@ -511,10 +536,10 @@ def assert_codec_matches(table) -> None:
     rows = [line.split(" ") for line in report._row_records(table)]
     assert [(tag, int(k)) for tag, k, _ in rows] == [("rows", k) for k in sizes]
     # decoded as documented, and as the reader decodes them
-    for decode in (lambda k, data: np.frombuffer(base64.b64decode(data), dtype=V4_RECORD),
+    for decode in (lambda k, data: np.frombuffer(base64.b64decode(data), dtype=RECORD),
                    lambda k, data: np.frombuffer(report._decode_rows(k, data), report._ROW)):
         records = np.concatenate([decode(k, data) for _, k, data in rows])
-        for name in V4_RECORD.names:
+        for name in RECORD.names:
             bits, written = records[name].view(np.int64), getattr(table, name).view(np.int64)
             # the first row whose bits differ
             i = next(iter(np.flatnonzero(bits != written)), None)
@@ -537,6 +562,18 @@ class TestTableCodec:
     def test_chunk_edges(self, dense, rows):
         assert_codec_matches(dense.select(slice(0, rows)))
 
+    def test_codec_pinned_to_format_version(self):
+        """A resume copies stored CSV rows on the strength of a digest of
+        their bytes, not of the codec that wrote them.  So a change to the
+        columns or the row template comes with a new FORMAT_VERSION, and
+        the old codec's files are refused rather than copied beside rows of
+        the new one."""
+        assert (report.FORMAT_VERSION, report.CSV_COLUMNS, report._CSV_ROW) == (
+            5,
+            ("x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder"),
+            b"%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(table_rows)
     @example([(math.nan, 2**53 - 1, *EDGE_FLOATS[:7])])
@@ -546,6 +583,91 @@ class TestTableCodec:
         table = Checkpoint(*(np.array(c, dtype=np.int64 if f == "pi" else np.float64)
                              for f, c in zip(report.CSV_COLUMNS, cols)))
         assert_codec_matches(table)
+
+
+def _count_formatted(monkeypatch) -> list[int]:
+    """Wrap report._table_chunks to count the rows it formats: one entry
+    per call, that is per CSV written."""
+    counts = []
+    table_chunks = report._table_chunks
+
+    def counted(table):
+        counts.append(len(table))
+        return table_chunks(table)
+
+    monkeypatch.setattr(report, "_table_chunks", counted)
+    return counts
+
+
+class TestCsvReuse:
+    """A resume or report copies the rows it keeps from the stored
+    checkpoints.csv when the checkpoint file's csv line vouches for all of
+    its bytes, and formats only the others: the bytes written are the
+    unsplit run's whatever the stored CSV holds."""
+
+    @pytest.fixture(scope="class")
+    def unsplit(self, tmp_path_factory):
+        # 7.6e3 rows to 2e5: more than one chunk; the stored 1e5 CSV is
+        # more than one _BLOCK
+        cfg = RunConfig(x_max=2 * 10**5, grid_ratio=1.001,
+                        out_dir=tmp_path_factory.mktemp("unsplit"))
+        cmd_compute(cfg)
+        return cfg.csv_path().read_bytes()
+
+    @pytest.mark.parametrize("stored_csv", ["present", "small_blocks", "report", "deleted",
+                                            "altered", "truncated"])
+    def test_split_equals_unsplit(self, unsplit, tmp_path, monkeypatch, capsys, stored_csv):
+        first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path / "first")
+        cmd_compute(first)
+        csv = first.csv_path()
+        text = csv.read_bytes()
+        assert len(text) > report._BLOCK
+        formatted = _count_formatted(monkeypatch)
+        if stored_csv == "small_blocks":
+            monkeypatch.setattr(report, "_BLOCK", 997)  # rows straddle blocks
+        elif stored_csv == "report":
+            # report, in place, writes the CSV again, and copies every row
+            assert cli_main(["report", "--out", str(first.out_dir),
+                             str(first.checkpoint_path())]) == 0
+            assert csv.read_bytes() == text and formatted == [0]
+            formatted.clear()
+        elif stored_csv == "deleted":
+            csv.unlink()
+        elif stored_csv == "altered":
+            # one digit of a kept row, at the same length
+            lines = text.split(b"\n")
+            digit = lines[100][-1:]
+            lines[100] = lines[100][:-1] + str((int(digit) + 1) % 10).encode()
+            csv.write_bytes(b"\n".join(lines))
+            assert len(csv.read_bytes()) == len(text)
+        elif stored_csv == "truncated":
+            csv.write_bytes(text[: len(text) // 2])
+        resumed = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path / "resumed",
+                            resume_from=first.checkpoint_path())
+        k = len(resume(first.checkpoint_path(), resumed)[0].checkpoints)
+        cmd_compute(resumed)
+        assert resumed.csv_path().read_bytes() == unsplit
+        grid = resumed.grid()
+        vouched = stored_csv in ("present", "small_blocks", "report")
+        assert formatted == [len(grid[k:]) if vouched else len(grid)]
+        # and the new checkpoint file vouches for the new CSV
+        csv_line = resumed.checkpoint_path().read_text().splitlines()[7]
+        assert csv_line == f"csv {len(unsplit)} {zlib.crc32(unsplit):08x}"
+
+    def test_resume_in_place(self, unsplit, tmp_path, monkeypatch):
+        """--out the stored directory: the stored CSV is read while its
+        replacement is written beside it, and the bytes are the unsplit
+        run's; a second resume of the completed run formats no row."""
+        first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path)
+        cmd_compute(first)
+        formatted = _count_formatted(monkeypatch)
+        for _ in range(2):
+            cmd_compute(RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path,
+                                  resume_from=first.checkpoint_path()))
+            assert first.csv_path().read_bytes() == unsplit
+        assert 0 < formatted[0] < len(first.grid()) and formatted[1] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoints.csv", "checkpoints.txt"]
 
 
 class TestResume:
@@ -1008,6 +1130,20 @@ class TestCli:
             == 0
         )
         assert (out / "report.json").exists()
+
+    def test_report_refuses_resume(self, tmp_path, capsys):
+        """report names its checkpoint file as an argument, and --resume is
+        not one of its flags: argparse refuses it (exit 2) before any work."""
+        run = tmp_path / "run"
+        assert cli_main(["compute", "--x-max", "2000", "--out", str(run)]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["report", "--resume", str(tmp_path / "nonexistent.txt"),
+                      "--out", str(out), str(run / "checkpoints.txt")])
+        assert exc.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag_is_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
