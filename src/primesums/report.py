@@ -3,16 +3,16 @@ registry, and reports.
 
 File formats
 ------------
-Checkpoint file (format 5): text lines but for the table.  A header with
-the format version, a hash of the accumulation-relevant config fields,
-creation metadata and `csv <bytes> <crc32>`, the digest of the
-checkpoints.csv written beside it, then the full accumulator state (its
-slots in SumState.__slots__ order, the exact sums as integers in units of
-2**-120), a_n*S_{n-1} at the power-of-two n, the `x pi S M` table
-(checkpoint_table derives the rest) as `rows <k> <base64>` lines of k
-binary _ROW records, _CHUNK records a line, and `end <row count> <crc32>`
-last, the CRC-32 of every byte before that line.  The records hold the
-doubles themselves, so a restored run continues bit-identically.
+Checkpoint file (format 6): the magic line, one json header line, the
+table, and `end <crc32>` last, the CRC-32 of every byte before that line.
+The header's keys: anS (a_n*S_{n-1} at the power-of-two n), config_hash
+(of the accumulation-relevant config fields), created, csv (the byte
+length and CRC-32 of the checkpoints.csv written beside it), grid_ratio,
+grid_start, rows, segment_size, state (the accumulator's slots, the exact
+sums as integers in units of 2**-120) and x_max.  The `x pi S M` table
+(checkpoint_table derives the rest) follows as lines of the base64 of up
+to _CHUNK binary _ROW records.  The records hold the doubles themselves,
+and json the sums as integers, so a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
@@ -38,12 +38,12 @@ import os
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import IO, BinaryIO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -95,7 +95,7 @@ from .verify import (
     worst_record,
 )
 
-FORMAT_VERSION = 5  # of the checkpoint file
+FORMAT_VERSION = 6  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
 BUNDLE_FORMAT_VERSION = 2  # of report.json
 
@@ -135,35 +135,14 @@ def _table_chunks(table: Checkpoint) -> Iterator[bytes]:
         yield _CSV_ROW * len(cells) % tuple(cells.ravel().tolist())
 
 
-def _row_records(table: Checkpoint) -> Iterator[str]:
-    """The checkpoint file's table, _CHUNK rows a line: `rows <k>` and the
-    base64 of k _ROW records, the columns' own bits, no value formatted."""
+def _row_records(table: Checkpoint) -> Iterator[bytes]:
+    """The checkpoint file's table, _CHUNK rows a line: the base64 of up to
+    _CHUNK _ROW records, the columns' own bits, no value formatted."""
     for i in range(0, len(table), _CHUNK):
         records = np.empty(min(_CHUNK, len(table) - i), dtype=_ROW)
         for name in _ROW.names:
             records[name] = getattr(table, name)[i : i + _CHUNK]
-        yield f"rows {len(records)} {base64.b64encode(records.tobytes()).decode('ascii')}"
-
-
-def _decode_rows(count: str, data: str) -> bytes:
-    """The bytes of the _ROW records of one `rows` line, refused unless
-    they are count whole records."""
-    records = base64.b64decode(data, validate=True)
-    if len(records) != int(count) * _ROW.itemsize:
-        raise ValueError(
-            f"rows line declares {count} records, holds {len(records) / _ROW.itemsize:g}"
-        )
-    return records
-
-
-def _checksummed(lines: Iterable[str], count: int) -> Iterator[str]:
-    """lines, then `end <count> <crc32>`: the CRC-32 of every byte of lines,
-    each with its newline, as 8 hex digits."""
-    crc = 0
-    for line in lines:
-        crc = zlib.crc32(f"{line}\n".encode("ascii"), crc)
-        yield line
-    yield f"end {count} {crc:08x}"
+        yield base64.b64encode(records.tobytes()) + b"\n"
 
 
 def _json(record) -> dict:
@@ -191,13 +170,20 @@ def _replacing(path: Path, mode: str = "w") -> Iterator[IO]:
         tmp.unlink(missing_ok=True)  # already gone after the replace
 
 
-def _write_lines(path: Path, *parts: Iterable[str]) -> None:
-    """Write the items of each part in turn, each ended by a newline, one
-    at a time: an item is one line, or a chunk of table rows, so memory
-    never holds the whole file."""
-    with _replacing(path) as fh:
-        for line in chain(*parts):
-            fh.write(line + "\n")
+def _write_bytes(path: Path, blocks: Iterable[bytes], sealed: bool = False) -> tuple[int, int]:
+    """Write blocks in turn to path (through _replacing), then, if sealed,
+    `end <crc32>`: the CRC-32 of every byte before that line, as 8 hex
+    digits.  Return the (byte length, CRC-32) of blocks.  A block is a line
+    or a chunk of table rows, so memory never holds the whole file."""
+    size = crc = 0
+    with _replacing(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
+            size += len(block)
+            crc = zlib.crc32(block, crc)
+        if sealed:
+            fh.write(b"end %08x\n" % crc)
+    return size, crc
 
 
 @dataclass
@@ -274,56 +260,46 @@ class RunConfig:
         return self.out_dir / "checkpoints.csv"
 
 
+def _typed(name: str, value, kind: type):
+    """value, as json.loads typed it, refused unless it is a kind: no value
+    is cast, so an exact sum is no float, a count no 1.5, the flag no 0/1."""
+    if type(value) is not kind:
+        raise TypeError(f"{name}={value!r} is not of type {kind.__name__}")
+    return value
+
+
 @dataclass
 class StoredRun(RunResult):
-    """A run read back from its checkpoint file, with the (byte length,
-    CRC-32) of the checkpoints.csv written beside it, from its csv line."""
+    """A run read back from its checkpoint file: the file's path, and the
+    (byte length, CRC-32) of the checkpoints.csv written beside it."""
 
     csv_digest: tuple[int, int]
+    path: Path
 
 
 def write_checkpoint_file(
     path: Path, cfg: RunConfig, result: RunResult, csv_digest: tuple[int, int]
 ) -> None:
-    state_row = (getattr(result.state, name) for name in SumState.__slots__)
-    head = chain(
-        [
-            _MAGIC,
-            f"config_hash {cfg.config_hash()}",
-            f"created {datetime.now(timezone.utc).isoformat()}",
-            f"x_max {cfg.x_max}",
-            f"grid_start {_fmt(cfg.grid_start)}",
-            f"grid_ratio {_fmt(cfg.grid_ratio)}",
-            f"segment_size {cfg.segment_size}",
-            "csv {} {:08x}".format(*csv_digest),
-            # sums and counts as integers, the flag as 0/1, reals with 17 digits
-            "state "
-            + " ".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in state_row),
-        ],
-        (f"anS {n} {_fmt(value)}" for n, value in result.power_samples),
-        _row_records(result.checkpoints),
-    )
-    _write_lines(path, _checksummed(head, len(result.checkpoints)))
-
-
-def _parse_state(path: Path, values: list[str]) -> SumState:
-    """The state row, read in SumState.__slots__ order; each value takes
-    the type of that slot in a fresh state."""
-    if len(values) != len(SumState.__slots__):
-        raise CheckpointFormatError(
-            f"{path}: state row has {len(values)} fields, "
-            f"expected {len(SumState.__slots__)}"
-        )
-    state = SumState()
-    for name, text in zip(SumState.__slots__, values):
-        kind = type(getattr(state, name))
-        setattr(state, name, float(text) if kind is float else kind(int(text)))
-    return state
+    header = {
+        "anS": result.power_samples,
+        "config_hash": cfg.config_hash(),
+        "created": datetime.now(timezone.utc).isoformat(),
+        "csv": csv_digest,
+        "grid_ratio": float(cfg.grid_ratio),
+        "grid_start": float(cfg.grid_start),
+        "rows": len(result.checkpoints),
+        "segment_size": cfg.segment_size,
+        # the exact sums as integers, which json writes and reads exactly
+        "state": {name: getattr(result.state, name) for name in SumState.__slots__},
+        "x_max": cfg.x_max,
+    }
+    head = f"{_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("ascii")
+    _write_bytes(path, chain([head], _row_records(result.checkpoints)), sealed=True)
 
 
 def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False) -> StoredRun:
-    """Parse a checkpoint file, one line at a time, its records into columns,
-    and its csv line into the csv_digest of the run.
+    """Parse a checkpoint file, one line at a time: its header by json.loads,
+    which types every value, and its records into columns.
 
     With cfg, the stored run is its own config: the header fills in, in
     place, what cfg leaves None of x_max, grid_start and grid_ratio, and
@@ -332,53 +308,39 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
     """
     try:
         with open(path, "rb") as fh:
-            head = [fh.readline() for _ in range(9)]  # magic, 7 header lines, state
-            if head[0].rstrip(b"\n") != _MAGIC.encode():
+            magic, head = fh.readline(), fh.readline()
+            if magic.rstrip(b"\n") != _MAGIC.encode():
                 raise CheckpointFormatError(
                     f"{path}: not a checkpoint file (expected header {_MAGIC!r})"
                 )
-            crc = zlib.crc32(b"".join(head))  # of every line before the end marker
-            header = dict(line.decode("ascii").split() for line in head[1:7])
-            tag, size, csv_crc = head[7].decode("ascii").split()
-            if tag != "csv":
-                raise CheckpointFormatError(f"{path}: missing csv line")
-            tag, *values = head[8].decode("ascii").split()
-            if tag != "state":
-                raise CheckpointFormatError(f"{path}: missing state row")
-            state = _parse_state(path, values)
-            samples: list[tuple[int, float]] = []
+            crc = zlib.crc32(head, zlib.crc32(magic))  # of every line before the end marker
             records = bytearray()
-            end = None
-            for raw in fh:
-                tag, *values = raw.decode("ascii").split()
-                if tag == "end":
-                    end = values
+            for line in fh:
+                if line.startswith(b"end "):
                     break
-                crc = zlib.crc32(raw, crc)
-                if tag == "rows":
-                    records += _decode_rows(*values)
-                elif tag == "anS":
-                    n, value = values
-                    samples.append((int(n), float(value)))
-                else:
-                    raise CheckpointFormatError(f"{path}: unknown row tag {tag!r}")
-            if end is None:
+                crc = zlib.crc32(line, crc)
+                records += base64.b64decode(line.rstrip(b"\n"), validate=True)
+            else:
                 raise CheckpointFormatError(f"{path}: truncated (no end marker)")
             if fh.readline():
                 raise CheckpointFormatError(f"{path}: lines after the end marker")
-        count, checksum = end
+        checksum = line[4:].rstrip(b"\n").decode("ascii")
         if checksum != f"{crc:08x}":
             raise CheckpointFormatError(
                 f"{path}: checksum mismatch (crc32 {checksum} declared, "
                 f"{crc:08x} computed): the file was altered or damaged"
             )
-        found = len(records) // _ROW.itemsize
-        if int(count) != found:
+        header = json.loads(head)
+        if len(records) != _typed("rows", header["rows"], int) * _ROW.itemsize:
             raise CheckpointFormatError(
-                f"{path}: row count mismatch ({count} declared, {found} found)"
+                f"{path}: row count mismatch ({header['rows']} declared, "
+                f"{len(records) / _ROW.itemsize:g} found)"
             )
-        if not found:
+        if not records:
             raise CheckpointFormatError(f"{path}: no checkpoint rows")
+        state = SumState()
+        for name in SumState.__slots__:
+            setattr(state, name, _typed(name, header["state"][name], type(getattr(state, name))))
         cells = np.frombuffer(records, dtype=_ROW)  # the records, not copied
         x = cells["x"]
         bad = np.flatnonzero(~(x[:-1] < x[1:]))
@@ -390,7 +352,7 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
         if cfg is not None:
             for name, kind in (("x_max", int), ("grid_start", float), ("grid_ratio", float)):
                 if getattr(cfg, name) is None:
-                    setattr(cfg, name, kind(header[name]))
+                    setattr(cfg, name, _typed(name, header[name], kind))
             cfg.__post_init__()  # the answered fields' own checks
             if header["config_hash"] != cfg.config_hash():
                 raise CheckpointFormatError(
@@ -398,11 +360,13 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
                     f"current accumulation config {cfg.config_hash()} "
                     "(grid_start/grid_ratio changed; start a fresh run instead)"
                 )
-            if not extend and cfg.x_max != int(header["x_max"]):
+            if not extend and cfg.x_max != header["x_max"]:
                 raise ConfigError(f"{path} holds a run to x_max={header['x_max']}, not "
                                   f"{cfg.x_max}: leave --x-max out to take the file's")
         table = checkpoint_table(*(cells[name] for name in _ROW.names))
-        return StoredRun(table, state, samples, (int(size), int(csv_crc, 16)))
+        samples = [(_typed("anS", n, int), _typed("anS", v, float)) for n, v in header["anS"]]
+        csv_size, csv_crc = header["csv"]  # of another type, they vouch for no CSV
+        return StoredRun(table, state, samples, (csv_size, csv_crc), path)
     except (CheckpointFormatError, ConfigError):
         raise
     except OSError as exc:
@@ -411,77 +375,62 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
         raise CheckpointFormatError(f"{path}: malformed checkpoint file: {exc}")
 
 
-def _vouched_prefix(fh: BinaryIO, digest: tuple[int, int], rows: int) -> int:
-    """The byte length of the header and first `rows` rows of the CSV open
-    as fh, if its bytes are those that digest (byte length, CRC-32) vouches
-    for, else 0.  Reads the whole file, _BLOCK bytes at a time."""
+def _vouched_prefix(stored: StoredRun) -> int:
+    """The byte length of the header and the rows of stored's table at the
+    head of the checkpoints.csv beside its file, if that whole file has the
+    bytes stored.csv_digest vouches for; else 0, also when there is none.
+    Reads the whole file, _BLOCK bytes at a time."""
+    rows = len(stored.checkpoints)
     size = crc = lines = end = 0  # lines: the newlines before this block
-    while block := fh.read(_BLOCK):
-        crc = zlib.crc32(block, crc)
-        n = block.count(b"\n")
-        if not end and lines + n > rows:  # the block holds newline number rows + 1
-            at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-            end = size + int(at[rows - lines]) + 1
-        lines += n
-        size += len(block)
-    return end if (size, crc) == digest else 0
-
-
-def _csv_blocks(
-    table: Checkpoint, source: Path | None, digest: tuple[int, int] | None, kept: int
-) -> Iterator[bytes]:
-    """The bytes of the table's CSV: the header and first kept rows copied
-    from the CSV beside the checkpoint file source, if digest vouches for
-    all of its bytes, and every other row formatted by _table_chunks."""
-    end = 0
     try:
-        fh = open(source.with_name("checkpoints.csv"), "rb") if digest else None
+        with open(stored.path.with_name("checkpoints.csv"), "rb") as fh:
+            while block := fh.read(_BLOCK):
+                crc = zlib.crc32(block, crc)
+                n = block.count(b"\n")
+                if not end and lines + n > rows:  # the block holds newline number rows + 1
+                    at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+                    end = size + int(at[rows - lines]) + 1
+                lines += n
+                size += len(block)
     except OSError:
-        fh = None  # no stored CSV: every row is formatted
-    if fh is not None:
-        with fh:
-            end = left = _vouched_prefix(fh, digest, kept)
-            fh.seek(0)
+        return 0  # no stored CSV: every row is formatted
+    return end if (size, crc) == stored.csv_digest else 0
+
+
+def _csv_blocks(table: Checkpoint, stored: StoredRun | None) -> Iterator[bytes]:
+    """The bytes of the table's CSV: the header and stored's rows copied
+    from the CSV beside its file, if _vouched_prefix vouches for them, and
+    every other row formatted by _table_chunks."""
+    end = left = _vouched_prefix(stored) if stored is not None else 0
+    if end:
+        with open(stored.path.with_name("checkpoints.csv"), "rb") as fh:
             while left:
                 block = fh.read(min(_BLOCK, left))
                 if not block:
                     raise OSError(f"{fh.name} shrank while it was copied")
                 left -= len(block)
                 yield block
-    if not end:
+    else:
         yield (",".join(CSV_COLUMNS) + "\n").encode()
-    yield from _table_chunks(table.select(slice(kept if end else 0, None)))
+    yield from _table_chunks(table.select(slice(len(stored.checkpoints) if end else 0, None)))
 
 
-def write_csv(
-    path: Path,
-    checkpoints: Checkpoint,
-    source: Path | None = None,
-    digest: tuple[int, int] | None = None,
-    kept: int = 0,
-) -> tuple[int, int]:
+def write_csv(path: Path, table: Checkpoint, stored: StoredRun | None = None) -> tuple[int, int]:
     """Write the table as CSV to path; return the (byte length, CRC-32) of
-    what was written, which the checkpoint file's `csv` line records.
+    what was written, which the checkpoint file's header records.
 
-    source is the checkpoint file of a stored run whose first kept rows
-    begin the table, and digest the `csv` line it holds.  If the
-    checkpoints.csv beside source has exactly those bytes, its header and
-    first kept rows are copied, and only the rows after them formatted;
-    if it is missing, truncated or altered, none is copied.  Either way
-    the bytes written are the same."""
-    size = crc = 0
-    with _replacing(path, "wb") as fh:
-        for block in _csv_blocks(checkpoints, source, digest, kept):
-            fh.write(block)
-            size += len(block)
-            crc = zlib.crc32(block, crc)
-    return size, crc
+    stored is a run read back from its checkpoint file (or cut by resume)
+    whose rows begin the table.  If the checkpoints.csv beside that file
+    has exactly the bytes its digest vouches for, the header and those rows
+    are copied, and only the rows after them formatted; if it is missing,
+    truncated or altered, none is copied.  Either way the bytes written are
+    the same."""
+    return _write_bytes(path, _csv_blocks(table, stored))
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[StoredRun, np.ndarray]:
     """Read a stored run into cfg (read_checkpoint_file, extend) and plan the
-    continuation: the stored run cut to cfg's grid, with the digest of the
-    stored CSV whose first rows those are, and the points left.
+    continuation: the stored run cut to cfg's grid and the points left.
 
     Both grids are the points start * ratio**k below their x_max, then x_max,
     with one start and ratio (the config hash): the rows they share are a
@@ -498,7 +447,7 @@ def resume(path: Path, cfg: RunConfig) -> tuple[StoredRun, np.ndarray]:
             f"cannot resume to x_max={cfg.x_max}: stored state already covers "
             f"primes to {last}"
         )
-    return StoredRun(kept, stored.state, stored.power_samples, stored.csv_digest), remaining
+    return replace(stored, checkpoints=kept), remaining
 
 
 def cmd_compute(cfg: RunConfig) -> RunResult:
@@ -507,26 +456,28 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
 
     Deterministic and idempotent for a fixed config; with resume_from the
     stored state continues bit-identically to an uninterrupted run, and the
-    kept rows are copied from the stored CSV (see write_csv).
+    kept rows are copied from the stored CSV (see write_csv).  A completed
+    run resumed in place, whose CSV its digest vouches for, leaves both
+    files alone: they hold the bytes a rewrite would give.
     """
-    if cfg.resume_from is not None:
-        result, grid = resume(cfg.resume_from, cfg)
-        stored_csv = result.csv_digest
+    if cfg.resume_from is None:
+        stored, grid = None, cfg.grid()
+        result = RunResult(checkpoint_table([], [], [], []), SumState(), [])
     else:
-        result, grid = RunResult(checkpoint_table([], [], [], []), SumState(), []), cfg.grid()
-        stored_csv = None
-    kept = len(result.checkpoints)
+        stored, grid = resume(cfg.resume_from, cfg)
+        if (not len(grid) and cfg.checkpoint_path() == stored.path
+                and _vouched_prefix(stored) == stored.csv_digest[0]):
+            return stored  # its stored rows are the whole CSV
+        result = stored
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if len(grid):
         new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
                          state=result.state, samples=result.power_samples)
-        stored, added = vars(result.checkpoints).values(), vars(new.checkpoints).values()
-        table = Checkpoint(*map(np.concatenate, zip(stored, added)))
+        kept, added = vars(result.checkpoints).values(), vars(new.checkpoints).values()
+        table = Checkpoint(*map(np.concatenate, zip(kept, added)))
         result = RunResult(table, new.state, new.power_samples)
-    csv_digest = write_csv(cfg.csv_path(), result.checkpoints, cfg.resume_from, stored_csv, kept)
-    if len(grid) or cfg.checkpoint_path() != cfg.resume_from:
-        # a completed run resumed in place leaves its file alone
-        write_checkpoint_file(cfg.checkpoint_path(), cfg, result, csv_digest)
+    csv_digest = write_csv(cfg.csv_path(), result.checkpoints, stored)
+    write_checkpoint_file(cfg.checkpoint_path(), cfg, result, csv_digest)
     return result
 
 
@@ -643,15 +594,14 @@ def run_checks(ctx: RunContext, command: str) -> list[VerificationRecord]:
 
 
 def write_verification_csv(path: Path, records: list[VerificationRecord]) -> None:
-    _write_lines(
-        path,
-        ["check_id,location,lhs,rhs,residual,tolerance,pass"],
+    _write_bytes(path, chain(
+        [b"check_id,location,lhs,rhs,residual,tolerance,pass\n"],
         (
             f"{r.check_id},{_fmt(r.location)},{_fmt(r.lhs)},{_fmt(r.rhs)},"
-            f"{_fmt(r.residual)},{_fmt(r.tolerance)},{'1' if r.passed else '0'}"
+            f"{_fmt(r.residual)},{_fmt(r.tolerance)},{'1' if r.passed else '0'}\n".encode()
             for r in records
         ),
-    )
+    ))
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[list[VerificationRecord], int]:
@@ -719,8 +669,7 @@ def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
     with _replacing(out) as fh:
         json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    write_csv(cfg.csv_path(), stored.checkpoints, checkpoint_file, stored.csv_digest,
-              len(stored.checkpoints))
-    samples = (f"{n},{_fmt(value)}" for n, value in stored.an_sn_samples)
-    _write_lines(cfg.out_dir / "series_anS.csv", ["n,value"], samples)
+    write_csv(cfg.csv_path(), stored.checkpoints, stored)
+    samples = (b"%d,%.17g\n" % sample for sample in stored.an_sn_samples)
+    _write_bytes(cfg.out_dir / "series_anS.csv", chain([b"n,value\n"], samples))
     return out

@@ -110,44 +110,71 @@ def cfg_for(tmp_path, x_max, **kw):
     return RunConfig(x_max=x_max, out_dir=tmp_path / "out", **kw)
 
 
-# the documented record of a `rows` line (formats 4 and 5), stated
+# the documented record of the checkpoint table (formats 4 to 6), stated
 # independently of report._ROW
 RECORD = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
+HEADER_KEYS = ["anS", "config_hash", "created", "csv", "grid_ratio", "grid_start", "rows",
+               "segment_size", "state", "x_max"]
 
 
-def read_v5(path):
-    """A format-5 checkpoint file as (its text lines up to the table, its
-    records): the `rows` lines decoded, the end marker dropped."""
-    head, chunks = [], []
-    for line in path.read_text().splitlines():
-        tag, *values = line.split()
-        if tag == "rows":
-            chunks.append(np.frombuffer(base64.b64decode(values[1]), dtype=RECORD))
-        elif tag != "end":
-            head.append(line)
-    return head, np.concatenate(chunks)
+def read_v6(path):
+    """A format-6 checkpoint file as (its header, by json.loads, its
+    records): the lines between the header and the end marker decoded."""
+    lines = path.read_bytes().splitlines()
+    records = [np.frombuffer(base64.b64decode(line), dtype=RECORD) for line in lines[2:-1]]
+    return json.loads(lines[1]), np.concatenate(records)
 
 
-def write_v5(path, head, records, count=None, after=(), extra=0):
-    """Write a format-5 file: head, records re-encoded as `rows` lines of at
-    most 4096 records, each declaring its record count plus extra,
-    `end <count> <crc32>` with the correct checksum (count defaults to the
-    number of records), then the lines of after."""
+def write_v6(path, header, records, after=()):
+    """Write a format-6 file: the magic, header as one json line, records
+    as base64 lines of at most 4096, `end <crc32>` with the correct
+    checksum, then the lines of after."""
     records = np.asarray(records, dtype=RECORD)
-    rows = [f"rows {len(c) + extra} {base64.b64encode(c.tobytes()).decode()}"
-            for c in (records[i : i + 4096] for i in range(0, len(records), 4096))]
-    body = "".join(line + "\n" for line in [*head, *rows])
-    count = len(records) if count is None else count
-    end = f"end {count} {zlib.crc32(body.encode()):08x}\n"
+    rows = [base64.b64encode(records[i : i + 4096].tobytes()).decode()
+            for i in range(0, len(records), 4096)]
+    body = "".join(line + "\n" for line in
+                   ["primesums-checkpoints v6", json.dumps(header, sort_keys=True), *rows])
+    end = f"end {zlib.crc32(body.encode()):08x}\n"
     path.write_text(body + end + "".join(line + "\n" for line in after))
 
 
+def stored_facts(path):
+    """What a checkpoint file states but its creation time: the header
+    without created, and the bytes of its records."""
+    header, records = read_v6(path)
+    del header["created"]
+    return header, records.tobytes()
+
+
 def older_head(cfg, version):
-    """The header, state and anS lines of cfg's checkpoint file as formats
-    2 to 4 wrote them: the magic of that version, and no csv line."""
-    head = read_v5(cfg.checkpoint_path())[0]
-    return [f"primesums-checkpoints v{version}"] + [
-        line for line in head[1:] if not line.startswith("csv ")]
+    """The text lines up to the table of cfg's checkpoint file as formats 2
+    to 5 wrote them: the header lines, the state row (SumState.__slots__
+    in order, sums and counts as integers, the flag as 0/1, reals with 17
+    digits) and the anS lines.  Only format 5 has the csv line."""
+    header = read_v6(cfg.checkpoint_path())[0]
+    state = (header["state"][name] for name in STATE_FIELDS)
+    return [
+        f"primesums-checkpoints v{version}",
+        f"config_hash {header['config_hash']}",
+        f"created {header['created']}",
+        f"x_max {header['x_max']}",
+        f"grid_start {header['grid_start']:.17g}",
+        f"grid_ratio {header['grid_ratio']:.17g}",
+        f"segment_size {header['segment_size']}",
+        *(["csv {} {:08x}".format(*header["csv"])] if version == 5 else []),
+        "state " + " ".join(f"{v:.17g}" if isinstance(v, float) else str(int(v)) for v in state),
+        *(f"anS {n} {value:.17g}" for n, value in header["anS"]),
+    ]
+
+
+def write_v5(path, head, records):
+    """Write a format-4 or -5 file: head, records as `rows <k> <base64>`
+    lines of at most 4096, and `end <row count> <crc32>` with the correct
+    checksum."""
+    rows = [f"rows {len(c)} {base64.b64encode(c.tobytes()).decode()}"
+            for c in (records[i : i + 4096] for i in range(0, len(records), 4096))]
+    body = "".join(line + "\n" for line in [*head, *rows])
+    path.write_text(body + f"end {len(records)} {zlib.crc32(body.encode()):08x}\n")
 
 
 def as_format_v2(cfg, path):
@@ -175,8 +202,14 @@ def as_format_v3(cfg, path):
 
 def as_format_v4(cfg, path):
     """Write to path the checkpoint file that format 4 held for cfg's
-    computed run: format 5 without the csv line, with its own checksum."""
-    write_v5(path, older_head(cfg, 4), read_v5(cfg.checkpoint_path())[1])
+    computed run: binary records in `rows` lines, no csv line."""
+    write_v5(path, older_head(cfg, 4), read_v6(cfg.checkpoint_path())[1])
+
+
+def as_format_v5(cfg, path):
+    """Write to path the checkpoint file that format 5 held for cfg's
+    computed run: format 4 with the csv line."""
+    write_v5(path, older_head(cfg, 5), read_v6(cfg.checkpoint_path())[1])
 
 
 class TestRunConfig:
@@ -280,54 +313,70 @@ class TestCompute:
 
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
-        """Format 5 records hold x, pi, S and M, bit for bit, and anS lines
-        only the power-of-two n; the csv line holds the byte length and
-        CRC-32 of the CSV beside the file; the end marker counts the records
-        and checksums every byte before it; the reader derives the rest,
-        equal by repr to compute's table, and the final-n sample from the
-        state."""
+        """Format 6 is the magic, one json header line, the records in
+        base64 lines and `end <crc32>`, the checksum of every byte before
+        it.  The header holds the exact sums as json integers, the
+        power-of-two samples only and the byte length and CRC-32 of the CSV
+        beside the file; the records hold x, pi, S and M, bit for bit.  The
+        reader derives the rest, equal by repr to compute's table, and the
+        final-n sample from the state."""
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
         text = cfg.checkpoint_path().read_bytes()
         lines = text.decode().splitlines()
-        assert lines[0] == "primesums-checkpoints v5"
+        assert lines[0] == "primesums-checkpoints v6"
+        assert len(lines) == 4  # magic, header, one chunk of records, end
+        body = text[: text.rindex(b"end ")]
+        assert lines[-1] == f"end {zlib.crc32(body):08x}"
+        header, records = read_v6(cfg.checkpoint_path())
+        assert list(header) == HEADER_KEYS
         csv = cfg.csv_path().read_bytes()
-        assert lines[7] == f"csv {len(csv)} {zlib.crc32(csv):08x}"
-        body, end = text[: text.rindex(b"end ")], lines[-1]
-        assert end == f"end 28 {zlib.crc32(body):08x}"
-        assert [line.split()[:2] for line in lines if line.startswith("rows ")] == [["rows", "28"]]
+        assert header["csv"] == [len(csv), zlib.crc32(csv)]
+        assert (header["x_max"], header["grid_start"], header["grid_ratio"], header["rows"],
+                header["segment_size"]) == (10**4, 100.0, 2**0.25, 28, cfg.segment_size)
+        assert header["config_hash"] == cfg.config_hash()
+        assert sorted(header["state"]) == sorted(STATE_FIELDS)
+        for field in STATE_FIELDS:
+            value = header["state"][field]
+            assert value == getattr(result.state, field)
+            assert type(value) is type(getattr(result.state, field)), field
+        for field in ("n", "S", "M", "E_incremental"):
+            assert type(header["state"][field]) is int, field
+        assert header["state"]["S"] > 2**53  # held exactly, in units of 2**-120
         table = result.checkpoints
-        records = read_v5(cfg.checkpoint_path())[1]
         for name in RECORD.names:
             assert np.array_equal(records[name].view(np.int64),
                                   getattr(table, name).view(np.int64)), name
-        ns = [int(line.split()[1]) for line in lines if line.startswith("anS ")]
-        assert ns == [1 << k for k in range(11)]
+        assert [n for n, _ in header["anS"]] == [1 << k for k in range(11)]
         stored = read_checkpoint_file(cfg.checkpoint_path())
         for field in STATE_FIELDS:
             assert getattr(stored.state, field) == getattr(result.state, field)
+            assert type(getattr(stored.state, field)) is type(getattr(result.state, field))
         assert_same_table(stored.checkpoints, table)
         assert stored.csv_digest == (len(csv), zlib.crc32(csv))
+        assert stored.path == cfg.checkpoint_path()
         assert stored.an_sn_samples == result.an_sn_samples
         assert stored.an_sn_samples[-1] == (1229, result.state.last_anS)
         assert len(stored.an_sn_samples) == 12
 
     @pytest.mark.parametrize("older, width, end", [(as_format_v2, 10, 2), (as_format_v3, 5, 2),
-                                                   (as_format_v4, 3, 3)],
-                             ids=["v2", "v3", "v4"])
+                                                   (as_format_v4, 3, 3), (as_format_v5, 3, 3)],
+                             ids=["v2", "v3", "v4", "v5"])
     def test_refuses_format_v2(self, tmp_path, capsys, older, width, end):
         """A format-2 file, as that writer made it (nine columns a row, the
-        final sample twice), a format-3 one (x pi S M as text, no checksum)
-        and a format-4 one (no csv line) are refused by every command that
-        reads one."""
+        final sample twice), a format-3 one (x pi S M as text, no checksum),
+        a format-4 one (records in `rows` lines, no csv line) and a
+        format-5 one (positional header, state and anS lines) are refused
+        by every command that reads one, before any output is made."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
         old = tmp_path / "old.txt"
         older(cfg, old)
         lines = old.read_text().splitlines()
-        last_anS = lines[7].split()[7]  # of the state row
+        last_anS = next(line for line in lines if line.startswith("state ")).split()[7]
         # only format 2 repeats the final sample
         assert (f"anS 1229 {last_anS}" in lines) == (width == 10)
+        assert any(line.startswith("csv ") for line in lines) == (older is as_format_v5)
         assert len(lines[-2].split()) == width
         assert lines[-1].split()[:2] == ["end", "28"] and len(lines[-1].split()) == end
         with pytest.raises(CheckpointFormatError, match="not a checkpoint file"):
@@ -339,7 +388,7 @@ class TestCheckpointFile:
             capsys.readouterr()
             assert cli_main(argv) == 1, argv
             assert "not a checkpoint file" in capsys.readouterr().err
-        assert not (tmp_path / "cli" / "checkpoints.csv").exists()
+        assert not (tmp_path / "cli").exists()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.txt"
@@ -365,11 +414,11 @@ class TestCheckpointFile:
     def test_rejects_rows_out_of_order(self, tmp_path, capsys):
         cfg = cfg_for(tmp_path, 10**5)
         cmd_compute(cfg)
-        head, records = read_v5(cfg.checkpoint_path())
+        header, records = read_v6(cfg.checkpoint_path())
         records = records.copy()
         records[[5, 6]] = records[[6, 5]]
         swapped = tmp_path / "swapped.txt"
-        write_v5(swapped, head, records)
+        write_v6(swapped, header, records)
         with pytest.raises(CheckpointFormatError, match="ascending"):
             read_checkpoint_file(swapped)
         common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
@@ -380,27 +429,22 @@ class TestCheckpointFile:
         assert not (tmp_path / "cli" / "checkpoints.csv").exists()
 
     def test_rejects_lines_after_end_and_empty_tables(self, tmp_path, capsys):
-        """end N is the last line, N counts the rows, N >= 1, and each rows
-        line holds the records it declares."""
+        """end <crc32> is the last line, the records are the header's rows
+        of 32 bytes each, and rows >= 1."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
-        lines = cfg.checkpoint_path().read_text().splitlines()
-        assert lines[-1].split()[:2] == ["end", "28"]
-        head, records = read_v5(cfg.checkpoint_path())
+        header, records = read_v6(cfg.checkpoint_path())
+        assert header["rows"] == 28
         row = records[-1:].copy()
         row["pi"] = 5000
         trailing = tmp_path / "trailing.txt"
-        write_v5(trailing, head, records,
-                 after=[f"rows 1 {base64.b64encode(row.tobytes()).decode()}"])
+        write_v6(trailing, header, records, after=[base64.b64encode(row.tobytes()).decode()])
         empty = tmp_path / "empty_table.txt"
-        write_v5(empty, head, records[:0])
+        write_v6(empty, {**header, "rows": 0}, records[:0])
         miscounted = tmp_path / "miscounted.txt"
-        write_v5(miscounted, head, records, count=27)
-        misdeclared = tmp_path / "misdeclared.txt"
-        write_v5(misdeclared, head, records, extra=-1)
+        write_v6(miscounted, {**header, "rows": 27}, records)
         for path, message in ((trailing, "after the end marker"), (empty, "no checkpoint rows"),
-                              (miscounted, "row count mismatch"),
-                              (misdeclared, "declares 27 records, holds 28")):
+                              (miscounted, "row count mismatch")):
             with pytest.raises(CheckpointFormatError, match=message):
                 read_checkpoint_file(path)
             common = ["--x-max", str(10**4), "--out", str(tmp_path / "cli")]
@@ -411,26 +455,87 @@ class TestCheckpointFile:
                 assert cli_main(argv) == 1, argv
                 assert message in capsys.readouterr().err
 
+    def test_rejects_mistyped_header(self, tmp_path, capsys):
+        """With a correct checksum, a header that is not json, lacks a key,
+        or gives a value the reader uses another type than the writer's is
+        refused as malformed: json.loads types every value, and no value is
+        cast."""
+        cfg = cfg_for(tmp_path, 10**4)
+        cmd_compute(cfg)
+        header, records = read_v6(cfg.checkpoint_path())
+        state = header["state"]
+        # the same value in another type, so that only the type is wrong
+        cases = {
+            "no_state": {k: v for k, v in header.items() if k != "state"},
+            "no_rows": {k: v for k, v in header.items() if k != "rows"},
+            "n_float": {**header, "state": {**state, "n": 1.5}},
+            "S_float": {**header, "state": {**state, "S": float(state["S"])}},
+            "flag_int": {**header, "state": {**state, "weights_decreasing": 1}},
+            "no_slot": {**header, "state": {k: v for k, v in state.items() if k != "M"}},
+            "rows_float": {**header, "rows": 28.0},
+            "anS_str": {**header, "anS": [[1, "0.0"], *header["anS"][1:]]},
+            "anS_triple": {**header, "anS": [[1, 0.0, 0.0], *header["anS"][1:]]},
+            "csv_short": {**header, "csv": header["csv"][:1]},
+        }
+        paths = {}
+        for name, mistyped in cases.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            write_v6(paths[name], mistyped, records)
+        paths["not_json"] = tmp_path / "not_json.txt"
+        write_v6(paths["not_json"], header, records)
+        lines = paths["not_json"].read_text().splitlines()
+        body = "\n".join([lines[0], lines[1][:-1], *lines[2:-1]]) + "\n"  # no closing brace
+        paths["not_json"].write_text(body + f"end {zlib.crc32(body.encode()):08x}\n")
+        for name, path in paths.items():
+            with pytest.raises(CheckpointFormatError, match="malformed checkpoint file"):
+                read_checkpoint_file(path)
+        out = tmp_path / "cli"
+        for argv in (["verify", "--resume", str(paths["S_float"]), "--out", str(out)],
+                     ["report", "--out", str(out), str(paths["flag_int"])],
+                     ["compute", "--x-max", "20000", "--resume", str(paths["n_float"]),
+                      "--out", str(out)]):
+            capsys.readouterr()
+            assert cli_main(argv) == 1, argv
+            assert "malformed" in capsys.readouterr().err
+        # x_max and the grid are read where the header answers the config
+        for key, value in (("x_max", 10000.0), ("grid_start", 100), ("grid_ratio", "1.2")):
+            path = tmp_path / f"{key}.txt"
+            write_v6(path, {**header, key: value}, records)
+            capsys.readouterr()
+            assert cli_main(["report", "--out", str(out), str(path)]) == 1, key
+            assert f"malformed checkpoint file: {key}=" in capsys.readouterr().err
+        assert not out.exists()
+        # the unaltered header, written by the same helper, is read
+        write_v6(tmp_path / "same.txt", header, records)
+        assert read_checkpoint_file(tmp_path / "same.txt").state.S == state["S"]
+        # an int grid start given to RunConfig is written as the float it stands for
+        ints = RunConfig(x_max=10**4, grid_start=100, out_dir=tmp_path / "ints")
+        cmd_compute(ints)
+        assert read_v6(ints.checkpoint_path())[0]["grid_start"] == 100.0
+        assert cli_main(["report", "--out", str(ints.out_dir), str(ints.checkpoint_path())]) == 0
+
     def test_refuses_altered_bytes(self, tmp_path, capsys):
         """One base64 character of a record changed to another valid one, or
-        one digit of the state row, still parses; the end marker's checksum
-        refuses both, in every command that reads the file."""
+        one digit of the exact S in the header, still parses; the end
+        marker's checksum refuses both, in every command that reads the file."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
         lines = cfg.checkpoint_path().read_text().splitlines()
-        altered = {}
-        for tag, field in (("rows", 2), ("state", 3)):
-            i = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
-            values = lines[i].split()
-            text = values[field]
-            k = len(text) // 2
-            swap = {"A": "B", "9": "8"}.get(text[k], "A" if tag == "rows" else "9")
-            values[field] = text[:k] + swap + text[k + 1 :]
-            assert values[field] != text
+        S = str(read_v6(cfg.checkpoint_path())[0]["state"]["S"])
+        k = len(S) // 2
+        S_altered = S[:k] + ("8" if S[k] == "9" else "9") + S[k + 1 :]
+        k = len(lines[2]) // 2
+        altered = {
+            "rows": (2, lines[2][:k] + ("B" if lines[2][k] == "A" else "A") + lines[2][k + 1 :]),
+            "state": (1, lines[1].replace(f'"S": {S},', f'"S": {S_altered},')),
+        }
+        for tag, (i, line) in altered.items():
+            assert line != lines[i]
             path = altered[tag] = tmp_path / f"{tag}.txt"
-            path.write_text("\n".join(lines[:i] + [" ".join(values)] + lines[i + 1 :]) + "\n")
-        # the records still decode: only the checksum tells
-        assert len(read_v5(altered["rows"])[1]) == 28
+            path.write_text("\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n")
+        # both still decode: only the checksum tells
+        assert len(read_v6(altered["rows"])[1]) == 28
+        assert str(read_v6(altered["state"])[0]["state"]["S"]) == S_altered
         for tag, path in altered.items():
             with pytest.raises(CheckpointFormatError, match="checksum mismatch"):
                 read_checkpoint_file(path)
@@ -521,8 +626,8 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
 def assert_codec_matches(table) -> None:
     """In chunks of _CHUNK rows (the last one shorter), each line ended by a
     newline, report._table_chunks gives the CSV bytes of the per-value
-    codec, and report._row_records gives `rows` lines whose records hold
-    the x, pi, S and M columns bit for bit."""
+    codec, and report._row_records gives lines of the base64 of as many
+    records, which hold the x, pi, S and M columns bit for bit."""
     sizes = [min(report._CHUNK, len(table) - i) for i in range(0, len(table), report._CHUNK)]
     chunks = list(report._table_chunks(table))
     assert [c.count(b"\n") for c in chunks] == sizes
@@ -533,17 +638,18 @@ def assert_codec_matches(table) -> None:
     # the first row that differs, not a diff of the whole text
     i = next((i for i, (a, b) in enumerate(zip(lines, scalar)) if a != b), None)
     assert i is None, (i, lines[i], scalar[i])
-    rows = [line.split(" ") for line in report._row_records(table)]
-    assert [(tag, int(k)) for tag, k, _ in rows] == [("rows", k) for k in sizes]
-    # decoded as documented, and as the reader decodes them
-    for decode in (lambda k, data: np.frombuffer(base64.b64decode(data), dtype=RECORD),
-                   lambda k, data: np.frombuffer(report._decode_rows(k, data), report._ROW)):
-        records = np.concatenate([decode(k, data) for _, k, data in rows])
-        for name in RECORD.names:
-            bits, written = records[name].view(np.int64), getattr(table, name).view(np.int64)
-            # the first row whose bits differ
-            i = next(iter(np.flatnonzero(bits != written)), None)
-            assert i is None, (name, i, bits[i], written[i])
+    rows = list(report._row_records(table))
+    assert all(line.endswith(b"\n") for line in rows)
+    # decoded as documented
+    chunks = [np.frombuffer(base64.b64decode(line[:-1], validate=True), dtype=RECORD)
+              for line in rows]
+    assert [len(c) for c in chunks] == sizes
+    records = np.concatenate(chunks)
+    for name in RECORD.names:
+        bits, written = records[name].view(np.int64), getattr(table, name).view(np.int64)
+        # the first row whose bits differ
+        i = next(iter(np.flatnonzero(bits != written)), None)
+        assert i is None, (name, i, bits[i], written[i])
 
 
 real = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
@@ -569,7 +675,7 @@ class TestTableCodec:
         the old codec's files are refused rather than copied beside rows of
         the new one."""
         assert (report.FORMAT_VERSION, report.CSV_COLUMNS, report._CSV_ROW) == (
-            5,
+            6,
             ("x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder"),
             b"%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
         )
@@ -651,23 +757,42 @@ class TestCsvReuse:
         vouched = stored_csv in ("present", "small_blocks", "report")
         assert formatted == [len(grid[k:]) if vouched else len(grid)]
         # and the new checkpoint file vouches for the new CSV
-        csv_line = resumed.checkpoint_path().read_text().splitlines()[7]
-        assert csv_line == f"csv {len(unsplit)} {zlib.crc32(unsplit):08x}"
+        assert read_v6(resumed.checkpoint_path())[0]["csv"] == [len(unsplit),
+                                                                zlib.crc32(unsplit)]
 
     def test_resume_in_place(self, unsplit, tmp_path, monkeypatch):
         """--out the stored directory: the stored CSV is read while its
         replacement is written beside it, and the bytes are the unsplit
-        run's; a second resume of the completed run formats no row."""
+        run's.  A second resume of the completed run, whose CSV the digest
+        vouches for, formats no row and leaves both files alone."""
         first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path)
         cmd_compute(first)
         formatted = _count_formatted(monkeypatch)
+        files = (first.csv_path(), first.checkpoint_path())
+        seen = []  # (inode, mtime) of both files after each resume
         for _ in range(2):
             cmd_compute(RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path,
                                   resume_from=first.checkpoint_path()))
             assert first.csv_path().read_bytes() == unsplit
-        assert 0 < formatted[0] < len(first.grid()) and formatted[1] == 0
+            seen.append([(f.stat().st_ino, f.stat().st_mtime_ns) for f in files])
+        assert seen[1] == seen[0]
+        assert len(formatted) == 1 and 0 < formatted[0] < len(first.grid())
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoints.csv", "checkpoints.txt"]
+
+    def test_completed_resume_in_place_heals_the_csv(self, unsplit, tmp_path):
+        """A completed run resumed in place whose CSV the digest does not
+        vouch for (one digit altered) writes both files again: the CSV is
+        the unsplit run's, and the new checkpoint file vouches for it."""
+        cfg = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path)
+        cmd_compute(cfg)
+        text = cfg.csv_path().read_bytes()
+        cfg.csv_path().write_bytes(text[:-2] + str((int(text[-2:-1]) + 1) % 10).encode() + b"\n")
+        before = stored_facts(cfg.checkpoint_path())
+        cmd_compute(RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path,
+                              resume_from=cfg.checkpoint_path()))
+        assert cfg.csv_path().read_bytes() == unsplit
+        assert stored_facts(cfg.checkpoint_path()) == before
 
 
 class TestResume:
@@ -716,11 +841,9 @@ class TestResume:
         for name in ("checkpoints.csv", "series_anS.csv"):
             assert ((unsplit.out_dir / name).read_bytes()
                     == (resumed.out_dir / name).read_bytes()), name
-        text_a, text_b = (cfg.checkpoint_path().read_text().splitlines()
-                          for cfg in (unsplit, resumed))
-        # all but created, and the end marker's checksum, which covers created
-        assert text_a[:2] + text_a[3:-1] == text_b[:2] + text_b[3:-1]
-        assert text_a[-1].split()[:2] == text_b[-1].split()[:2] == ["end", "41"]
+        facts_a, facts_b = (stored_facts(cfg.checkpoint_path()) for cfg in (unsplit, resumed))
+        assert facts_a == facts_b
+        assert facts_a[0]["rows"] == 41
 
     def test_regrid_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
@@ -746,6 +869,23 @@ class TestResume:
         result = cmd_compute(again)
         assert cfg.checkpoint_path().read_bytes() == before
         assert result.checkpoints.pi[-1] == 1229
+
+    def test_in_place_onto_a_stored_point_rewrites_both_files(self, tmp_path):
+        """A run to 12805 (last prime 12799) resumed in place to 12800, a
+        stored grid point, has no point left to compute but keeps fewer
+        rows: both files are written again, and the checkpoint file holds
+        the run to 12800 and vouches for the CSV beside it."""
+        first = RunConfig(x_max=12805, grid_ratio=2.0, out_dir=tmp_path)
+        cmd_compute(first)
+        cut = RunConfig(x_max=12800, grid_ratio=2.0, out_dir=tmp_path,
+                        resume_from=first.checkpoint_path())
+        assert not len(resume(first.checkpoint_path(), cut)[1])
+        cmd_compute(cut)
+        stored = read_checkpoint_file(first.checkpoint_path())
+        csv = first.csv_path().read_bytes()
+        assert stored.checkpoints.x[-1] == 12800.0
+        assert stored.csv_digest == (len(csv), zlib.crc32(csv))
+        assert csv.splitlines()[-1].startswith(b"12800,1526,")
 
     def test_shrinking_xmax_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**5)
@@ -906,10 +1046,8 @@ class TestStoredRun:
                          "--resume", str(first / "checkpoints.txt")]) == 0
         assert ((unsplit / "checkpoints.csv").read_bytes()
                 == (resumed / "checkpoints.csv").read_bytes())
-        text_a, text_b = ((out / "checkpoints.txt").read_text().splitlines()
-                          for out in (unsplit, resumed))
-        # all but created, and the end marker's checksum, which covers created
-        assert text_a[:2] + text_a[3:-1] == text_b[:2] + text_b[3:-1]
+        facts_a, facts_b = (stored_facts(out / "checkpoints.txt") for out in (unsplit, resumed))
+        assert facts_a == facts_b
 
     @pytest.mark.parametrize("target", [12800, 10**4, 9980, 20000],
                              ids=["on_lattice", "stored", "past_last_prime", "off_lattice"])
