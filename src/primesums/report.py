@@ -16,9 +16,12 @@ and json the sums as integers, so a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
-byte-identical bodies.  A resume or report copies the rows it keeps from
-the stored CSV, when the checkpoint file's digest vouches for its bytes,
-and formats only the others.
+byte-identical bodies.  Rows are formatted by csvcodec.encode_rows, the
+bytes of the _CSV_ROW template's `%` on whole numpy columns, _CHUNK rows
+at a time; series_anS.csv goes through it too.  A resume or report copies
+the rows it keeps from the stored CSV, when the checkpoint file's digest
+vouches for its bytes, and formats only the others; a report into the
+stored run's own directory leaves such a CSV alone.
 
 JSON bundle (format 2): config echo, verification records, ratio bands,
 block stats, abel decompositions, and run metadata.  No checkpoint table:
@@ -84,6 +87,7 @@ from .calculus import (  # noqa: F401
     abel_decompose_grid,
     main_term_identity,
 )
+from .csvcodec import encode_rows
 from .errors import CheckpointFormatError, ConfigError
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, prime_array
 from .verify import (
@@ -121,18 +125,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_chunks(template: bytes, columns: list[np.ndarray]) -> Iterator[bytes]:
+    """The CSV lines of the columns by the row template, each ended by a
+    newline, as ASCII bytes, _CHUNK rows at a time (csvcodec.encode_rows).
+    Memory holds one chunk's text, never the whole table."""
+    for i in range(0, len(columns[0]), _CHUNK):
+        yield encode_rows(template, [c[i : i + _CHUNK] for c in columns])
+
+
 def _table_chunks(table: Checkpoint) -> Iterator[bytes]:
-    """The CSV lines of the checkpoint table, each ended by a newline, as
-    ASCII bytes, _CHUNK rows at a time.  A chunk is formatted by one C-level
-    bytes % call: its columns are stacked into one float64 array and fed to
-    a template of one "%.17g" or "%d" field per cell.  The stack is exact,
-    since pi < x <= sieve.MAX_LIMIT = 2**53 and every integer up to 2**53
-    is a double; '%d' prints such a double as the integer, and
-    b'%.17g' % v gives the bytes of f"{v:.17g}" for every double.  Memory
-    holds one chunk's text, never the whole table."""
-    for i in range(0, len(table), _CHUNK):
-        cells = np.column_stack([getattr(table, name)[i : i + _CHUNK] for name in CSV_COLUMNS])
-        yield _CSV_ROW * len(cells) % tuple(cells.ravel().tolist())
+    """The checkpoint table's CSV lines by _CSV_ROW, _CHUNK rows at a time."""
+    return _csv_chunks(_CSV_ROW, [getattr(table, name) for name in CSV_COLUMNS])
 
 
 def _row_records(table: Checkpoint) -> Iterator[bytes]:
@@ -661,7 +664,9 @@ def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
 
 def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
     """Emit report.json, the run's checkpoints.csv (copied from the stored
-    CSV where its digest vouches for it) and series_anS.csv."""
+    CSV where its digest vouches for it) and series_anS.csv.  With --out
+    the stored run's directory, a CSV its digest vouches for whole is left
+    alone: it holds the bytes a rewrite would give."""
     stored = read_checkpoint_file(checkpoint_file, cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     bundle = build_report_bundle(cfg, stored)
@@ -669,7 +674,12 @@ def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
     with _replacing(out) as fh:
         json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    write_csv(cfg.csv_path(), stored.checkpoints, stored)
-    samples = (b"%d,%.17g\n" % sample for sample in stored.an_sn_samples)
-    _write_bytes(cfg.out_dir / "series_anS.csv", chain([b"n,value\n"], samples))
+    if (cfg.csv_path() != stored.path.with_name("checkpoints.csv")
+            or _vouched_prefix(stored) != stored.csv_digest[0]):
+        write_csv(cfg.csv_path(), stored.checkpoints, stored)
+    samples = stored.an_sn_samples
+    columns = [np.array([n for n, _ in samples], dtype=np.int64),
+               np.array([v for _, v in samples], dtype=np.float64)]
+    _write_bytes(cfg.out_dir / "series_anS.csv",
+                 chain([b"n,value\n"], _csv_chunks(b"%d,%.17g\n", columns)))
     return out

@@ -732,11 +732,12 @@ class TestCsvReuse:
         if stored_csv == "small_blocks":
             monkeypatch.setattr(report, "_BLOCK", 997)  # rows straddle blocks
         elif stored_csv == "report":
-            # report, in place, writes the CSV again, and copies every row
+            # report, in place, leaves the CSV its digest vouches for alone
+            before = (csv.stat().st_ino, csv.stat().st_mtime_ns)
             assert cli_main(["report", "--out", str(first.out_dir),
                              str(first.checkpoint_path())]) == 0
-            assert csv.read_bytes() == text and formatted == [0]
-            formatted.clear()
+            assert (csv.stat().st_ino, csv.stat().st_mtime_ns) == before
+            assert csv.read_bytes() == text and formatted == []
         elif stored_csv == "deleted":
             csv.unlink()
         elif stored_csv == "altered":
@@ -793,6 +794,16 @@ class TestCsvReuse:
                               resume_from=cfg.checkpoint_path()))
         assert cfg.csv_path().read_bytes() == unsplit
         assert stored_facts(cfg.checkpoint_path()) == before
+
+    def test_report_in_place_heals_the_csv(self, unsplit, tmp_path):
+        """report with --out the stored directory writes a CSV its digest
+        does not vouch for (one digit altered) again, byte for byte."""
+        cfg = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path)
+        cmd_compute(cfg)
+        text = cfg.csv_path().read_bytes()
+        cfg.csv_path().write_bytes(text[:-2] + str((int(text[-2:-1]) + 1) % 10).encode() + b"\n")
+        assert cli_main(["report", "--out", str(tmp_path), str(cfg.checkpoint_path())]) == 0
+        assert cfg.csv_path().read_bytes() == text == unsplit
 
 
 class TestResume:
@@ -975,9 +986,10 @@ class TestReport:
         assert sorted(p.name for p in out.out_dir.iterdir()) == [
             "checkpoints.csv", "report.json", "series_anS.csv"]
         assert out.csv_path().read_bytes() == cfg.csv_path().read_bytes()
-        an_lines = (out.out_dir / "series_anS.csv").read_text().splitlines()
-        assert an_lines[0] == "n,value"
-        assert len(an_lines) == len(result.an_sn_samples) + 1
+        # the per-value bytes of each sample, the first, (1, 0.0), included
+        assert (out.out_dir / "series_anS.csv").read_bytes() == b"n,value\n" + b"".join(
+            b"%d,%.17g\n" % sample for sample in result.an_sn_samples)
+        assert result.an_sn_samples[0] == (1, 0.0)
 
     def test_empty_file_is_format_error(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
