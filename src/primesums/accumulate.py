@@ -140,16 +140,18 @@ def _limbs(v: np.ndarray) -> np.ndarray:
     """Exact int64 limbs [hi, mid, lo] of values v, v = (hi*2**80 +
     mid*2**40 + lo) * 2**-120, on a new last axis.
 
-    v must lie in [0, 512) and be a multiple of 2**-120, as every weight,
+    v must lie in (-512, 512) and be a multiple of 2**-120, as every weight,
     squared weight and half jump of a prime <= 2**53 is.  Scaling by 2**40,
-    floor and subtracting the floor are exact, so no bit is lost, and sums
-    of BLOCK limbs stay below 2**63.
+    truncating and subtracting the truncation are exact for either sign (a
+    floor is not: 1 - 3*2**-54 rounds), so no bit is lost, the three limbs
+    share the sign of v, and sums of BLOCK limbs stay below 2**63 in
+    magnitude.
     """
     out = np.empty(v.shape + (3,), dtype=np.int64)
     r = v * _LIMB_SCALE
     f = np.empty_like(r)
     for k in range(2):
-        np.floor(r, out=f)
+        np.trunc(r, out=f)
         out[..., k] = f
         r -= f
         r *= _LIMB_SCALE
@@ -163,17 +165,21 @@ def _to_int(limbs: np.ndarray) -> int:
     return (hi << 2 * _LIMB_BITS) + (mid << _LIMB_BITS) + lo
 
 
-def _round_prefixes(base: int, prefix: np.ndarray, top: int) -> np.ndarray:
+def _round_prefixes(base: int, prefix: np.ndarray, top: int | None = None) -> np.ndarray:
     """(base + prefix[i]) * 2**-120 rounded to the nearest double, each i.
 
-    prefix holds nonnegative limb sums [hi, mid, lo] as int64 rows, and top
-    bounds every base + prefix.  Each value's bits from 2**k up are gathered into
-    an int64 h < 2**63, and whether any bit below 2**k is set goes into
-    h's last bit.  When h has at least 55 bits that last bit lies below
-    the rounding position, so one int64 -> float64 conversion rounds as the
-    full value would.  The rare shorter h, where a block starts near zero,
-    is rounded from the exact Python int instead.
+    prefix holds limb sums [hi, mid, lo] as int64 rows, of either sign, and
+    top bounds every |base + prefix|; without it the bound is taken from
+    the largest limbs.  Each value's bits from 2**k up are gathered into an
+    int64 h < 2**63, and whether any bit below 2**k is set goes into h's
+    last bit; the carries are arithmetic shifts and masks, so they are
+    exact for negative limbs and bases too.  When h has at least 55 bits
+    that last bit lies below the rounding position, so one int64 -> float64
+    conversion rounds as the full value would.  Any other value, negative
+    or near zero, is rounded from the exact Python int instead.
     """
+    if top is None:
+        top = abs(base) + _to_int(np.abs(prefix).max(axis=0, initial=0))
     k = max(top.bit_length() - 63, _LIMB_BITS)
     low = base & ((1 << k) - 1)
     x0 = prefix[:, 2] + (low & _LIMB_MASK)
@@ -194,51 +200,30 @@ def _round_prefixes(base: int, prefix: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-def _signed_limbs(v: np.ndarray) -> np.ndarray:
-    """_limbs of values of either sign: the limbs of |v|, negated where v < 0."""
-    return _limbs(np.abs(v)) * np.sign(v).astype(np.int64)[..., None]
-
-
-def _round_signed(base: int, rows: np.ndarray) -> np.ndarray:
-    """(base + rows[i]) * 2**-120 rounded to the nearest double, each i.
-
-    rows are limb sums of either sign.  _round_prefixes carries with
-    arithmetic shifts and masks, so signed limbs and a negative base are
-    exact there too; any value that is negative or small falls to its exact
-    Python-int path.  The bound it needs comes from the largest limbs.
-    """
-    if not len(rows):
-        return np.empty(0)
-    hi, mid, lo = np.abs(rows).max(axis=0).tolist()
-    top = abs(base) + (hi << 2 * _LIMB_BITS) + (mid << _LIMB_BITS) + lo
-    return _round_prefixes(base, rows, top)
-
-
 def exact_sums_at(
     v: np.ndarray, cuts: np.ndarray, extra: np.ndarray | None = None
 ) -> np.ndarray:
     """sum(v[:c]) (+ extra[i]) for each c = cuts[i], rounded once to a double.
 
     Each result is the exact sum rounded to the nearest, so it equals
-    math.fsum of the same terms.  v and extra hold multiples of 2**-120
-    below 512 in magnitude, of either sign (see _limbs); cuts ascend.  The
-    prefixes are summed BLOCK values at a time, with the running total
-    carried as a Python int, so memory and limb sums stay bounded whatever
-    len(v).
+    math.fsum of the same terms.  v and extra hold multiples of 2**-120 in
+    (-512, 512) (see _limbs); cuts ascend.  The prefixes are summed BLOCK
+    values at a time, with the running total carried as a Python int, so
+    memory and limb sums stay bounded whatever len(v).
     """
     cuts = np.asarray(cuts, dtype=np.int64)
     out = np.empty(len(cuts))
-    el = None if extra is None else _signed_limbs(np.asarray(extra, dtype=np.float64))
+    el = None if extra is None else _limbs(np.asarray(extra, dtype=np.float64))
     base = i0 = 0
     for b0 in range(0, len(v) + 1, BLOCK):
-        lv = _signed_limbs(v[b0 : b0 + BLOCK])
+        lv = _limbs(v[b0 : b0 + BLOCK])
         rows = np.zeros((len(lv) + 1, 3), dtype=np.int64)
         np.cumsum(lv, axis=0, out=rows[1:])
         i1 = int(np.searchsorted(cuts, b0 + len(lv), side="right"))
         sel = rows[cuts[i0:i1] - b0]
         if el is not None:
             sel += el[i0:i1]
-        out[i0:i1] = _round_signed(base, sel)
+        out[i0:i1] = _round_prefixes(base, sel)
         base += _to_int(rows[-1])
         i0 = i1
     return out
@@ -255,7 +240,7 @@ class SumState:
     is split into calls.
     """
 
-    # also the column order of the checkpoint file's state row
+    # also the keys of the checkpoint file's state, by name
     __slots__ = (
         "n",
         "last_prime",

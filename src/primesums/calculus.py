@@ -21,8 +21,10 @@ telescopes exactly over the prime partition (integral of h' between jumps
 is just a difference of h values); abel_decompose turns that into a
 machine-checkable identity with no quadrature error at all, and
 abel_decompose_grid evaluates it at a whole grid of x in one pass, as
-columns, bit for bit as abel_decompose would at each point.  The remaining
-integrals here are smooth and go through adaptive Simpson quadrature.
+columns, bit for bit as abel_decompose would at each point.  The two
+integrals of the main-term identity are smooth; they go through adaptive
+Simpson quadrature in u = sqrt(log t), where their integrands grow only
+like exp(u^2/2).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .accumulate import exact_sums_at, libm_log
 from .errors import DomainError, QuadratureError
 from .verify import VerificationRecord, identity_record
 
-_SUBSTITUTION_THRESHOLD = 1e8  # above this, integrate in u = sqrt(log t)
 _MAX_DEPTH = 50
 QUADRATURE_TOL_FLOOR = 1e-12  # of main_term_identity
 
@@ -232,26 +233,14 @@ def abel_decompose_grid(xs: Sequence[float], primes: np.ndarray) -> AbelDecompos
     return AbelDecomposition(xs, *cols)
 
 
-def _integral_inverse_sqrt(x: float, tol: float) -> float:
-    """integral_2^x dt / sqrt(t log t)."""
-    if x > _SUBSTITUTION_THRESHOLD:
-        # u = sqrt(log t) maps the integrand to 2 exp(u^2/2), taming the
-        # exponential growth and keeping adaptive subdivision shallow
-        ua = math.sqrt(math.log(2.0))
-        ub = math.sqrt(math.log(x))
-        return quadrature(lambda u: 2.0 * math.exp(0.5 * u * u), ua, ub, tol)
-    return quadrature(lambda t: 1.0 / math.sqrt(t * math.log(t)), 2.0, x, tol)
-
-
-def _integral_log_h_prime(x: float, tol: float) -> float:
-    """integral_2^x log(t) h'(t) dt."""
-    if x > _SUBSTITUTION_THRESHOLD:
-        ua = math.sqrt(math.log(2.0))
-        ub = math.sqrt(math.log(x))
-        return quadrature(
-            lambda u: (u * u - 1.0) * math.exp(0.5 * u * u), ua, ub, tol
-        )
-    return quadrature(lambda t: math.log(t) * eval_h_prime(t), 2.0, x, tol)
+def _u_integral(g: Callable[[float], float], x: float, tol: float) -> float:
+    """integral_2^x of a main-term integrand, as the integral of
+    g(u) exp(u^2/2) over u = sqrt(log t): dt = 2 u exp(u^2) du and
+    sqrt(t) = exp(u^2/2), so adaptive subdivision stays shallow at every x.
+    """
+    ua = math.sqrt(math.log(2.0))
+    ub = math.sqrt(math.log(x))
+    return quadrature(lambda u: g(u) * math.exp(0.5 * u * u), ua, ub, tol)
 
 
 def main_term_identity(x: float, tol: float) -> VerificationRecord:
@@ -260,16 +249,14 @@ def main_term_identity(x: float, tol: float) -> VerificationRecord:
         h(x) log x - integral_2^x log(t) h'(t) dt
             = h(2) log 2 + integral_2^x dt / sqrt(t log t)
 
-    with both sides quadratured at tolerance tol; passes when the relative
-    difference is below 10*tol."""
+    with both integrals quadratured in u = sqrt(log t) at tolerance tol;
+    passes when the relative difference is below 10*tol."""
     if x < 2.0:
         raise DomainError(f"main-term identity needs x >= 2, got {x}")
     if tol < QUADRATURE_TOL_FLOOR:
         raise DomainError(f"quadrature tolerance floor is 1e-12, got {tol}")
-    anchor = eval_h(2.0) * math.log(2.0)
-    if x == 2.0:
-        return identity_record("main_term", x, anchor, anchor, 10.0 * tol)
-    lhs = eval_h(x) * math.log(x) - _integral_log_h_prime(x, tol)
-    rhs = anchor + _integral_inverse_sqrt(x, tol)
+    # integral_2^x log(t) h'(t) dt and integral_2^x dt / sqrt(t log t)
+    lhs = eval_h(x) * math.log(x) - _u_integral(lambda u: u * u - 1.0, x, tol)
+    rhs = eval_h(2.0) * math.log(2.0) + _u_integral(lambda u: 2.0, x, tol)
     return identity_record("main_term", x, lhs, rhs, 10.0 * tol)
 

@@ -95,7 +95,6 @@ from .verify import (
     check_E_monotone,
     check_jump_identity,
     check_pair_identity,
-    pair_prime_bound,
     worst_record,
 )
 
@@ -500,8 +499,10 @@ class RunContext:
 
     @cached_property
     def primes(self) -> np.ndarray:
-        """Every prime the pair, jump and Abel checks read."""
-        top = max(pair_prime_bound(self.n_pair), self.x_jump, self.abel_xs.max(initial=0.0))
+        """Every prime the pair, jump and Abel checks read.  The pair check's
+        n_pair primes all lie at or below x_jump: either x_jump is x_max, or
+        it is JUMP_SCAN_CAP, above the PAIR_N_CAP-th prime (48611)."""
+        top = max(self.x_jump, self.abel_xs.max(initial=0.0))
         return prime_array(int(top), segment_size=self.cfg.segment_size)
 
     def prime_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from .accumulate import (
     Checkpoint,
     WeightedPrimeTerm,
     _limbs,
-    _round_signed,
+    _round_prefixes,
     exact_sums_at,
     weights,
 )
@@ -124,12 +124,6 @@ def _log_subsample(n_max: int) -> list[int]:
     return ns
 
 
-def pair_prime_bound(n: int) -> int:
-    """An x with at least n primes below it: p_n < n(log n + log log n) for
-    n >= 6, with a generous floor for small n."""
-    return 100 + int(n * (math.log(max(n, 6)) + 3.0))
-
-
 def _pair_row_sums(w: np.ndarray, ns: np.ndarray) -> list[float]:
     """2 * fsum of the rows fsum(w_i * w_j for j in i+1..n-1), i < n - 1,
     for each sample n in ns (ascending, at most len(w)).
@@ -152,7 +146,7 @@ def _pair_row_sums(w: np.ndarray, ns: np.ndarray) -> list[float]:
         sums = np.cumsum(np.add.reduceat(_limbs(prod), starts, axis=1), axis=1)
         # row i has terms below sample n only when n >= i + 2
         live = ns[None, k0:] >= np.arange(r0 + 2, r1 + 2)[:, None]
-        values.append(_round_signed(0, sums[live]))
+        values.append(_round_prefixes(0, sums[live]))
         owners.append(np.nonzero(live)[1] + k0)
     values = np.concatenate(values) if values else np.empty(0)
     owners = np.concatenate(owners) if owners else np.empty(0, dtype=np.int64)
@@ -195,10 +189,8 @@ def check_jump_identity(
     pass, and the first of equal worst residuals is reported.
     """
     if not len(w):
-        # empty stream: vacuous pass
-        return VerificationRecord(
-            "jump_identity", 0.0, 0.0, 0.0, 0.0, tolerance, 0.0 <= tolerance
-        )
+        zero = np.zeros(1)  # empty stream: a vacuous pass at n = 0
+        return worst_record("jump_identity", zero, zero, zero, tolerance)
     s = exact_sums_at(w, np.arange(len(w) + 1))
     e = s[1:] * s[1:] - exact_sums_at(wsq, np.arange(1, len(w) + 1))
     lhs = np.diff(e, prepend=0.0)
@@ -217,14 +209,4 @@ def check_E_monotone(checkpoints: Checkpoint) -> VerificationRecord:
     # a zero drop at the last point leads, so only a real drop moves it
     drop = np.concatenate(([0.0], np.maximum(-np.diff(E, prepend=0.0), -E)))
     at = np.concatenate(([x[-1] if len(x) else 0.0], x))
-    i = int(np.argmax(drop))
-    violation, location = float(drop[i]), float(at[i])
-    return VerificationRecord(
-        check_id="e_monotone",
-        location=location,
-        lhs=violation,
-        rhs=0.0,
-        residual=violation,
-        tolerance=0.0,
-        passed=violation <= 0.0,
-    )
+    return worst_record("e_monotone", at, drop, np.zeros(len(drop)), 0.0, residual=drop)

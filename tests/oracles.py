@@ -45,7 +45,7 @@ from primesums.asymptotics import AN_SN_SERIES, BAND_SERIES, Blocks, RatioBand
 from primesums.calculus import (
     AbelDecomposition,
     _check_domain,
-    _integral_inverse_sqrt,
+    _u_integral,
     abel_decompose,
     eval_h,
     eval_w,
@@ -310,6 +310,12 @@ def mertens_width_scalar(checkpoints, lo: float, hi: float) -> float:
     return max(values) - min(values)
 
 
+def pair_prime_bound(n: int) -> int:
+    """An x with at least n primes below it: p_n < n(log n + log log n) for
+    n >= 6, with a generous floor for small n."""
+    return 100 + int(n * (math.log(max(n, 6)) + 3.0))
+
+
 def weight_arrays(primes) -> tuple[np.ndarray, np.ndarray]:
     """(w, w * w) of primes: the arrays the check registry passes to the
     pair and jump checks."""
@@ -533,7 +539,8 @@ def main_term_growth(x: float, tol: float = 1e-10) -> float:
     alongside r_S at scale."""
     if not x > 2.0:
         raise DomainError(f"growth ratio needs x > 2, got {x}")
-    return _integral_inverse_sqrt(x, tol) / eval_h(x)
+    # dt / sqrt(t log t) is 2 exp(u^2/2) du in u = sqrt(log t)
+    return _u_integral(lambda u: 2.0, x, tol) / eval_h(x)
 
 
 def eval_w_prime(t: float) -> float:

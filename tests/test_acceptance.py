@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import eval_w_prime, rows
+from oracles import eval_w_prime, pair_prime_bound, rows
 from primesums.accumulate import grid_points, run_stream
 from primesums.asymptotics import (
     an_sn_band,
@@ -28,7 +28,7 @@ from primesums.asymptotics import (
 from primesums.calculus import abel_decompose, eval_h, eval_h_prime, eval_w, main_term_identity
 from primesums.report import RunConfig, cmd_compute, read_checkpoint_file
 from primesums.sieve import base_primes, prime_array, prime_count
-from primesums.verify import check_jump_identity, check_pair_identity, pair_prime_bound
+from primesums.verify import check_jump_identity, check_pair_identity
 
 # --- frozen oracle values (tests/oracles.py, run before the main build) ---
 ORACLE_PI_1E6 = 78498

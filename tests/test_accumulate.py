@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import fields as dataclass_fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from primesums.accumulate import (
     BLOCK,
     Checkpoint,
     SumState,
+    _limbs,
+    _round_prefixes,
     exact_sums_at,
     grid_points,
     run_stream,
@@ -263,6 +266,40 @@ exact_doubles = st.one_of(
     st.just(0.0),
     st.floats(2.0**-68, 511.0).flatmap(lambda v: st.sampled_from([v, -v])),
 )
+
+
+# every double that is a multiple of 2**-120 in (-512, 512)
+fixed_point = st.builds(
+    math.ldexp, st.integers(-(2**53 - 1), 2**53 - 1), st.integers(-120, -44)
+)
+
+
+class TestLimbs:
+    @given(st.lists(fixed_point, min_size=1, max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_limbs_reconstruct_exactly(self, values):
+        limbs = _limbs(np.array(values))
+        assert np.all(np.abs(limbs[:, 1:]) < 2**40)
+        assert np.all(limbs * np.sign(values)[:, None] >= 0)  # the sign of v
+        for v, (hi, mid, lo) in zip(values, limbs.tolist()):
+            assert Fraction((hi << 80) + (mid << 40) + lo, 2**120) == Fraction(v)
+
+    @given(
+        st.lists(fixed_point, min_size=1, max_size=64),
+        st.integers(BLOCK - 4, BLOCK + 4),
+        st.one_of(st.integers(-(2**135), 2**135), st.integers(-(2**70), 2**70)),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_prefixes_rounds_correctly(self, values, n, offset, data):
+        # prefixes of n values, repeated past a BLOCK, from a base of either
+        # sign, at times one that cancels a prefix to (near) zero
+        v = np.resize(np.array(values), n)
+        units = list(itertools.accumulate(int(Fraction(x) * 2**120) for x in v.tolist()))
+        base = offset - data.draw(st.sampled_from([0, *units]))
+        rows = np.cumsum(_limbs(v), axis=0)
+        expect = [float(Fraction(base + u, 2**120)) for u in units]
+        assert _round_prefixes(base, rows).tolist() == expect
 
 
 class TestExactSumsAt:

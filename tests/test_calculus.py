@@ -187,14 +187,23 @@ class TestAbelGrid:
 
 class TestMainTermIdentity:
     def test_boundary_x2(self):
+        # both integrals run over the empty [sqrt(log 2), sqrt(log 2)]
         rec = main_term_identity(2.0, 1e-9)
         assert rec.passed and rec.residual == 0.0
+        assert rec.lhs == rec.rhs == eval_h(2.0) * math.log(2.0)
 
     @pytest.mark.parametrize("x", [1e3, 1e6])
     def test_identity_at_scale(self, x):
         rec = main_term_identity(x, 1e-9)
         assert rec.passed
         assert rec.residual <= 1e-8
+
+    @pytest.mark.parametrize(
+        "x, bound", [(1e3, 1e-11), (1e6, 1e-11), (1e9, 1e-9), (1e10, 1e-9)]
+    )
+    def test_substitution_residual(self, x, bound):
+        # 2.3e-13 at 1e3, 2.1e-12 at 1e6, 3.3e-11 at 1e9 and 1.7e-10 at 1e10
+        assert main_term_identity(x, 1e-9).residual <= bound
 
     def test_substitution_path_above_1e8(self):
         rec = main_term_identity(1e9, 1e-9)

@@ -1177,6 +1177,13 @@ class TestRegistry:
         # and in registry order
         assert sorted(emitted, key=in_verify.index) == emitted
 
+    def test_no_record_lies_past_the_run(self, stored_1e6, tmp_path):
+        # the late Mertens window [1e6, 1e8] holds only x = 1e6 here
+        cfg = RunConfig(x_max=10**6, out_dir=tmp_path, resume_from=stored_1e6)
+        records, _ = cmd_verify(cfg)
+        assert max(r.location for r in records) <= 10**6
+        assert [r.location for r in records if r.check_id == "mertens_contraction"] == [1e6]
+
     def test_tol_accepts_exactly_the_registry_ids(self, tmp_path, capsys):
         ids = [c.check_id for c in report.CHECKS]
         assert len(set(ids)) == len(ids)

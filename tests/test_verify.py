@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     jump_record_scalar,
     make_term,
+    pair_prime_bound,
     pair_records_scalar,
     pair_sum_bruteforce,
     push,
@@ -16,12 +17,12 @@ from oracles import (
 )
 from primesums.accumulate import BLOCK, Checkpoint, SumState, grid_points, run_stream
 from primesums.errors import SizeError
+from primesums.report import CHECKS, RunConfig, RunContext
 from primesums.sieve import base_primes, prime_array
 from primesums.verify import (
     check_E_monotone,
     check_jump_identity,
     check_pair_identity,
-    pair_prime_bound,
     relative_residual,
 )
 
@@ -159,6 +160,24 @@ class TestJumpIdentity:
         rec = check_jump_identity(perturbed(W_1E5, k), WSQ_1E5)
         assert not rec.passed
         assert rec.location == k + 1
+
+
+class TestCheckContext:
+    """RunContext sieves to x_jump and the last Abel point only; the pair
+    check's primes lie at or below x_jump at every x_max."""
+
+    @pytest.mark.parametrize("x_max", [150, 1000, 48611, 48612, 10**6])
+    def test_pair_and_jump_records_equal_a_wider_sieve(self, x_max, tmp_path):
+        cfg = RunConfig(x_max=x_max, out_dir=tmp_path)
+        ctx = RunContext(cfg, run_stream(float(x_max), cfg.grid()))
+        n_jump = ctx.result.state.n  # every prime <= x_max, as x_max <= 1e6
+        assert ctx.n_pair == min(5000, n_jump) and len(ctx.primes) >= n_jump
+        run = {c.check_id: c.run for c in CHECKS}
+        pair = run["pair_identity"](ctx, 1e-10)
+        assert repr(pair) == repr(check_pair_identity(*first_n(ctx.n_pair), tolerance=1e-10))
+        assert repr(run["jump_identity"](ctx, 1e-9)) == repr(
+            [check_jump_identity(*first_n(n_jump), tolerance=1e-9)]
+        )
 
 
 def cps_at(es):
