@@ -344,25 +344,30 @@ def snapshot(state: SumState, x: float) -> Checkpoint:
     return checkpoint_table([x], [state.n], [state.S_total], [state.M_total])
 
 
+def check_grid(x_start: float, x_max: float, ratio: float) -> None:
+    """Refuse (ConfigError) a grid that grid_points cannot build: every
+    bound is written so that NaN fails it, and the points are counted in
+    closed form, before any is built."""
+    if not 3.0 <= x_start < math.inf:
+        raise ConfigError(f"grid_start must be finite and >= 3, got {x_start}")
+    if not x_start <= x_max < math.inf:
+        raise ConfigError(f"x_max must be finite and >= grid_start {x_start}, got {x_max}")
+    if not 1.0 < ratio < math.inf:
+        raise ConfigError(f"grid_ratio must be finite and > 1, got {ratio}")
+    if math.log(x_max / x_start) / math.log(ratio) > MAX_GRID_POINTS:
+        raise ConfigError("grid ratio too close to 1: more than 1e7 points")
+
+
 def grid_points(x_start: float, x_max: float, ratio: float) -> list[float]:
     """Geometric grid x_start * ratio^k clipped to x_max, with x_max as the
-    final point whether or not it lies on the lattice."""
-    if ratio <= 1.0:
-        raise ConfigError(f"grid ratio must be > 1, got {ratio}")
-    if x_start < 3.0:
-        raise ConfigError(f"grid start must be >= 3, got {x_start}")
-    if x_max < x_start:
-        raise ConfigError(f"grid end {x_max} below grid start {x_start}")
+    final point whether or not it lies on the lattice; check_grid refuses
+    first a grid it cannot build."""
+    check_grid(x_start, x_max, ratio)
     points: list[float] = []
     k = 0
-    while True:
-        pt = x_start * ratio**k
-        if pt >= x_max:
-            break
+    while (pt := x_start * ratio**k) < x_max:
         points.append(pt)
         k += 1
-        if k > MAX_GRID_POINTS:
-            raise ConfigError("grid ratio too close to 1: more than 1e7 points")
     points.append(x_max)
     return points
 
@@ -393,9 +398,9 @@ def run_stream(
     """Sieve to x_max, fold every prime into the state, read the sums at
     each grid point, and sample a_n * S_{n-1} at power-of-two n.
 
-    grid must be ascending and entirely above the state's last prime; pass
-    a restored state (and its power-of-two samples) to continue an earlier
-    run bit-identically.
+    grid must be strictly ascending and not below the state's last prime
+    (else SequencingError); pass a restored state (and its power-of-two
+    samples) to continue an earlier run bit-identically.
     """
     state = state if state is not None else SumState()
     samples = list(samples or ())
@@ -407,6 +412,10 @@ def run_stream(
         raise SequencingError(
             f"grid point x={grid[0]} behind last absorbed prime {state.last_prime}"
         )
+    bad = np.flatnonzero(~(grid[:-1] < grid[1:]))
+    if len(bad):
+        raise SequencingError(f"grid point x={grid[bad[0] + 1]} does not follow "
+                              f"x={grid[bad[0]]} in strictly ascending order")
     pi = np.empty(len(grid), dtype=np.int64)
     S, M = np.empty(len(grid)), np.empty(len(grid))
 

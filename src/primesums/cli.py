@@ -4,11 +4,12 @@
     primesums verify  --resume run/checkpoints.txt --out run/
     primesums report  --out run/ run/checkpoints.txt
 
-A checkpoint file answers the --x-max (not compute's), --grid-start and
---grid-ratio left out, and refuses one given otherwise.  Exit status: 0 on
-success (and when every verification record passes), 1 on failed checks
-or unreadable data files, 2 on usage/config errors.  Unknown flags are
-errors.
+report's checkpoint file is the stored run, as --resume's is for compute
+and verify.  It answers the --x-max (not compute's), --grid-start and
+--grid-ratio left out, and refuses one given otherwise; every other flag
+left out takes RunConfig's default.  Exit status: 0 on success (and when
+every verification record passes), 1 on failed checks or unreadable data
+files, 2 on usage/config errors.  Unknown flags are errors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .report import (
     cmd_report,
     cmd_verify,
 )
-from .sieve import DEFAULT_SEGMENT_SIZE
 
 # --threads is accepted, within these bounds, so that existing command lines
 # keep working; the sieve runs on one thread and output never depended on it
@@ -33,7 +33,7 @@ MAX_THREADS = 8
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    # None when left out: the checkpoint file's header answers it, or else the default
+    # None when left out: the checkpoint file's header, or else RunConfig, answers it
     p.add_argument(
         "--x-max",
         type=int,
@@ -48,14 +48,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         help="geometric spacing of checkpoints (> 1; 2^(1/4), or the file's)",
     )
     p.add_argument(
-        "--segment-size",
-        type=int,
-        default=DEFAULT_SEGMENT_SIZE,
-        help="odd numbers per sieve window (1024 to 2^24)",
+        "--segment-size", type=int, help="odd numbers per sieve window (1024 to 2^24)"
     )
-    p.add_argument(
-        "--A", type=float, default=8.0, help="block ratio for the lower-bound check"
-    )
+    p.add_argument("--A", type=float, help="block ratio for the lower-bound check (default: 8)")
     p.add_argument(
         "--lambda",
         dest="lambdas",
@@ -67,13 +62,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol",
         action="append",
-        default=[],
         metavar="CHECK=VALUE",
         help=f"tolerance override, repeatable; checks: {', '.join(sorted(DEFAULT_TOLERANCES))}",
     )
-    p.add_argument(
-        "--out", type=Path, default=Path("primesums_out"), help="output directory"
-    )
+    p.add_argument("--out", type=Path, help="output directory (default: primesums_out)")
     p.add_argument(
         "--threads",
         type=int,
@@ -98,22 +90,18 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
-    resume = getattr(args, "resume", None)  # report names its file as an argument
-    stored = args.checkpoint_file if args.command == "report" else resume
+    # report names its stored run as an argument, compute and verify by --resume
+    stored = args.checkpoint_file if args.command == "report" else args.resume
     if args.x_max is None and (stored is None or args.command == "compute"):
         raise ConfigError("--x-max is required, but for verify --resume and report")
-    grid = {"grid_start": args.grid_start, "grid_ratio": args.grid_ratio}
-    return RunConfig(
-        x_max=args.x_max,
-        # with no file to answer them, the flags left out take the defaults
-        **(grid if stored is not None else {k: v for k, v in grid.items() if v is not None}),
-        segment_size=args.segment_size,
-        A=args.A,
-        lambdas=tuple(args.lambdas) if args.lambdas else (2.0, 4.0, 8.0),
-        tolerances=_parse_tolerances(args.tol),
-        out_dir=args.out,
-        resume_from=resume,
-    )
+    given = dict(grid_start=args.grid_start, grid_ratio=args.grid_ratio,
+                 segment_size=args.segment_size, A=args.A, out_dir=args.out,
+                 lambdas=args.lambdas and tuple(args.lambdas),
+                 tolerances=args.tol and _parse_tolerances(args.tol))
+    # the grid flags left out stay None for the file's header to answer
+    answered = ("grid_start", "grid_ratio") if stored is not None else ()
+    return RunConfig(x_max=args.x_max, resume_from=stored, **{
+        k: v for k, v in given.items() if v is not None or k in answered})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -171,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             print(f"verification: {'all passed' if status == 0 else 'FAILURES'}")
             return status
-        bundle_path = cmd_report(cfg, args.checkpoint_file)
+        bundle_path = cmd_report(cfg)
         print(f"wrote {bundle_path}")
         return 0
     except (ConfigError, CheckpointFormatError) as exc:

@@ -20,8 +20,7 @@ byte-identical bodies.  Rows are formatted by csvcodec.encode_rows, the
 bytes of the _CSV_ROW template's `%` on whole numpy columns, _CHUNK rows
 at a time; series_anS.csv goes through it too.  A resume or report copies
 the rows it keeps from the stored CSV, when the checkpoint file's digest
-vouches for its bytes, and formats only the others; a report into the
-stored run's own directory leaves such a CSV alone.
+vouches for its bytes, and formats only the others.
 
 JSON bundle (format 2): config echo, verification records, ratio bands,
 block stats, abel decompositions, and run metadata.  No checkpoint table:
@@ -37,6 +36,7 @@ import base64
 import hashlib
 import json
 import math
+import operator
 import os
 import time
 import zlib
@@ -52,10 +52,10 @@ import numpy as np
 
 from . import __version__
 from .accumulate import (
-    MAX_GRID_POINTS,
     Checkpoint,
     RunResult,
     SumState,
+    check_grid,
     checkpoint_table,
     grid_points,
     run_stream,
@@ -190,8 +190,9 @@ def _write_bytes(path: Path, blocks: Iterable[bytes], sealed: bool = False) -> t
 
 @dataclass
 class RunConfig:
-    """Everything a compute/verify/report invocation needs.  With a checkpoint
-    file, x_max, grid_start and grid_ratio may be None: its header answers them."""
+    """Everything a compute/verify/report invocation needs.  resume_from is
+    the stored run, which compute continues and verify and report read; its
+    header answers x_max, grid_start and grid_ratio where they are None."""
 
     x_max: int | None
     grid_start: float | None = 100.0
@@ -207,17 +208,14 @@ class RunConfig:
         self.out_dir = Path(self.out_dir)
         if self.resume_from is not None:
             self.resume_from = Path(self.resume_from)
+        if self.x_max is not None:
+            try:  # an int, as the checkpoint file's header types it
+                self.x_max = operator.index(self.x_max)
+            except TypeError:
+                raise ConfigError(f"x_max must be an integer, got {self.x_max!r}") from None
         if None not in (self.x_max, self.grid_start, self.grid_ratio):
             # else these run again once a header has answered the Nones
-            if not 3.0 <= self.grid_start < math.inf:
-                raise ConfigError(f"grid_start must be finite and >= 3, got {self.grid_start}")
-            if self.x_max < self.grid_start:
-                raise ConfigError(f"x_max {self.x_max} below grid_start {self.grid_start}")
-            if not 1.0 < self.grid_ratio < math.inf:
-                raise ConfigError(f"grid_ratio must be finite and > 1, got {self.grid_ratio}")
-            # grid_points' own cap, from the closed-form count of its lattice points
-            if math.log(self.x_max / self.grid_start) / math.log(self.grid_ratio) > MAX_GRID_POINTS:
-                raise ConfigError("grid ratio too close to 1: more than 1e7 points")
+            check_grid(self.grid_start, self.x_max, self.grid_ratio)
             # the sieve's bounds, checked before anything is allocated
             SieveConfig(limit=self.x_max, segment_size=self.segment_size)
         if not 1.0 < self.A < math.inf:
@@ -458,19 +456,12 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
 
     Deterministic and idempotent for a fixed config; with resume_from the
     stored state continues bit-identically to an uninterrupted run, and the
-    kept rows are copied from the stored CSV (see write_csv).  A completed
-    run resumed in place, whose CSV its digest vouches for, leaves both
-    files alone: they hold the bytes a rewrite would give.
+    kept rows are copied from the stored CSV (see write_csv).  Both files
+    are always written, so a completed run resumed in place gets the same
+    bytes again.
     """
-    if cfg.resume_from is None:
-        stored, grid = None, cfg.grid()
-        result = RunResult(checkpoint_table([], [], [], []), SumState(), [])
-    else:
-        stored, grid = resume(cfg.resume_from, cfg)
-        if (not len(grid) and cfg.checkpoint_path() == stored.path
-                and _vouched_prefix(stored) == stored.csv_digest[0]):
-            return stored  # its stored rows are the whole CSV
-        result = stored
+    stored, grid = (None, cfg.grid()) if cfg.resume_from is None else resume(cfg.resume_from, cfg)
+    result = stored or RunResult(checkpoint_table([], [], [], []), SumState(), [])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if len(grid):
         new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
@@ -663,21 +654,20 @@ def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
     }
 
 
-def cmd_report(cfg: RunConfig, checkpoint_file: Path) -> Path:
+def cmd_report(cfg: RunConfig) -> Path:
     """Emit report.json, the run's checkpoints.csv (copied from the stored
-    CSV where its digest vouches for it) and series_anS.csv.  With --out
-    the stored run's directory, a CSV its digest vouches for whole is left
-    alone: it holds the bytes a rewrite would give."""
-    stored = read_checkpoint_file(checkpoint_file, cfg)
+    CSV where its digest vouches for it) and series_anS.csv, from the
+    stored run in cfg.resume_from, which answers cfg's unset fields."""
+    if cfg.resume_from is None:
+        raise ConfigError("report reads a stored run: resume_from names no checkpoint file")
+    stored = read_checkpoint_file(cfg.resume_from, cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     bundle = build_report_bundle(cfg, stored)
     out = cfg.out_dir / "report.json"
     with _replacing(out) as fh:
         json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    if (cfg.csv_path() != stored.path.with_name("checkpoints.csv")
-            or _vouched_prefix(stored) != stored.csv_digest[0]):
-        write_csv(cfg.csv_path(), stored.checkpoints, stored)
+    write_csv(cfg.csv_path(), stored.checkpoints, stored)
     samples = stored.an_sn_samples
     columns = [np.array([n for n, _ in samples], dtype=np.int64),
                np.array([v for _, v in samples], dtype=np.float64)]

@@ -204,6 +204,22 @@ class TestGridPoints:
         with pytest.raises(ConfigError):
             grid_points(100, 1000, 0.5)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 1e6, 2.0), "grid_start"), ((math.inf, 1e6, 2.0), "grid_start"),
+        ((100.0, 1e6, math.nan), "grid_ratio"), ((100.0, 1e6, math.inf), "grid_ratio"),
+        ((100.0, math.nan, 2.0), "x_max"), ((100.0, math.inf, 2.0), "x_max"),
+        ((100.0, 50.0, 2.0), "x_max"),
+    ])
+    def test_rejects_non_finite_before_building(self, args, name):
+        """NaN fails every bound, and inf is no usable one: refused with
+        RunConfig's message before any point is built."""
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            grid_points(*args)
+
+    def test_rejects_too_many_points_before_building(self):
+        with pytest.raises(ConfigError, match="1e7 points"):
+            grid_points(100.0, 1e6, 1.0 + 1e-9)
+
     @given(
         st.floats(min_value=3, max_value=1e3),
         st.floats(min_value=1.01, max_value=4),
@@ -360,6 +376,16 @@ class TestRunStream:
         state = state_over([2, 3, 5, 7])
         with pytest.raises(SequencingError):
             run_stream(20.0, [6.9, 20.0], state=state)
+
+    @pytest.mark.parametrize("x_max, grid", [
+        (1e7, [5e6, 1e6, 1e7]),  # a point behind its predecessor, in a later segment
+        (1000.0, [500.0, 100.0, 1000.0]),  # in one segment
+        (1000.0, [100.0, 100.0, 1000.0]),  # a repeated point
+        (1000.0, [100.0, math.nan, 1000.0]),
+    ])
+    def test_grid_not_strictly_ascending_rejected(self, x_max, grid):
+        with pytest.raises(SequencingError, match="strictly ascending"):
+            run_stream(x_max, grid)
 
 
 class TestTableAgainstPerPoint:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
+import primesums.cli as cli
 import primesums.report as report
 from oracles import (
     abel_records_scalar,
@@ -108,6 +110,11 @@ STATE_FIELDS = ("n", "last_prime", "S", "M", "E_incremental", "last_weight",
 
 def cfg_for(tmp_path, x_max, **kw):
     return RunConfig(x_max=x_max, out_dir=tmp_path / "out", **kw)
+
+
+def report_on(cfg, path):
+    """cmd_report on the stored run at path: cfg with path as its resume_from."""
+    return cmd_report(replace(cfg, resume_from=path))
 
 
 # the documented record of the checkpoint table (formats 4 to 6), stated
@@ -242,6 +249,34 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="1e7 points"):
             cfg_for(tmp_path, 1000, grid_ratio=1.0000001)
         cfg_for(tmp_path, 1000, grid_ratio=1.000001)  # 2.3e6 points
+
+    def test_x_max_is_an_int(self, tmp_path):
+        """x_max is stored as the int the checkpoint file's header types it:
+        an integer of any kind (numpy's too) is taken as an int, and any
+        other value refused, so every x_max accepted is one verify and
+        report can read back."""
+        for value in (1e5, 1e5 + 0.5, "100000", math.nan):
+            with pytest.raises(ConfigError, match="x_max must be an integer"):
+                cfg_for(tmp_path, value)
+        cfg = cfg_for(tmp_path, np.int64(10**4))
+        assert type(cfg.x_max) is int and cfg.x_max == 10**4
+        cmd_compute(cfg)
+        assert read_v6(cfg.checkpoint_path())[0]["x_max"] == 10**4
+        again = RunConfig(x_max=None, grid_start=None, grid_ratio=None,
+                          out_dir=tmp_path / "again", resume_from=cfg.checkpoint_path())
+        assert cmd_verify(again)[1] == 0
+        assert type(again.x_max) is int and again.x_max == 10**4
+
+    def test_grid_refused_as_grid_points_refuses_it(self, tmp_path):
+        """RunConfig and grid_points make one grid check, with one message."""
+        for kw in ({"grid_start": math.nan}, {"grid_start": 2.0}, {"grid_ratio": math.inf},
+                   {"grid_ratio": 1.0}, {"grid_start": 2000.0}):
+            cfg = {"grid_start": 100.0, "grid_ratio": 2.0, **kw}
+            with pytest.raises(ConfigError) as by_config:
+                cfg_for(tmp_path, 1000, **cfg)
+            with pytest.raises(ConfigError) as by_grid:
+                grid_points(cfg["grid_start"], 1000, cfg["grid_ratio"])
+            assert str(by_config.value) == str(by_grid.value)
 
     def test_limits_refused_before_any_work(self, tmp_path):
         from primesums.sieve import MAX_LIMIT, MAX_SEGMENT_SIZE
@@ -732,12 +767,12 @@ class TestCsvReuse:
         if stored_csv == "small_blocks":
             monkeypatch.setattr(report, "_BLOCK", 997)  # rows straddle blocks
         elif stored_csv == "report":
-            # report, in place, leaves the CSV its digest vouches for alone
-            before = (csv.stat().st_ino, csv.stat().st_mtime_ns)
+            # report, in place, writes the CSV its digest vouches for again:
+            # every row copied, none formatted, the same bytes
             assert cli_main(["report", "--out", str(first.out_dir),
                              str(first.checkpoint_path())]) == 0
-            assert (csv.stat().st_ino, csv.stat().st_mtime_ns) == before
-            assert csv.read_bytes() == text and formatted == []
+            assert csv.read_bytes() == text and formatted == [0]
+            formatted.clear()
         elif stored_csv == "deleted":
             csv.unlink()
         elif stored_csv == "altered":
@@ -765,19 +800,20 @@ class TestCsvReuse:
         """--out the stored directory: the stored CSV is read while its
         replacement is written beside it, and the bytes are the unsplit
         run's.  A second resume of the completed run, whose CSV the digest
-        vouches for, formats no row and leaves both files alone."""
+        vouches for, formats no row and writes both files again: the same
+        CSV bytes, and the same checkpoint file but for its created time."""
         first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path)
         cmd_compute(first)
         formatted = _count_formatted(monkeypatch)
-        files = (first.csv_path(), first.checkpoint_path())
-        seen = []  # (inode, mtime) of both files after each resume
+        facts = []  # stored_facts of the checkpoint file after each resume
         for _ in range(2):
             cmd_compute(RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path,
                                   resume_from=first.checkpoint_path()))
             assert first.csv_path().read_bytes() == unsplit
-            seen.append([(f.stat().st_ino, f.stat().st_mtime_ns) for f in files])
-        assert seen[1] == seen[0]
-        assert len(formatted) == 1 and 0 < formatted[0] < len(first.grid())
+            facts.append(stored_facts(first.checkpoint_path()))
+        assert facts[1] == facts[0]
+        assert len(formatted) == 2 and 0 < formatted[0] < len(first.grid())
+        assert formatted[1] == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoints.csv", "checkpoints.txt"]
 
@@ -848,7 +884,7 @@ class TestResume:
         assert a.an_sn_samples == b.an_sn_samples
         assert [k for k, _ in b.an_sn_samples] == [1 << k for k in range(14)] + [9592]
         for cfg in (unsplit, resumed):
-            cmd_report(cfg, cfg.checkpoint_path())
+            report_on(cfg, cfg.checkpoint_path())
         for name in ("checkpoints.csv", "series_anS.csv"):
             assert ((unsplit.out_dir / name).read_bytes()
                     == (resumed.out_dir / name).read_bytes()), name
@@ -868,17 +904,23 @@ class TestResume:
         with pytest.raises(CheckpointFormatError):
             resume(cfg.checkpoint_path(), changed)
 
-    def test_completed_run_is_noop(self, tmp_path):
+    def test_completed_run_is_noop(self, tmp_path, monkeypatch):
+        """A completed run resumed in place computes nothing and formats no
+        row: it writes the same CSV bytes, and the same checkpoint file but
+        for its created time."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
-        before = cfg.checkpoint_path().read_bytes()
+        csv, facts = cfg.csv_path().read_bytes(), stored_facts(cfg.checkpoint_path())
+        formatted = _count_formatted(monkeypatch)
         again = RunConfig(
             x_max=10**4,
             out_dir=tmp_path / "out",
             resume_from=cfg.checkpoint_path(),
         )
         result = cmd_compute(again)
-        assert cfg.checkpoint_path().read_bytes() == before
+        assert cfg.csv_path().read_bytes() == csv
+        assert stored_facts(cfg.checkpoint_path()) == facts
+        assert formatted == [0]
         assert result.checkpoints.pi[-1] == 1229
 
     def test_in_place_onto_a_stored_point_rewrites_both_files(self, tmp_path):
@@ -958,14 +1000,14 @@ class TestReport:
     def test_bundle_schema(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
-        bundle_path = cmd_report(cfg, cfg.checkpoint_path())
+        bundle_path = report_on(cfg, cfg.checkpoint_path())
         bundle = json.loads(bundle_path.read_text())
         validate(bundle, BUNDLE_SCHEMA)
 
     def test_bundle_internally_consistent(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
-        bundle = json.loads(cmd_report(cfg, cfg.checkpoint_path()).read_text())
+        bundle = json.loads(report_on(cfg, cfg.checkpoint_path()).read_text())
         rows = (cfg.out_dir / "checkpoints.csv").read_text().splitlines()[1:]
         xs = {float(row.split(",")[0]) for row in rows}
         assert len(xs) == len(rows) > 0
@@ -982,7 +1024,7 @@ class TestReport:
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
         out = RunConfig(x_max=10**4, out_dir=tmp_path / "report")
-        cmd_report(out, cfg.checkpoint_path())
+        report_on(out, cfg.checkpoint_path())
         assert sorted(p.name for p in out.out_dir.iterdir()) == [
             "checkpoints.csv", "report.json", "series_anS.csv"]
         assert out.csv_path().read_bytes() == cfg.csv_path().read_bytes()
@@ -991,12 +1033,26 @@ class TestReport:
             b"%d,%.17g\n" % sample for sample in result.an_sn_samples)
         assert result.an_sn_samples[0] == (1, 0.0)
 
+    def test_stored_run_is_resume_from(self, tmp_path):
+        """report reads the run named by resume_from, as verify does, and
+        its header answers what cfg leaves None."""
+        cfg = cfg_for(tmp_path, 10**4, grid_ratio=1.5)
+        cmd_compute(cfg)
+        out = RunConfig(x_max=None, grid_start=None, grid_ratio=None,
+                        out_dir=tmp_path / "report", resume_from=cfg.checkpoint_path())
+        bundle = json.loads(cmd_report(out).read_text())
+        assert (out.x_max, out.grid_ratio) == (10**4, 1.5)
+        assert bundle["config"]["x_max"] == 10**4
+        assert out.csv_path().read_bytes() == cfg.csv_path().read_bytes()
+        with pytest.raises(ConfigError, match="resume_from"):
+            cmd_report(cfg_for(tmp_path, 10**4))
+
     def test_empty_file_is_format_error(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
         bad = tmp_path / "empty.txt"
         bad.write_text("")
         with pytest.raises(CheckpointFormatError):
-            cmd_report(cfg, bad)
+            report_on(cfg, bad)
 
 
 class TestStoredRun:
@@ -1100,7 +1156,7 @@ def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
             x_max=10**6, out_dir=tmp_path / name, resume_from=stored.checkpoint_path()
         )
         assert cmd_verify(cfg)[1] == 0
-        cmd_report(cfg, stored.checkpoint_path())
+        report_on(cfg, stored.checkpoint_path())
         return _outputs(cfg.out_dir)
 
     vectorized = verify_and_report("vectorized")
@@ -1157,7 +1213,7 @@ class TestRegistry:
         cfg = RunConfig(x_max=10**6, out_dir=tmp_path, resume_from=stored_1e6)
         records, status = cmd_verify(cfg)
         assert status == 0
-        bundle = json.loads(cmd_report(cfg, stored_1e6).read_text())
+        bundle = json.loads(report_on(cfg, stored_1e6).read_text())
         in_report = {r["check_id"] for r in bundle["verification_records"]}
         assert {"e_monotone", "abel_identity", "lower_bound"} <= in_report
         expected = [
@@ -1215,7 +1271,7 @@ def test_benchmark_accepts_report(tmp_path, monkeypatch):
 
     cfg = cfg_for(tmp_path, 10**5)
     cmd_compute(cfg)
-    check_report(cmd_report(cfg, cfg.checkpoint_path()))
+    check_report(report_on(cfg, cfg.checkpoint_path()))
 
 
 def test_benchmark_accepts_rows(tmp_path, monkeypatch):
@@ -1301,6 +1357,29 @@ class TestCli:
         assert exc.value.code == 2
         assert "--resume" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_flags_left_out_take_runconfig_defaults(self, tmp_path, monkeypatch):
+        """The CLI passes only the flags given: the rest are RunConfig's
+        defaults, and with a checkpoint file the grid is left to its header."""
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise ConfigError("captured")
+
+        for name in ("cmd_compute", "cmd_verify", "cmd_report"):
+            monkeypatch.setattr(cli, name, capture)
+        ckpt = tmp_path / "checkpoints.txt"
+        assert cli_main(["compute", "--x-max", "1000"]) == 2
+        assert cli_main(["verify", "--resume", str(ckpt)]) == 2
+        assert cli_main(["report", str(ckpt)]) == 2
+        assert cli_main(["compute", "--x-max", "1000", "--A", "3", "--lambda", "5",
+                         "--tol", "main_term=1e-6", "--segment-size", "2048",
+                         "--out", str(tmp_path)]) == 2
+        stored = RunConfig(x_max=None, grid_start=None, grid_ratio=None, resume_from=ckpt)
+        assert seen == [RunConfig(x_max=1000), stored, stored, RunConfig(
+            x_max=1000, A=3.0, lambdas=(5.0,), tolerances={"main_term": 1e-6},
+            segment_size=2048, out_dir=tmp_path)]
 
     def test_unknown_flag_is_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
