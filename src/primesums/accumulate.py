@@ -1,7 +1,10 @@
 """Streaming accumulation of the weighted prime sums.
 
-For the n-th prime p_n the weight is a_n = sqrt(log(p_n)/p_n) (natural
-log throughout), defined once by weights().  The stream maintains
+For the n-th prime p_n the weight is a_n = sqrt(log(p_n)/p_n), defined
+once by weights().  Its log, numpy's natural log, is the one log behind
+every stored column and every check on stored data: the table's log x,
+the block bounds and the Abel pass all take w and log x from numpy too.
+The stream maintains
 
     S = sum a_k,    M = sum a_k^2,    E = S^2 - M,
 
@@ -65,11 +68,13 @@ class WeightedPrimeTerm:
 
 
 def weights(primes: np.ndarray) -> np.ndarray:
-    """a = sqrt(log p / p) for an array of primes.
+    """a = sqrt(log p / p) for an array of primes, or of any t > 1.
 
-    The one definition of the weight: term_stream, extend_primes and the
-    one-term references in tests/oracles.py all call it, so no two paths
-    can differ by the last-bit gap between numpy's log and the C library's.
+    The one definition of the weight w: extend_primes, term_stream, the
+    pair and jump checks, the block bounds at grid points, the Abel pass
+    (h = 1/w) and the one-value references in tests/oracles.py all call
+    it, so no two paths can differ by the last-bit gap between numpy's log
+    and the C library's.
     """
     pf = np.asarray(primes, dtype=np.float64)
     return np.sqrt(np.log(pf) / pf)
@@ -102,13 +107,6 @@ class Checkpoint:
         return Checkpoint(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def libm_log(x: np.ndarray) -> np.ndarray:
-    """log of each value with the C library's log (math.log), which numpy's
-    log can miss by the last bit: every log of an x or a prime that a check
-    compares bit for bit with a per-point form is taken here."""
-    return np.array([math.log(v) for v in np.asarray(x, dtype=np.float64).tolist()])
-
-
 def checkpoint_table(x, pi, S, M) -> Checkpoint:
     """The checkpoint table at grid points x with prime counts pi and sums
     S, M there: E = S*S - M and the four ratios, in one pass.
@@ -122,7 +120,7 @@ def checkpoint_table(x, pi, S, M) -> Checkpoint:
     E = S * S - M
     scaled = x >= 3.0
     lx = np.full(len(x), math.nan)  # NaN below 3 carries into r_S, r_E_x, M - lx
-    lx[scaled] = libm_log(x[scaled])
+    lx[scaled] = np.log(x[scaled])
     return Checkpoint(
         x=x,
         pi=pi,
@@ -398,9 +396,9 @@ def run_stream(
     """Sieve to x_max, fold every prime into the state, read the sums at
     each grid point, and sample a_n * S_{n-1} at power-of-two n.
 
-    grid must be strictly ascending and not below the state's last prime
-    (else SequencingError); pass a restored state (and its power-of-two
-    samples) to continue an earlier run bit-identically.
+    grid must be strictly ascending, not below the state's last prime and
+    not above x_max (else SequencingError); pass a restored state (and its
+    power-of-two samples) to continue an earlier run bit-identically.
     """
     state = state if state is not None else SumState()
     samples = list(samples or ())
@@ -412,6 +410,8 @@ def run_stream(
         raise SequencingError(
             f"grid point x={grid[0]} behind last absorbed prime {state.last_prime}"
         )
+    if len(grid) and not grid[-1] <= x_max:
+        raise SequencingError(f"grid point x={grid[-1]} beyond x_max={x_max}")
     bad = np.flatnonzero(~(grid[:-1] < grid[1:]))
     if len(bad):
         raise SequencingError(f"grid point x={grid[bad[0] + 1]} does not follow "

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .accumulate import Checkpoint, libm_log
+from .accumulate import Checkpoint, weights
 from .errors import ConfigError
 from .verify import VerificationRecord, worst_record
 
@@ -75,9 +75,11 @@ def _edges(
     """(hi, k, lo): the block (x[lo], x[hi]] of ratio ratios[k], for every
     pair (hi, k) in x-major order whose edge x[hi]/ratios[k] is >= 3 and
     not below the first grid point; x[lo] is that edge snapped down.  x
-    strictly ascends, as in every run and every checkpoint file that loads."""
-    if any(r <= 1.0 for r in ratios):
-        raise ConfigError(f"block ratios must be > 1, got {tuple(ratios)}")
+    strictly ascends, as in every run and every checkpoint file that loads.
+    Refuses (ConfigError) a ratio that is not finite and > 1, which would
+    leave no block and so pass every check vacuously."""
+    if not all(1.0 < r < math.inf for r in ratios):  # a NaN fails too
+        raise ConfigError(f"block ratios must be finite and > 1, got {tuple(ratios)}")
     edge = x[:, None] / np.asarray(ratios, dtype=np.float64)
     lo = np.searchsorted(x, edge, side="right") - 1
     hi, k = np.nonzero((edge >= _MIN_BLOCK_EDGE) & (lo >= 0))
@@ -97,12 +99,12 @@ def _bound_record(
 def block_sandwich(checkpoints: Checkpoint, lambdas: Sequence[float]) -> Blocks:
     """Block sums over every block (x_lower, x] of the run, at each ratio
     of lambdas, with their exact bounds: every prime in a block has
-    w(x) <= w(p) <= w(x_lower), so
+    w(x) <= w(p) <= w(x_lower), with w = weights at the grid points, so
 
         delta_pi * w(x) <= delta_S <= delta_pi * w(x_lower).
     """
     x, pi, S = checkpoints.x, checkpoints.pi, checkpoints.S
-    w = np.sqrt(libm_log(x) / x)
+    w = weights(x)
     hi, k, lo = _edges(x, lambdas)
     delta_pi = pi[hi] - pi[lo]
     return Blocks(
@@ -140,7 +142,7 @@ def lower_bound_check(
     hi, _, lo = _edges(x, (A,))
     if not len(hi):
         return []
-    bound = (M[hi] - M[lo]) / np.sqrt(libm_log(x[lo]) / x[lo])
+    bound = (M[hi] - M[lo]) / weights(x[lo])
     return [_bound_record("lower_bound", x[hi], S[hi], bound, bound - S[hi], tolerance)]
 
 
@@ -229,7 +231,7 @@ def scale_identity_record(
     cp = checkpoints.select(checkpoints.x >= 3.0)
     if not len(cp):
         raise ConfigError("no checkpoints with x >= 3 to check")
-    rhs = cp.pi * libm_log(cp.x) / cp.x
+    rhs = cp.pi * np.log(cp.x) / cp.x
     return worst_record("scale_identity", cp.x, cp.r_E_x / cp.r_E_pi, rhs, tolerance)
 
 

@@ -1,4 +1,4 @@
-"""Weight functions, their derivatives, and the integral identities.
+"""The weights w and h = 1/w, and the two integral identities on them.
 
 The two weights are
 
@@ -18,24 +18,23 @@ summation identity
     S(x) = h(x) M(x) - integral_2^x M(t) h'(t) dt
 
 telescopes exactly over the prime partition (integral of h' between jumps
-is just a difference of h values); abel_decompose turns that into a
-machine-checkable identity with no quadrature error at all, and
-abel_decompose_grid evaluates it at a whole grid of x in one pass, as
-columns, bit for bit as abel_decompose would at each point.  The two
-integrals of the main-term identity are smooth; they go through adaptive
-Simpson quadrature in u = sqrt(log t), where their integrands grow only
-like exp(u^2/2).
+is just a difference of h values); abel_decompose evaluates its right
+side at a whole grid of x in one pass, as columns, with w the
+accumulator's own (accumulate.weights), to be checked against the S the
+run stored.  The two integrals of the main-term identity are smooth; they
+go through adaptive Simpson quadrature in u = sqrt(log t), where their
+integrands grow only like exp(u^2/2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .accumulate import exact_sums_at, libm_log
+from .accumulate import exact_sums_at, weights
 from .errors import DomainError, QuadratureError
 from .verify import VerificationRecord, identity_record
 
@@ -48,23 +47,10 @@ def _check_domain(t: float) -> None:
         raise DomainError(f"weight functions need t > 1, got {t}")
 
 
-def eval_w(t: float) -> float:
-    """w(t) = sqrt(log(t)/t)."""
-    _check_domain(t)
-    return math.sqrt(math.log(t) / t)
-
-
 def eval_h(t: float) -> float:
     """h(t) = sqrt(t/log(t)), the reciprocal of w."""
     _check_domain(t)
     return math.sqrt(t / math.log(t))
-
-
-def eval_h_prime(t: float) -> float:
-    """h'(t) = (log t - 1) / (2 sqrt(t) (log t)^{3/2})."""
-    _check_domain(t)
-    lt = math.log(t)
-    return (lt - 1.0) / (2.0 * math.sqrt(t) * lt * math.sqrt(lt))
 
 
 def quadrature(
@@ -128,109 +114,58 @@ def _simpson_rec(
 
 @dataclass(frozen=True)
 class AbelDecomposition:
-    """The three members of S(x) = h(x) M(x) - integral, telescoped exactly
-    over the prime partition, plus the relative residual between them.
+    """The three members of S(x) = h(x) M(x) - integral at a grid of x, one
+    array each, with the integral telescoped exactly over the prime
+    partition: direct_S is the S the caller stored at x, and the residual
+    is the relative gap between it and boundary_term - integral_term."""
 
-    abel_decompose gives them at one x; abel_decompose_grid gives the same
-    fields as columns, an array each with one entry per grid point.
-    """
-
-    x: float
-    direct_S: float
-    boundary_term: float
-    integral_term: float
-    residual: float
+    x: np.ndarray
+    direct_S: np.ndarray
+    boundary_term: np.ndarray
+    integral_term: np.ndarray
+    residual: np.ndarray
 
 
-def abel_decompose(x: float, primes: Iterable[int]) -> AbelDecomposition:
-    """Evaluate the partial-summation split of S(x) over the given primes.
-
-    The integral of M(t) h'(t) is computed exactly for the step function:
-    sum over partition cells [p_k, t_{k+1}) of M(p_k) * (h(t_{k+1}) - h(p_k)),
-    where the t_k are the primes <= x followed by x itself.
-    """
-    if x < 2.0:
-        raise DomainError(f"abel decomposition needs x >= 2, got {x}")
-    ps = []
-    for p in primes:
-        if p > x:
-            break
-        ps.append(p)
-    if not ps:
-        raise DomainError(f"no primes supplied at or below x={x}")
-
-    weights = []
-    cell_terms = []
-    m_run = 0.0
-    h_here = eval_h(float(ps[0]))
-    for i, p in enumerate(ps):
-        wsq = math.log(p) / p
-        weights.append(math.sqrt(wsq))
-        m_run += wsq
-        t_next = float(ps[i + 1]) if i + 1 < len(ps) else x
-        h_next = eval_h(t_next)
-        cell_terms.append(m_run * (h_next - h_here))
-        h_here = h_next
-
-    direct = math.fsum(weights)
-    integral = math.fsum(cell_terms)
-    boundary = eval_h(x) * m_run
-    residual = abs(direct - (boundary - integral)) / direct
-    return AbelDecomposition(
-        x=x,
-        direct_S=direct,
-        boundary_term=boundary,
-        integral_term=integral,
-        residual=residual,
-    )
-
-
-def abel_decompose_grid(xs: Sequence[float], primes: np.ndarray) -> AbelDecomposition:
-    """abel_decompose(x, primes) at every x of xs, bit for bit, in one pass,
-    as columns in the order of xs.
+def abel_decompose(
+    xs: Sequence[float], S: Sequence[float], primes: np.ndarray
+) -> AbelDecomposition:
+    """The partial-summation split at every x of xs in one pass, as columns
+    in the order of xs, against the sums S (S[i] at xs[i]) the caller read.
 
     primes is an ascending int64 array holding every prime up to max(xs).
-    The logs are the C library's, taken once per prime as abel_decompose
-    takes them; M runs as the same sequential sum (np.cumsum), and the
-    cell terms are formed once.  At each x the direct sum and the integral
-    (the cells below x plus x's own last cell) are exact prefix sums
-    rounded once, which is what fsum returns, so a point costs O(1) after
-    an O(pi(max xs)) set-up.
+    The integral of M(t) h'(t) is exact for the step function M: the sum
+    over the cells [t_k, t_{k+1}) of M(t_k) * (h(t_{k+1}) - h(t_k)), where
+    the t_k are the primes <= x followed by x itself.  Per prime w is
+    weights(p) and h = 1/w, and M runs as the sequential sum (np.cumsum)
+    of w * w, the squared weight the accumulator sums; at x, h is
+    1/weights(x).  The cells are formed once, and at each x the integral
+    (the cells below x, then x's own last cell) is an exact prefix sum
+    rounded once, so a point costs O(1) after an O(pi(max xs)) set-up.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    S = np.asarray(S, dtype=np.float64)
     if not len(xs):
-        return AbelDecomposition(xs, xs, xs, xs, xs)
+        return AbelDecomposition(xs, S, xs, xs, xs)
     if xs.min() < 2.0:
         raise DomainError(f"abel decomposition needs x >= 2, got {xs.min()}")
     cuts = np.searchsorted(primes, xs, side="right")
     if cuts.min() == 0:
         raise DomainError(f"no primes supplied at or below x={xs[cuts.argmin()]}")
-    ps = primes[: cuts.max()]
-    pf = ps.astype(np.float64)
-    log_p = libm_log(pf)
-    wsq = log_p / pf
-    m_run = np.cumsum(wsq)
-    h = np.sqrt(pf / log_p)
-    # the prefix sums are read at ascending cuts, so work in sorted order
-    order = np.argsort(cuts, kind="stable")
-    x_up = xs[order]
-    last = cuts[order] - 1
-    h_x = np.sqrt(x_up / libm_log(x_up))
+    w = weights(primes[: cuts.max()])
+    m_run = np.cumsum(w * w)
+    h = 1.0 / w
+    last = cuts - 1
+    h_x = 1.0 / weights(xs)
     m_x = m_run[last]
-    direct = exact_sums_at(np.sqrt(wsq), last + 1)
-    # the cells [p_k, p_{k+1}) below x, then x's own cell [p_last, x]
-    integral = exact_sums_at(
-        m_run[:-1] * (h[1:] - h[:-1]), last, extra=m_x * (h_x - h[last])
-    )
     boundary = h_x * m_x
-    cols = np.empty((4, len(xs)))
-    cols[:, order] = (
-        direct,
-        boundary,
-        integral,
-        np.abs(direct - (boundary - integral)) / direct,
+    # the cells [p_k, p_{k+1}) below x, then x's own cell [p_last, x]; the
+    # prefix sums are read at ascending cuts, so in sorted order
+    order = np.argsort(cuts, kind="stable")
+    integral = np.empty(len(xs))
+    integral[order] = exact_sums_at(
+        m_run[:-1] * (h[1:] - h[:-1]), last[order], extra=(m_x * (h_x - h[last]))[order]
     )
-    return AbelDecomposition(xs, *cols)
+    return AbelDecomposition(xs, S, boundary, integral, np.abs(S - (boundary - integral)) / S)
 
 
 def _u_integral(g: Callable[[float], float], x: float, tol: float) -> float:

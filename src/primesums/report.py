@@ -77,14 +77,12 @@ from .asymptotics import (
 # read_checkpoint_file, resume, build_report_bundle, check_pair_identity,
 # check_jump_identity, abel_decompose, main_term_identity, block_sandwich,
 # lower_bound_check and sandwich_records; cli's three cmd_ names;
-# accumulate.snapshot and verify.term_stream.  No command calls
-# abel_decompose, snapshot or term_stream: they stay, and abel_decompose is
-# imported here, only so that the tracer finds them.
-from .calculus import (  # noqa: F401
+# accumulate.snapshot and verify.term_stream.  No command calls snapshot
+# or term_stream: they stay only so that the tracer finds them.
+from .calculus import (
     QUADRATURE_TOL_FLOOR,
     AbelDecomposition,
     abel_decompose,
-    abel_decompose_grid,
     main_term_identity,
 )
 from .csvcodec import encode_rows
@@ -485,15 +483,15 @@ class RunContext:
     def __post_init__(self) -> None:
         self.n_pair = min(PAIR_N_CAP, self.result.state.n)
         self.x_jump = min(float(self.cfg.x_max), float(JUMP_SCAN_CAP))
-        x = self.result.checkpoints.x
-        self.abel_xs = x[x <= ABEL_GRID_CAP]
+        table = self.result.checkpoints
+        self.abel_rows = table.select(table.x <= ABEL_GRID_CAP)
 
     @cached_property
     def primes(self) -> np.ndarray:
         """Every prime the pair, jump and Abel checks read.  The pair check's
         n_pair primes all lie at or below x_jump: either x_jump is x_max, or
         it is JUMP_SCAN_CAP, above the PAIR_N_CAP-th prime (48611)."""
-        top = max(self.x_jump, self.abel_xs.max(initial=0.0))
+        top = max(self.x_jump, self.abel_rows.x.max(initial=0.0))
         return prime_array(int(top), segment_size=self.cfg.segment_size)
 
     def prime_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +506,7 @@ class RunContext:
 
     @cached_property
     def abel(self) -> tuple[list[VerificationRecord], AbelDecomposition]:
-        return _abel_records(self.cfg, self.abel_xs, self.primes)
+        return _abel_records(self.cfg, self.abel_rows, self.primes)
 
 
 @dataclass(frozen=True)
@@ -524,11 +522,12 @@ class Check:
 
 
 def _abel_records(
-    cfg: RunConfig, xs: np.ndarray, primes: np.ndarray
+    cfg: RunConfig, table: Checkpoint, primes: np.ndarray
 ) -> tuple[list[VerificationRecord], AbelDecomposition]:
-    """The worst Abel identity record over the grid points xs, and the
-    decomposition columns; primes must reach the last of them."""
-    abel = abel_decompose_grid(xs, primes)
+    """The worst Abel identity record over the rows of table, its stored S
+    against boundary - integral, and the decomposition columns; primes
+    must reach the last x."""
+    abel = abel_decompose(table.x, table.S, primes)
     if not len(abel.x):
         return [], abel
     tol = cfg.tolerance("abel_identity")

@@ -15,9 +15,11 @@ a one-row snapshot at each grid point for the checkpoint table, the
 brute-force pair sum, and the row loops of the pair, jump, Abel, block,
 E-monotone, positivity, band and Mertens-width checks, and the per-value
 row codec of the checkpoint table.  Their signatures match the calls
-primesums makes, so a test can swap them in.  The third part keeps
+primesums makes, so a test can swap them in.  Each takes numpy's log of
+one value at a time (np_log), which equals numpy's log of the whole array
+bit for bit, so w is the accumulator's own.  The third part keeps
 quantities no command computes: the sampled a_n * S_{n-1} series, the
-growth of the main-term integral, and w'.
+growth of the main-term integral, h' and w'.
 """
 
 from __future__ import annotations
@@ -42,14 +44,7 @@ from primesums.accumulate import (
     weights,
 )
 from primesums.asymptotics import AN_SN_SERIES, BAND_SERIES, Blocks, RatioBand
-from primesums.calculus import (
-    AbelDecomposition,
-    _check_domain,
-    _u_integral,
-    abel_decompose,
-    eval_h,
-    eval_w,
-)
+from primesums.calculus import AbelDecomposition, _check_domain, _u_integral, eval_h
 from primesums.errors import DomainError, SequencingError, SizeError
 from primesums.sieve import DEFAULT_SEGMENT_SIZE, prime_array
 from primesums.verify import (
@@ -200,6 +195,17 @@ def pair_sum_bruteforce(terms: Sequence[WeightedPrimeTerm]) -> float:
     return 2.0 * math.fsum(rows)
 
 
+def np_log(t: float) -> float:
+    """numpy's log of one value, as primesums takes it of whole arrays."""
+    return float(np.log(t))
+
+
+def eval_w(t: float) -> float:
+    """w(t) = sqrt(log(t)/t), one value of accumulate.weights."""
+    _check_domain(t)
+    return math.sqrt(np_log(t) / t)
+
+
 def snapshot_scalar(state: SumState, x: float) -> Row:
     """The checkpoint row at x from the state, one Python float at a time."""
     if x < state.last_prime:
@@ -210,7 +216,7 @@ def snapshot_scalar(state: SumState, x: float) -> Row:
     m = state.M_total
     e = s * s - m
     if x >= 3.0:
-        lx = math.log(x)
+        lx = np_log(x)
         r_s = s / math.sqrt(x / lx)
         r_e_pi = e / state.n
         r_e_x = e * lx / x
@@ -385,9 +391,39 @@ def jump_record_scalar(
     )
 
 
-def abel_records_scalar(cfg, xs, _primes=None) -> tuple[list, AbelDecomposition]:
-    """report._abel_records with abel_decompose run afresh at every x."""
-    xs = list(xs)
+def abel_decompose_scalar(x: float, primes: Iterable[int]) -> AbelDecomposition:
+    """calculus.abel_decompose at one x as a loop over the primes <= x,
+    with its own direct_S: math.fsum of their weights, which the S a run
+    stores must equal.
+
+    The integral of M(t) h'(t) is the fsum over the cells [t_k, t_{k+1})
+    of M(t_k) * (h(t_{k+1}) - h(t_k)), where the t_k are the primes <= x
+    followed by x itself, w is eval_w, h = 1/w, and M runs as the sum of
+    w * w.  The fields are floats: one row of the columns.
+    """
+    if x < 2.0:
+        raise DomainError(f"abel decomposition needs x >= 2, got {x}")
+    ws = [eval_w(float(p)) for p in primes if p <= x]
+    if not ws:
+        raise DomainError(f"no primes supplied at or below x={x}")
+    h_x = 1.0 / eval_w(x)
+    cells = []
+    m_run = 0.0
+    for i, w in enumerate(ws):
+        m_run += w * w
+        h_next = 1.0 / ws[i + 1] if i + 1 < len(ws) else h_x
+        cells.append(m_run * (h_next - 1.0 / w))
+    direct = math.fsum(ws)
+    integral = math.fsum(cells)
+    boundary = h_x * m_run
+    residual = abs(direct - (boundary - integral)) / direct
+    return AbelDecomposition(x, direct, boundary, integral, residual)
+
+
+def abel_records_scalar(cfg, table, _primes=None) -> tuple[list, AbelDecomposition]:
+    """report._abel_records with abel_decompose_scalar run afresh at every
+    x of the table, each with its own direct_S."""
+    xs = table.x.tolist()
     if not xs:
         return [], table_of([], AbelDecomposition)
     primes = prime_array(int(math.floor(xs[-1]))).tolist()
@@ -395,7 +431,7 @@ def abel_records_scalar(cfg, xs, _primes=None) -> tuple[list, AbelDecomposition]
     decomps = []
     worst = None
     for x in xs:
-        dec = abel_decompose(x, primes[: bisect.bisect_right(primes, x)])
+        dec = abel_decompose_scalar(x, primes[: bisect.bisect_right(primes, x)])
         decomps.append(dec)
         rec = identity_record(
             "abel_identity", x, dec.direct_S, dec.boundary_term - dec.integral_term, tol
@@ -496,7 +532,7 @@ def scale_identity_scalar(checkpoints, tolerance: float = 1e-12) -> Verification
     worst = None
     for cp in rows(checkpoints):
         if cp.x >= 3.0:
-            rhs = cp.pi * math.log(cp.x) / cp.x
+            rhs = cp.pi * np_log(cp.x) / cp.x
             rec = identity_record("scale_identity", cp.x, cp.r_E_x / cp.r_E_pi, rhs, tolerance)
             if worst is None or rec.residual > worst.residual:
                 worst = rec
@@ -541,6 +577,13 @@ def main_term_growth(x: float, tol: float = 1e-10) -> float:
         raise DomainError(f"growth ratio needs x > 2, got {x}")
     # dt / sqrt(t log t) is 2 exp(u^2/2) du in u = sqrt(log t)
     return _u_integral(lambda u: 2.0, x, tol) / eval_h(x)
+
+
+def eval_h_prime(t: float) -> float:
+    """h'(t) = (log t - 1) / (2 sqrt(t) (log t)^{3/2})."""
+    _check_domain(t)
+    lt = math.log(t)
+    return (lt - 1.0) / (2.0 * math.sqrt(t) * lt * math.sqrt(lt))
 
 
 def eval_w_prime(t: float) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import eval_w_prime, pair_prime_bound, rows
+from oracles import eval_h_prime, eval_w, eval_w_prime, pair_prime_bound, rows
 from primesums.accumulate import grid_points, run_stream
 from primesums.asymptotics import (
     an_sn_band,
@@ -25,9 +25,9 @@ from primesums.asymptotics import (
     mertens_width,
     sandwich_records,
 )
-from primesums.calculus import abel_decompose, eval_h, eval_h_prime, eval_w, main_term_identity
+from primesums.calculus import abel_decompose, eval_h, main_term_identity
 from primesums.report import RunConfig, cmd_compute, read_checkpoint_file
-from primesums.sieve import base_primes, prime_array, prime_count
+from primesums.sieve import prime_array, prime_count
 from primesums.verify import check_jump_identity, check_pair_identity
 
 # --- frozen oracle values (tests/oracles.py, run before the main build) ---
@@ -140,14 +140,11 @@ def test_criterion_03_jump_identity_and_sensitivity():
 
 def test_criterion_04_abel_decomposition_grid_to_1e6():
     t0 = time.monotonic()
-    primes = base_primes(10**6)
-    import bisect
-
-    worst = 0.0
     grid = grid_points(GRID_START, 1e6, GRID_RATIO)
-    for x in grid:
-        dec = abel_decompose(x, primes[: bisect.bisect_right(primes, x)])
-        worst = max(worst, dec.residual)
+    # the identity against the S the run stores at every grid point
+    stored_S = run_stream(1e6, grid).checkpoints.S
+    dec = abel_decompose(grid, stored_S, prime_array(10**6))
+    worst = float(dec.residual.max())
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed <= 5.0
     report(

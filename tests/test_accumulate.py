@@ -17,6 +17,7 @@ from oracles import (
     empirical_constants_scalar,
     make_term,
     mertens_width_scalar,
+    np_log,
     push,
     ratio_positivity_scalar,
 )
@@ -39,7 +40,7 @@ from primesums.asymptotics import (
     ratio_positivity_record,
 )
 from primesums.errors import ConfigError, DomainError, SequencingError
-from primesums.sieve import SieveConfig, base_primes, stream_segments
+from primesums.sieve import SieveConfig, base_primes, prime_array, stream_segments
 from primesums.verify import check_E_monotone
 
 # frozen oracle values (mpmath, 40 digits; see tests/oracles.py)
@@ -386,6 +387,33 @@ class TestRunStream:
     def test_grid_not_strictly_ascending_rejected(self, x_max, grid):
         with pytest.raises(SequencingError, match="strictly ascending"):
             run_stream(x_max, grid)
+
+    @pytest.mark.parametrize("grid", [[100.0, 5000.0], [1000.5], [math.nan], [math.inf]])
+    def test_grid_beyond_x_max_rejected(self, grid):
+        # a point past x_max would get the counts at x_max: pi(5000) = 168
+        with pytest.raises(SequencingError, match="beyond x_max"):
+            run_stream(1000.0, grid)
+
+    def test_grid_at_x_max_accepted(self):
+        assert run_stream(1000.5, [100.0, 1000.5]).checkpoints.pi.tolist() == [25, 168]
+
+
+class TestNumpyLog:
+    """numpy's log of one value alone equals its log of the whole array, bit
+    for bit: every one-value reference in tests/oracles.py relies on it."""
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(lambda: prime_array(10**6).astype(np.float64), id="primes_1e6"),
+        pytest.param(lambda: np.array(grid_points(100, 1e7, 1.0001)), id="grid_1e7"),
+    ])
+    def test_one_value_equals_array(self, values):
+        values = values()
+        assert len(values) > 78_000
+        whole = np.log(values).tolist()
+        alone = [np_log(v) for v in values.tolist()]
+        assert alone == whole
+        assert [float(weights(v)) for v in values[:: 97].tolist()] == (
+            weights(values[:: 97]).tolist())
 
 
 class TestTableAgainstPerPoint:

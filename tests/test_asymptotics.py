@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import an_Sn_series, block_records_scalar, rows
+from oracles import an_Sn_series, block_records_scalar, eval_w, rows
 from primesums.accumulate import SumState, grid_points, run_stream, snapshot
 from primesums.asymptotics import (
     an_sn_band,
@@ -18,7 +18,6 @@ from primesums.asymptotics import (
     scale_identity_record,
     series_band,
 )
-from primesums.calculus import eval_w
 from primesums.errors import ConfigError, DomainError
 from primesums.sieve import base_primes
 
@@ -146,6 +145,15 @@ class TestBlockSandwich:
     def test_no_blocks_no_records(self):
         blocks = block_sandwich(checkpoints(10.0, [3.0, 10.0]), [4.0])
         assert len(blocks.x) == 0 and sandwich_records(blocks) == []
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, 1.0, 0.5])
+    def test_rejects_ratio_not_finite_above_1(self, cps_1e5, ratio):
+        # a NaN or infinite ratio leaves no block, so both checks would
+        # pass with nothing checked
+        with pytest.raises(ConfigError, match="finite and > 1"):
+            block_sandwich(cps_1e5, [2.0, ratio])
+        with pytest.raises(ConfigError, match="finite and > 1"):
+            lower_bound_check(cps_1e5, ratio)
 
 
 class TestBlockArrays:

@@ -7,14 +7,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import eval_w_prime, main_term_growth, romberg
+from oracles import (
+    abel_decompose_scalar,
+    eval_h_prime,
+    eval_w,
+    eval_w_prime,
+    main_term_growth,
+    romberg,
+)
+from primesums.accumulate import run_stream
 from primesums.calculus import (
     AbelDecomposition,
     abel_decompose,
-    abel_decompose_grid,
     eval_h,
-    eval_h_prime,
-    eval_w,
     main_term_identity,
     quadrature,
 )
@@ -117,14 +122,16 @@ def primes_to(primes, x):
 
 
 class TestAbelDecomposition:
+    """The one-point reference, with its own direct_S."""
+
     def test_single_prime(self, primes_1e6):
-        dec = abel_decompose(2.0, primes_to(primes_1e6, 2))
+        dec = abel_decompose_scalar(2.0, primes_to(primes_1e6, 2))
         assert dec.integral_term == 0.0
         assert dec.residual <= 1e-12
         assert dec.direct_S == pytest.approx(0.58870501125773733, rel=1e-15)
 
     def test_four_primes(self, primes_1e6):
-        dec = abel_decompose(10.0, primes_to(primes_1e6, 10))
+        dec = abel_decompose_scalar(10.0, primes_to(primes_1e6, 10))
         assert dec.residual <= 1e-10
         assert dec.boundary_term - dec.integral_term == pytest.approx(
             dec.direct_S, rel=1e-10
@@ -132,20 +139,21 @@ class TestAbelDecomposition:
 
     @pytest.mark.parametrize("x", [100.0, 1e4, 1e6])
     def test_residual_at_scale(self, x, primes_1e6):
-        dec = abel_decompose(x, primes_to(primes_1e6, x))
+        dec = abel_decompose_scalar(x, primes_to(primes_1e6, x))
         assert dec.residual <= 1e-8
 
     def test_x_between_primes(self, primes_1e6):
-        dec = abel_decompose(9.5, primes_to(primes_1e6, 9.5))
+        dec = abel_decompose_scalar(9.5, primes_to(primes_1e6, 9.5))
         assert dec.residual <= 1e-10
 
     def test_rejects_small_x(self):
         with pytest.raises(DomainError):
-            abel_decompose(1.5, [2])
+            abel_decompose_scalar(1.5, [2])
 
 
 class TestAbelGrid:
-    """The one-pass grid form against abel_decompose at each point."""
+    """The one-pass grid form, given the stored S, against
+    abel_decompose_scalar, which sums its own, at each point."""
 
     @staticmethod
     def row(abel, i):
@@ -153,36 +161,47 @@ class TestAbelGrid:
         return AbelDecomposition(*(getattr(abel, f.name)[i].item() for f in fields(abel)))
 
     def test_edge_points_unsorted(self, primes_1e6):
-        xs = [10.0, 2.0, 5.0, 2.5, 4.99, 3.0, 9.5, 1e6, 7.0, 100.0]
-        abel = abel_decompose_grid(xs, np.array(primes_1e6))
+        # 449.25698154849539 and the prime 664679: w(x) differs in the
+        # last bit between numpy's log and the C library's
+        xs = [10.0, 2.0, 5.0, 2.5, 4.99, 3.0, 9.5, 1e6, 7.0, 100.0,
+              664679.0, 449.25698154849539]
+        order = np.argsort(xs)
+        S = np.empty(len(xs))
+        S[order] = run_stream(1e6, np.array(xs)[order]).checkpoints.S
+        abel = abel_decompose(xs, S, np.array(primes_1e6))
         assert abel.x.tolist() == xs
         for i, x in enumerate(xs):
-            assert repr(self.row(abel, i)) == repr(abel_decompose(x, primes_to(primes_1e6, x)))
+            ref = abel_decompose_scalar(x, primes_to(primes_1e6, x))
+            assert repr(self.row(abel, i)) == repr(ref)
 
     def test_rejects_small_x_and_missing_primes(self):
         with pytest.raises(DomainError):
-            abel_decompose_grid([3.0, 1.5], np.array([2, 3]))
+            abel_decompose([3.0, 1.5], [1.0, 1.0], np.array([2, 3]))
         with pytest.raises(DomainError):
-            abel_decompose_grid([3.0], np.array([5, 7]))
-        empty = abel_decompose_grid([], np.array([2, 3]))
+            abel_decompose([3.0], [1.0], np.array([5, 7]))
+        empty = abel_decompose([], [], np.array([2, 3]))
         assert all(len(getattr(empty, f.name)) == 0 for f in fields(empty))
 
     def test_dense_grid_to_1e6(self, primes_1e6):
-        # ~9.2e4 points below 1e6: one abel_decompose per point would take
-        # on the order of a quarter of an hour
+        # ~9.2e4 points below 1e6: one abel_decompose_scalar per point
+        # would take on the order of a quarter of an hour
         cfg = RunConfig(x_max=10**6, grid_ratio=1.0001)
-        xs = np.array([x for x in cfg.grid() if x <= ABEL_GRID_CAP])
+        table = run_stream(1e6, cfg.grid()).checkpoints
+        table = table.select(table.x <= ABEL_GRID_CAP)
+        xs = table.x
         assert len(xs) > 90_000
         t0 = time.perf_counter()
-        (worst,), abel = _abel_records(cfg, xs, np.array(primes_1e6))
+        (worst,), abel = _abel_records(cfg, table, np.array(primes_1e6))
         assert time.perf_counter() - t0 < 30.0
         assert worst.passed
         assert abel.x.tolist() == xs.tolist()
+        assert abel.direct_S.tolist() == table.S.tolist()
         at = int(np.argmax(abel.residual))
         sample = [0, 1, len(xs) - 1, at] + random.Random(0).sample(range(len(xs)), 8)
         for i in sample:
             x = float(xs[i])
-            assert repr(self.row(abel, i)) == repr(abel_decompose(x, primes_to(primes_1e6, x)))
+            ref = abel_decompose_scalar(x, primes_to(primes_1e6, x))
+            assert repr(self.row(abel, i)) == repr(ref)
 
 
 class TestMainTermIdentity:

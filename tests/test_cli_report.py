@@ -1,4 +1,6 @@
 import base64
+import bisect
+import itertools
 import json
 import math
 import os
@@ -17,12 +19,14 @@ from jsonschema import validate
 import primesums.cli as cli
 import primesums.report as report
 from oracles import (
+    abel_decompose_scalar,
     abel_records_scalar,
     an_sn_band_scalar,
     assert_same_table,
     block_sandwich_scalar,
     check_E_monotone_scalar,
     empirical_constants_scalar,
+    eval_w,
     jump_record_scalar,
     lower_bound_scalar,
     pair_records_scalar,
@@ -31,7 +35,7 @@ from oracles import (
     scale_identity_scalar,
     table_lines_scalar,
 )
-from primesums.accumulate import Checkpoint, grid_points, run_stream
+from primesums.accumulate import Checkpoint, checkpoint_table, grid_points, run_stream
 from primesums.cli import main as cli_main
 from primesums.errors import CheckpointFormatError, ConfigError
 from primesums.report import (
@@ -43,6 +47,7 @@ from primesums.report import (
     resume,
     write_checkpoint_file,
 )
+from primesums.sieve import prime_array
 
 # independent statement of the documented bundle schema (see README); the
 # checkpoint table is checkpoints.csv, not a bundle key
@@ -1192,6 +1197,56 @@ def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
     assert calls == {"pair": 1, "jump": 1, "abel": 2, "blocks": 2, "sandwich": 2,
                      "lower": 2, "scale": 2, "e": 2, "positive": 2, "bands": 1,
                      "anS": 1}
+
+
+@pytest.mark.parametrize("ratio", [2**0.25, 1.001], ids=["default", "1.001"])
+def test_abel_S_is_the_stored_S(tmp_path, ratio):
+    """At every Abel point of a stored 1e6 run, the exact sum of the
+    weights, rounded once (what abel_decompose_scalar's fsum returns),
+    equals the stored S bit for bit, so reading the stored S changes no
+    bit of the Abel check."""
+    cfg = cfg_for(tmp_path, 10**6, grid_ratio=ratio)
+    cmd_compute(cfg)
+    stored = read_checkpoint_file(cfg.checkpoint_path(), cfg)
+    (record,), abel = report.RunContext(cfg, stored).abel
+    assert record.passed
+    table = stored.checkpoints
+    assert abel.direct_S.tolist() == table.S[table.x <= report.ABEL_GRID_CAP].tolist()
+    primes = prime_array(10**6).tolist()
+    units = list(itertools.accumulate(
+        (int(math.ldexp(eval_w(float(p)), 120)) for p in primes), initial=0))
+    cuts = [bisect.bisect_right(primes, x) for x in abel.x.tolist()]
+    exact = [math.ldexp(float(units[c]), -120) for c in cuts]
+    assert abel.direct_S.tolist() == exact
+    assert len(exact) > (9000 if ratio == 1.001 else 50)
+    for i in (0, len(exact) // 2, len(exact) - 1):
+        dec = abel_decompose_scalar(float(abel.x[i]), primes[: cuts[i]])
+        assert dec.direct_S == exact[i]
+
+
+def test_altered_stored_S_fails_abel_identity(tmp_path):
+    """A stored run whose S is altered at one grid point below 1e6, and
+    written back with a valid CRC, fails abel_identity at that point:
+    the check compares the stored S, not a sum of its own."""
+    cfg = cfg_for(tmp_path, 10**6, grid_ratio=1.01)
+    cmd_compute(cfg)
+    run = read_checkpoint_file(cfg.checkpoint_path(), cfg)
+    table = run.checkpoints
+    S = table.S.copy()
+    i = int(np.searchsorted(table.x, 5e5))
+    S[i] *= 1.0 + 1e-6
+    altered = replace(run, checkpoints=checkpoint_table(table.x, table.pi, S, table.M))
+    path = tmp_path / "altered.txt"
+    write_checkpoint_file(path, cfg, altered, run.csv_digest)
+    records, status = cmd_verify(replace(cfg, out_dir=tmp_path / "verify", resume_from=path))
+    assert status == 1
+    (abel,) = [r for r in records if r.check_id == "abel_identity"]
+    assert not abel.passed
+    assert (abel.location, abel.lhs) == (table.x[i], S[i])
+    assert 1e-7 < abel.residual < 1e-5
+    # the same run unaltered passes
+    records, status = cmd_verify(replace(cfg, resume_from=cfg.checkpoint_path()))
+    assert status == 0
 
 
 def _entry(check_id):
