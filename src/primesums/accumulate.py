@@ -71,10 +71,10 @@ def weights(primes: np.ndarray) -> np.ndarray:
     """a = sqrt(log p / p) for an array of primes, or of any t > 1.
 
     The one definition of the weight w: extend_primes, term_stream, the
-    pair and jump checks, the block bounds at grid points, the Abel pass
-    (h = 1/w) and the one-value references in tests/oracles.py all call
-    it, so no two paths can differ by the last-bit gap between numpy's log
-    and the C library's.
+    w the pair and jump checks read beside the accumulator's S and M, the
+    block bounds at grid points, the Abel pass (h = 1/w) and the one-value
+    references in tests/oracles.py all call it, so no two paths can differ
+    by the last-bit gap between numpy's log and the C library's.
     """
     pf = np.asarray(primes, dtype=np.float64)
     return np.sqrt(np.log(pf) / pf)
@@ -203,11 +203,12 @@ def exact_sums_at(
 ) -> np.ndarray:
     """sum(v[:c]) (+ extra[i]) for each c = cuts[i], rounded once to a double.
 
-    Each result is the exact sum rounded to the nearest, so it equals
-    math.fsum of the same terms.  v and extra hold multiples of 2**-120 in
-    (-512, 512) (see _limbs); cuts ascend.  The prefixes are summed BLOCK
-    values at a time, with the running total carried as a Python int, so
-    memory and limb sums stay bounded whatever len(v).
+    The Abel integral's sums (S and M come from extend_primes): each is
+    exact, rounded to the nearest, so it equals math.fsum of the same
+    terms.  v and extra hold multiples of 2**-120 in (-512, 512) (see
+    _limbs); cuts ascend.  The prefixes are summed BLOCK values at a time,
+    with the running total carried as a Python int, so memory and limb
+    sums stay bounded whatever len(v).
     """
     cuts = np.asarray(cuts, dtype=np.int64)
     out = np.empty(len(cuts))

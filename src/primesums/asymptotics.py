@@ -118,9 +118,7 @@ def block_sandwich(checkpoints: Checkpoint, lambdas: Sequence[float]) -> Blocks:
     )
 
 
-def sandwich_records(
-    blocks: Blocks, tolerance: float = 1e-12
-) -> list[VerificationRecord]:
+def sandwich_records(blocks: Blocks, tolerance: float) -> list[VerificationRecord]:
     """The worst block of each side of the sandwich, lower side first;
     none when there are no blocks."""
     if not len(blocks.x):
@@ -133,7 +131,7 @@ def sandwich_records(
 
 
 def lower_bound_check(
-    checkpoints: Checkpoint, A: float, tolerance: float = 1e-12
+    checkpoints: Checkpoint, A: float, tolerance: float
 ) -> list[VerificationRecord]:
     """The worst grid point x of S(x) >= (M(x) - M(y)) / w(y), with y the
     grid point x/A snaps down to; none when no x/A reaches the grid.
@@ -223,9 +221,7 @@ def mertens_contraction_record(
     )
 
 
-def scale_identity_record(
-    checkpoints: Checkpoint, tolerance: float = 1e-12
-) -> VerificationRecord:
+def scale_identity_record(checkpoints: Checkpoint, tolerance: float) -> VerificationRecord:
     """r_E_x / r_E_pi must equal pi(x) * log(x) / x, a pure algebraic
     consistency among the ratio fields; reports the worst checkpoint."""
     cp = checkpoints.select(checkpoints.x >= 3.0)

@@ -20,10 +20,11 @@ summation identity
 telescopes exactly over the prime partition (integral of h' between jumps
 is just a difference of h values); abel_decompose evaluates its right
 side at a whole grid of x in one pass, as columns, with w the
-accumulator's own (accumulate.weights), to be checked against the S the
-run stored.  The two integrals of the main-term identity are smooth; they
-go through adaptive Simpson quadrature in u = sqrt(log t), where their
-integrands grow only like exp(u^2/2).
+accumulator's own (accumulate.weights) and its exact M after each prime,
+to be checked against the S and M the run stored.  The two integrals of
+the main-term identity are smooth; they go through adaptive Simpson
+quadrature in u = sqrt(log t), where their integrands grow only like
+exp(u^2/2).
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class AbelDecomposition:
     """The three members of S(x) = h(x) M(x) - integral at a grid of x, one
     array each, with the integral telescoped exactly over the prime
     partition: direct_S is the S the caller stored at x, and the residual
-    is the relative gap between it and boundary_term - integral_term."""
+    is the relative gap between it and boundary_term - integral_term,
+    both formed from the M stored at x and the exact M of each prime."""
 
     x: np.ndarray
     direct_S: np.ndarray
@@ -127,23 +129,25 @@ class AbelDecomposition:
 
 
 def abel_decompose(
-    xs: Sequence[float], S: Sequence[float], primes: np.ndarray
+    xs: Sequence[float], S: Sequence[float], M: Sequence[float],
+    primes: np.ndarray, M_primes: np.ndarray,
 ) -> AbelDecomposition:
     """The partial-summation split at every x of xs in one pass, as columns
-    in the order of xs, against the sums S (S[i] at xs[i]) the caller read.
+    in the order of xs, against the sums S and M (S[i], M[i] at xs[i]) the
+    caller read.
 
-    primes is an ascending int64 array holding every prime up to max(xs).
-    The integral of M(t) h'(t) is exact for the step function M: the sum
-    over the cells [t_k, t_{k+1}) of M(t_k) * (h(t_{k+1}) - h(t_k)), where
-    the t_k are the primes <= x followed by x itself.  Per prime w is
-    weights(p) and h = 1/w, and M runs as the sequential sum (np.cumsum)
-    of w * w, the squared weight the accumulator sums; at x, h is
-    1/weights(x).  The cells are formed once, and at each x the integral
-    (the cells below x, then x's own last cell) is an exact prefix sum
-    rounded once, so a point costs O(1) after an O(pi(max xs)) set-up.
+    primes is an ascending int64 array holding every prime up to max(xs),
+    and M_primes[k] the accumulator's M after primes[k].  The integral of
+    M(t) h'(t) is exact for the step function M: the sum over the cells
+    [t_k, t_{k+1}) of M(t_k) * (h(t_{k+1}) - h(t_k)), where the t_k are the
+    primes <= x followed by x itself.  Per prime w is weights(p) and
+    h = 1/w; at x, h is 1/weights(x), and M(x) is M[i], in the boundary
+    h(x) M(x) and in x's own last cell.  The cells are formed once, and at
+    each x the integral is an exact prefix sum rounded once, so a point
+    costs O(1) after an O(pi(max xs)) set-up.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
+    S, M = np.asarray(S, dtype=np.float64), np.asarray(M, dtype=np.float64)
     if not len(xs):
         return AbelDecomposition(xs, S, xs, xs, xs)
     if xs.min() < 2.0:
@@ -151,19 +155,17 @@ def abel_decompose(
     cuts = np.searchsorted(primes, xs, side="right")
     if cuts.min() == 0:
         raise DomainError(f"no primes supplied at or below x={xs[cuts.argmin()]}")
-    w = weights(primes[: cuts.max()])
-    m_run = np.cumsum(w * w)
-    h = 1.0 / w
+    h = 1.0 / weights(primes[: cuts.max()])
     last = cuts - 1
     h_x = 1.0 / weights(xs)
-    m_x = m_run[last]
-    boundary = h_x * m_x
+    boundary = h_x * M
     # the cells [p_k, p_{k+1}) below x, then x's own cell [p_last, x]; the
     # prefix sums are read at ascending cuts, so in sorted order
     order = np.argsort(cuts, kind="stable")
     integral = np.empty(len(xs))
     integral[order] = exact_sums_at(
-        m_run[:-1] * (h[1:] - h[:-1]), last[order], extra=(m_x * (h_x - h[last]))[order]
+        M_primes[: len(h) - 1] * (h[1:] - h[:-1]), last[order],
+        extra=(M * (h_x - h[last]))[order],
     )
     return AbelDecomposition(xs, S, boundary, integral, np.abs(S - (boundary - integral)) / S)
 

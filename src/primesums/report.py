@@ -109,10 +109,10 @@ _ROW = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
 # report.json keys that differ from the dataclass field names
 _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 
-# streaming checks beyond this x cost more than they inform; the jump
-# residual also drifts toward its 1e-9 tolerance at 1e8-scale S values
-JUMP_SCAN_CAP = 10**6
-ABEL_GRID_CAP = 10**6
+# the jump scan and the Abel pass read the primes up to this x: beyond it
+# they cost more than they inform, and the jump residual drifts toward its
+# 1e-9 tolerance at 1e8-scale S values
+SCAN_CAP = 10**6
 PAIR_N_CAP = 5000
 _CHUNK = 4096  # table rows encoded at a time
 _BLOCK = 1 << 20  # bytes of a stored CSV read at a time
@@ -472,33 +472,36 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     return result
 
 
+def _prefix_sums(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights of primes, and S_n and M_n after their first n, for
+    n = 0..len(primes), as the accumulator forms them."""
+    return weights(primes), *SumState().extend_primes(primes, marks=np.arange(len(primes) + 1))
+
+
 @dataclass
 class RunContext:
-    """What the checks over one run share: one prime array, and the block
-    and Abel passes, each computed on first use."""
+    """What the checks over one run share: one prime array and its prefix
+    sums, and the block and Abel passes, each computed on first use."""
 
     cfg: RunConfig
     result: RunResult
 
     def __post_init__(self) -> None:
         self.n_pair = min(PAIR_N_CAP, self.result.state.n)
-        self.x_jump = min(float(self.cfg.x_max), float(JUMP_SCAN_CAP))
         table = self.result.checkpoints
-        self.abel_rows = table.select(table.x <= ABEL_GRID_CAP)
+        self.abel_rows = table.select(table.x <= SCAN_CAP)
 
     @cached_property
     def primes(self) -> np.ndarray:
-        """Every prime the pair, jump and Abel checks read.  The pair check's
-        n_pair primes all lie at or below x_jump: either x_jump is x_max, or
-        it is JUMP_SCAN_CAP, above the PAIR_N_CAP-th prime (48611)."""
-        top = max(self.x_jump, self.abel_rows.x.max(initial=0.0))
-        return prime_array(int(top), segment_size=self.cfg.segment_size)
+        """Every prime the pair, jump and Abel checks read: those up to
+        min(x_max, SCAN_CAP), past every Abel row and, as SCAN_CAP is above
+        the PAIR_N_CAP-th prime (48611), the pair check's n_pair primes."""
+        return prime_array(min(self.cfg.x_max, SCAN_CAP), segment_size=self.cfg.segment_size)
 
-    def prime_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The weights of the first n primes and their squares, as the
-        accumulator sums them."""
-        w = weights(self.primes[:n])
-        return w, w * w
+    @cached_property
+    def sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_prefix_sums of primes: the jump check's input and Abel's M."""
+        return _prefix_sums(self.primes)
 
     @cached_property
     def blocks(self) -> Blocks:
@@ -506,7 +509,7 @@ class RunContext:
 
     @cached_property
     def abel(self) -> tuple[list[VerificationRecord], AbelDecomposition]:
-        return _abel_records(self.cfg, self.abel_rows, self.primes)
+        return _abel_records(self.cfg, self.abel_rows, self.primes, self.sums[2][1:])
 
 
 @dataclass(frozen=True)
@@ -522,12 +525,13 @@ class Check:
 
 
 def _abel_records(
-    cfg: RunConfig, table: Checkpoint, primes: np.ndarray
+    cfg: RunConfig, table: Checkpoint, primes: np.ndarray, M_primes: np.ndarray
 ) -> tuple[list[VerificationRecord], AbelDecomposition]:
     """The worst Abel identity record over the rows of table, its stored S
-    against boundary - integral, and the decomposition columns; primes
-    must reach the last x."""
-    abel = abel_decompose(table.x, table.S, primes)
+    against boundary - integral from its stored M, and the decomposition
+    columns; primes must reach the last x, and M_primes holds the
+    accumulator's M after each of them."""
+    abel = abel_decompose(table.x, table.S, table.M, primes, M_primes)
     if not len(abel.x):
         return [], abel
     tol = cfg.tolerance("abel_identity")
@@ -555,10 +559,8 @@ _V, _VR = ("verify",), ("verify", "report")
 # tests and the benchmark's tracer do) reaches verify and report alike.
 CHECKS = (
     Check("pair_identity", 1e-10, _V, lambda c, tol: check_pair_identity(
-        *c.prime_weights(c.n_pair), tolerance=tol)),
-    Check("jump_identity", 1e-9, _V, lambda c, tol: [check_jump_identity(
-        *c.prime_weights(int(np.searchsorted(c.primes, c.x_jump, side="right"))),
-        tolerance=tol)]),
+        *_prefix_sums(c.primes[: c.n_pair]), tol)),
+    Check("jump_identity", 1e-9, _V, lambda c, tol: [check_jump_identity(*c.sums, tol)]),
     Check("e_monotone", None, _VR, lambda c, tol: [check_E_monotone(c.result.checkpoints)]),
     Check("scale_identity", 1e-12, _VR, lambda c, tol: [scale_identity_record(
         c.result.checkpoints, tol)]),

@@ -7,11 +7,13 @@ Two exact identities tie the sums together: the pair form
 and the jump form E_n - E_{n-1} = 2 a_n S_{n-1}.  Both hold to rounding
 only, so the checks here record relative residuals between the two sides.
 
-Both checks are numpy passes over one array of weights.  S and M are read
-as the accumulator reads them: exact prefix sums, rounded once.  The pair
-side is the O(n^2) brute-force sum, each row's exact sum rounded once as
-fsum rounds it, so it equals the fsum loop of tests/oracles.py bit for
-bit.  The jump scan takes every n up to its limit.
+Both checks are numpy passes over the weights w and the prefix sums S_n
+and M_n, n = 0..len(w), that the accumulator (SumState.extend_primes)
+formed from them: they sum no S or M of their own, so a fault in the
+accumulator fails them.  The pair side is the O(n^2) brute-force sum,
+each row's exact sum rounded once as fsum rounds it, so it equals the
+fsum loop of tests/oracles.py bit for bit.  The jump scan takes every n
+up to its limit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .accumulate import (
     WeightedPrimeTerm,
     _limbs,
     _round_prefixes,
-    exact_sums_at,
     weights,
 )
 from .errors import SizeError
@@ -154,13 +155,13 @@ def _pair_row_sums(w: np.ndarray, ns: np.ndarray) -> list[float]:
 
 
 def check_pair_identity(
-    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-10
+    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float
 ) -> list[VerificationRecord]:
     """Compare S_n^2 - M_n against the brute-force pair sum at a
     logarithmic subsample of n (1, 2, 4, ... and n = len(w) itself).
 
-    w holds the weights a_1, ..., a_n and wsq the squared weights that M
-    sums, as the accumulator holds them (w * w).  The right side at n is
+    w holds the weights a_1, ..., a_n, and S and M the accumulator's
+    prefix sums of a and a * a for n = 0..len(w).  The right side at n is
     2 * fsum of the n - 1 correctly rounded row sums of w, bit for bit
     what the brute-force loop of tests/oracles.py returns, computed over
     the whole triangle in one numpy pass.
@@ -168,8 +169,7 @@ def check_pair_identity(
     if len(w) > _BRUTEFORCE_CAP:
         raise SizeError(f"pair identity capped at n={_BRUTEFORCE_CAP}, got {len(w)}")
     ns = np.array([k for k in _log_subsample(len(w)) if k >= 1], dtype=np.int64)
-    s = exact_sums_at(w, ns)
-    lhs = (s * s - exact_sums_at(wsq, ns)).tolist()
+    lhs = (S[ns] * S[ns] - M[ns]).tolist()
     rhs = _pair_row_sums(w, ns)
     return [
         identity_record("pair_identity", float(k), a, b, tolerance)
@@ -178,23 +178,20 @@ def check_pair_identity(
 
 
 def check_jump_identity(
-    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-9
+    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float
 ) -> VerificationRecord:
     """Report the worst relative residual, over every n <= len(w), of
     (S_n^2 - M_n) - (S_{n-1}^2 - M_{n-1}) against 2 a_n S_{n-1}.
 
-    w and wsq are the weights and squared weights, as for
-    check_pair_identity.  S_{n-1}, S_n and M_n are the exact prefixes
-    rounded once, as the accumulator reads them; the scan is one numpy
-    pass, and the first of equal worst residuals is reported.
+    w, S and M are the weights and the accumulator's prefix sums, as for
+    check_pair_identity.  The scan is one numpy pass, and the first of
+    equal worst residuals is reported.
     """
     if not len(w):
         zero = np.zeros(1)  # empty stream: a vacuous pass at n = 0
         return worst_record("jump_identity", zero, zero, zero, tolerance)
-    s = exact_sums_at(w, np.arange(len(w) + 1))
-    e = s[1:] * s[1:] - exact_sums_at(wsq, np.arange(1, len(w) + 1))
-    lhs = np.diff(e, prepend=0.0)
-    predicted = 2.0 * w * s[:-1]
+    lhs = np.diff(S * S - M)
+    predicted = 2.0 * w * S[:-1]
     n = np.arange(1, len(w) + 1)
     return worst_record("jump_identity", n, lhs, predicted, tolerance)
 

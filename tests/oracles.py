@@ -322,62 +322,68 @@ def pair_prime_bound(n: int) -> int:
     return 100 + int(n * (math.log(max(n, 6)) + 3.0))
 
 
-def weight_arrays(primes) -> tuple[np.ndarray, np.ndarray]:
-    """(w, w * w) of primes: the arrays the check registry passes to the
-    pair and jump checks."""
-    w = weights(np.asarray(primes, dtype=np.int64))
-    return w, w * w
+def weight_arrays(primes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, S, M) of primes: their weights, and S_n and M_n after the first
+    n of them, n = 0..len(primes), from SumState.extend_primes: the arrays
+    the check registry passes to the pair and jump checks."""
+    primes = np.asarray(primes, dtype=np.int64)
+    return weights(primes), *SumState().extend_primes(primes, marks=np.arange(len(primes) + 1))
 
 
-def _terms(w: np.ndarray, wsq: np.ndarray) -> list[WeightedPrimeTerm]:
-    """The terms of (w, wsq), each prime standing in as its index: push
-    only needs the primes to ascend."""
-    return [
-        WeightedPrimeTerm(index=n, prime=n, weight=a, weight_sq=b)
-        for n, (a, b) in enumerate(zip(w.tolist(), wsq.tolist()), start=1)
-    ]
+def running_fsum(values: Iterable[float]) -> Iterator[float]:
+    """math.fsum of each prefix of values, in one pass: the exact partials
+    of Shewchuk's algorithm, which fsum keeps, are carried from one prefix
+    to the next, and each prefix's are rounded once by fsum."""
+    partials: list[float] = []
+    for v in values:
+        i = 0
+        for y in partials:
+            if abs(v) < abs(y):
+                v, y = y, v
+            hi = v + y
+            lo = y - (hi - v)
+            if lo:
+                partials[i] = lo
+                i += 1
+            v = hi
+        partials[i:] = [v]
+        yield math.fsum(partials)
 
 
 def pair_records_scalar(
-    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-10
+    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float
 ) -> list[VerificationRecord]:
-    """check_pair_identity one pushed term at a time, with the brute-force
-    pair sum over the terms seen so far at each sampled n."""
+    """check_pair_identity one term at a time: S_n^2 - M_n against the
+    brute-force pair sum over the terms seen so far, at each sampled n."""
     sample = set(_log_subsample(len(w)))
-    state = SumState()
+    S, M = S.tolist(), M.tolist()
     seen: list[WeightedPrimeTerm] = []
     records = []
-    for term in _terms(w, wsq):
-        push(state, term)
-        seen.append(term)
-        if term.index in sample:
-            s = state.S_total
-            lhs = s * s - state.M_total
+    for n, a in enumerate(w.tolist(), start=1):
+        seen.append(WeightedPrimeTerm(index=n, prime=n, weight=a, weight_sq=a * a))
+        if n in sample:
+            lhs = S[n] * S[n] - M[n]
             rhs = pair_sum_bruteforce(seen)
-            records.append(
-                identity_record("pair_identity", float(term.index), lhs, rhs, tolerance)
-            )
+            records.append(identity_record("pair_identity", float(n), lhs, rhs, tolerance))
     return records
 
 
 def jump_record_scalar(
-    w: np.ndarray, wsq: np.ndarray, tolerance: float = 1e-9
+    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float
 ) -> VerificationRecord:
-    """check_jump_identity as a scan that pushes one term at a time and
-    keeps the first strictly worst residual."""
-    state = SumState()
+    """check_jump_identity as a scan over one n at a time that keeps the
+    first strictly worst residual."""
+    S, M = S.tolist(), M.tolist()
     prev_e = 0.0
     worst, worst_at, worst_lhs, worst_rhs = -1.0, 0, 0.0, 0.0
-    for term in _terms(w, wsq):
-        predicted = 2.0 * term.weight * state.S_total
-        push(state, term)
-        s = state.S_total
-        e = s * s - state.M_total
+    for n, a in enumerate(w.tolist(), start=1):
+        predicted = 2.0 * a * S[n - 1]
+        e = S[n] * S[n] - M[n]
         lhs = e - prev_e
         prev_e = e
         residual = relative_residual(lhs, predicted)
         if residual > worst:
-            worst, worst_at, worst_lhs, worst_rhs = residual, term.index, lhs, predicted
+            worst, worst_at, worst_lhs, worst_rhs = residual, n, lhs, predicted
     if worst < 0.0:
         worst, worst_at, worst_lhs, worst_rhs = 0.0, 0, 0.0, 0.0
     return VerificationRecord(
@@ -393,13 +399,14 @@ def jump_record_scalar(
 
 def abel_decompose_scalar(x: float, primes: Iterable[int]) -> AbelDecomposition:
     """calculus.abel_decompose at one x as a loop over the primes <= x,
-    with its own direct_S: math.fsum of their weights, which the S a run
-    stores must equal.
+    with its own direct_S and M: math.fsum of their weights and of the
+    squares w * w, which the S and M a run stores must equal.
 
     The integral of M(t) h'(t) is the fsum over the cells [t_k, t_{k+1})
     of M(t_k) * (h(t_{k+1}) - h(t_k)), where the t_k are the primes <= x
-    followed by x itself, w is eval_w, h = 1/w, and M runs as the sum of
-    w * w.  The fields are floats: one row of the columns.
+    followed by x itself, w is eval_w, h = 1/w, and M(t_k) is the fsum of
+    the w * w of the primes up to t_k (running_fsum).  The fields are
+    floats: one row of the columns.
     """
     if x < 2.0:
         raise DomainError(f"abel decomposition needs x >= 2, got {x}")
@@ -408,9 +415,7 @@ def abel_decompose_scalar(x: float, primes: Iterable[int]) -> AbelDecomposition:
         raise DomainError(f"no primes supplied at or below x={x}")
     h_x = 1.0 / eval_w(x)
     cells = []
-    m_run = 0.0
-    for i, w in enumerate(ws):
-        m_run += w * w
+    for i, (w, m_run) in enumerate(zip(ws, running_fsum(a * a for a in ws))):
         h_next = 1.0 / ws[i + 1] if i + 1 < len(ws) else h_x
         cells.append(m_run * (h_next - 1.0 / w))
     direct = math.fsum(ws)
@@ -420,9 +425,9 @@ def abel_decompose_scalar(x: float, primes: Iterable[int]) -> AbelDecomposition:
     return AbelDecomposition(x, direct, boundary, integral, residual)
 
 
-def abel_records_scalar(cfg, table, _primes=None) -> tuple[list, AbelDecomposition]:
+def abel_records_scalar(cfg, table, *_primes) -> tuple[list, AbelDecomposition]:
     """report._abel_records with abel_decompose_scalar run afresh at every
-    x of the table, each with its own direct_S."""
+    x of the table, each with its own direct_S and M."""
     xs = table.x.tolist()
     if not xs:
         return [], table_of([], AbelDecomposition)
@@ -499,7 +504,7 @@ def block_sandwich_scalar(checkpoints, lambdas) -> Blocks:
     return table_of(stats, Blocks)
 
 
-def sandwich_records_scalar(blocks: Blocks, tolerance: float = 1e-12) -> list:
+def sandwich_records_scalar(blocks: Blocks, tolerance: float) -> list:
     """asymptotics.sandwich_records as the worst of two records per block."""
     return _worst(
         rec
@@ -512,7 +517,7 @@ def sandwich_records_scalar(blocks: Blocks, tolerance: float = 1e-12) -> list:
     )
 
 
-def lower_bound_scalar(checkpoints, A: float, tolerance: float = 1e-12) -> list:
+def lower_bound_scalar(checkpoints, A: float, tolerance: float) -> list:
     """asymptotics.lower_bound_check as the worst of one record per grid
     point, with eval_w at the lower edge."""
     cps = rows(checkpoints)
@@ -527,7 +532,7 @@ def lower_bound_scalar(checkpoints, A: float, tolerance: float = 1e-12) -> list:
     return _worst(records)
 
 
-def scale_identity_scalar(checkpoints, tolerance: float = 1e-12) -> VerificationRecord:
+def scale_identity_scalar(checkpoints, tolerance: float) -> VerificationRecord:
     """asymptotics.scale_identity_record one checkpoint at a time."""
     worst = None
     for cp in rows(checkpoints):
@@ -539,7 +544,7 @@ def scale_identity_scalar(checkpoints, tolerance: float = 1e-12) -> Verification
     return worst
 
 
-def block_records_scalar(checkpoints, lambdas, A: float, tolerance: float = 1e-12):
+def block_records_scalar(checkpoints, lambdas, A: float, tolerance: float):
     """The reference for the block checks over a run: its block rows, the
     sandwich records and the lower-bound records."""
     blocks = block_sandwich_scalar(checkpoints, lambdas)

@@ -103,8 +103,8 @@ def test_criterion_02_pair_identity():
     from oracles import weight_arrays
 
     t0 = time.monotonic()
-    w, wsq = weight_arrays(prime_array(pair_prime_bound(5000))[:5000])
-    records = check_pair_identity(w, wsq, tolerance=1e-10)
+    w, S, M = weight_arrays(prime_array(pair_prime_bound(5000))[:5000])
+    records = check_pair_identity(w, S, M, tolerance=1e-10)
     elapsed = time.monotonic() - t0
     ns = [int(r.location) for r in records]
     assert ns == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 5000]
@@ -118,13 +118,13 @@ def test_criterion_03_jump_identity_and_sensitivity():
     from oracles import weight_arrays
 
     t0 = time.monotonic()
-    w, wsq = weight_arrays(prime_array(10**6))
-    rec = check_jump_identity(w, wsq, tolerance=1e-9)
+    w, S, M = weight_arrays(prime_array(10**6))
+    rec = check_jump_identity(w, S, M, tolerance=1e-9)
     ok_clean = rec.passed
 
     bad_w = w.copy()
-    bad_w[25] *= 1 + 1e-6  # a_26, of p_26 = 101; the squares stay as they were
-    bad = check_jump_identity(bad_w, wsq, tolerance=1e-9)
+    bad_w[25] *= 1 + 1e-6  # a_26, of p_26 = 101; S and M stay as they were
+    bad = check_jump_identity(bad_w, S, M, tolerance=1e-9)
     elapsed = time.monotonic() - t0
     ok_detected = (not bad.passed) and bad.location == 26
     ok = ok_clean and ok_detected and elapsed <= 5.0
@@ -139,11 +139,15 @@ def test_criterion_03_jump_identity_and_sensitivity():
 
 
 def test_criterion_04_abel_decomposition_grid_to_1e6():
+    from oracles import weight_arrays
+
     t0 = time.monotonic()
     grid = grid_points(GRID_START, 1e6, GRID_RATIO)
-    # the identity against the S the run stores at every grid point
-    stored_S = run_stream(1e6, grid).checkpoints.S
-    dec = abel_decompose(grid, stored_S, prime_array(10**6))
+    # the identity against the S and M the run stores at every grid point
+    stored = run_stream(1e6, grid).checkpoints
+    primes = prime_array(10**6)
+    M_primes = weight_arrays(primes)[2][1:]
+    dec = abel_decompose(grid, stored.S, stored.M, primes, M_primes)
     worst = float(dec.residual.max())
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed <= 5.0

@@ -19,10 +19,14 @@ from primesums.asymptotics import (
     series_band,
 )
 from primesums.errors import ConfigError, DomainError
+from primesums.report import DEFAULT_TOLERANCES
 from primesums.sieve import base_primes
 
 R_S_10 = 1.0981183082402295
 R_E_PI_10 = 0.98108689789429748
+LOWER_TOL = DEFAULT_TOLERANCES["lower_bound"]
+SANDWICH_TOL = DEFAULT_TOLERANCES["block_sandwich"]
+SCALE_TOL = DEFAULT_TOLERANCES["scale_identity"]
 
 
 @pytest.fixture(scope="module")
@@ -83,25 +87,25 @@ class TestAnSnSeries:
 
 class TestLowerBound:
     def test_block_10_80(self):
-        (rec,) = lower_bound_check(checkpoints(80.0, [10.0, 80.0]), 8.0)
+        (rec,) = lower_bound_check(checkpoints(80.0, [10.0, 80.0]), 8.0, LOWER_TOL)
         assert rec.location == 80.0
         assert rec.passed and rec.residual == 0.0
         # S(80) really does dominate the block bound with slack
         assert rec.lhs > rec.rhs > 0.0
 
     def test_every_grid_point(self, cps_1e5):
-        (rec,) = lower_bound_check(cps_1e5, 8.0)  # the worst grid point
+        (rec,) = lower_bound_check(cps_1e5, 8.0, LOWER_TOL)  # the worst grid point
         assert rec.passed
         assert len(block_sandwich(cps_1e5, [8.0]).x) > 30
 
     def test_rejects_shallow_block(self):
         # 20/8 < 3 and 10/8 < 3: no block is deep enough to check
-        assert lower_bound_check(checkpoints(20.0, [10.0, 20.0]), 8.0) == []
+        assert lower_bound_check(checkpoints(20.0, [10.0, 20.0]), 8.0, LOWER_TOL) == []
 
     def test_empty_block_trivially_passes(self):
         # consecutive checkpoints with no prime between them: bound is 0
         cols = checkpoints(126.9, [113.5, 126.9])
-        (rec,) = lower_bound_check(cols, 1.1)
+        (rec,) = lower_bound_check(cols, 1.1, LOWER_TOL)
         assert rec.location == 126.9
         assert rec.passed
         assert rec.rhs == 0.0
@@ -115,7 +119,7 @@ class TestBlockSandwich:
         assert stat.delta_pi == 4  # 11, 13, 17, 19
         assert stat.x_lower == 10.0
         assert stat.lower <= stat.delta_S <= stat.upper
-        assert all(r.passed for r in sandwich_records(blocks))
+        assert all(r.passed for r in sandwich_records(blocks, SANDWICH_TOL))
 
     def test_bounds_use_snapped_edge(self):
         # 40/3 = 13.3 snaps to 10
@@ -126,7 +130,7 @@ class TestBlockSandwich:
     def test_every_grid_point_all_lambdas(self, cps_1e5):
         lambdas = (2.0, 4.0, 8.0)
         blocks = block_sandwich(cps_1e5, lambdas)
-        records = sandwich_records(blocks)
+        records = sandwich_records(blocks, SANDWICH_TOL)
         assert [r.check_id for r in records] == [
             "block_sandwich_lower", "block_sandwich_upper"]
         assert all(r.passed for r in records)
@@ -144,7 +148,7 @@ class TestBlockSandwich:
 
     def test_no_blocks_no_records(self):
         blocks = block_sandwich(checkpoints(10.0, [3.0, 10.0]), [4.0])
-        assert len(blocks.x) == 0 and sandwich_records(blocks) == []
+        assert len(blocks.x) == 0 and sandwich_records(blocks, SANDWICH_TOL) == []
 
     @pytest.mark.parametrize("ratio", [math.nan, math.inf, 1.0, 0.5])
     def test_rejects_ratio_not_finite_above_1(self, cps_1e5, ratio):
@@ -153,7 +157,7 @@ class TestBlockSandwich:
         with pytest.raises(ConfigError, match="finite and > 1"):
             block_sandwich(cps_1e5, [2.0, ratio])
         with pytest.raises(ConfigError, match="finite and > 1"):
-            lower_bound_check(cps_1e5, ratio)
+            lower_bound_check(cps_1e5, ratio, LOWER_TOL)
 
 
 class TestBlockArrays:
@@ -180,8 +184,9 @@ class TestBlockArrays:
     @staticmethod
     def assert_equal(cps, lambdas, A):
         blocks = block_sandwich(cps, lambdas)
-        got = (rows(blocks), sandwich_records(blocks), lower_bound_check(cps, A))
-        for mine, ref in zip(got, block_records_scalar(cps, lambdas, A)):
+        got = (rows(blocks), sandwich_records(blocks, SANDWICH_TOL),
+               lower_bound_check(cps, A, LOWER_TOL))
+        for mine, ref in zip(got, block_records_scalar(cps, lambdas, A, SANDWICH_TOL)):
             assert mine and len(mine) == len(ref)
             # the first pair that differs, not a diff of the whole run
             assert next(((a, b) for a, b in zip(mine, ref) if repr(a) != repr(b)), None) is None
@@ -229,7 +234,7 @@ class TestMertensRemainder:
 
 class TestConsistencyRecords:
     def test_scale_identity(self, run_1e5):
-        rec = scale_identity_record(run_1e5.checkpoints)
+        rec = scale_identity_record(run_1e5.checkpoints, SCALE_TOL)
         assert rec.passed
         assert rec.residual <= 1e-12
 

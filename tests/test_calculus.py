@@ -14,6 +14,7 @@ from oracles import (
     eval_w_prime,
     main_term_growth,
     romberg,
+    weight_arrays,
 )
 from primesums.accumulate import run_stream
 from primesums.calculus import (
@@ -24,7 +25,7 @@ from primesums.calculus import (
     quadrature,
 )
 from primesums.errors import DomainError, QuadratureError
-from primesums.report import ABEL_GRID_CAP, RunConfig, _abel_records
+from primesums.report import SCAN_CAP, RunConfig, _abel_records
 from primesums.sieve import base_primes
 
 ROMBERG_2_10 = 2.8630264312956002  # int_2^10 dt/sqrt(t log t), frozen oracle
@@ -117,6 +118,13 @@ def primes_1e6():
     return base_primes(10**6)
 
 
+@pytest.fixture(scope="module")
+def M_primes_1e6(primes_1e6):
+    """The accumulator's M after each prime to 1e6, as RunContext passes
+    it to the Abel pass."""
+    return weight_arrays(primes_1e6)[2][1:]
+
+
 def primes_to(primes, x):
     return primes[: bisect.bisect_right(primes, x)]
 
@@ -152,7 +160,7 @@ class TestAbelDecomposition:
 
 
 class TestAbelGrid:
-    """The one-pass grid form, given the stored S, against
+    """The one-pass grid form, given the stored S and M, against
     abel_decompose_scalar, which sums its own, at each point."""
 
     @staticmethod
@@ -160,38 +168,40 @@ class TestAbelGrid:
         """Row i of the grid's columns, as the per-point record."""
         return AbelDecomposition(*(getattr(abel, f.name)[i].item() for f in fields(abel)))
 
-    def test_edge_points_unsorted(self, primes_1e6):
+    def test_edge_points_unsorted(self, primes_1e6, M_primes_1e6):
         # 449.25698154849539 and the prime 664679: w(x) differs in the
         # last bit between numpy's log and the C library's
         xs = [10.0, 2.0, 5.0, 2.5, 4.99, 3.0, 9.5, 1e6, 7.0, 100.0,
               664679.0, 449.25698154849539]
         order = np.argsort(xs)
-        S = np.empty(len(xs))
-        S[order] = run_stream(1e6, np.array(xs)[order]).checkpoints.S
-        abel = abel_decompose(xs, S, np.array(primes_1e6))
+        S, M = np.empty(len(xs)), np.empty(len(xs))
+        table = run_stream(1e6, np.array(xs)[order]).checkpoints
+        S[order], M[order] = table.S, table.M
+        abel = abel_decompose(xs, S, M, np.array(primes_1e6), M_primes_1e6)
         assert abel.x.tolist() == xs
         for i, x in enumerate(xs):
             ref = abel_decompose_scalar(x, primes_to(primes_1e6, x))
             assert repr(self.row(abel, i)) == repr(ref)
 
     def test_rejects_small_x_and_missing_primes(self):
+        M_primes = weight_arrays([2, 3])[2][1:]
         with pytest.raises(DomainError):
-            abel_decompose([3.0, 1.5], [1.0, 1.0], np.array([2, 3]))
+            abel_decompose([3.0, 1.5], [1.0, 1.0], [1.0, 1.0], np.array([2, 3]), M_primes)
         with pytest.raises(DomainError):
-            abel_decompose([3.0], [1.0], np.array([5, 7]))
-        empty = abel_decompose([], [], np.array([2, 3]))
+            abel_decompose([3.0], [1.0], [1.0], np.array([5, 7]), M_primes)
+        empty = abel_decompose([], [], [], np.array([2, 3]), M_primes)
         assert all(len(getattr(empty, f.name)) == 0 for f in fields(empty))
 
-    def test_dense_grid_to_1e6(self, primes_1e6):
+    def test_dense_grid_to_1e6(self, primes_1e6, M_primes_1e6):
         # ~9.2e4 points below 1e6: one abel_decompose_scalar per point
         # would take on the order of a quarter of an hour
         cfg = RunConfig(x_max=10**6, grid_ratio=1.0001)
         table = run_stream(1e6, cfg.grid()).checkpoints
-        table = table.select(table.x <= ABEL_GRID_CAP)
+        table = table.select(table.x <= SCAN_CAP)
         xs = table.x
         assert len(xs) > 90_000
         t0 = time.perf_counter()
-        (worst,), abel = _abel_records(cfg, table, np.array(primes_1e6))
+        (worst,), abel = _abel_records(cfg, table, np.array(primes_1e6), M_primes_1e6)
         assert time.perf_counter() - t0 < 30.0
         assert worst.passed
         assert abel.x.tolist() == xs.tolist()

@@ -31,11 +31,18 @@ from oracles import (
     lower_bound_scalar,
     pair_records_scalar,
     ratio_positivity_scalar,
+    running_fsum,
     sandwich_records_scalar,
     scale_identity_scalar,
     table_lines_scalar,
 )
-from primesums.accumulate import Checkpoint, checkpoint_table, grid_points, run_stream
+from primesums.accumulate import (
+    Checkpoint,
+    checkpoint_table,
+    grid_points,
+    run_stream,
+    weights,
+)
 from primesums.cli import main as cli_main
 from primesums.errors import CheckpointFormatError, ConfigError
 from primesums.report import (
@@ -1211,7 +1218,7 @@ def test_abel_S_is_the_stored_S(tmp_path, ratio):
     (record,), abel = report.RunContext(cfg, stored).abel
     assert record.passed
     table = stored.checkpoints
-    assert abel.direct_S.tolist() == table.S[table.x <= report.ABEL_GRID_CAP].tolist()
+    assert abel.direct_S.tolist() == table.S[table.x <= report.SCAN_CAP].tolist()
     primes = prime_array(10**6).tolist()
     units = list(itertools.accumulate(
         (int(math.ldexp(eval_w(float(p)), 120)) for p in primes), initial=0))
@@ -1224,29 +1231,70 @@ def test_abel_S_is_the_stored_S(tmp_path, ratio):
         assert dec.direct_S == exact[i]
 
 
+def _verify_altered(tmp_path, column):
+    """verify --resume on a stored 1.01 run to 1e6 whose column (S or M) is
+    raised by a relative 1e-6 at the grid point nearest above 5e5, written
+    back with a valid CRC: the abel_identity record, the exit status, and
+    the altered row's x and value.  The same run unaltered must pass."""
+    cfg = cfg_for(tmp_path, 10**6, grid_ratio=1.01)
+    cmd_compute(cfg)
+    assert cmd_verify(replace(cfg, resume_from=cfg.checkpoint_path()))[1] == 0
+    run = read_checkpoint_file(cfg.checkpoint_path(), cfg)
+    table = run.checkpoints
+    sums = {"S": table.S.copy(), "M": table.M.copy()}
+    i = int(np.searchsorted(table.x, 5e5))
+    sums[column][i] *= 1.0 + 1e-6
+    altered = replace(run, checkpoints=checkpoint_table(table.x, table.pi, **sums))
+    path = tmp_path / "altered.txt"
+    write_checkpoint_file(path, cfg, altered, run.csv_digest)
+    records, status = cmd_verify(replace(cfg, out_dir=tmp_path / "verify", resume_from=path))
+    (abel,) = [r for r in records if r.check_id == "abel_identity"]
+    return abel, status, table.x[i], sums[column][i]
+
+
 def test_altered_stored_S_fails_abel_identity(tmp_path):
     """A stored run whose S is altered at one grid point below 1e6, and
     written back with a valid CRC, fails abel_identity at that point:
     the check compares the stored S, not a sum of its own."""
-    cfg = cfg_for(tmp_path, 10**6, grid_ratio=1.01)
-    cmd_compute(cfg)
-    run = read_checkpoint_file(cfg.checkpoint_path(), cfg)
-    table = run.checkpoints
-    S = table.S.copy()
-    i = int(np.searchsorted(table.x, 5e5))
-    S[i] *= 1.0 + 1e-6
-    altered = replace(run, checkpoints=checkpoint_table(table.x, table.pi, S, table.M))
-    path = tmp_path / "altered.txt"
-    write_checkpoint_file(path, cfg, altered, run.csv_digest)
-    records, status = cmd_verify(replace(cfg, out_dir=tmp_path / "verify", resume_from=path))
+    abel, status, x, S = _verify_altered(tmp_path, "S")
     assert status == 1
-    (abel,) = [r for r in records if r.check_id == "abel_identity"]
     assert not abel.passed
-    assert (abel.location, abel.lhs) == (table.x[i], S[i])
+    assert (abel.location, abel.lhs) == (x, S)
     assert 1e-7 < abel.residual < 1e-5
-    # the same run unaltered passes
-    records, status = cmd_verify(replace(cfg, resume_from=cfg.checkpoint_path()))
-    assert status == 0
+
+
+def test_altered_stored_M_fails_abel_identity(tmp_path):
+    """The same with one M altered: the boundary h(x) M(x) and x's last
+    cell take the stored M, so the check compares it too, where a running
+    sum of its own would pass."""
+    abel, status, x, _ = _verify_altered(tmp_path, "M")
+    assert status == 1
+    assert not abel.passed and abel.location == x
+    assert 1e-6 < abel.residual < 1e-5  # 5.4e-6
+
+
+def test_abel_M_is_the_accumulators(tmp_path, monkeypatch):
+    """The Abel cells take the accumulator's M after each prime to 1e6:
+    the exact sum of the w * w, rounded once, which running_fsum forms for
+    abel_decompose_scalar too; at each Abel point it is the stored M."""
+    cfg = cfg_for(tmp_path, 10**6)
+    cmd_compute(cfg)
+    stored = read_checkpoint_file(cfg.checkpoint_path(), cfg)
+    calls = []
+    decompose = report.abel_decompose
+    monkeypatch.setattr(report, "abel_decompose", lambda *a: calls.append(a) or decompose(*a))
+    (record,), _ = report.RunContext(cfg, stored).abel
+    assert record.passed
+    ((xs, S, M, primes, M_primes),) = calls
+    w = weights(primes)
+    squares = (w * w).tolist()
+    units = itertools.accumulate(int(math.ldexp(v, 120)) for v in squares)
+    exact = [math.ldexp(float(u), -120) for u in units]
+    assert len(exact) == 78498
+    assert M_primes.tolist() == exact
+    assert list(running_fsum(squares)) == exact
+    cuts = np.searchsorted(primes, xs, side="right")
+    assert M.tolist() == M_primes[cuts - 1].tolist()
 
 
 def _entry(check_id):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +11,18 @@ from oracles import (
     pair_prime_bound,
     pair_records_scalar,
     pair_sum_bruteforce,
-    push,
     weight_arrays,
 )
-from primesums.accumulate import BLOCK, Checkpoint, SumState, grid_points, run_stream
+from primesums.accumulate import (
+    BLOCK,
+    Checkpoint,
+    SumState,
+    exact_sums_at,
+    grid_points,
+    run_stream,
+)
 from primesums.errors import SizeError
-from primesums.report import CHECKS, RunConfig, RunContext
+from primesums.report import CHECKS, DEFAULT_TOLERANCES, RunConfig, RunContext
 from primesums.sieve import base_primes, prime_array
 from primesums.verify import (
     check_E_monotone,
@@ -27,8 +32,11 @@ from primesums.verify import (
 )
 
 TWO_A1_A2 = 0.71250731477826901
+PAIR_TOL = DEFAULT_TOLERANCES["pair_identity"]
+JUMP_TOL = DEFAULT_TOLERANCES["jump_identity"]
 
-W_1E5, WSQ_1E5 = weight_arrays(prime_array(10**5))  # 9592 primes: the scan crosses a BLOCK
+# 9592 primes: the scan crosses a BLOCK
+W_1E5, S_1E5, M_1E5 = weight_arrays(prime_array(10**5))
 
 
 def terms_upto(bound):
@@ -36,13 +44,13 @@ def terms_upto(bound):
 
 
 def first_n(n):
-    """(w, w * w) of the first n primes."""
+    """(w, S, M) of the first n primes."""
     return weight_arrays(prime_array(pair_prime_bound(n))[:n])
 
 
 def perturbed(w, k):
-    """A copy of w with a_{k+1} off by a relative 1e-6; the squared
-    weights are left as they were, so M no longer matches S."""
+    """A copy of w with a_{k+1} off by a relative 1e-6; the prefix sums
+    are left as the accumulator formed them, so w no longer matches S."""
     w = w.copy()
     w[k] *= 1 + 1e-6
     return w
@@ -68,40 +76,31 @@ class TestPairSumBruteforce:
 
 class TestPairIdentity:
     def test_small_sample(self):
-        records = check_pair_identity(*first_n(16))
+        records = check_pair_identity(*first_n(16), PAIR_TOL)
         assert [int(r.location) for r in records] == [1, 2, 4, 8, 16]
         assert all(r.passed for r in records)
         first = records[0]
         assert first.lhs == 0.0 and first.rhs == 0.0
 
     def test_n_four_matches_hand_value(self):
-        rec = [r for r in check_pair_identity(*first_n(4)) if r.location == 4][0]
+        rec = [r for r in check_pair_identity(*first_n(4), PAIR_TOL) if r.location == 4][0]
         assert rec.rhs == pytest.approx(3.9243475915771899, rel=1e-13)
 
     def test_residuals_tight_to_500(self):
-        for rec in check_pair_identity(*first_n(500)):
+        for rec in check_pair_identity(*first_n(500), PAIR_TOL):
             assert rec.residual <= 1e-12
 
     def test_perturbed_weight_detected_from_that_index_on(self):
-        # corrupt a_5 (p=11) in the accumulated stream only; the brute-force
-        # oracle recomputes weights from the primes and must disagree at
-        # every sampled n >= 5
-        terms = terms_upto(200)  # 46 primes
-        bad = replace(terms[4], weight=terms[4].weight * (1 + 1e-6))
-        corrupted = terms[:4] + [bad] + terms[5:]
-        state = SumState()
-        clean_seen = []
-        for clean, dirty in zip(terms, corrupted):
-            push(state, dirty)
-            clean_seen.append(clean)
-            if state.n in (4, 8, 16, 32):
-                s = state.S_total
-                lhs = s * s - state.M_total
-                residual = relative_residual(lhs, pair_sum_bruteforce(clean_seen))
-                if state.n >= 5:
-                    assert residual > 1e-10
-                else:
-                    assert residual <= 1e-10
+        # corrupt a_5 (p=11) in the weights only; the accumulator's S and M
+        # of the 46 primes below 200 must disagree with the pair sum of the
+        # weights at every sampled n >= 5
+        w, S, M = first_n(46)
+        records = check_pair_identity(perturbed(w, 4), S, M, PAIR_TOL)
+        assert [int(r.location) for r in records] == [1, 2, 4, 8, 16, 32, 46]
+        for rec in records:
+            assert rec.passed == (rec.location < 5)
+            if rec.location >= 5:
+                assert rec.residual > 1e-10
 
 
 class TestPairVectorized:
@@ -110,23 +109,22 @@ class TestPairVectorized:
     @given(st.integers(0, 400))
     @settings(max_examples=30, deadline=None)
     def test_records_equal_bruteforce(self, n):
-        w, wsq = first_n(n)
-        assert repr(check_pair_identity(w, wsq)) == repr(pair_records_scalar(w, wsq))
+        args = (*first_n(n), PAIR_TOL)
+        assert repr(check_pair_identity(*args)) == repr(pair_records_scalar(*args))
 
     @given(st.integers(1, 200), st.integers(0, 199))
     @settings(max_examples=20, deadline=None)
     def test_perturbed_terms_equal_bruteforce(self, n, k):
-        w, wsq = perturbed(W_1E5[:n], k % n), WSQ_1E5[:n]
-        assert repr(check_pair_identity(w, wsq)) == repr(pair_records_scalar(w, wsq))
+        args = (perturbed(W_1E5[:n], k % n), S_1E5[: n + 1], M_1E5[: n + 1], PAIR_TOL)
+        assert repr(check_pair_identity(*args)) == repr(pair_records_scalar(*args))
 
 
 class TestJumpVectorized:
-    """The numpy jump pass against the scalar scan that pushes each term."""
+    """The numpy jump pass against the scalar scan over one n at a time."""
 
     def test_equals_push_scan_at_1e5(self):
-        assert repr(check_jump_identity(W_1E5, WSQ_1E5)) == repr(
-            jump_record_scalar(W_1E5, WSQ_1E5)
-        )
+        args = (W_1E5, S_1E5, M_1E5, JUMP_TOL)
+        assert repr(check_jump_identity(*args)) == repr(jump_record_scalar(*args))
 
     @given(
         st.one_of(
@@ -136,48 +134,79 @@ class TestJumpVectorized:
     )
     @settings(max_examples=12, deadline=None)
     def test_perturbed_equals_push_scan(self, k):
-        w = perturbed(W_1E5, k)
-        rec = check_jump_identity(w, WSQ_1E5)
-        assert repr(rec) == repr(jump_record_scalar(w, WSQ_1E5))
+        args = (perturbed(W_1E5, k), S_1E5, M_1E5, JUMP_TOL)
+        assert repr(check_jump_identity(*args)) == repr(jump_record_scalar(*args))
 
 
 class TestJumpIdentity:
     def test_tiny_range_pure_rounding(self):
-        rec = check_jump_identity(*weight_arrays(prime_array(10)))
+        rec = check_jump_identity(*weight_arrays(prime_array(10)), JUMP_TOL)
         assert rec.passed
         assert rec.residual <= 1e-14
 
     def test_single_term(self):
-        rec = check_jump_identity(*weight_arrays([2]))
+        rec = check_jump_identity(*weight_arrays([2]), JUMP_TOL)
         assert rec.residual == 0.0  # E_1 - E_0 = 0 and 2 a_1 S_0 = 0
 
     def test_to_1e5(self):
-        rec = check_jump_identity(W_1E5, WSQ_1E5)
+        rec = check_jump_identity(W_1E5, S_1E5, M_1E5, JUMP_TOL)
         assert rec.passed and rec.residual <= 1e-9
 
     def test_perturbation_detected_at_index(self):
         k = 25  # p_26 = 101
-        rec = check_jump_identity(perturbed(W_1E5, k), WSQ_1E5)
+        rec = check_jump_identity(perturbed(W_1E5, k), S_1E5, M_1E5, JUMP_TOL)
         assert not rec.passed
         assert rec.location == k + 1
 
 
 class TestCheckContext:
-    """RunContext sieves to x_jump and the last Abel point only; the pair
-    check's primes lie at or below x_jump at every x_max."""
+    """RunContext sieves to x_cap only; the pair check's primes lie at or
+    below x_cap at every x_max."""
 
     @pytest.mark.parametrize("x_max", [150, 1000, 48611, 48612, 10**6])
     def test_pair_and_jump_records_equal_a_wider_sieve(self, x_max, tmp_path):
         cfg = RunConfig(x_max=x_max, out_dir=tmp_path)
         ctx = RunContext(cfg, run_stream(float(x_max), cfg.grid()))
         n_jump = ctx.result.state.n  # every prime <= x_max, as x_max <= 1e6
-        assert ctx.n_pair == min(5000, n_jump) and len(ctx.primes) >= n_jump
+        assert ctx.n_pair == min(5000, n_jump) and len(ctx.primes) == n_jump
         run = {c.check_id: c.run for c in CHECKS}
-        pair = run["pair_identity"](ctx, 1e-10)
-        assert repr(pair) == repr(check_pair_identity(*first_n(ctx.n_pair), tolerance=1e-10))
-        assert repr(run["jump_identity"](ctx, 1e-9)) == repr(
-            [check_jump_identity(*first_n(n_jump), tolerance=1e-9)]
+        pair = run["pair_identity"](ctx, PAIR_TOL)
+        assert repr(pair) == repr(check_pair_identity(*first_n(ctx.n_pair), PAIR_TOL))
+        assert repr(run["jump_identity"](ctx, JUMP_TOL)) == repr(
+            [check_jump_identity(*first_n(n_jump), JUMP_TOL)]
         )
+
+    def test_prefix_sums_equal_exact_sums_at(self, tmp_path):
+        # the accumulator's S_n and M_n of every prime to 1e6, n = 0..pi(1e6),
+        # are the exact prefix sums of w and w * w, rounded once
+        cfg = RunConfig(x_max=10**6, out_dir=tmp_path)
+        ctx = RunContext(cfg, run_stream(1e6, cfg.grid()))
+        w, S, M = ctx.sums
+        n = np.arange(len(w) + 1)
+        assert len(w) == 78498
+        assert S.tolist() == exact_sums_at(w, n).tolist()
+        assert M.tolist() == exact_sums_at(w * w, n).tolist()
+
+    def test_nudged_accumulator_M_fails_jump_identity(self, tmp_path, monkeypatch):
+        # the jump check reads M from SumState.extend_primes: one M_n off by
+        # a relative 1e-6 there fails it at n or n + 1
+        k = 26
+        extend = SumState.extend_primes
+
+        def nudged(self, primes, sink=None, marks=()):
+            S, M = extend(self, primes, sink, marks)
+            if len(M) > k:
+                M[k] *= 1 + 1e-6
+            return S, M
+
+        cfg = RunConfig(x_max=10**5, out_dir=tmp_path)
+        ctx = RunContext(cfg, run_stream(1e5, cfg.grid()))
+        run = {c.check_id: c.run for c in CHECKS}
+        assert run["jump_identity"](ctx, JUMP_TOL)[0].passed
+        monkeypatch.setattr(SumState, "extend_primes", nudged)
+        ctx = RunContext(cfg, ctx.result)
+        (rec,) = run["jump_identity"](ctx, JUMP_TOL)
+        assert not rec.passed and rec.location in (k, k + 1)
 
 
 def cps_at(es):
