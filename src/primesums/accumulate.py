@@ -13,15 +13,14 @@ where S and M are exact.  Every weight and every squared weight a_k*a_k
 held as Python ints in units of 2**-120 and rounded to a double only when
 read.  They therefore do not depend on the order of the additions, the
 block or segment boundaries, or where a run was split and resumed.  E is
-never accumulated directly: the checkpoint table computes it as S^2 - M,
-which suffers no cancellation at scale (E grows like x/log x while M grows like
-log x).  A separate exact sum of the per-step jumps 2*a_n*S_{n-1} is
-carried purely as a built-in cross-check: telescoped, it must reproduce
-S^2 - M.
+never accumulated: the checkpoint table computes it as S^2 - M, which
+suffers no cancellation at scale (E grows like x/log x while M grows like
+log x).
 
 Bulk absorption takes int64 prime arrays in blocks of BLOCK primes: numpy
 computes the weights, splits each value exactly into 40-bit int64 limbs
-and sums the limbs; only block totals become Python ints.
+and sums the limbs; only block totals become Python ints.  A prefix sum
+within a block is formed only where a mark or a sample reads it.
 
 Checkpoints are one table over a geometric x-grid, one array per column,
 built in one pass by checkpoint_table; sums are inclusive (p <= x), and a
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,24 +135,24 @@ def checkpoint_table(x, pi, S, M) -> Checkpoint:
 
 def _limbs(v: np.ndarray) -> np.ndarray:
     """Exact int64 limbs [hi, mid, lo] of values v, v = (hi*2**80 +
-    mid*2**40 + lo) * 2**-120, on a new last axis.
+    mid*2**40 + lo) * 2**-120, on a new first axis.
 
     v must lie in (-512, 512) and be a multiple of 2**-120, as every weight,
-    squared weight and half jump of a prime <= 2**53 is.  Scaling by 2**40,
-    truncating and subtracting the truncation are exact for either sign (a
-    floor is not: 1 - 3*2**-54 rounds), so no bit is lost, the three limbs
-    share the sign of v, and sums of BLOCK limbs stay below 2**63 in
-    magnitude.
+    squared weight and pair product of weights of primes <= 2**53 is.
+    Scaling by 2**40, truncating and subtracting the truncation are exact
+    for either sign (a floor is not: 1 - 3*2**-54 rounds), so no bit is
+    lost, the three limbs share the sign of v, and sums of BLOCK limbs stay
+    below 2**63 in magnitude.  Limb-major, so sums over v are contiguous.
     """
-    out = np.empty(v.shape + (3,), dtype=np.int64)
+    out = np.empty((3,) + v.shape, dtype=np.int64)
     r = v * _LIMB_SCALE
     f = np.empty_like(r)
     for k in range(2):
         np.trunc(r, out=f)
-        out[..., k] = f
+        out[k] = f
         r -= f
         r *= _LIMB_SCALE
-    out[..., 2] = r  # an integer by now
+    out[2] = r  # an integer by now
     return out
 
 
@@ -163,26 +162,43 @@ def _to_int(limbs: np.ndarray) -> int:
     return (hi << 2 * _LIMB_BITS) + (mid << _LIMB_BITS) + lo
 
 
-def _round_prefixes(base: int, prefix: np.ndarray, top: int | None = None) -> np.ndarray:
-    """(base + prefix[i]) * 2**-120 rounded to the nearest double, each i.
+def _prefix_limbs(limbs: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The limb sums of limbs[..., :c] for each c of cuts (not empty,
+    ascending, in 0..n = limbs.shape[-1]), on the last axis: one running
+    sum where cuts are dense, else the running sums of the sums between
+    distinct cuts."""
+    n = limbs.shape[-1]
+    if len(cuts) > n >> 3:  # past one cut in 8 values, the running sum costs less
+        run = np.zeros(limbs.shape[:-1] + (n + 1,), dtype=np.int64)
+        np.cumsum(limbs, axis=-1, out=run[..., 1:])
+        return run[..., cuts]
+    inner = cuts[(cuts > 0) & (cuts < n)]
+    starts = inner[np.diff(inner, prepend=0) > 0]
+    run = np.zeros(limbs.shape[:-1] + (len(starts) + 2,), dtype=np.int64)
+    np.cumsum(np.add.reduceat(limbs, np.concatenate(([0], starts)), axis=-1),
+              axis=-1, out=run[..., 1:])
+    return run[..., np.searchsorted(starts, cuts) + (cuts > 0)]
 
-    prefix holds limb sums [hi, mid, lo] as int64 rows, of either sign, and
-    top bounds every |base + prefix|; without it the bound is taken from
-    the largest limbs.  Each value's bits from 2**k up are gathered into an
-    int64 h < 2**63, and whether any bit below 2**k is set goes into h's
-    last bit; the carries are arithmetic shifts and masks, so they are
-    exact for negative limbs and bases too.  When h has at least 55 bits
-    that last bit lies below the rounding position, so one int64 -> float64
-    conversion rounds as the full value would.  Any other value, negative
-    or near zero, is rounded from the exact Python int instead.
+
+def _round_prefixes(base: int, prefix: np.ndarray) -> np.ndarray:
+    """(base + prefix[:, i]) * 2**-120 rounded to the nearest double, each i.
+
+    prefix holds limb sums [hi, mid, lo] as int64 columns, of either sign;
+    top, from the largest limbs, bounds every |base + prefix|.  Each
+    value's bits from 2**k up are gathered into an int64 h < 2**63, and
+    whether any bit below 2**k is set goes into h's last bit; the carries
+    are arithmetic shifts and masks, so they are exact for negative limbs
+    and bases too.  When h has at least 55 bits that last bit lies below
+    the rounding position, so one int64 -> float64 conversion rounds as
+    the full value would.  Any other value, negative or near zero, is
+    rounded from the exact Python int instead.
     """
-    if top is None:
-        top = abs(base) + _to_int(np.abs(prefix).max(axis=0, initial=0))
+    top = abs(base) + _to_int(np.abs(prefix).max(axis=1, initial=0))
     k = max(top.bit_length() - 63, _LIMB_BITS)
     low = base & ((1 << k) - 1)
-    x0 = prefix[:, 2] + (low & _LIMB_MASK)
-    x1 = prefix[:, 1] + ((low >> _LIMB_BITS) & _LIMB_MASK) + (x0 >> _LIMB_BITS)
-    x2 = prefix[:, 0] + (low >> 2 * _LIMB_BITS) + (x1 >> _LIMB_BITS)
+    x0 = prefix[2] + (low & _LIMB_MASK)
+    x1 = prefix[1] + ((low >> _LIMB_BITS) & _LIMB_MASK) + (x0 >> _LIMB_BITS)
+    x2 = prefix[0] + (low >> 2 * _LIMB_BITS) + (x1 >> _LIMB_BITS)
     x0 &= _LIMB_MASK
     x1 &= _LIMB_MASK
     if k <= 2 * _LIMB_BITS:
@@ -194,7 +210,7 @@ def _round_prefixes(base: int, prefix: np.ndarray, top: int | None = None) -> np
     h += base >> k
     out = np.ldexp((h | (sticky != 0)).astype(np.float64), k - FRAC_BITS)
     for i in np.flatnonzero(h < (1 << 54)).tolist():
-        out[i] = float(base + _to_int(prefix[i])) * _UNIT
+        out[i] = float(base + _to_int(prefix[:, i])) * _UNIT
     return out
 
 
@@ -216,14 +232,13 @@ def exact_sums_at(
     base = i0 = 0
     for b0 in range(0, len(v) + 1, BLOCK):
         lv = _limbs(v[b0 : b0 + BLOCK])
-        rows = np.zeros((len(lv) + 1, 3), dtype=np.int64)
-        np.cumsum(lv, axis=0, out=rows[1:])
-        i1 = int(np.searchsorted(cuts, b0 + len(lv), side="right"))
-        sel = rows[cuts[i0:i1] - b0]
-        if el is not None:
-            sel += el[i0:i1]
-        out[i0:i1] = _round_prefixes(base, sel)
-        base += _to_int(rows[-1])
+        i1 = int(np.searchsorted(cuts, b0 + lv.shape[1], side="right"))
+        if i1 > i0:  # a block with no cut only adds its total
+            sel = _prefix_limbs(lv, cuts[i0:i1] - b0)
+            if el is not None:
+                sel += el[:, i0:i1]
+            out[i0:i1] = _round_prefixes(base, sel)
+        base += _to_int(lv.sum(axis=1))
         i0 = i1
     return out
 
@@ -231,32 +246,21 @@ def exact_sums_at(
 class SumState:
     """Single-writer streaming accumulator; strictly sequential by design.
 
-    S, M and E_incremental are exact integers in units of 2**-120: the sums
-    of a_n, of a_n*a_n (the rounded double) and of the jumps
-    2*a_n*S_{n-1}, where S_{n-1} is the exact prefix rounded to the
-    nearest double.  Read them through S_total/M_total/E_total, which round
-    correctly.  The state after a run of primes is the same however the run
-    is split into calls.
+    S and M are exact integers in units of 2**-120, the sums of a_n and of
+    a_n*a_n (the rounded double); S_total and M_total round them correctly.
+    The rest is what a resume continues from: n, the last prime and weight,
+    a_n * S_{n-1} at the last n, and whether w decreases from p = 3.  The
+    state after a run of primes is the same however it is split into calls.
     """
 
     # also the keys of the checkpoint file's state, by name
-    __slots__ = (
-        "n",
-        "last_prime",
-        "S",
-        "M",
-        "E_incremental",
-        "last_weight",
-        "last_anS",
-        "weights_decreasing",
-    )
+    __slots__ = ("n", "last_prime", "S", "M", "last_weight", "last_anS", "weights_decreasing")
 
     def __init__(self) -> None:
         self.n = 0
         self.last_prime = 0
         self.S = 0
         self.M = 0
-        self.E_incremental = 0
         self.last_weight = math.inf
         self.last_anS = 0.0
         self.weights_decreasing = True
@@ -269,61 +273,56 @@ class SumState:
     def M_total(self) -> float:
         return float(self.M) * _UNIT
 
-    @property
-    def E_total(self) -> float:
-        return float(self.E_incremental) * _UNIT
-
     def extend_primes(
         self,
         primes: Sequence[int] | np.ndarray,
-        sink: Callable[[int, float], None] | None = None,
+        samples: list[tuple[int, float]] | None = None,
         marks: Sequence[int] = (),
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk absorb ascending primes (all above last_prime; not checked).
+        """Bulk absorb ascending primes, the first above last_prime (else
+        SequencingError).
 
         Bit-identical to the one-term push of tests/oracles.py for each
-        prime in turn, and to any split of primes over several calls.  When a sink is given it
-        receives (n, a_n * S_{n-1}) at every n that is a power of two.
+        prime in turn, and to any split of primes over several calls.
+        samples, if given, gets (n, a_n * S_{n-1}) at each power-of-two n.
         marks are ascending prefix lengths of primes; the result is S and M,
-        correctly rounded, after the first marks[i] primes, for each i.
+        correctly rounded, after the first marks[i] primes, for each i.  A
+        block adds its limb totals; prefixes are summed only where read.
         """
         primes = np.asarray(primes, dtype=np.int64)
+        if len(primes) and primes[0] <= self.last_prime:
+            raise SequencingError(f"prime {primes[0]} not above last absorbed {self.last_prime}")
         marks = np.asarray(marks, dtype=np.int64)
         s_at, m_at = np.empty(len(marks)), np.empty(len(marks))
         mi = int(np.searchsorted(marks, 0, side="right"))
         s_at[:mi], m_at[:mi] = self.S_total, self.M_total
         for b0 in range(0, len(primes), BLOCK):
-            p = primes[b0 : b0 + BLOCK]
+            w = weights(primes[b0 : b0 + BLOCK])
             n0, s0, m0 = self.n, self.S, self.M
-            w = weights(p)
-            lw = _limbs(w)
-            cs = np.cumsum(lw, axis=0)
-            s_top = s0 + _to_int(cs[-1])
-            s_prev = _round_prefixes(s0, cs - lw, s_top)
-            half = w * s_prev
-            cq = np.cumsum(_limbs(np.stack((w * w, half))), axis=1)
-            m_top = m0 + _to_int(cq[0, -1])
-            rises = np.flatnonzero(w >= np.concatenate(([self.last_weight], w[:-1])))
-            if np.any(rises + n0 >= 2):  # the flag ignores n = 1, 2
-                self.weights_decreasing = False
-            if sink is not None:
-                k = 1 << n0.bit_length()  # the least power of two above n0
-                while k <= n0 + len(p):
-                    sink(k, float(half[k - n0 - 1]))
-                    k <<= 1
-            mj = int(np.searchsorted(marks, b0 + len(p), side="right"))
-            if mj > mi:  # the marks in this block, from its prefixes
-                j = marks[mi:mj] - b0 - 1
-                s_at[mi:mj] = _round_prefixes(s0, cs[j], s_top)
-                m_at[mi:mj] = _round_prefixes(m0, cq[0, j], m_top)
-                mi = mj
-            self.n = n0 + len(p)
-            self.last_prime = int(p[-1])
-            self.S = s_top
-            self.M = m_top
-            self.E_incremental += 2 * _to_int(cq[1, -1])
+            d = np.concatenate(([self.last_weight], w))[max(2 - n0, 0) :]  # from w_3 on
+            self.weights_decreasing &= bool(np.all(d[1:] < d[:-1]))
+            lw = _limbs(np.stack((w, w * w)))  # (limb, [w, w*w], prime)
+            total = lw.sum(axis=2)
+            self.n = n0 + len(w)
+            self.S = s0 + _to_int(total[:, 0])
+            self.M = m0 + _to_int(total[:, 1])
             self.last_weight = float(w[-1])
-            self.last_anS = float(half[-1])
+            ks = [1 << e for e in range(n0.bit_length(), self.n.bit_length())]  # in (n0, n]
+            if samples is not None and ks:
+                j = np.array(ks) - n0 - 1  # S_{k-1} is s0 plus w[:j]
+                s_prev = _round_prefixes(s0, _prefix_limbs(lw[:, 0], j))
+                samples.extend(zip(ks, (w[j] * s_prev).tolist()))
+            mj = int(np.searchsorted(marks, b0 + len(w), side="right"))
+            if mj > mi:
+                pre = _prefix_limbs(lw, marks[mi:mj] - b0)
+                s_at[mi:mj] = _round_prefixes(s0, pre[:, 0])
+                m_at[mi:mj] = _round_prefixes(m0, pre[:, 1])
+                mi = mj
+        if len(primes):
+            # w_last * 2**120 is an integer, so S_{n-1} = S - w_last is exact
+            w_last = self.last_weight
+            self.last_prime = int(primes[-1])
+            self.last_anS = w_last * (float(self.S - int(w_last * _SCALE)) * _UNIT)
         return s_at, m_at
 
 
@@ -419,10 +418,6 @@ def run_stream(
                               f"x={grid[bad[0]]} in strictly ascending order")
     pi = np.empty(len(grid), dtype=np.int64)
     S, M = np.empty(len(grid)), np.empty(len(grid))
-
-    def sink(n: int, value: float) -> None:
-        samples.append((n, value))
-
     gi = 0
     if state.last_prime < limit:
         cfg = SieveConfig(limit=limit, segment_size=segment_size)
@@ -430,7 +425,7 @@ def run_stream(
             gj = int(np.searchsorted(grid, seg.hi, side="right"))
             cuts = np.searchsorted(seg.primes, grid[gi:gj], side="right")
             pi[gi:gj] = state.n + cuts
-            S[gi:gj], M[gi:gj] = state.extend_primes(seg.primes, sink, cuts)
+            S[gi:gj], M[gi:gj] = state.extend_primes(seg.primes, samples, cuts)
             gi = gj
     # grid points past the last segment hold every prime absorbed
     pi[gi:], S[gi:], M[gi:] = state.n, state.S_total, state.M_total

@@ -144,10 +144,10 @@ def _pair_row_sums(w: np.ndarray, ns: np.ndarray) -> list[float]:
         m = r1 - r0
         prod[:, :m] = np.triu(prod[:, :m])  # keeps j > i only
         starts = np.concatenate(([0], ns[k0:-1] - c0))
-        sums = np.cumsum(np.add.reduceat(_limbs(prod), starts, axis=1), axis=1)
+        sums = np.cumsum(np.add.reduceat(_limbs(prod), starts, axis=2), axis=2)
         # row i has terms below sample n only when n >= i + 2
         live = ns[None, k0:] >= np.arange(r0 + 2, r1 + 2)[:, None]
-        values.append(_round_prefixes(0, sums[live]))
+        values.append(_round_prefixes(0, sums[:, live]))
         owners.append(np.nonzero(live)[1] + k0)
     values = np.concatenate(values) if values else np.empty(0)
     owners = np.concatenate(owners) if owners else np.empty(0, dtype=np.int64)

@@ -10,8 +10,9 @@ constants quoted in the test modules:
 
 The second part keeps the scalar forms of the accumulation and of the
 checks, one term or one grid point at a time, as references that the
-column forms in primesums must match bit for bit: make_term and push, and
-a one-row snapshot at each grid point for the checkpoint table, the
+column forms in primesums must match bit for bit: make_term and push
+(with JumpState's telescoped jump sum, which the accumulator does not
+keep), and a one-row snapshot at each grid point for the checkpoint table, the
 brute-force pair sum, and the row loops of the pair, jump, Abel, block,
 E-monotone, positivity, band and Mertens-width checks, and the per-value
 row codec of the checkpoint table.  Their signatures match the calls
@@ -154,9 +155,27 @@ def make_term(index: int, prime: int) -> WeightedPrimeTerm:
     return WeightedPrimeTerm(index=index, prime=prime, weight=w, weight_sq=w * w)
 
 
+class JumpState(SumState):
+    """A SumState that push also adds each jump 2*a_n*S_{n-1} to, exactly,
+    in units of 2**-120 (S_{n-1} the prefix rounded to a double): the
+    telescoped sum must reproduce S^2 - M.  The accumulator keeps no such
+    sum; this one is the scalar reference of that fact."""
+
+    __slots__ = ("E_incremental",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.E_incremental = 0
+
+    @property
+    def E_total(self) -> float:
+        return float(self.E_incremental) * _UNIT
+
+
 def push(state: SumState, term: WeightedPrimeTerm) -> SumState:
     """SumState.extend_primes one term at a time: absorb term into state
-    and return state; primes must arrive strictly ascending."""
+    and return state; primes must arrive strictly ascending.  A JumpState
+    also adds the jump to its own sum."""
     if term.prime <= state.last_prime:
         raise SequencingError(
             f"prime {term.prime} not above last absorbed {state.last_prime}"
@@ -170,7 +189,8 @@ def push(state: SumState, term: WeightedPrimeTerm) -> SumState:
     # scaling by a power of two is exact, and so is int() of the result
     state.S += int(w * _SCALE)
     state.M += int(term.weight_sq * _SCALE)
-    state.E_incremental += int(half_jump * (2.0 * _SCALE))
+    if isinstance(state, JumpState):
+        state.E_incremental += int(half_jump * (2.0 * _SCALE))
     state.n += 1
     if state.n >= 3 and w >= state.last_weight:
         state.weights_decreasing = False

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import eval_h_prime, eval_w, eval_w_prime, pair_prime_bound, rows
-from primesums.accumulate import grid_points, run_stream
+from primesums.accumulate import SumState, grid_points, run_stream
 from primesums.asymptotics import (
     an_sn_band,
     block_sandwich,
@@ -321,11 +321,8 @@ def test_criterion_12_determinism_and_resume(tmp_path):
     ok_csv = unsplit.csv_path().read_bytes() == stage2.csv_path().read_bytes()
     a = read_checkpoint_file(unsplit.checkpoint_path()).state
     b = read_checkpoint_file(stage2.checkpoint_path()).state
-    ok_state = all(
-        getattr(a, f) == getattr(b, f)
-        for f in ("n", "last_prime", "S", "M", "E_incremental", "last_weight",
-                  "last_anS", "weights_decreasing")
-    )
+    # every slot; E = S^2 - M is a column of the CSVs compared above
+    ok_state = all(getattr(a, f) == getattr(b, f) for f in SumState.__slots__)
     ok = ok_deterministic and ok_csv and ok_state
     report(
         12,

@@ -1,3 +1,5 @@
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import fields as dataclass_fields, replace
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    JumpState,
     an_Sn_series,
     an_sn_band_scalar,
     assert_same_table,
@@ -104,11 +107,11 @@ class TestPush:
         assert state.n == 1
         assert state.S_total == pytest.approx(0.5887050, abs=1e-7)
         assert state.M_total == pytest.approx(0.3465736, abs=1e-7)
-        assert state.E_incremental == 0.0
+        assert snapshot(state, 2.0).E[0] == 0.0
 
     def test_second_push_jump(self):
         state = push(push(SumState(), make_term(1, 2)), make_term(2, 3))
-        assert state.E_total == pytest.approx(TWO_A1_A2, rel=1e-15)
+        assert snapshot(state, 3.0).E[0] == pytest.approx(TWO_A1_A2, rel=1e-15)
 
     def test_out_of_order_prime_rejected(self):
         state = push(SumState(), make_term(1, 5))
@@ -116,6 +119,16 @@ class TestPush:
             push(state, make_term(2, 3))
         with pytest.raises(SequencingError):
             push(state, make_term(2, 5))
+
+    @pytest.mark.parametrize("run", [[3], [7], [7, 11]])
+    def test_extend_rejects_a_prime_not_above_the_last(self, run):
+        """extend_primes refuses a call whose first prime is not above the
+        last absorbed one, as push does, and leaves the state as it was."""
+        state = state_over([2, 3, 5, 7])
+        before = fields(state)
+        with pytest.raises(SequencingError, match="not above last absorbed 7"):
+            state.extend_primes(run)
+        assert fields(state) == before
 
     def test_wrong_index_rejected(self):
         state = push(SumState(), make_term(1, 2))
@@ -135,7 +148,7 @@ class TestPush:
         prev = (0.0, 0.0, 0.0)
         for i, p in enumerate(base_primes(5000), start=1):
             push(state, make_term(i, p))
-            now = (state.S_total, state.M_total, state.E_total)
+            now = (state.S_total, state.M_total, snapshot(state, float(p)).E[0])
             if i >= 2:
                 assert now[0] > prev[0] and now[1] > prev[1] and now[2] > prev[2]
             prev = now
@@ -244,9 +257,13 @@ class TestCompensation:
         assert state.M_total == math.fsum(squares)
 
     def test_jump_cross_check_residual(self):
-        state = state_over(base_primes(100_000))
-        s = state.S_total
-        direct = s * s - state.M_total
+        # the oracle's telescoped jumps 2*a_n*S_{n-1} reproduce S^2 - M
+        primes = base_primes(100_000)
+        state = JumpState()
+        for i, p in enumerate(primes, start=1):
+            push(state, make_term(i, p))
+        assert fields(state) == fields(state_over(primes))
+        direct = snapshot(state, float(primes[-1])).E[0]
         assert abs(direct - state.E_total) <= 1e-9 * max(1.0, state.E_total)
 
     @given(ascending_runs)
@@ -291,14 +308,83 @@ fixed_point = st.builds(
 )
 
 
+@functools.cache
+def pushed_prefixes():
+    """The one-prime-at-a-time oracle over PRIME_TABLE: the state's fields
+    after each n = 0..len primes (so S and M at every prefix), and the
+    samples (n, a_n * S_{n-1}) at the power-of-two n."""
+    state, after, samples = SumState(), [fields(SumState())], []
+    for i, p in enumerate(PRIME_TABLE, start=1):
+        push(state, make_term(i, p))
+        after.append(fields(state))
+        if i & (i - 1) == 0:
+            samples.append((i, state.last_anS))
+    return after, samples
+
+
+class TestLazyPrefixes:
+    """extend_primes sums a prefix only where a mark or a sample reads it:
+    at, before and after a BLOCK edge of a call, and across any split of
+    the primes into calls, what it reads is the oracle's, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_marks_and_samples_equal_push_and_unsplit(self, data):
+        n = data.draw(st.integers(2 * BLOCK + 2, len(PRIME_TABLE)))
+        # a call starting at 2*BLOCK - e holds the sample n = 2*BLOCK at its
+        # offset e, for e one of BLOCK - 1, BLOCK, BLOCK + 1
+        edge = 2 * BLOCK - data.draw(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))
+        starts = sorted({0, edge, *data.draw(st.lists(st.integers(0, n), max_size=3))})
+        calls = list(zip(starts, starts[1:] + [n]))
+        marks = sorted({*(c + d for c, _ in calls for d in (BLOCK - 1, BLOCK, BLOCK + 1)
+                          if c + d <= n),
+                        *data.draw(st.lists(st.integers(0, n), max_size=20))})
+        # a mark on a call boundary is read at the end of one call, or at
+        # offset 0 of the next
+        side = data.draw(st.sampled_from(["left", "right"]))
+        split, s_at, m_at, samples, read = SumState(), [], [], [], 0
+        for c0, c1 in calls:
+            upto = (bisect.bisect_right if side == "right" or c1 == n else bisect.bisect_left)(
+                marks, c1)
+            s, m = split.extend_primes(PRIME_TABLE[c0:c1], samples,
+                                       [g - c0 for g in marks[read:upto]])
+            s_at += s.tolist()
+            m_at += m.tolist()
+            read = upto
+        after, pushed_samples = pushed_prefixes()
+        for name, got in (("S", s_at), ("M", m_at)):
+            slot = SumState.__slots__.index(name)
+            assert got == [math.ldexp(float(after[g][slot]), -120) for g in marks], name
+        assert samples == [(k, v) for k, v in pushed_samples if k <= n]
+        assert fields(split) == after[n]  # last_anS and weights_decreasing among them
+        whole, whole_samples = SumState(), []
+        s, m = whole.extend_primes(PRIME_TABLE[:n], whole_samples, marks)
+        assert (s.tolist(), m.tolist(), whole_samples) == (s_at, m_at, samples)
+        assert fields(whole) == fields(split)
+
+    @given(st.integers(0, 3), st.sampled_from([math.inf, 0.0, 0.3]), ascending_runs)
+    @settings(max_examples=60, deadline=None)
+    def test_weights_decreasing_from_a_restored_state(self, n, last_weight, primes):
+        """The flag compares each w with the one before it from w_3 on,
+        across the call's first prime too: a restored state whose last
+        weight lies below the next one clears it only from n = 3."""
+        pushed, extended = SumState(), SumState()
+        for state in (pushed, extended):
+            state.n, state.last_prime, state.last_weight = n, 1, last_weight
+        for i, p in enumerate(primes, start=n + 1):
+            push(pushed, make_term(i, p))
+        extended.extend_primes(primes)
+        assert fields(extended) == fields(pushed)
+
+
 class TestLimbs:
     @given(st.lists(fixed_point, min_size=1, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_limbs_reconstruct_exactly(self, values):
         limbs = _limbs(np.array(values))
-        assert np.all(np.abs(limbs[:, 1:]) < 2**40)
-        assert np.all(limbs * np.sign(values)[:, None] >= 0)  # the sign of v
-        for v, (hi, mid, lo) in zip(values, limbs.tolist()):
+        assert np.all(np.abs(limbs[1:]) < 2**40)
+        assert np.all(limbs * np.sign(values) >= 0)  # the sign of v
+        for v, (hi, mid, lo) in zip(values, limbs.T.tolist()):
             assert Fraction((hi << 80) + (mid << 40) + lo, 2**120) == Fraction(v)
 
     @given(
@@ -314,7 +400,7 @@ class TestLimbs:
         v = np.resize(np.array(values), n)
         units = list(itertools.accumulate(int(Fraction(x) * 2**120) for x in v.tolist()))
         base = offset - data.draw(st.sampled_from([0, *units]))
-        rows = np.cumsum(_limbs(v), axis=0)
+        rows = np.cumsum(_limbs(v), axis=1)
         expect = [float(Fraction(base + u, 2**120)) for u in units]
         assert _round_prefixes(base, rows).tolist() == expect
 
@@ -333,6 +419,15 @@ class TestExactSumsAt:
         assert exact_sums_at(v, cuts, np.array(extra)).tolist() == [
             math.fsum(values[:c] + [e]) for c, e in zip(cuts, extra)
         ]
+
+    @pytest.mark.parametrize("size", [0, 5, BLOCK, 2 * BLOCK])
+    def test_lengths_that_end_a_block(self, size):
+        """v of a whole number of blocks (its last, empty block holds no
+        cut) or of none, with no cut, a cut at 0, inside or at the end."""
+        values = [math.ldexp(1.0, -(k % 70)) for k in range(size)]
+        v = np.array(values)
+        for cuts in ([], [0], [min(5, size)], [size], [0, min(5, size), size]):
+            assert exact_sums_at(v, cuts).tolist() == [math.fsum(values[:c]) for c in cuts]
 
     def test_every_prefix_across_blocks(self):
         ws = weights(np.array(PRIME_TABLE[: 2 * BLOCK + 5], dtype=np.int64))

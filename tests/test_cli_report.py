@@ -19,6 +19,7 @@ from jsonschema import validate
 import primesums.cli as cli
 import primesums.report as report
 from oracles import (
+    JumpState,
     abel_decompose_scalar,
     abel_records_scalar,
     an_sn_band_scalar,
@@ -29,7 +30,9 @@ from oracles import (
     eval_w,
     jump_record_scalar,
     lower_bound_scalar,
+    make_term,
     pair_records_scalar,
+    push,
     ratio_positivity_scalar,
     running_fsum,
     sandwich_records_scalar,
@@ -116,8 +119,8 @@ BUNDLE_SCHEMA = {
 }
 
 
-STATE_FIELDS = ("n", "last_prime", "S", "M", "E_incremental", "last_weight",
-                "last_anS", "weights_decreasing")
+STATE_FIELDS = ("n", "last_prime", "S", "M", "last_weight", "last_anS",
+                "weights_decreasing")
 
 
 def cfg_for(tmp_path, x_max, **kw):
@@ -165,13 +168,30 @@ def stored_facts(path):
     return header, records.tobytes()
 
 
+# the state the writers of formats 2 to 6 stored: the slots of today and the
+# exact sum of the jumps 2*a_n*S_{n-1}, which the accumulator no longer keeps
+OLD_STATE_FIELDS = ("n", "last_prime", "S", "M", "E_incremental", "last_weight",
+                    "last_anS", "weights_decreasing")
+
+
+def old_state(header):
+    """A format-6 header's state as the earlier writer stored it: with
+    E_incremental, the exact jump sum over the primes it counts, from the
+    one-prime-at-a-time oracle."""
+    state = JumpState()
+    for i, p in enumerate(prime_array(header["state"]["last_prime"]).tolist(), start=1):
+        push(state, make_term(i, p))
+    assert state.S == header["state"]["S"]
+    return {**header["state"], "E_incremental": state.E_incremental}
+
+
 def older_head(cfg, version):
     """The text lines up to the table of cfg's checkpoint file as formats 2
-    to 5 wrote them: the header lines, the state row (SumState.__slots__
-    in order, sums and counts as integers, the flag as 0/1, reals with 17
+    to 5 wrote them: the header lines, the state row (OLD_STATE_FIELDS in
+    order, sums and counts as integers, the flag as 0/1, reals with 17
     digits) and the anS lines.  Only format 5 has the csv line."""
     header = read_v6(cfg.checkpoint_path())[0]
-    state = (header["state"][name] for name in STATE_FIELDS)
+    state = (old_state(header)[name] for name in OLD_STATE_FIELDS)
     return [
         f"primesums-checkpoints v{version}",
         f"config_hash {header['config_hash']}",
@@ -387,7 +407,7 @@ class TestCheckpointFile:
             value = header["state"][field]
             assert value == getattr(result.state, field)
             assert type(value) is type(getattr(result.state, field)), field
-        for field in ("n", "S", "M", "E_incremental"):
+        for field in ("n", "S", "M"):
             assert type(header["state"][field]) is int, field
         assert header["state"]["S"] > 2**53  # held exactly, in units of 2**-120
         table = result.checkpoints
@@ -903,6 +923,30 @@ class TestResume:
         facts_a, facts_b = (stored_facts(cfg.checkpoint_path()) for cfg in (unsplit, resumed))
         assert facts_a == facts_b
         assert facts_a[0]["rows"] == 41
+
+    def test_resume_from_a_file_with_the_jump_sum(self, tmp_path):
+        """A format-6 file as the earlier writer made it, whose state also
+        holds the jump sum E_incremental (sealed again with a valid CRC),
+        loads, ignores that key, and resumes to the unsplit run's
+        checkpoints.csv and series_anS.csv, byte for byte."""
+        unsplit = RunConfig(x_max=10**5, out_dir=tmp_path / "unsplit")
+        cmd_compute(unsplit)
+        first = RunConfig(x_max=10**4, out_dir=tmp_path / "first")
+        cmd_compute(first)
+        header, records = read_v6(first.checkpoint_path())
+        write_v6(first.checkpoint_path(), {**header, "state": old_state(header)}, records)
+        stored = read_checkpoint_file(first.checkpoint_path())
+        assert [getattr(stored.state, f) for f in STATE_FIELDS] == [
+            header["state"][f] for f in STATE_FIELDS]
+        resumed = RunConfig(x_max=10**5, out_dir=tmp_path / "resumed",
+                            resume_from=first.checkpoint_path())
+        cmd_compute(resumed)
+        for cfg in (unsplit, resumed):
+            report_on(cfg, cfg.checkpoint_path())
+        for name in ("checkpoints.csv", "series_anS.csv"):
+            assert ((unsplit.out_dir / name).read_bytes()
+                    == (resumed.out_dir / name).read_bytes()), name
+        assert "E_incremental" not in read_v6(resumed.checkpoint_path())[0]["state"]
 
     def test_regrid_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)

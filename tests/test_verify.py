@@ -193,8 +193,8 @@ class TestCheckContext:
         k = 26
         extend = SumState.extend_primes
 
-        def nudged(self, primes, sink=None, marks=()):
-            S, M = extend(self, primes, sink, marks)
+        def nudged(self, primes, samples=None, marks=()):
+            S, M = extend(self, primes, samples, marks)
             if len(M) > k:
                 M[k] *= 1 + 1e-6
             return S, M
