@@ -472,12 +472,6 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     return result
 
 
-def _prefix_sums(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weights of primes, and S_n and M_n after their first n, for
-    n = 0..len(primes), as the accumulator forms them."""
-    return weights(primes), *SumState().extend_primes(primes, marks=np.arange(len(primes) + 1))
-
-
 @dataclass
 class RunContext:
     """What the checks over one run share: one prime array and its prefix
@@ -500,8 +494,10 @@ class RunContext:
 
     @cached_property
     def sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_prefix_sums of primes: the jump check's input and Abel's M."""
-        return _prefix_sums(self.primes)
+        """The weights of primes, and the accumulator's S_n and M_n after
+        their first n: the pair and jump checks' input and Abel's M."""
+        p = self.primes
+        return weights(p), *SumState().extend_primes(p, marks=np.arange(len(p) + 1))
 
     @cached_property
     def blocks(self) -> Blocks:
@@ -559,7 +555,7 @@ _V, _VR = ("verify",), ("verify", "report")
 # tests and the benchmark's tracer do) reaches verify and report alike.
 CHECKS = (
     Check("pair_identity", 1e-10, _V, lambda c, tol: check_pair_identity(
-        *_prefix_sums(c.primes[: c.n_pair]), tol)),
+        c.sums[0][: c.n_pair], *c.sums[1:], tol)),
     Check("jump_identity", 1e-9, _V, lambda c, tol: [check_jump_identity(*c.sums, tol)]),
     Check("e_monotone", None, _VR, lambda c, tol: [check_E_monotone(c.result.checkpoints)]),
     Check("scale_identity", 1e-12, _VR, lambda c, tol: [scale_identity_record(

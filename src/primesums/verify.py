@@ -11,9 +11,9 @@ Both checks are numpy passes over the weights w and the prefix sums S_n
 and M_n, n = 0..len(w), that the accumulator (SumState.extend_primes)
 formed from them: they sum no S or M of their own, so a fault in the
 accumulator fails them.  The pair side is the O(n^2) brute-force sum,
-each row's exact sum rounded once as fsum rounds it, so it equals the
-fsum loop of tests/oracles.py bit for bit.  The jump scan takes every n
-up to its limit.
+each row summed exactly in float64 (see _pair_row_sums) and rounded once
+as fsum rounds it, so it equals the fsum loop of tests/oracles.py bit for
+bit.  The jump scan takes every n up to its limit.
 """
 
 from __future__ import annotations
@@ -24,21 +24,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .accumulate import (
-    BLOCK,
-    Checkpoint,
-    WeightedPrimeTerm,
-    _limbs,
-    _round_prefixes,
-    weights,
-)
-from .errors import SizeError
+from .accumulate import BLOCK, Checkpoint, WeightedPrimeTerm, weights
+from .errors import DomainError, SizeError
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, stream_segments
 
 _BRUTEFORCE_CAP = 10_000
-# rows of the pair triangle per numpy pass: 16 rows of 5000 limb triples
-# are about 2 MB
+# rows of the pair triangle per numpy pass: its (2, 16, n - 1) float64
+# buffer is 1.3 MB at n = 5000
 PAIR_CHUNK = 16
+_SPLIT = 1.5 * 2.0**79  # (v + _SPLIT) - _SPLIT rounds v to a multiple of 2**27
 
 
 @dataclass(frozen=True)
@@ -129,29 +123,48 @@ def _pair_row_sums(w: np.ndarray, ns: np.ndarray) -> list[float]:
     """2 * fsum of the rows fsum(w_i * w_j for j in i+1..n-1), i < n - 1,
     for each sample n in ns (ascending, at most len(w)).
 
-    Rows are taken PAIR_CHUNK at a time over the upper triangle.  Each
-    product is split into exact limbs, np.add.reduceat sums them between
-    consecutive samples, and a cumsum gives every row's exact sum up to
-    each sample, which is rounded once: the same double fsum gives.
+    Each PAIR_CHUNK of rows is summed exactly in float64.  Scale: 2**k puts
+    low, the chunk's smallest product, in [2**52, 2**53), so every
+    v = (2**k w_i) * w_j = 2**k fl(w_i w_j) is an integer.  Split:
+    hi = (v + _SPLIT) - _SPLIT is v rounded to a multiple of 2**27, and
+    lo = v - hi, |lo| <= 2**26, both exact.  Sum: a row's fewer than
+    _BRUTEFORCE_CAP terms lie below 2**80 / _BRUTEFORCE_CAP (a span of about
+    2**14 over a normal low; DomainError first for a wider one, or for a
+    weight not finite and positive), so np.add.reduceat between samples and
+    cumsum sum hi below 2**80 and lo below 2**40 exactly.  Round: hi + lo is
+    one IEEE add, rounding the row's exact sum to nearest-even as fsum does,
+    and the scaling by 2**-k is exact.
     """
     n = int(ns[-1]) if len(ns) else 0
-    values, owners = [], []
-    for r0 in range(0, n - 1, PAIR_CHUNK):
+    if not np.all((w[:n] > 0) & (w[:n] < math.inf)):
+        raise DomainError("pair identity needs finite positive weights")
+    if n < 2:
+        return [0.0] * len(ns)
+    r0s = np.arange(0, n - 1, PAIR_CHUNK)
+    rows, cols = w[: n - 1], w[1:n][::-1]  # row r's columns are w[r + 1:n]
+    low = np.minimum.reduceat(rows, r0s) * np.minimum.accumulate(cols)[::-1][r0s]
+    ks = 53 - np.frexp(low)[1]
+    top = np.ldexp(np.maximum.reduceat(rows, r0s), ks) * np.maximum.accumulate(cols)[::-1][r0s]
+    if not (np.all(low >= np.finfo(np.float64).tiny) and np.all(top < 2.0**80 / _BRUTEFORCE_CAP)):
+        raise DomainError("pair products span wider than an exact float64 row sum allows")
+    buf = np.empty(2 * PAIR_CHUNK * (n - 1))
+    below = np.tri(PAIR_CHUNK, k=-1, dtype=bool)
+    out = np.zeros((n - 1, len(ns)))  # row i's sum up to each sample
+    for r0, k in zip(r0s.tolist(), ks.tolist()):
         r1 = min(r0 + PAIR_CHUNK, n - 1)
-        c0 = r0 + 1  # the first column of row r0
+        c0, m = r0 + 1, r1 - r0  # the first column of row r0, the rows
+        lo, hi = planes = buf[: 2 * m * (n - c0)].reshape(2, m, n - c0)
+        np.multiply(np.ldexp(w[r0:r1], k)[:, None], w[None, c0:n], out=lo)
+        lo[:, :m][below[:m, :m]] = 0.0  # keeps j > i only
+        np.add(lo, _SPLIT, out=hi)
+        hi -= _SPLIT
+        lo -= hi
         k0 = int(np.searchsorted(ns, c0, side="right"))
-        prod = w[r0:r1, None] * w[None, c0:n]
-        m = r1 - r0
-        prod[:, :m] = np.triu(prod[:, :m])  # keeps j > i only
         starts = np.concatenate(([0], ns[k0:-1] - c0))
-        sums = np.cumsum(np.add.reduceat(_limbs(prod), starts, axis=2), axis=2)
-        # row i has terms below sample n only when n >= i + 2
-        live = ns[None, k0:] >= np.arange(r0 + 2, r1 + 2)[:, None]
-        values.append(_round_prefixes(0, sums[:, live]))
-        owners.append(np.nonzero(live)[1] + k0)
-    values = np.concatenate(values) if values else np.empty(0)
-    owners = np.concatenate(owners) if owners else np.empty(0, dtype=np.int64)
-    return [2.0 * math.fsum(values[owners == k].tolist()) for k in range(len(ns))]
+        sums = np.cumsum(np.add.reduceat(planes, starts, axis=2), axis=2)
+        out[r0:r1, k0:] = np.ldexp(sums[1] + sums[0], -k)
+    # sample n sums rows i < n - 1, each over its columns below n
+    return [2.0 * math.fsum(out[: j - 1, i].tolist()) for i, j in enumerate(ns.tolist())]
 
 
 def check_pair_identity(
@@ -161,10 +174,10 @@ def check_pair_identity(
     logarithmic subsample of n (1, 2, 4, ... and n = len(w) itself).
 
     w holds the weights a_1, ..., a_n, and S and M the accumulator's
-    prefix sums of a and a * a for n = 0..len(w).  The right side at n is
-    2 * fsum of the n - 1 correctly rounded row sums of w, bit for bit
-    what the brute-force loop of tests/oracles.py returns, computed over
-    the whole triangle in one numpy pass.
+    prefix sums of a and a * a for n = 0..len(w) or further.  The right
+    side at n is 2 * fsum of the n - 1 correctly rounded row sums of w, bit
+    for bit what the brute-force loop of tests/oracles.py returns; weights
+    it cannot sum exactly raise DomainError (see _pair_row_sums).
     """
     if len(w) > _BRUTEFORCE_CAP:
         raise SizeError(f"pair identity capped at n={_BRUTEFORCE_CAP}, got {len(w)}")

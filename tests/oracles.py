@@ -41,6 +41,8 @@ from primesums.accumulate import (
     Checkpoint,
     SumState,
     WeightedPrimeTerm,
+    _limbs,
+    _round_prefixes,
     run_stream,
     weights,
 )
@@ -50,6 +52,7 @@ from primesums.errors import DomainError, SequencingError, SizeError
 from primesums.sieve import DEFAULT_SEGMENT_SIZE, prime_array
 from primesums.verify import (
     _BRUTEFORCE_CAP,
+    PAIR_CHUNK,
     VerificationRecord,
     _log_subsample,
     identity_record,
@@ -213,6 +216,38 @@ def pair_sum_bruteforce(terms: Sequence[WeightedPrimeTerm]) -> float:
         wi = weights[i]
         rows.append(math.fsum(wi * wj for wj in weights[i + 1 :]))
     return 2.0 * math.fsum(rows)
+
+
+def pair_row_sums_limbs(w: np.ndarray, ns: np.ndarray) -> list[float]:
+    """2 * fsum of the rows fsum(w_i * w_j for j in i+1..n-1), i < n - 1,
+    for each sample n in ns (ascending, at most len(w)).
+
+    Rows are taken PAIR_CHUNK at a time over the upper triangle.  Each
+    product is split into exact limbs, np.add.reduceat sums them between
+    consecutive samples, and a cumsum gives every row's exact sum up to
+    each sample, which is rounded once: the same double fsum gives.
+
+    verify._pair_row_sums over exact int64 limbs instead of a float64
+    split: the reference its float sums must equal bit for bit.
+    """
+    n = int(ns[-1]) if len(ns) else 0
+    values, owners = [], []
+    for r0 in range(0, n - 1, PAIR_CHUNK):
+        r1 = min(r0 + PAIR_CHUNK, n - 1)
+        c0 = r0 + 1  # the first column of row r0
+        k0 = int(np.searchsorted(ns, c0, side="right"))
+        prod = w[r0:r1, None] * w[None, c0:n]
+        m = r1 - r0
+        prod[:, :m] = np.triu(prod[:, :m])  # keeps j > i only
+        starts = np.concatenate(([0], ns[k0:-1] - c0))
+        sums = np.cumsum(np.add.reduceat(_limbs(prod), starts, axis=2), axis=2)
+        # row i has terms below sample n only when n >= i + 2
+        live = ns[None, k0:] >= np.arange(r0 + 2, r1 + 2)[:, None]
+        values.append(_round_prefixes(0, sums[:, live]))
+        owners.append(np.nonzero(live)[1] + k0)
+    values = np.concatenate(values) if values else np.empty(0)
+    owners = np.concatenate(owners) if owners else np.empty(0, dtype=np.int64)
+    return [2.0 * math.fsum(values[owners == k].tolist()) for k in range(len(ns))]
 
 
 def np_log(t: float) -> float:

@@ -10,6 +10,7 @@ from oracles import (
     make_term,
     pair_prime_bound,
     pair_records_scalar,
+    pair_row_sums_limbs,
     pair_sum_bruteforce,
     weight_arrays,
 )
@@ -21,10 +22,14 @@ from primesums.accumulate import (
     grid_points,
     run_stream,
 )
-from primesums.errors import SizeError
+from primesums.errors import DomainError, SizeError
 from primesums.report import CHECKS, DEFAULT_TOLERANCES, RunConfig, RunContext
 from primesums.sieve import base_primes, prime_array
 from primesums.verify import (
+    _BRUTEFORCE_CAP,
+    PAIR_CHUNK,
+    _log_subsample,
+    _pair_row_sums,
     check_E_monotone,
     check_jump_identity,
     check_pair_identity,
@@ -117,6 +122,72 @@ class TestPairVectorized:
     def test_perturbed_terms_equal_bruteforce(self, n, k):
         args = (perturbed(W_1E5[:n], k % n), S_1E5[: n + 1], M_1E5[: n + 1], PAIR_TOL)
         assert repr(check_pair_identity(*args)) == repr(pair_records_scalar(*args))
+
+
+def samples(n):
+    return np.array([k for k in _log_subsample(n) if k >= 1], dtype=np.int64)
+
+
+# 0-based columns either side of a PAIR_CHUNK boundary or a sample 2**j
+EDGES = sorted({
+    e + d for e in [PAIR_CHUNK * q for q in range(1, 9)] + [2**j for j in range(12)]
+    for d in (-1, 0, 1) if e + d >= 0
+})
+
+
+class TestPairRowSums:
+    """The float64 triangle against the int-limb one of tests/oracles.py."""
+
+    W_CAP = first_n(_BRUTEFORCE_CAP)[0]
+
+    @pytest.mark.parametrize("n", [5000, _BRUTEFORCE_CAP])
+    def test_equals_limb_triangle(self, n):
+        w, ns = self.W_CAP[:n], samples(n)
+        assert _pair_row_sums(w, ns) == pair_row_sums_limbs(w, ns)
+
+    @given(
+        st.one_of(st.sampled_from([e for e in EDGES if e >= 2]), st.integers(2, 3000)),
+        st.one_of(st.sampled_from(EDGES), st.integers(0, 2999)),
+        st.one_of(st.just(1 + 1e-6), st.floats(0.5, 2.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_equals_limb_triangle(self, n, k, factor):
+        w = self.W_CAP[:n].copy()
+        w[k % n] *= factor
+        assert _pair_row_sums(w, samples(n)) == pair_row_sums_limbs(w, samples(n))
+
+
+class TestPairRefusals:
+    """check_pair_identity refuses weights its exact row sums do not cover."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+    def test_weight_not_finite_and_positive(self, bad):
+        w, S, M = first_n(40)
+        w[20] = bad
+        with pytest.raises(DomainError, match="finite positive"):
+            check_pair_identity(w, S, M, PAIR_TOL)
+
+    @pytest.mark.parametrize(
+        "w, accepted",
+        [
+            ([1.0, 1.0, 2.0**-14], True),  # scaled largest product 2**66
+            ([1.0, 1.0, 2.0**-15], False),  # 2**67, past 2**80 / _BRUTEFORCE_CAP
+            ([1e-160] * 3, False),  # the smallest product is not a normal double
+            pytest.param(  # low is 1.0, but 2**52 * 1e300 overflows
+                [1e300, 1e-300], False,
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered in ldexp"),
+            ),
+        ],
+    )
+    def test_span_past_the_split_bound(self, w, accepted):
+        w = np.array(w)
+        zeros = np.zeros(len(w) + 1)
+        if accepted:
+            assert _pair_row_sums(w, samples(3)) == pair_row_sums_limbs(w, samples(3))
+            check_pair_identity(w, zeros, zeros, PAIR_TOL)
+        else:
+            with pytest.raises(DomainError, match="span"):
+                check_pair_identity(w, zeros, zeros, PAIR_TOL)
 
 
 class TestJumpVectorized:
