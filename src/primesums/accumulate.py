@@ -22,15 +22,18 @@ computes the weights, splits each value exactly into 40-bit int64 limbs
 and sums the limbs; only block totals become Python ints.  A prefix sum
 within a block is formed only where a mark or a sample reads it.
 
-Checkpoints are one table over a geometric x-grid, one array per column,
-built in one pass by checkpoint_table; sums are inclusive (p <= x), and a
-grid point that lands exactly on a prime counts that prime.
+Checkpoints are one table over a geometric x-grid, held as its four stored
+columns x, pi, S and M, with E and the ratios derived where they are read;
+sums are inclusive (p <= x), and a grid point that lands exactly on a
+prime counts that prime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -81,10 +84,12 @@ def weights(primes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """The checkpoint table of a run: one array per CSV column, a row per
-    grid point x in ascending order, pi as int64.
+    """The checkpoint table of a run: a row per grid point x in ascending
+    order, held as the four columns the checkpoint file stores, pi as int64.
 
-    Ratio columns are NaN below x = 3, where the x/log x scales are not
+    E and the four ratios are derived where they are read: the first read
+    of any forms all five (derived), which the table then keeps.  Ratio
+    columns are NaN below x = 3, where the x/log x scales are not
     meaningful; every pipeline grid starts at 3 or above.
     """
 
@@ -92,44 +97,50 @@ class Checkpoint:
     pi: np.ndarray
     S: np.ndarray
     M: np.ndarray
-    E: np.ndarray
-    r_S: np.ndarray
-    r_E_pi: np.ndarray
-    r_E_x: np.ndarray
-    mertens_remainder: np.ndarray
 
     def __len__(self) -> int:
         return len(self.x)
 
+    @cached_property
+    def derived(self) -> dict[str, np.ndarray]:
+        """E = S*S - M and the four ratios, in one pass: the one formula of
+        the derived columns."""
+        x, S, M = self.x, self.S, self.M
+        E = S * S - M
+        scaled = x >= 3.0
+        lx = np.full(len(x), math.nan)  # NaN below 3 carries into r_S, r_E_x, M - lx
+        lx[scaled] = np.log(x[scaled])
+        return {
+            "E": E,
+            "r_S": S / np.sqrt(x / lx),
+            "r_E_pi": E / np.where(scaled, self.pi, math.nan),
+            "r_E_x": E * lx / x,
+            "mertens_remainder": M - lx,
+        }
+
+    E = property(lambda self: self.derived["E"])
+    r_S = property(lambda self: self.derived["r_S"])
+    r_E_pi = property(lambda self: self.derived["r_E_pi"])
+    r_E_x = property(lambda self: self.derived["r_E_x"])
+    mertens_remainder = property(lambda self: self.derived["mertens_remainder"])
+
     def select(self, rows) -> "Checkpoint":
-        """The table of the rows a boolean mask, index array or slice picks."""
-        return Checkpoint(*(getattr(self, f.name)[rows] for f in fields(self)))
+        """The table of the rows a boolean mask, index array or slice picks,
+        with those rows of the derived columns if they are already formed."""
+        out = Checkpoint(self.x[rows], self.pi[rows], self.S[rows], self.M[rows])
+        if "derived" in vars(self):  # the cache of the derived property
+            vars(out)["derived"] = {k: v[rows] for k, v in self.derived.items()}
+        return out
 
 
 def checkpoint_table(x, pi, S, M) -> Checkpoint:
     """The checkpoint table at grid points x with prime counts pi and sums
-    S, M there: E = S*S - M and the four ratios, in one pass.
-
-    The one formula of the derived columns; snapshot is its one-row case.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.int64)
-    S = np.asarray(S, dtype=np.float64)
-    M = np.asarray(M, dtype=np.float64)
-    E = S * S - M
-    scaled = x >= 3.0
-    lx = np.full(len(x), math.nan)  # NaN below 3 carries into r_S, r_E_x, M - lx
-    lx[scaled] = np.log(x[scaled])
+    S, M there, as float64 and int64 columns; snapshot is its one-row case."""
     return Checkpoint(
-        x=x,
-        pi=pi,
-        S=S,
-        M=M,
-        E=E,
-        r_S=S / np.sqrt(x / lx),
-        r_E_pi=E / np.where(scaled, pi, math.nan),
-        r_E_x=E * lx / x,
-        mertens_remainder=M - lx,
+        np.asarray(x, dtype=np.float64),
+        np.asarray(pi, dtype=np.int64),
+        np.asarray(S, dtype=np.float64),
+        np.asarray(M, dtype=np.float64),
     )
 
 
@@ -356,17 +367,22 @@ def check_grid(x_start: float, x_max: float, ratio: float) -> None:
         raise ConfigError("grid ratio too close to 1: more than 1e7 points")
 
 
-def grid_points(x_start: float, x_max: float, ratio: float) -> list[float]:
-    """Geometric grid x_start * ratio^k clipped to x_max, with x_max as the
-    final point whether or not it lies on the lattice; check_grid refuses
-    first a grid it cannot build."""
+def grid_points(x_start: float, x_max: float, ratio: float) -> np.ndarray:
+    """Geometric grid x_start * ratio**k (Python's float **) clipped to
+    x_max, with x_max as the final point whether or not it lies on the
+    lattice, as a float64 array; check_grid refuses first a grid it cannot
+    build."""
     check_grid(x_start, x_max, ratio)
-    points: list[float] = []
-    k = 0
-    while (pt := x_start * ratio**k) < x_max:
-        points.append(pt)
-        k += 1
-    points.append(x_max)
+    ratio = float(ratio)
+    # n: the first k with x_start * ratio**k >= x_max, from its closed form
+    n = math.ceil(math.log(x_max / x_start) / math.log(ratio))
+    while n > 0 and x_start * ratio ** (n - 1) >= x_max:
+        n -= 1
+    while x_start * ratio**n < x_max:
+        n += 1
+    points = np.fromiter(chain(map(ratio.__pow__, range(n)), [1.0]), np.float64, n + 1)
+    points *= x_start
+    points[n] = x_max
     return points
 
 
@@ -425,7 +441,10 @@ def run_stream(
             gj = int(np.searchsorted(grid, seg.hi, side="right"))
             cuts = np.searchsorted(seg.primes, grid[gi:gj], side="right")
             pi[gi:gj] = state.n + cuts
-            S[gi:gj], M[gi:gj] = state.extend_primes(seg.primes, samples, cuts)
+            first = np.flatnonzero(np.diff(cuts, prepend=-1))  # of each distinct cut
+            s_at, m_at = state.extend_primes(seg.primes, samples, cuts[first])
+            runs = np.diff(first, append=len(cuts))  # the points that share it
+            S[gi:gj], M[gi:gj] = np.repeat(s_at, runs), np.repeat(m_at, runs)
             gi = gj
     # grid points past the last segment hold every prime absorbed
     pi[gi:], S[gi:], M[gi:] = state.n, state.S_total, state.M_total

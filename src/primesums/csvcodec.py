@@ -13,10 +13,11 @@ The fast path for "%.17g", after Adams, "Ryu revisited: printf floating
 point conversion" (OOPSLA 2019): fixed-precision digits by exact integer
 multiplication.
 
-Domain: finite v with 1e-5 <= |v| < 1e17 whose decimal exponent X, after
-rounding to 17 digits, lies in [-4, 16], where %g prints fixed notation.
-NaN, inf, +-0, subnormals and every value that %g prints in e-notation
-are off it, and so is a value where a check below fails.
+Domain: +-0, and finite v with 1e-5 <= |v| < 1e17 whose decimal exponent
+X, after rounding to 17 digits, lies in [-4, 16], where %g prints fixed
+notation.  NaN, inf, subnormals and every value that %g prints in
+e-notation are off it, and so is a value where a check below fails.  A
+zero takes the slot of 1 (X = 0) with its leading digit 0: "0" or "-0".
 
 Digits: np.frexp splits |v| exactly into m * 2**e, m < 2**61 an integer
 (the 53 significant bits shifted up by 8).  With k a guess of
@@ -191,12 +192,13 @@ def _decimal(a: np.ndarray):
 def _real_slots(v: np.ndarray):
     """(chars, keep) of b"%.17g" % x for each x of v: two (n, _SLOT) arrays,
     row i's bytes being chars[i][keep[i]]; None if any x is off the path."""
-    got = _decimal(np.abs(v))
+    zero = v == 0.0
+    got = _decimal(np.where(zero, 1.0, np.abs(v)))
     if got is None:
         return None
     X = got[1]
     lead, g, digits = _digits(got[0])
-    lead = lead.astype(np.uint64) + _U(ord("0"))
+    lead = (lead - zero).astype(np.uint64) + _U(ord("0"))
     a, b = digits  # d1-d8, d9-d16
     # the 17 digits at bytes 6-22, and moved one byte on, to 7-23
     words, moved = np.empty((2, len(v), 3), dtype=np.uint64)

@@ -10,7 +10,7 @@ The header's keys: anS (a_n*S_{n-1} at the power-of-two n), config_hash
 length and CRC-32 of the checkpoints.csv written beside it), grid_ratio,
 grid_start, rows, segment_size, state (the accumulator's slots, the exact
 sums as integers in units of 2**-120) and x_max.  The `x pi S M` table
-(checkpoint_table derives the rest) follows as lines of the base64 of up
+(Checkpoint derives the rest) follows as lines of the base64 of up
 to _CHUNK binary _ROW records.  The records hold the doubles themselves,
 and json the sums as integers, so a restored run continues bit-identically.
 
@@ -28,6 +28,9 @@ report writes that as checkpoints.csv beside it.
 
 Tables stay columns (a dataclass of equal-length arrays) from the code
 that computes them to the writers; rows exist only inside the writers.
+compute holds the checkpoint table as its four stored columns, 32 bytes a
+row; E and the ratios are formed where they are read, by the CSV writer a
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -100,11 +103,11 @@ FORMAT_VERSION = 6  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
 BUNDLE_FORMAT_VERSION = 2  # of report.json
 
-CSV_COLUMNS = tuple(f.name for f in fields(Checkpoint))
+CSV_COLUMNS = ("x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder")
 # one CSV line: x, pi as an integer, then the reals, each with 17 digits
 _CSV_ROW = ",".join(["%.17g", "%d", *["%.17g"] * (len(CSV_COLUMNS) - 2)]).encode() + b"\n"
 # a record of the checkpoint file's table, little-endian on every host:
-# what checkpoint_table takes
+# the columns a Checkpoint holds
 _ROW = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
 # report.json keys that differ from the dataclass field names
 _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
@@ -131,8 +134,12 @@ def _csv_chunks(template: bytes, columns: list[np.ndarray]) -> Iterator[bytes]:
 
 
 def _table_chunks(table: Checkpoint) -> Iterator[bytes]:
-    """The checkpoint table's CSV lines by _CSV_ROW, _CHUNK rows at a time."""
-    return _csv_chunks(_CSV_ROW, [getattr(table, name) for name in CSV_COLUMNS])
+    """The checkpoint table's CSV lines by _CSV_ROW, _CHUNK rows at a time:
+    each chunk's derived columns are formed with it, unless the table
+    already holds them."""
+    for i in range(0, len(table), _CHUNK):
+        chunk = table.select(slice(i, i + _CHUNK))
+        yield encode_rows(_CSV_ROW, [getattr(chunk, name) for name in CSV_COLUMNS])
 
 
 def _row_records(table: Checkpoint) -> Iterator[bytes]:
@@ -237,7 +244,7 @@ class RunConfig:
         """The check's tolerance; None for an exact check."""
         return self.tolerances.get(check_id, DEFAULT_TOLERANCES.get(check_id))
 
-    def grid(self) -> list[float]:
+    def grid(self) -> np.ndarray:
         return grid_points(self.grid_start, float(self.x_max), self.grid_ratio)
 
     def config_hash(self) -> str:
@@ -434,7 +441,7 @@ def resume(path: Path, cfg: RunConfig) -> tuple[StoredRun, np.ndarray]:
     with one start and ratio (the config hash): the rows they share are a
     common prefix.  Refuses (ConfigError) an x_max below the stored state."""
     stored = read_checkpoint_file(path, cfg, extend=True)
-    grid = np.asarray(cfg.grid())
+    grid = cfg.grid()
     n = min(len(stored.checkpoints), len(grid))
     # the first row where they differ, or n
     k = int(np.argmin(np.append(stored.checkpoints.x[:n] == grid[:n], False)))
@@ -464,9 +471,14 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     if len(grid):
         new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
                          state=result.state, samples=result.power_samples)
-        kept, added = vars(result.checkpoints).values(), vars(new.checkpoints).values()
-        table = Checkpoint(*map(np.concatenate, zip(kept, added)))
-        result = RunResult(table, new.state, new.power_samples)
+        if len(result.checkpoints):  # a resume: the kept rows' stored columns, then the new
+            table = Checkpoint(*(np.concatenate((getattr(result.checkpoints, f.name),
+                                                 getattr(new.checkpoints, f.name)))
+                                 for f in fields(Checkpoint)))
+            # the kept rows as a view of it, so that the stored records are freed
+            stored = replace(stored, checkpoints=table.select(slice(0, len(stored.checkpoints))))
+            new.checkpoints = table
+        result = new
     csv_digest = write_csv(cfg.csv_path(), result.checkpoints, stored)
     write_checkpoint_file(cfg.checkpoint_path(), cfg, result, csv_digest)
     return result

@@ -14,11 +14,12 @@ column forms in primesums must match bit for bit: make_term and push
 (with JumpState's telescoped jump sum, which the accumulator does not
 keep), and a one-row snapshot at each grid point for the checkpoint table, the
 brute-force pair sum, and the row loops of the pair, jump, Abel, block,
-E-monotone, positivity, band and Mertens-width checks, and the per-value
-row codec of the checkpoint table.  Their signatures match the calls
-primesums makes, so a test can swap them in.  Each takes numpy's log of
-one value at a time (np_log), which equals numpy's log of the whole array
-bit for bit, so w is the accumulator's own.  The third part keeps
+E-monotone, positivity, band and Mertens-width checks, the per-value
+row codec of the checkpoint table, the checkpoint table with every derived
+column formed at once, and the grid as a loop over k.  Their signatures
+match the calls primesums makes, so a test can swap them in.  Each takes
+numpy's log of one value at a time (np_log), which equals numpy's log of
+the whole array bit for bit, so w is the accumulator's own.  The third part keeps
 quantities no command computes: the sampled a_n * S_{n-1} series, the
 growth of the main-term integral, h' and w'.
 """
@@ -29,7 +30,7 @@ import bisect
 import math
 import sys
 from collections import namedtuple
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import mpmath
@@ -43,6 +44,8 @@ from primesums.accumulate import (
     WeightedPrimeTerm,
     _limbs,
     _round_prefixes,
+    check_grid,
+    checkpoint_table,
     run_stream,
     weights,
 )
@@ -131,7 +134,79 @@ def rows(table) -> list:
     return [kind(*row) for row in zip(*(getattr(table, f).tolist() for f in kind._fields))]
 
 
-def table_of(row_list: Sequence, kind=Checkpoint):
+@dataclass(frozen=True, eq=False)
+class EagerCheckpoint:
+    """The checkpoint table with all nine columns held, as one pass formed
+    them before Checkpoint derived E and the ratios where they are read."""
+
+    x: np.ndarray
+    pi: np.ndarray
+    S: np.ndarray
+    M: np.ndarray
+    E: np.ndarray
+    r_S: np.ndarray
+    r_E_pi: np.ndarray
+    r_E_x: np.ndarray
+    mertens_remainder: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def select(self, rows) -> "EagerCheckpoint":
+        return EagerCheckpoint(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def checkpoint_table_eager(x, pi, S, M) -> EagerCheckpoint:
+    """The eager checkpoint table: E = S*S - M and the four ratios, formed
+    in one pass over the whole table."""
+    x = np.asarray(x, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.int64)
+    S = np.asarray(S, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    E = S * S - M
+    scaled = x >= 3.0
+    lx = np.full(len(x), math.nan)  # NaN below 3 carries into r_S, r_E_x, M - lx
+    lx[scaled] = np.log(x[scaled])
+    return EagerCheckpoint(
+        x=x,
+        pi=pi,
+        S=S,
+        M=M,
+        E=E,
+        r_S=S / np.sqrt(x / lx),
+        r_E_pi=E / np.where(scaled, pi, math.nan),
+        r_E_x=E * lx / x,
+        mertens_remainder=M - lx,
+    )
+
+
+def table_with(table, **columns) -> Checkpoint:
+    """A Checkpoint with the columns of table (any of the nine by name) and
+    the given ones in their place, derived columns included: a fault put
+    into E or a ratio stays there for every reader, as the table's
+    already-formed derived columns."""
+    cols = {name: getattr(table, name) for name in Row._fields} | columns
+    out = checkpoint_table(*(cols[f.name] for f in fields(Checkpoint)))
+    # the cache of Checkpoint.derived: E and the four ratios, as given
+    vars(out)["derived"] = {name: np.asarray(cols[name], dtype=np.float64)
+                            for name in Row._fields[4:]}
+    return out
+
+
+def grid_points_loop(x_start: float, x_max: float, ratio: float) -> np.ndarray:
+    """accumulate.grid_points as a loop over k: x_start * ratio**k, one
+    Python float at a time, while below x_max, then x_max."""
+    check_grid(x_start, x_max, ratio)
+    points: list[float] = []
+    k = 0
+    while (pt := x_start * ratio**k) < x_max:
+        points.append(pt)
+        k += 1
+    points.append(x_max)
+    return np.array(points, dtype=np.float64)
+
+
+def table_of(row_list: Sequence, kind=EagerCheckpoint):
     """The column table of rows (namedtuples or per-point dataclasses)."""
     return kind(*(np.array([getattr(r, f.name) for r in row_list]) for f in fields(kind)))
 
@@ -140,12 +215,12 @@ def assert_same_table(mine, ref) -> None:
     """Equal column dtypes, and equal values by repr, naming the first row
     that differs rather than diffing the whole table."""
     assert len(mine.x) == len(ref.x)
-    for f in fields(mine):
-        a, b = getattr(mine, f.name), getattr(ref, f.name)
-        assert a.dtype == b.dtype, f.name
+    for name in Row._fields:
+        a, b = getattr(mine, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
         i = next((i for i, (u, v) in enumerate(zip(a.tolist(), b.tolist()))
                   if repr(u) != repr(v)), None)
-        assert i is None, (f.name, i, a[i], b[i])
+        assert i is None, (name, i, a[i], b[i])
 
 
 def make_term(index: int, prime: int) -> WeightedPrimeTerm:
@@ -281,7 +356,9 @@ def snapshot_scalar(state: SumState, x: float) -> Row:
     return Row(x, state.n, s, m, e, r_s, r_e_pi, r_e_x, remainder)
 
 
-def checkpoints_scalar(x_max: float, grid, state: SumState | None = None) -> Checkpoint:
+def checkpoints_scalar(
+    x_max: float, grid, state: SumState | None = None
+) -> EagerCheckpoint:
     """run_stream's checkpoint table by pushing one prime at a time and
     taking snapshot_scalar at each grid point; state continues a run."""
     state = state if state is not None else SumState()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     check_E_monotone_scalar,
     checkpoints_scalar,
     empirical_constants_scalar,
+    grid_points_loop,
     make_term,
     mertens_width_scalar,
     np_log,
@@ -200,10 +201,10 @@ class TestSnapshot:
 
 class TestGridPoints:
     def test_powers_of_two(self):
-        assert grid_points(100, 800, 2) == [100, 200, 400, 800]
+        assert grid_points(100, 800, 2).tolist() == [100, 200, 400, 800]
 
     def test_degenerate(self):
-        assert grid_points(100, 100, 2) == [100]
+        assert grid_points(100, 100, 2).tolist() == [100]
 
     def test_quarter_octave_to_1e6(self):
         pts = grid_points(100, 10**6, 2 ** 0.25)
@@ -245,6 +246,29 @@ class TestGridPoints:
         assert pts[0] >= start * 0.999999
         assert pts[-1] == start * span
         assert all(a < b for a, b in zip(pts, pts[1:]))
+
+    @given(
+        st.floats(min_value=3, max_value=1e12),
+        st.floats(min_value=1.0 + 2**-30, max_value=1e3),
+        st.floats(min_value=3, max_value=1e12),
+    )
+    @example(100.0, 2.0, 800.0)  # x_max on the lattice
+    @example(3.0, 1.5, 3.0)  # x_max = start
+    @example(100.0, 1.0 + 2**-30, 100.00001)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop(self, start, ratio, x_max):
+        """Bit for bit the points of the loop over k, Python's ** each."""
+        assume(start <= x_max and math.log(x_max / start) / math.log(ratio) < 20_000)
+        assert grid_points(start, x_max, ratio).tobytes() == (
+            grid_points_loop(start, x_max, ratio).tobytes())
+
+    @pytest.mark.parametrize("x_max, ratio", [(1e7, 1.0001), (2e7, 1.0001), (1e7, 1.00001152)])
+    def test_dense_equals_loop(self, x_max, ratio):
+        """The dense grids, where np.power differs from ** in the last bit
+        at thousands of points."""
+        pts = grid_points(100.0, x_max, ratio)
+        assert pts.dtype == np.float64 and len(pts) > 115_000
+        assert pts.tobytes() == grid_points_loop(100.0, x_max, ratio).tobytes()
 
 
 class TestCompensation:
@@ -441,7 +465,7 @@ class TestRunStream:
     def test_checkpoints_on_grid(self):
         grid = grid_points(100, 10**4, 2 ** 0.25)
         res = run_stream(1e4, grid)
-        assert res.checkpoints.x.tolist() == grid
+        assert res.checkpoints.x.tolist() == grid.tolist()
         assert res.checkpoints.pi[-1] == 1229
 
     def test_monotone_checkpoint_fields(self):
@@ -527,7 +551,7 @@ class TestTableAgainstPerPoint:
         assert all(x < seg.primes[0] for x, seg in zip(cut_zero, segments[100:103]))
         on_primes = [7919.0, 999983.0]
         past = [999990.0, 1_000_000.25, self.X_MAX]
-        return sorted(set(dense[:-1] + cut_zero + on_primes + past))
+        return sorted(set(dense[:-1].tolist() + cut_zero + on_primes + past))
 
     @pytest.fixture(scope="class")
     def reference(self, grid):

@@ -1,10 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import an_Sn_series, block_records_scalar, eval_w, rows
+from oracles import an_Sn_series, block_records_scalar, eval_w, rows, table_with
 from primesums.accumulate import SumState, grid_points, run_stream, snapshot
 from primesums.asymptotics import (
     an_sn_band,
@@ -244,11 +243,11 @@ class TestConsistencyRecords:
 
     def test_ratio_positivity_catches_corruption(self, run_1e5):
         last = run_1e5.checkpoints.select([-1])
-        rec = ratio_positivity_record(replace(last, r_S=np.array([-1.0])), [])
+        rec = ratio_positivity_record(table_with(last, r_S=np.array([-1.0])), [])
         assert not rec.passed
         assert rec.location == last.x[0] and rec.lhs == -1.0
         # a NaN in any ratio column fails, as a NaN sample does
         for field in ("r_S", "r_E_pi", "r_E_x"):
-            rec = ratio_positivity_record(replace(last, **{field: np.array([math.nan])}))
+            rec = ratio_positivity_record(table_with(last, **{field: np.array([math.nan])}))
             assert not rec.passed and rec.lhs == -math.inf
         assert not ratio_positivity_record(last, [(2, math.nan)]).passed

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from jsonschema import validate
 import primesums.cli as cli
 import primesums.report as report
 from oracles import (
+    EagerCheckpoint,
     JumpState,
     abel_decompose_scalar,
     abel_records_scalar,
@@ -26,6 +28,7 @@ from oracles import (
     assert_same_table,
     block_sandwich_scalar,
     check_E_monotone_scalar,
+    checkpoint_table_eager,
     empirical_constants_scalar,
     eval_w,
     jump_record_scalar,
@@ -38,9 +41,9 @@ from oracles import (
     sandwich_records_scalar,
     scale_identity_scalar,
     table_lines_scalar,
+    table_with,
 )
 from primesums.accumulate import (
-    Checkpoint,
     checkpoint_table,
     grid_points,
     run_stream,
@@ -753,9 +756,92 @@ class TestTableCodec:
     @example([(-0.0, 0, *EDGE_FLOATS[7:])])
     def test_any_doubles(self, row_list):
         cols = list(zip(*row_list))
-        table = Checkpoint(*(np.array(c, dtype=np.int64 if f == "pi" else np.float64)
-                             for f, c in zip(report.CSV_COLUMNS, cols)))
+        table = table_with(EagerCheckpoint(*(
+            np.array(c, dtype=np.int64 if f == "pi" else np.float64)
+            for f, c in zip(report.CSV_COLUMNS, cols))))
         assert_codec_matches(table)
+
+
+def random_columns(seed: int, n: int):
+    """The stored columns x, pi, S, M of a random table: x on both sides of
+    3 and across 17 decades, S and M of either sign and many scales."""
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.uniform(0.0, 40.0, n))
+    x[rng.choice(n, 3, replace=False)] = [1.0, 2.5, 3.0]  # below 3, and at it
+    pi = rng.integers(1, 10**12, n)
+    S, M = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-3.0, 8.0, (2, n))
+    return x, pi, S, M
+
+
+class TestDerivedAgainstEager:
+    """E and the four ratios, formed where they are read, equal those of
+    the eager table (tests/oracles.py) bit for bit: read on the whole
+    table, through select, and through the CSV writer, at every split."""
+
+    N = 37
+
+    @pytest.fixture(params=range(4))
+    def tables(self, request):
+        columns = random_columns(request.param, self.N)
+        return checkpoint_table(*columns), checkpoint_table_eager(*columns)
+
+    @staticmethod
+    def assert_bits(mine, ref) -> None:
+        for name in report.CSV_COLUMNS:
+            assert getattr(mine, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_whole_table(self, tables):
+        lazy, eager = tables
+        assert "derived" not in vars(lazy)  # nothing is formed before a read
+        self.assert_bits(lazy, eager)
+
+    @pytest.mark.parametrize("formed", [False, True], ids=["unformed", "formed"])
+    def test_select(self, tables, formed):
+        """Rows picked from a table that has formed its derived columns
+        (they are sliced) or not (the rows form their own)."""
+        lazy, eager = tables
+        if formed:
+            lazy.E
+        picks = [slice(0, k) for k in range(self.N + 1)] + [
+            slice(k, None) for k in range(self.N + 1)]
+        picks += [eager.x > 1e6, np.arange(self.N)[::-3]]
+        for rows in picks:
+            self.assert_bits(lazy.select(rows), eager.select(rows))
+        assert ("derived" in vars(lazy)) == formed
+
+    @pytest.mark.parametrize("formed", [False, True], ids=["unformed", "formed"])
+    def test_csv_writer(self, tables, formed, monkeypatch):
+        """At every chunk size, each chunk forming its own columns or
+        slicing the table's."""
+        lazy, eager = tables
+        if formed:
+            lazy.E
+        columns = [getattr(eager, name) for name in report.CSV_COLUMNS]
+        for chunk in range(1, self.N + 1):
+            monkeypatch.setattr(report, "_CHUNK", chunk)
+            assert list(report._table_chunks(lazy)) == list(
+                report._csv_chunks(report._CSV_ROW, columns))
+        assert ("derived" in vars(lazy)) == formed
+
+
+@pytest.mark.parametrize("first_x", [10**6, 5 * 10**5], ids=["completed", "split"])
+def test_compute_peak_per_row(tmp_path, first_x):
+    """compute, then a resume to 1e6, on the dense grid (92,110 rows)
+    trace at most 120 bytes a row at their peak: the table is held as its
+    four stored columns, 32 bytes a row, and never copied whole beside
+    itself.  Holding all nine columns took 202 bytes a row."""
+    first = RunConfig(x_max=first_x, grid_ratio=1.0001, out_dir=tmp_path / "first")
+    resumed = RunConfig(x_max=10**6, grid_ratio=1.0001, out_dir=tmp_path / "resumed",
+                        resume_from=first.checkpoint_path())
+    tracemalloc.start()
+    try:
+        cmd_compute(first)
+        rows = len(cmd_compute(resumed).checkpoints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 92_110
+    assert peak <= 120 * rows, peak / rows
 
 
 def _count_formatted(monkeypatch) -> list[int]:

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import primesums.csvcodec as csvcodec
 import primesums.report as report
-from oracles import table_lines_scalar
-from primesums.accumulate import Checkpoint, grid_points, run_stream
+from oracles import table_lines_scalar, table_with
+from primesums.accumulate import grid_points, run_stream
 
 
 def fast_rows(template: bytes, columns) -> bytes:
@@ -115,6 +115,7 @@ class TestFastPath:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(signed, min_size=1, max_size=60))
     @example([1e-4, -1e-4, 2.0**53, -(2.0**53), 1e15, 0.1, 1 / 3])
+    @example([0.0, -0.0, 1.0, -1.0, 0.0])
     def test_domain(self, values):
         assert_reals(values)
 
@@ -139,6 +140,20 @@ class TestFastPath:
         assert fast_rows(template, cols) == template * len(rows) % tuple(
             v for row in rows for v in row)
 
+    def test_signed_zeros_in_every_column(self):
+        """+0 and -0 print "0" and "-0" in any field of the checkpoint row,
+        beside values of other decades and signs, and 0 in the %d field."""
+        fields = report._CSV_ROW.rstrip(b"\n").split(b",")
+        base = [1.5, 7, 0.25, 3.0, -2.5, 1e16, 1e-4, 123.456, -0.1]
+        rows = [base[:j] + [zero] + base[j + 1 :]
+                for j, f in enumerate(fields)
+                for zero in ((0.0, -0.0) if f == b"%.17g" else (0,))]
+        rows.append([0.0, 0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0])
+        cols = [np.array(c, dtype=np.int64 if f == b"%d" else np.float64)
+                for f, c in zip(fields, zip(*rows))]
+        assert fast_rows(report._CSV_ROW, cols) == report._CSV_ROW * len(rows) % tuple(
+            v for row in rows for v in row)
+
 
 @pytest.fixture(scope="module")
 def dense():
@@ -151,7 +166,7 @@ def table_text(table) -> bytes:
 
 
 @pytest.mark.parametrize("column, value", [
-    ("S", math.nan), ("M", -0.0), ("E", 5e-324), ("r_S", 1e300), ("x", math.inf),
+    ("S", math.nan), ("M", 1e-6), ("E", 5e-324), ("r_S", 1e300), ("x", math.inf),
     ("pi", -1), ("pi", 10**16),
 ])
 def test_one_value_off_the_path(dense, column, value):
@@ -160,7 +175,7 @@ def test_one_value_off_the_path(dense, column, value):
     table = dense.select(slice(0, csvcodec._SUB + 100))
     col = getattr(table, column).copy()
     col[csvcodec._SUB + 7] = value  # in the chunk's second block
-    table = Checkpoint(**{**vars(table), column: col})
+    table = table_with(table, **{column: col})
     cols = [getattr(table, name) for name in report.CSV_COLUMNS]
     fields = report._CSV_ROW.rstrip(b"\n").split(b",")
     assert csvcodec._fast_rows(fields, [c[csvcodec._SUB:] for c in cols]) is None
@@ -178,3 +193,26 @@ def test_runs_take_no_fallback(monkeypatch, ratio):
 
     monkeypatch.setattr(csvcodec, "percent_rows", refused)
     assert b"".join(report._table_chunks(table)) == table_text(table)
+
+
+def test_report_takes_no_fallback(monkeypatch, tmp_path):
+    """report's files take the fast path: series_anS.csv, whose first
+    sample is (1, 0.0), no longer goes through percent_rows."""
+    cfg = report.RunConfig(x_max=10**5, out_dir=tmp_path)
+    report.cmd_compute(cfg)
+    calls = []
+    percent_rows = csvcodec.percent_rows
+
+    def spy(template, columns):
+        calls.append((template, len(columns[0])))
+        return percent_rows(template, columns)
+
+    monkeypatch.setattr(csvcodec, "percent_rows", spy)
+    stored = report.read_checkpoint_file(cfg.checkpoint_path())
+    report.cmd_report(report.RunConfig(x_max=None, out_dir=tmp_path / "report",
+                                       resume_from=cfg.checkpoint_path()))
+    assert calls == []
+    samples = stored.an_sn_samples
+    assert samples[0] == (1, 0.0)
+    assert (tmp_path / "report" / "series_anS.csv").read_bytes() == b"n,value\n" + b"".join(
+        b"%d,%.17g\n" % sample for sample in samples)

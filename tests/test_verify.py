@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    checkpoint_table_eager,
     jump_record_scalar,
     make_term,
     pair_prime_bound,
     pair_records_scalar,
     pair_row_sums_limbs,
     pair_sum_bruteforce,
+    table_with,
     weight_arrays,
 )
 from primesums.accumulate import (
     BLOCK,
-    Checkpoint,
     SumState,
     exact_sums_at,
     grid_points,
@@ -284,8 +285,8 @@ def cps_at(es):
     """A table with E = es at x = 10, 20, ..., every other column constant."""
     n = len(es)
     ones = np.ones(n)
-    return Checkpoint(
-        x=10.0 * np.arange(1, n + 1), pi=np.arange(1, n + 1), S=ones, M=ones,
+    return table_with(
+        checkpoint_table_eager(10.0 * np.arange(1, n + 1), np.arange(1, n + 1), ones, ones),
         E=np.array(es, dtype=np.float64), r_S=ones, r_E_pi=ones, r_E_x=ones,
         mertens_remainder=np.zeros(n),
     )
