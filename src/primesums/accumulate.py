@@ -446,6 +446,7 @@ def run_stream(
             runs = np.diff(first, append=len(cuts))  # the points that share it
             S[gi:gj], M[gi:gj] = np.repeat(s_at, runs), np.repeat(m_at, runs)
             gi = gj
+            del seg  # not kept alive while the next window is sieved
     # grid points past the last segment hold every prime absorbed
     pi[gi:], S[gi:], M[gi:] = state.n, state.S_total, state.M_total
     return RunResult(checkpoint_table(grid, pi, S, M), state, samples)

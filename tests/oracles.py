@@ -87,6 +87,28 @@ def trial_division_pi(limit: int) -> int:
     return len(trial_division_primes(limit))
 
 
+def window_mask_loop(wlo: int, hi: int, odd_base: Sequence[int]) -> tuple[int, np.ndarray]:
+    """The sieve's window kernel one base prime at a time: (first, mask) for
+    the odd numbers in (wlo, hi], wlo odd, where mask[i] is first + 2i;
+    odd_base holds the odd primes up to at least isqrt(hi), ascending."""
+    first = wlo + 2
+    if hi < first:
+        return first, np.zeros(0, dtype=bool)
+    mask = np.ones((hi - first) // 2 + 1, dtype=bool)
+    for p in odd_base:
+        pp = p * p
+        if pp > hi:
+            break
+        # smallest odd multiple of p strictly above wlo, but never below p*p
+        start = max(pp, (wlo // p + 1) * p)
+        if start % 2 == 0:
+            start += p
+        if start > hi:
+            continue
+        mask[(start - first) >> 1 :: p] = False
+    return first, mask
+
+
 def reference_sums(primes: list[int]) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
     """(S, M, E) over the given primes at 40 decimal digits."""
     s = mpmath.mpf(0)

@@ -2,6 +2,7 @@ import bisect
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields as dataclass_fields, replace
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from primesums.asymptotics import (
     ratio_positivity_record,
 )
 from primesums.errors import ConfigError, DomainError, SequencingError
+from primesums.report import RunConfig
 from primesums.sieve import SieveConfig, base_primes, prime_array, stream_segments
 from primesums.verify import check_E_monotone
 
@@ -515,6 +517,20 @@ class TestRunStream:
 
     def test_grid_at_x_max_accepted(self):
         assert run_stream(1000.5, [100.0, 1000.5]).checkpoints.pi.tolist() == [25, 168]
+
+    def test_one_prime_array_per_window(self):
+        # the traced peak of a 1e8 run on the default grid: 2.6 MB with one
+        # window's mask or primes alive at a time; 3.4 MB when the loop's
+        # segment outlives its step, 4.6 MB when the mask, three prime-sized
+        # arrays and the previous window's primes were alive together
+        grid = RunConfig(x_max=10**8).grid()
+        tracemalloc.start()
+        try:
+            run_stream(1e8, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3e6, peak
 
 
 class TestNumpyLog:

@@ -1,11 +1,28 @@
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primesums.errors import ConfigError
-from primesums.sieve import PrimeSegment, SieveConfig, base_primes, prime_count, stream_segments
+from primesums.sieve import (
+    DEFAULT_SEGMENT_SIZE,
+    PrimeSegment,
+    SieveConfig,
+    _sieving_primes,
+    _window_mask,
+    base_primes,
+    prime_count,
+    stream_segments,
+)
 
-from oracles import trial_division_primes
+from oracles import trial_division_primes, window_mask_loop
+
+# every window the kernel tests draw ends below this
+KERNEL_TOP = 10**12 + 2**22
+ODD_BASE = base_primes(math.isqrt(KERNEL_TOP))[1:]
+SIEVING = _sieving_primes(KERNEL_TOP)
 
 
 def test_base_primes_small():
@@ -95,11 +112,67 @@ def test_deterministic_streams():
     assert a == b
 
 
-def test_stream_with_start_trims_absorbed_primes():
-    cfg = SieveConfig(limit=10_000, segment_size=1024)
-    full = [p for s in stream_segments(cfg) for p in s.primes]
-    tail = [p for s in stream_segments(cfg, start=101) for p in s.primes]
-    assert tail == [p for p in full if p >= 101]
+@given(st.integers(2, 100_000), st.integers(1024, 4096), st.integers(1, 100_001))
+@example(limit=10_000, segment_size=1024, start=101)
+@settings(max_examples=60, deadline=None)
+def test_stream_with_start_trims_absorbed_primes(limit, segment_size, start):
+    start = min(start, limit + 1)
+    cfg = SieveConfig(limit=limit, segment_size=segment_size)
+    full = np.concatenate([s.primes for s in stream_segments(cfg)])
+    segs = list(stream_segments(cfg, start=start))
+    tail = np.concatenate([s.primes for s in segs]) if segs else full[:0]
+    assert tail.tolist() == full[full >= start].tolist()
+    if segs:
+        assert segs[0].lo == max(1, start - 1) and segs[-1].hi == limit
+        # the first window is sieved from start: no memory under its
+        # array for the primes below start
+        primes = segs[0].primes
+        assert primes.base is None or primes.base.nbytes <= primes.nbytes
+
+
+def _assert_kernel_matches_loop(wlo: int, slots: int) -> None:
+    hi = wlo + 2 * slots
+    first, want = window_mask_loop(wlo, hi, ODD_BASE)
+    got = _window_mask(first, hi, SIEVING)
+    assert got.tobytes() == want.tobytes()
+
+
+# odd window starts in every decade to 1e12, windows that hold 3 to 13, and
+# windows that start at a p*p (the presieve's 9 to 169 among them); window
+# lengths in every octave to 2**21 slots, below and above the 15015 slots
+# of the presieve pattern
+ODD_WLO = st.one_of(
+    st.floats(0, 12).map(lambda e: int(10**e) // 2),
+    st.integers(0, 10),
+    st.sampled_from(ODD_BASE).map(lambda p: (p * p - 3) // 2),
+).map(lambda k: 2 * k + 1)
+SLOTS = st.floats(0, 21).map(lambda e: int(2**e))
+
+
+@given(ODD_WLO, SLOTS)
+@settings(max_examples=100, deadline=None)
+def test_window_kernel_matches_per_prime_loop(wlo, slots):
+    _assert_kernel_matches_loop(wlo, slots)
+
+
+@pytest.mark.parametrize("x", [10**10, 10**11, 10**12])
+def test_window_kernel_at_half_x(x):
+    span = 2 * DEFAULT_SEGMENT_SIZE
+    _assert_kernel_matches_loop(1 + (x // 2 - 2) // span * span, DEFAULT_SEGMENT_SIZE)
+
+
+@given(st.integers(0, 300_000), st.integers(1024, 8192))
+@settings(max_examples=40, deadline=None)
+def test_prime_count_equals_stream_count(limit, segment_size):
+    want = len(base_primes(limit))
+    assert prime_count(limit, segment_size=segment_size) == want
+    if limit >= 2:
+        cfg = SieveConfig(limit, segment_size)
+        assert sum(len(s.primes) for s in stream_segments(cfg)) == want
+
+
+def test_prime_count_1e9():
+    assert prime_count(10**9) == 50_847_534  # OEIS A006880
 
 
 def test_config_validation():
