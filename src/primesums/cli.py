@@ -27,8 +27,8 @@ from .report import (
     cmd_verify,
 )
 
-# --threads is accepted, within these bounds, so that existing command lines
-# keep working; the sieve runs on one thread and output never depended on it
+# --threads is accepted within these bounds and has no effect (the sieve runs
+# on one thread): it stays while perfbench/run.py passes --threads 1 to every command
 MAX_THREADS = 8
 
 
@@ -46,9 +46,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--grid-ratio",
         type=float,
         help="geometric spacing of checkpoints (> 1; 2^(1/4), or the file's)",
-    )
-    p.add_argument(
-        "--segment-size", type=int, help="odd numbers per sieve window (1024 to 2^24)"
     )
     p.add_argument("--A", type=float, help="block ratio for the lower-bound check (default: 8)")
     p.add_argument(
@@ -95,7 +92,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if args.x_max is None and (stored is None or args.command == "compute"):
         raise ConfigError("--x-max is required, but for verify --resume and report")
     given = dict(grid_start=args.grid_start, grid_ratio=args.grid_ratio,
-                 segment_size=args.segment_size, A=args.A, out_dir=args.out,
+                 A=args.A, out_dir=args.out,
                  lambdas=args.lambdas and tuple(args.lambdas),
                  tolerances=args.tol and _parse_tolerances(args.tol))
     # the grid flags left out stay None for the file's header to answer

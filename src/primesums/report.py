@@ -8,10 +8,11 @@ table, and `end <crc32>` last, the CRC-32 of every byte before that line.
 The header's keys: anS (a_n*S_{n-1} at the power-of-two n), config_hash
 (of the accumulation-relevant config fields), created, csv (the byte
 length and CRC-32 of the checkpoints.csv written beside it), grid_ratio,
-grid_start, rows, segment_size, state (the accumulator's slots, the exact
-sums as integers in units of 2**-120) and x_max.  The `x pi S M` table
-(Checkpoint derives the rest) follows as lines of the base64 of up
-to _CHUNK binary _ROW records.  The records hold the doubles themselves,
+grid_start, rows, state (the accumulator's slots, the exact sums as
+integers in units of 2**-120) and x_max; no reader looks up the
+segment_size key of earlier writers.  The `x pi S M` table (Checkpoint
+derives the rest) follows as lines of the base64 of up to _CHUNK binary
+_ROW records.  The records hold the doubles themselves,
 and json the sums as integers, so a restored run continues bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
@@ -90,7 +91,7 @@ from .calculus import (
 )
 from .csvcodec import encode_rows
 from .errors import CheckpointFormatError, ConfigError
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, prime_array
+from .sieve import prime_array
 from .verify import (
     VerificationRecord,
     check_E_monotone,
@@ -118,6 +119,10 @@ _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 SCAN_CAP = 10**6
 PAIR_N_CAP = 5000
 _CHUNK = 4096  # table rows encoded at a time
+# the largest x_max accepted: sieve windows sampled across a run to it on a 2-vCPU
+# box project about 19 h at 200 ns a prime (compute 1e11 took 99 ns a prime there)
+MAX_X_MAX = 10**13
+_NS_PER_PRIME = 200
 _BLOCK = 1 << 20  # bytes of a stored CSV read at a time
 
 
@@ -202,7 +207,6 @@ class RunConfig:
     x_max: int | None
     grid_start: float | None = 100.0
     grid_ratio: float | None = 2.0**0.25
-    segment_size: int = DEFAULT_SEGMENT_SIZE
     A: float = 8.0
     lambdas: tuple[float, ...] = (2.0, 4.0, 8.0)
     tolerances: dict[str, float] = field(default_factory=dict)
@@ -218,11 +222,16 @@ class RunConfig:
                 self.x_max = operator.index(self.x_max)
             except TypeError:
                 raise ConfigError(f"x_max must be an integer, got {self.x_max!r}") from None
+            if self.x_max > MAX_X_MAX:  # before any other check or allocation
+                # x / (log x - 1) primes at _NS_PER_PRIME, in ints, which hold any x_max
+                hours = (self.x_max // round(math.log(self.x_max) - 1) * _NS_PER_PRIME
+                         // (3600 * 10**9))
+                raise ConfigError(f"x_max must be <= {MAX_X_MAX:,}, got {self.x_max:,}: a "
+                                  f"compute to it projects to about {hours:,} h at "
+                                  f"{_NS_PER_PRIME} ns a prime")
         if None not in (self.x_max, self.grid_start, self.grid_ratio):
             # else these run again once a header has answered the Nones
             check_grid(self.grid_start, self.x_max, self.grid_ratio)
-            # the sieve's bounds, checked before anything is allocated
-            SieveConfig(limit=self.x_max, segment_size=self.segment_size)
         if not 1.0 < self.A < math.inf:
             raise ConfigError(f"A must be finite and > 1, got {self.A}")
         if not all(1.0 < lam < math.inf for lam in self.lambdas):
@@ -293,7 +302,6 @@ def write_checkpoint_file(
         "grid_ratio": float(cfg.grid_ratio),
         "grid_start": float(cfg.grid_start),
         "rows": len(result.checkpoints),
-        "segment_size": cfg.segment_size,
         # the exact sums as integers, which json writes and reads exactly
         "state": {name: getattr(result.state, name) for name in SumState.__slots__},
         "x_max": cfg.x_max,
@@ -469,8 +477,8 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
     result = stored or RunResult(checkpoint_table([], [], [], []), SumState(), [])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if len(grid):
-        new = run_stream(float(cfg.x_max), grid, segment_size=cfg.segment_size,
-                         state=result.state, samples=result.power_samples)
+        new = run_stream(float(cfg.x_max), grid, state=result.state,
+                         samples=result.power_samples)
         if len(result.checkpoints):  # a resume: the kept rows' stored columns, then the new
             table = Checkpoint(*(np.concatenate((getattr(result.checkpoints, f.name),
                                                  getattr(new.checkpoints, f.name)))
@@ -502,7 +510,7 @@ class RunContext:
         """Every prime the pair, jump and Abel checks read: those up to
         min(x_max, SCAN_CAP), past every Abel row and, as SCAN_CAP is above
         the PAIR_N_CAP-th prime (48611), the pair check's n_pair primes."""
-        return prime_array(min(self.cfg.x_max, SCAN_CAP), segment_size=self.cfg.segment_size)
+        return prime_array(min(self.cfg.x_max, SCAN_CAP))
 
     @cached_property
     def sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -617,7 +625,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[VerificationRecord], int]:
     if cfg.resume_from is not None:
         result = read_checkpoint_file(cfg.resume_from, cfg)
     else:
-        result = run_stream(float(cfg.x_max), cfg.grid(), segment_size=cfg.segment_size)
+        result = run_stream(float(cfg.x_max), cfg.grid())
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     records = run_checks(RunContext(cfg, result), "verify")
     write_verification_csv(cfg.out_dir / "verification.csv", records)
@@ -645,7 +653,6 @@ def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
             "x_max": cfg.x_max,
             "grid_start": cfg.grid_start,
             "grid_ratio": cfg.grid_ratio,
-            "segment_size": cfg.segment_size,
             "A": cfg.A,
             "lambdas": list(cfg.lambdas),
             "config_hash": cfg.config_hash(),

@@ -29,7 +29,7 @@ from .errors import ConfigError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd slots per window, i.e. ~2M integers
 # Every prime <= 2**53 is exact as a float64, which the weights and the grid
-# comparisons rely on; the dense base sieve to isqrt(2**53) then takes ~95 MB.
+# comparisons rely on.  The base set-up there holds 95 MB of flags, 44 MB of primes.
 MAX_LIMIT = 2**53
 MAX_SEGMENT_SIZE = 1 << 24  # a 16 MB window mask
 
@@ -76,17 +76,22 @@ class PrimeSegment:
     __hash__ = None  # type: ignore[assignment]
 
 
-def base_primes(bound: int) -> list[int]:
-    """Primes <= bound via a dense sieve; empty list for bound < 2."""
+def _dense_primes(bound: int) -> np.ndarray:
+    """Primes <= bound as int64, read off a dense sieve's flags, no list."""
     if bound < 2:
-        return []
+        return np.empty(0, dtype=np.int64)
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     flags[4::2] = False
     for p in range(3, math.isqrt(bound) + 1, 2):
         if flags[p]:
             flags[p * p :: 2 * p] = False
-    return np.flatnonzero(flags).tolist()
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
+
+
+def base_primes(bound: int) -> list[int]:
+    """Primes <= bound via a dense sieve; empty list for bound < 2."""
+    return _dense_primes(bound).tolist()
 
 
 _PRESIEVE = (3, 5, 7, 11, 13)
@@ -113,7 +118,7 @@ _STEPS = np.arange(SPARSE_HITS)
 
 def _sieving_primes(limit: int) -> np.ndarray:
     """The base primes for limit that the presieve leaves to the windows."""
-    base = np.array(base_primes(math.isqrt(limit)), dtype=np.int64)
+    base = _dense_primes(math.isqrt(limit))
     return base[np.searchsorted(base, _PRESIEVE[-1], side="right") :]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .accumulate import BLOCK, Checkpoint, WeightedPrimeTerm, weights
 from .errors import DomainError, SizeError
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, stream_segments
+from .sieve import SieveConfig, stream_segments
 
 _BRUTEFORCE_CAP = 10_000
 # rows of the pair triangle per numpy pass: its (2, 16, n - 1) float64
@@ -62,16 +62,8 @@ def relative_residual(lhs: float, rhs: float) -> float:
 def identity_record(
     check_id: str, location: float, lhs: float, rhs: float, tolerance: float
 ) -> VerificationRecord:
-    residual = relative_residual(lhs, rhs)
-    return VerificationRecord(
-        check_id=check_id,
-        location=location,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
-    )
+    """The record of an identity at one point: worst_record over it alone."""
+    return worst_record(check_id, *np.array([[location], [lhs], [rhs]]), tolerance)
 
 
 def worst_record(
@@ -80,7 +72,7 @@ def worst_record(
 ) -> VerificationRecord:
     """The record of a check over arrays of points at its largest
     residual, the first of equals.  The residual defaults to the relative
-    residual of lhs against rhs, as identity_record takes it."""
+    residual of lhs against rhs, as relative_residual takes it."""
     if residual is None:
         residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
     j = int(np.argmax(residual))
@@ -91,16 +83,14 @@ def worst_record(
     )
 
 
-def term_stream(
-    x_max: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> Iterator[WeightedPrimeTerm]:
+def term_stream(x_max: float) -> Iterator[WeightedPrimeTerm]:
     """Weighted terms for every prime <= x_max, ascending, with the weights
     computed a segment at a time."""
     limit = int(math.floor(x_max))
     if limit < 2:
         return
     index = 0
-    for seg in stream_segments(SieveConfig(limit, segment_size)):
+    for seg in stream_segments(SieveConfig(limit)):
         for b in range(0, len(seg.primes), BLOCK):
             chunk = seg.primes[b : b + BLOCK]
             for p, w in zip(chunk.tolist(), weights(chunk).tolist()):

@@ -139,7 +139,7 @@ def report_on(cfg, path):
 # independently of report._ROW
 RECORD = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
 HEADER_KEYS = ["anS", "config_hash", "created", "csv", "grid_ratio", "grid_start", "rows",
-               "segment_size", "state", "x_max"]
+               "state", "x_max"]
 
 
 def read_v6(path):
@@ -202,7 +202,7 @@ def older_head(cfg, version):
         f"x_max {header['x_max']}",
         f"grid_start {header['grid_start']:.17g}",
         f"grid_ratio {header['grid_ratio']:.17g}",
-        f"segment_size {header['segment_size']}",
+        "segment_size 1048576",  # the default size, which these writers stored
         *(["csv {} {:08x}".format(*header["csv"])] if version == 5 else []),
         "state " + " ".join(f"{v:.17g}" if isinstance(v, float) else str(int(v)) for v in state),
         *(f"anS {n} {value:.17g}" for n, value in header["anS"]),
@@ -314,23 +314,31 @@ class TestRunConfig:
             assert str(by_config.value) == str(by_grid.value)
 
     def test_limits_refused_before_any_work(self, tmp_path):
-        from primesums.sieve import MAX_LIMIT, MAX_SEGMENT_SIZE
+        """x_max is capped at a run that can finish, 1e13: past it, and at
+        the sieve's own 2**53, RunConfig refuses with the projected time of
+        the run before any other check, so also an x_max too large for a
+        float."""
+        from primesums.sieve import MAX_LIMIT
 
-        # the caps themselves are accepted
-        cfg_for(tmp_path, MAX_LIMIT, segment_size=MAX_SEGMENT_SIZE)
-        for kw in (
-            {"x_max": MAX_LIMIT + 1},
-            {"x_max": 10**4, "segment_size": MAX_SEGMENT_SIZE + 1},
-        ):
-            with pytest.raises(ConfigError):
-                RunConfig(out_dir=tmp_path / "never", **kw)
+        assert report.MAX_X_MAX == 10**13 < MAX_LIMIT
+        cfg_for(tmp_path, report.MAX_X_MAX)  # the cap itself is accepted
+        for x_max, hours in ((report.MAX_X_MAX + 1, "19"), (10**14, "179"),
+                             (MAX_LIMIT, "13,899"), (10**400, None)):
+            with pytest.raises(ConfigError, match="x_max must be <= 10,000,000,000,000") as exc:
+                RunConfig(x_max=x_max, out_dir=tmp_path / "never")
+            if hours is not None:
+                assert f"projects to about {hours} h at 200 ns a prime" in str(exc.value)
+        # a stored run's x_max is held to the same cap
+        with pytest.raises(ConfigError, match="projects to about 179 h"):
+            RunConfig(x_max=10**14, grid_start=None, grid_ratio=None,
+                      out_dir=tmp_path / "never", resume_from=tmp_path / "none.txt")
         assert not (tmp_path / "never").exists()
 
     def test_hash_covers_grid_not_xmax(self, tmp_path):
         a = cfg_for(tmp_path, 10**4)
         b = cfg_for(tmp_path, 10**6)
         c = cfg_for(tmp_path, 10**4, grid_ratio=1.5)
-        d = cfg_for(tmp_path, 10**4, segment_size=2048)
+        d = cfg_for(tmp_path, 10**4, A=3.0, lambdas=(5.0,), tolerances={"main_term": 1e-6})
         assert a.config_hash() == b.config_hash() == d.config_hash()
         assert a.config_hash() != c.config_hash()
 
@@ -402,8 +410,8 @@ class TestCheckpointFile:
         assert list(header) == HEADER_KEYS
         csv = cfg.csv_path().read_bytes()
         assert header["csv"] == [len(csv), zlib.crc32(csv)]
-        assert (header["x_max"], header["grid_start"], header["grid_ratio"], header["rows"],
-                header["segment_size"]) == (10**4, 100.0, 2**0.25, 28, cfg.segment_size)
+        assert (header["x_max"], header["grid_start"], header["grid_ratio"],
+                header["rows"]) == (10**4, 100.0, 2**0.25, 28)
         assert header["config_hash"] == cfg.config_hash()
         assert sorted(header["state"]) == sorted(STATE_FIELDS)
         for field in STATE_FIELDS:
@@ -1034,6 +1042,39 @@ class TestResume:
                     == (resumed.out_dir / name).read_bytes()), name
         assert "E_incremental" not in read_v6(resumed.checkpoint_path())[0]["state"]
 
+    def test_resume_from_a_file_with_the_segment_size(self, tmp_path):
+        """A format-6 file as the writers before --segment-size was deleted
+        made it, whose header also holds segment_size (sealed again with a
+        valid CRC), is verified, reported and resumed as the file without it
+        is: the same verification.csv, checkpoints.csv and series_anS.csv,
+        byte for byte, and the resumed file's header has no segment_size."""
+        unsplit = RunConfig(x_max=10**5, out_dir=tmp_path / "unsplit")
+        cmd_compute(unsplit)
+        for name, size in (("first", None), ("older", 2048)):
+            cfg = RunConfig(x_max=10**4, out_dir=tmp_path / name)
+            cmd_compute(cfg)
+            if size is not None:
+                header, records = read_v6(cfg.checkpoint_path())
+                write_v6(cfg.checkpoint_path(), {**header, "segment_size": size}, records)
+            stored = RunConfig(x_max=None, grid_start=None, grid_ratio=None,
+                               out_dir=tmp_path / name, resume_from=cfg.checkpoint_path())
+            assert cmd_verify(stored)[1] == 0
+            report_on(cfg, cfg.checkpoint_path())
+            resumed = RunConfig(x_max=10**5, out_dir=tmp_path / f"{name}_resumed",
+                                resume_from=cfg.checkpoint_path())
+            cmd_compute(resumed)
+            report_on(resumed, resumed.checkpoint_path())
+        assert "segment_size" in read_v6(tmp_path / "older" / "checkpoints.txt")[0]
+        for name in ("verification.csv", "checkpoints.csv", "series_anS.csv"):
+            assert ((tmp_path / "first" / name).read_bytes()
+                    == (tmp_path / "older" / name).read_bytes()), name
+        report_on(unsplit, unsplit.checkpoint_path())
+        for name in ("checkpoints.csv", "series_anS.csv"):
+            for run in ("first_resumed", "older_resumed"):
+                assert ((unsplit.out_dir / name).read_bytes()
+                        == (tmp_path / run / name).read_bytes()), (run, name)
+        assert "segment_size" not in read_v6(tmp_path / "older_resumed" / "checkpoints.txt")[0]
+
     def test_regrid_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
@@ -1607,17 +1648,39 @@ class TestCli:
         assert cli_main(["verify", "--resume", str(ckpt)]) == 2
         assert cli_main(["report", str(ckpt)]) == 2
         assert cli_main(["compute", "--x-max", "1000", "--A", "3", "--lambda", "5",
-                         "--tol", "main_term=1e-6", "--segment-size", "2048",
-                         "--out", str(tmp_path)]) == 2
+                         "--tol", "main_term=1e-6", "--out", str(tmp_path)]) == 2
         stored = RunConfig(x_max=None, grid_start=None, grid_ratio=None, resume_from=ckpt)
         assert seen == [RunConfig(x_max=1000), stored, stored, RunConfig(
             x_max=1000, A=3.0, lambdas=(5.0,), tolerances={"main_term": 1e-6},
-            segment_size=2048, out_dir=tmp_path)]
+            out_dir=tmp_path)]
 
     def test_unknown_flag_is_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli_main(["compute", "--x-max", "2000", "--frobnicate", "1"])
         assert exc.value.code == 2
+
+    def test_segment_size_is_an_unknown_flag(self, tmp_path, capsys):
+        """--segment-size is gone: no output byte depended on it, and no
+        size paid.  argparse refuses it (exit 2) before any work."""
+        out = tmp_path / "never"
+        for command in (["compute"], ["verify"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*command, "--x-max", "2000", "--segment-size", "2048",
+                          "--out", str(out)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --segment-size 2048" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cap_refused_with_projected_time(self, tmp_path, capsys):
+        """An x_max past the cap exits 2, names the run's projected time, and
+        makes no --out directory."""
+        out = tmp_path / "never"
+        for command in ("compute", "verify"):
+            assert cli_main([command, "--x-max", "100000000000000", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "x_max must be <= 10,000,000,000,000" in err
+            assert "projects to about 179 h at 200 ns a prime" in err
+        assert not out.exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         assert cli_main(
@@ -1625,9 +1688,8 @@ class TestCli:
              "--out", str(tmp_path)]
         ) == 2
         out = str(tmp_path / "never")
-        for flags in (["--x-max", str(2**53 + 1)],
-                      ["--x-max", "2000", "--segment-size", str(2**24 + 1)],
-                      ["--x-max", "2000", "--threads", "9"]):
+        for flags in (["--x-max", str(10**13 + 1)], ["--x-max", str(2**53 + 1)],
+                      ["--x-max", "1" + "0" * 400], ["--x-max", "2000", "--threads", "9"]):
             assert cli_main(["compute", *flags, "--out", out]) == 2
         for flags in (["--A", "nan"], ["--A", "inf"], ["--lambda", "nan"],
                       ["--grid-ratio", "nan"], ["--grid-ratio", "1.0000001"],

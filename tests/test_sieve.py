@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SieveConfig(limit=100, segment_size=2**24 + 1)
     SieveConfig(limit=2**53, segment_size=2**24)  # the caps themselves are allowed
+
+
+def test_base_setup_at_the_cap_holds_only_flags_and_array():
+    """At the largest x_max a run accepts, the base set-up peaks, under
+    tracemalloc, at its dense flags (a byte for each integer to
+    isqrt(limit)) and the int64 array of every base prime, plus 64 KB of
+    slack for numpy's own small allocations.  A Python list of the 227,647
+    base primes would take about 8 MB more."""
+    from primesums.report import MAX_X_MAX
+
+    tracemalloc.start()
+    try:
+        base = _sieving_primes(MAX_X_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    flags = math.isqrt(MAX_X_MAX) + 1
+    array = 8 * (len(base) + 6)  # and 2, 3, 5, 7, 11 and 13, which the presieve takes
+    assert len(base) + 6 == 227_647  # pi(isqrt(1e13))
+    assert peak <= flags + array + 64 * 1024, (peak, flags, array)
 
 
 def test_segment_is_immutable():
