@@ -52,6 +52,9 @@ _LIMB_SCALE = float(1 << _LIMB_BITS)
 # Primes per numpy block: keeps limb sums below 2**63 and the block's
 # arrays at a few MB whatever the segment size.
 BLOCK = 1 << 13
+# marks of a block rounded at a time: a block with a mark at every prime
+# forms its gathered limbs and rounding carries a chunk at a time
+MARK_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -225,35 +228,6 @@ def _round_prefixes(base: int, prefix: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_sums_at(
-    v: np.ndarray, cuts: np.ndarray, extra: np.ndarray | None = None
-) -> np.ndarray:
-    """sum(v[:c]) (+ extra[i]) for each c = cuts[i], rounded once to a double.
-
-    The Abel integral's sums (S and M come from extend_primes): each is
-    exact, rounded to the nearest, so it equals math.fsum of the same
-    terms.  v and extra hold multiples of 2**-120 in (-512, 512) (see
-    _limbs); cuts ascend.  The prefixes are summed BLOCK values at a time,
-    with the running total carried as a Python int, so memory and limb
-    sums stay bounded whatever len(v).
-    """
-    cuts = np.asarray(cuts, dtype=np.int64)
-    out = np.empty(len(cuts))
-    el = None if extra is None else _limbs(np.asarray(extra, dtype=np.float64))
-    base = i0 = 0
-    for b0 in range(0, len(v) + 1, BLOCK):
-        lv = _limbs(v[b0 : b0 + BLOCK])
-        i1 = int(np.searchsorted(cuts, b0 + lv.shape[1], side="right"))
-        if i1 > i0:  # a block with no cut only adds its total
-            sel = _prefix_limbs(lv, cuts[i0:i1] - b0)
-            if el is not None:
-                sel += el[:, i0:i1]
-            out[i0:i1] = _round_prefixes(base, sel)
-        base += _to_int(lv.sum(axis=1))
-        i0 = i1
-    return out
-
-
 class SumState:
     """Single-writer streaming accumulator; strictly sequential by design.
 
@@ -298,7 +272,8 @@ class SumState:
         samples, if given, gets (n, a_n * S_{n-1}) at each power-of-two n.
         marks are ascending prefix lengths of primes; the result is S and M,
         correctly rounded, after the first marks[i] primes, for each i.  A
-        block adds its limb totals; prefixes are summed only where read.
+        block adds its limb totals; prefixes are summed only where read, and
+        rounded MARK_CHUNK marks at a time.
         """
         primes = np.asarray(primes, dtype=np.int64)
         if len(primes) and primes[0] <= self.last_prime:
@@ -324,11 +299,15 @@ class SumState:
                 s_prev = _round_prefixes(s0, _prefix_limbs(lw[:, 0], j))
                 samples.extend(zip(ks, (w[j] * s_prev).tolist()))
             mj = int(np.searchsorted(marks, b0 + len(w), side="right"))
-            if mj > mi:
-                pre = _prefix_limbs(lw, marks[mi:mj] - b0)
-                s_at[mi:mj] = _round_prefixes(s0, pre[:, 0])
-                m_at[mi:mj] = _round_prefixes(m0, pre[:, 1])
-                mi = mj
+            lo = 0  # the sums of the block's first lo primes are added to s0 and m0
+            for i in range(mi, mj, MARK_CHUNK):  # the marks in the block, a chunk at a time
+                cuts = marks[i : min(i + MARK_CHUNK, mj)] - b0
+                pre = _prefix_limbs(lw[..., lo : cuts[-1]], cuts - lo)
+                s_at[i : i + len(cuts)] = _round_prefixes(s0, pre[:, 0])
+                m_at[i : i + len(cuts)] = _round_prefixes(m0, pre[:, 1])
+                s0, m0 = s0 + _to_int(pre[:, 0, -1]), m0 + _to_int(pre[:, 1, -1])
+                lo = int(cuts[-1])
+            mi = mj
         if len(primes):
             # w_last * 2**120 is an integer, so S_{n-1} = S - w_last is exact
             w_last = self.last_weight

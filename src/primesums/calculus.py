@@ -19,9 +19,10 @@ summation identity
 
 telescopes exactly over the prime partition (integral of h' between jumps
 is just a difference of h values); abel_decompose evaluates its right
-side at a whole grid of x in one pass, as columns, with w the
-accumulator's own (accumulate.weights) and its exact M after each prime,
-to be checked against the S and M the run stored.  The two integrals of
+side at the grid points of one block of primes in one pass, as columns,
+with w the accumulator's own (accumulate.weights) and its exact M after
+each prime, to be checked against the S and M the run stored; an exact
+carry takes the integral from one block to the next.  The two integrals of
 the main-term identity are smooth; they go through adaptive Simpson
 quadrature in u = sqrt(log t), where their integrands grow only like
 exp(u^2/2).
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accumulate import exact_sums_at, weights
+from .accumulate import _limbs, _prefix_limbs, _round_prefixes, _to_int, weights
 from .errors import DomainError, QuadratureError
 from .verify import VerificationRecord, identity_record
 
@@ -130,44 +131,52 @@ class AbelDecomposition:
 
 def abel_decompose(
     xs: Sequence[float], S: Sequence[float], M: Sequence[float],
-    primes: np.ndarray, M_primes: np.ndarray,
-) -> AbelDecomposition:
-    """The partial-summation split at every x of xs in one pass, as columns
-    in the order of xs, against the sums S and M (S[i], M[i] at xs[i]) the
-    caller read.
+    primes: np.ndarray, M_primes: np.ndarray, carry: tuple[int, float, float] = (0, 0.0, 0.0),
+) -> tuple[AbelDecomposition, tuple[int, float, float]]:
+    """The partial-summation split at every x of xs in one pass over one
+    block of primes, as columns in the order of xs, against the sums S and M
+    (S[i], M[i] at xs[i]) the caller read; and the carry after the block.
 
-    primes is an ascending int64 array holding every prime up to max(xs),
-    and M_primes[k] the accumulator's M after primes[k].  The integral of
-    M(t) h'(t) is exact for the step function M: the sum over the cells
-    [t_k, t_{k+1}) of M(t_k) * (h(t_{k+1}) - h(t_k)), where the t_k are the
-    primes <= x followed by x itself.  Per prime w is weights(p) and
-    h = 1/w; at x, h is 1/weights(x), and M(x) is M[i], in the boundary
-    h(x) M(x) and in x's own last cell.  The cells are formed once, and at
-    each x the integral is an exact prefix sum rounded once, so a point
-    costs O(1) after an O(pi(max xs)) set-up.
+    primes is an ascending int64 block of consecutive primes and M_primes[k]
+    the accumulator's M after primes[k].  carry is the integral from 2 to
+    the prime before the block, as an int in units of 2**-120, with the M
+    and h at that prime; the start carry (0, 0.0, 0.0) stands for no prime
+    before, and an x below every prime is refused.  Each x must lie below
+    the next block's first prime.  The integral of M(t) h'(t) is exact for
+    the step function M: the sum over the cells [t_k, t_{k+1}) of
+    M(t_k) * (h(t_{k+1}) - h(t_k)), where the t_k are the primes <= x
+    followed by x itself.  Per prime w is weights(p) and h = 1/w; at x, h is
+    1/weights(x), and M(x) is M[i], in the boundary h(x) M(x) and in x's own
+    last cell.  The block's cells, from the prime before it on, are formed
+    once, and at each x the integral is the carry plus an exact prefix sum,
+    rounded once (_prefix_limbs, _round_prefixes): a point costs O(1) after
+    an O(len(primes)) set-up, and any split of the primes into blocks gives
+    the same bits.
     """
     xs = np.asarray(xs, dtype=np.float64)
     S, M = np.asarray(S, dtype=np.float64), np.asarray(M, dtype=np.float64)
+    units, M_prev, h_prev = carry
+    h = np.concatenate(([h_prev], 1.0 / weights(primes)))
+    cells = _limbs(np.concatenate(([M_prev], M_primes[:-1])) * np.diff(h))
+    if len(primes):
+        carry = (units + _to_int(cells.sum(axis=1)), float(M_primes[-1]), float(h[-1]))
     if not len(xs):
-        return AbelDecomposition(xs, S, xs, xs, xs)
+        return AbelDecomposition(xs, S, xs, xs, xs), carry
     if xs.min() < 2.0:
         raise DomainError(f"abel decomposition needs x >= 2, got {xs.min()}")
-    cuts = np.searchsorted(primes, xs, side="right")
-    if cuts.min() == 0:
+    cuts = np.searchsorted(primes, xs, side="right")  # h[cut] is the last prime's
+    if not h_prev and cuts.min() == 0:
         raise DomainError(f"no primes supplied at or below x={xs[cuts.argmin()]}")
-    h = 1.0 / weights(primes[: cuts.max()])
-    last = cuts - 1
     h_x = 1.0 / weights(xs)
     boundary = h_x * M
-    # the cells [p_k, p_{k+1}) below x, then x's own cell [p_last, x]; the
+    # the cells below x's last prime, then x's own cell [p_last, x]; the
     # prefix sums are read at ascending cuts, so in sorted order
     order = np.argsort(cuts, kind="stable")
     integral = np.empty(len(xs))
-    integral[order] = exact_sums_at(
-        M_primes[: len(h) - 1] * (h[1:] - h[:-1]), last[order],
-        extra=(M * (h_x - h[last]))[order],
-    )
-    return AbelDecomposition(xs, S, boundary, integral, np.abs(S - (boundary - integral)) / S)
+    integral[order] = _round_prefixes(
+        units, _prefix_limbs(cells, cuts[order]) + _limbs((M * (h_x - h[cuts]))[order]))
+    abel = AbelDecomposition(xs, S, boundary, integral, np.abs(S - (boundary - integral)) / S)
+    return abel, carry
 
 
 def _u_integral(g: Callable[[float], float], x: float, tol: float) -> float:

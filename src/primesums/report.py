@@ -1,6 +1,13 @@
 """Run configuration, checkpoint persistence with resume, the check
 registry, and reports.
 
+Checks
+------
+Most checks read the stored table.  The pair, jump and Abel identities
+also read every prime to min(x_max, SCAN_CAP), as folds over one block
+pass (RunContext.scan), so verify and report hold one block of check
+primes, never an array of them all.
+
 File formats
 ------------
 Checkpoint file (format 6): the magic line, one json header line, the
@@ -56,6 +63,7 @@ import numpy as np
 
 from . import __version__
 from .accumulate import (
+    BLOCK,
     Checkpoint,
     RunResult,
     SumState,
@@ -81,8 +89,11 @@ from .asymptotics import (
 # read_checkpoint_file, resume, build_report_bundle, check_pair_identity,
 # check_jump_identity, abel_decompose, main_term_identity, block_sandwich,
 # lower_bound_check and sandwich_records; cli's three cmd_ names;
-# accumulate.snapshot and verify.term_stream.  No command calls snapshot
-# or term_stream: they stay only so that the tracer finds them.
+# accumulate.snapshot and verify.term_stream.  The folds call
+# check_jump_identity and abel_decompose once a block of the check pass,
+# its closing empty block included, and check_pair_identity once.  No
+# command calls snapshot or term_stream: they stay only so that the tracer
+# finds them.
 from .calculus import (
     QUADRATURE_TOL_FLOOR,
     AbelDecomposition,
@@ -91,7 +102,7 @@ from .calculus import (
 )
 from .csvcodec import encode_rows
 from .errors import CheckpointFormatError, ConfigError
-from .sieve import prime_array
+from .sieve import SieveConfig, stream_segments
 from .verify import (
     VerificationRecord,
     check_E_monotone,
@@ -494,8 +505,19 @@ def cmd_compute(cfg: RunConfig) -> RunResult:
 
 @dataclass
 class RunContext:
-    """What the checks over one run share: one prime array and its prefix
-    sums, and the block and Abel passes, each computed on first use."""
+    """What the checks over one run share: the Abel rows, the folds of the
+    checks that read every check prime (folds, by check id, which run_checks
+    makes and scan feeds), and the block stats, formed on first use.
+
+    scan is the one block pass.  It streams the primes up to min(x_max,
+    SCAN_CAP) through the sieve and hands them BLOCK at a time to one
+    SumState.extend_primes, with every prefix of the block as a mark, so a
+    block's S and M begin at the previous block's last value.  Each fold
+    takes each block as (n0, p, w, S, M): the n0 primes before it, its
+    primes p and weights w, and S and M after n0 + 0..len(p) primes; an
+    empty block at the end closes the pass.  Memory holds one segment's
+    primes and one block's arrays, plus the rows, whatever the cap.
+    """
 
     cfg: RunConfig
     result: RunResult
@@ -504,55 +526,101 @@ class RunContext:
         self.n_pair = min(PAIR_N_CAP, self.result.state.n)
         table = self.result.checkpoints
         self.abel_rows = table.select(table.x <= SCAN_CAP)
+        self.folds: dict[str, _PairFold | _JumpFold | _AbelFold] = {}
 
-    @cached_property
-    def primes(self) -> np.ndarray:
-        """Every prime the pair, jump and Abel checks read: those up to
-        min(x_max, SCAN_CAP), past every Abel row and, as SCAN_CAP is above
-        the PAIR_N_CAP-th prime (48611), the pair check's n_pair primes."""
-        return prime_array(min(self.cfg.x_max, SCAN_CAP))
-
-    @cached_property
-    def sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The weights of primes, and the accumulator's S_n and M_n after
-        their first n: the pair and jump checks' input and Abel's M."""
-        p = self.primes
-        return weights(p), *SumState().extend_primes(p, marks=np.arange(len(p) + 1))
+    def scan(self, folds: Iterable) -> None:
+        """Feed every fold each block of the check primes, then the empty
+        block at their count."""
+        state = SumState()
+        segments = stream_segments(SieveConfig(min(self.cfg.x_max, SCAN_CAP)))
+        blocks = (s.primes[b : b + BLOCK] for s in segments for b in range(0, len(s.primes), BLOCK))
+        for p in chain(blocks, [np.empty(0, dtype=np.int64)]):
+            n0 = state.n
+            block = p, weights(p), *state.extend_primes(p, marks=np.arange(len(p) + 1))
+            for fold in folds:
+                fold.step(n0, *block)
 
     @cached_property
     def blocks(self) -> Blocks:
         return block_sandwich(self.result.checkpoints, self.cfg.lambdas)
 
-    @cached_property
-    def abel(self) -> tuple[list[VerificationRecord], AbelDecomposition]:
-        return _abel_records(self.cfg, self.abel_rows, self.primes, self.sums[2][1:])
+
+class _PairFold:
+    """pair_identity over the first n primes: their weights and sums are
+    kept as the blocks pass (all from the first, as BLOCK is above
+    PAIR_N_CAP), and checked once."""
+
+    def __init__(self, n: int, tol: float) -> None:
+        self.n, self.tol = n, tol
+        self.w, self.S, self.M = [np.empty(0)], [np.zeros(1)], [np.zeros(1)]
+
+    def step(self, n0, p, w, S, M) -> None:
+        k = self.n - n0
+        if k > 0:
+            self.w.append(w[:k])
+            self.S.append(S[1 : k + 1])
+            self.M.append(M[1 : k + 1])
+
+    def records(self) -> list[VerificationRecord]:
+        return check_pair_identity(*map(np.concatenate, (self.w, self.S, self.M)), self.tol)
+
+
+class _JumpFold:
+    """jump_identity: the worst record so far.  A block's record replaces
+    it only if strictly worse, so the first of equal residuals stays."""
+
+    def __init__(self, tol: float) -> None:
+        self.tol, self.worst = tol, None
+
+    def step(self, n0, p, w, S, M) -> None:
+        record = check_jump_identity(w, S, M, self.tol, n0)
+        if self.worst is None or record.residual > self.worst.residual:
+            self.worst = record
+
+    def records(self) -> list[VerificationRecord]:
+        return [self.worst]
+
+
+class _AbelFold:
+    """abel_identity at the rows: a block decomposes the rows up to its
+    last prime (the closing empty block, the rest), with abel_decompose's
+    carry from the block before, into the columns of every row (abel); the
+    record is the worst row's."""
+
+    def __init__(self, rows: Checkpoint, tol: float) -> None:
+        self.rows, self.tol = rows, tol
+        self.carry, self.done = (0, 0.0, 0.0), 0
+        self.abel = AbelDecomposition(rows.x, rows.S, *np.empty((3, len(rows))))
+
+    def step(self, n0, p, w, S, M) -> None:
+        end = int(np.searchsorted(self.rows.x, p[-1], side="right")) if len(p) else len(self.rows)
+        at = slice(self.done, end)
+        rows = self.rows.select(at)
+        part, self.carry = abel_decompose(rows.x, rows.S, rows.M, p, M[1:], self.carry)
+        for name in ("boundary_term", "integral_term", "residual"):
+            getattr(self.abel, name)[at] = getattr(part, name)
+        self.done = end
+
+    def records(self) -> list[VerificationRecord]:
+        abel = self.abel
+        if not len(abel.x):
+            return []
+        rhs = abel.boundary_term - abel.integral_term
+        return [worst_record("abel_identity", abel.x, abel.direct_S, rhs, self.tol)]
 
 
 @dataclass(frozen=True)
 class Check:
     """One registry entry: a check id, its default tolerance (None for an
-    exact check, which takes no --tol), the commands that run it, and its
-    records given the run and the tolerance."""
+    exact check, which takes no --tol), the commands that run it, and
+    either its records given the run and the tolerance (run), or its fold
+    given the same (fold), whose records follow the block pass."""
 
     check_id: str
     tolerance: float | None
     commands: tuple[str, ...]
-    run: Callable[[RunContext, float | None], list[VerificationRecord]]
-
-
-def _abel_records(
-    cfg: RunConfig, table: Checkpoint, primes: np.ndarray, M_primes: np.ndarray
-) -> tuple[list[VerificationRecord], AbelDecomposition]:
-    """The worst Abel identity record over the rows of table, its stored S
-    against boundary - integral from its stored M, and the decomposition
-    columns; primes must reach the last x, and M_primes holds the
-    accumulator's M after each of them."""
-    abel = abel_decompose(table.x, table.S, table.M, primes, M_primes)
-    if not len(abel.x):
-        return [], abel
-    tol = cfg.tolerance("abel_identity")
-    rhs = abel.boundary_term - abel.integral_term
-    return [worst_record("abel_identity", abel.x, abel.direct_S, rhs, tol)], abel
+    run: Callable[[RunContext, float | None], list[VerificationRecord]] | None = None
+    fold: Callable[[RunContext, float | None], _PairFold | _JumpFold | _AbelFold] | None = None
 
 
 def _mertens_contraction(ctx: RunContext, tol: float | None) -> list[VerificationRecord]:
@@ -574,16 +642,15 @@ _V, _VR = ("verify",), ("verify", "report")
 # functions up in this module when it runs, so rebinding one here (as the
 # tests and the benchmark's tracer do) reaches verify and report alike.
 CHECKS = (
-    Check("pair_identity", 1e-10, _V, lambda c, tol: check_pair_identity(
-        c.sums[0][: c.n_pair], *c.sums[1:], tol)),
-    Check("jump_identity", 1e-9, _V, lambda c, tol: [check_jump_identity(*c.sums, tol)]),
+    Check("pair_identity", 1e-10, _V, fold=lambda c, tol: _PairFold(c.n_pair, tol)),
+    Check("jump_identity", 1e-9, _V, fold=lambda c, tol: _JumpFold(tol)),
     Check("e_monotone", None, _VR, lambda c, tol: [check_E_monotone(c.result.checkpoints)]),
     Check("scale_identity", 1e-12, _VR, lambda c, tol: [scale_identity_record(
         c.result.checkpoints, tol)]),
     Check("ratio_positive", None, _VR, lambda c, tol: [ratio_positivity_record(
         c.result.checkpoints, c.result.an_sn_samples)]),
     Check("mertens_contraction", None, _VR, _mertens_contraction),
-    Check("abel_identity", 1e-8, _VR, lambda c, tol: c.abel[0]),
+    Check("abel_identity", 1e-8, _VR, fold=lambda c, tol: _AbelFold(c.abel_rows, tol)),
     Check("main_term", 1e-8, _V, _main_term),
     Check("block_sandwich", 1e-12, _VR, lambda c, tol: sandwich_records(c.blocks, tol)),
     Check("lower_bound", 1e-12, _VR, lambda c, tol: lower_bound_check(
@@ -596,12 +663,17 @@ EXACT_CHECKS = tuple(c.check_id for c in CHECKS if c.tolerance is None)
 
 
 def run_checks(ctx: RunContext, command: str) -> list[VerificationRecord]:
-    """The records of every check that command runs, in registry order."""
+    """The records of every check that command runs, in registry order: the
+    folds of those checks are made, fed by one block pass (ctx.scan) and
+    left in ctx.folds, then every check gives its records."""
+    checks = [c for c in CHECKS if command in c.commands]
+    tol = {c.check_id: ctx.cfg.tolerance(c.check_id) for c in checks}
+    ctx.folds = {c.check_id: c.fold(ctx, tol[c.check_id]) for c in checks if c.fold}
+    ctx.scan(ctx.folds.values())
     return [
         record
-        for check in CHECKS
-        if command in check.commands
-        for record in check.run(ctx, ctx.cfg.tolerance(check.check_id))
+        for c in checks
+        for record in (ctx.folds[c.check_id].records() if c.fold else c.run(ctx, tol[c.check_id]))
     ]
 
 
@@ -666,7 +738,7 @@ def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
         "verification_records": [_json(r) for r in records],
         "ratio_bands": [_json(b) for b in bands],
         "block_stats": _json_rows(ctx.blocks),
-        "abel_decompositions": _json_rows(ctx.abel[1]),
+        "abel_decompositions": _json_rows(ctx.folds["abel_identity"].abel),
     }
 
 

@@ -13,7 +13,8 @@ formed from them: they sum no S or M of their own, so a fault in the
 accumulator fails them.  The pair side is the O(n^2) brute-force sum,
 each row summed exactly in float64 (see _pair_row_sums) and rounded once
 as fsum rounds it, so it equals the fsum loop of tests/oracles.py bit for
-bit.  The jump scan takes every n up to its limit.
+bit.  The jump scan takes every n of one block of primes; report's block
+pass keeps the worst over the blocks.
 """
 
 from __future__ import annotations
@@ -181,21 +182,22 @@ def check_pair_identity(
 
 
 def check_jump_identity(
-    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float
+    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float, n0: int = 0
 ) -> VerificationRecord:
-    """Report the worst relative residual, over every n <= len(w), of
+    """Report the worst relative residual, over the n of w's primes, of
     (S_n^2 - M_n) - (S_{n-1}^2 - M_{n-1}) against 2 a_n S_{n-1}.
 
-    w, S and M are the weights and the accumulator's prefix sums, as for
-    check_pair_identity.  The scan is one numpy pass, and the first of
-    equal worst residuals is reported.
+    w holds the weights a_{n0+1}, ..., a_{n0+len(w)} of a block of primes,
+    and S and M the accumulator's prefix sums after the first n0, ...,
+    n0 + len(w) primes.  The scan is one numpy pass, and the first of equal
+    worst residuals is reported; an empty block is a vacuous pass at n0.
     """
     if not len(w):
-        zero = np.zeros(1)  # empty stream: a vacuous pass at n = 0
-        return worst_record("jump_identity", zero, zero, zero, tolerance)
+        at = np.full(1, float(n0))
+        return worst_record("jump_identity", at, np.zeros(1), np.zeros(1), tolerance)
     lhs = np.diff(S * S - M)
     predicted = 2.0 * w * S[:-1]
-    n = np.arange(1, len(w) + 1)
+    n = np.arange(n0 + 1, n0 + len(w) + 1)
     return worst_record("jump_identity", n, lhs, predicted, tolerance)
 
 

@@ -16,7 +16,10 @@ keep), and a one-row snapshot at each grid point for the checkpoint table, the
 brute-force pair sum, and the row loops of the pair, jump, Abel, block,
 E-monotone, positivity, band and Mertens-width checks, the per-value
 row codec of the checkpoint table, the checkpoint table with every derived
-column formed at once, and the grid as a loop over k.  Their signatures
+column formed at once, and the grid as a loop over k.  It also keeps the
+whole-array check path that report's block pass replaced (checks_whole,
+with abel_decompose_whole and exact_sums_at), which every split of the
+pass into blocks must match bit for bit.  Their signatures
 match the calls primesums makes, so a test can swap them in.  Each takes
 numpy's log of one value at a time (np_log), which equals numpy's log of
 the whole array bit for bit, so w is the accumulator's own.  The third part keeps
@@ -39,11 +42,14 @@ import numpy as np
 from primesums.accumulate import (
     _SCALE,
     _UNIT,
+    BLOCK,
     Checkpoint,
     SumState,
     WeightedPrimeTerm,
     _limbs,
+    _prefix_limbs,
     _round_prefixes,
+    _to_int,
     check_grid,
     checkpoint_table,
     run_stream,
@@ -52,14 +58,17 @@ from primesums.accumulate import (
 from primesums.asymptotics import AN_SN_SERIES, BAND_SERIES, Blocks, RatioBand
 from primesums.calculus import AbelDecomposition, _check_domain, _u_integral, eval_h
 from primesums.errors import DomainError, SequencingError, SizeError
+from primesums.report import PAIR_N_CAP, SCAN_CAP
 from primesums.sieve import DEFAULT_SEGMENT_SIZE, prime_array
 from primesums.verify import (
     _BRUTEFORCE_CAP,
     PAIR_CHUNK,
     VerificationRecord,
     _log_subsample,
+    check_pair_identity,
     identity_record,
     relative_residual,
+    worst_record,
 )
 
 mpmath.mp.dps = 40
@@ -523,23 +532,23 @@ def pair_records_scalar(
 
 
 def jump_record_scalar(
-    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float
+    w: np.ndarray, S: np.ndarray, M: np.ndarray, tolerance: float, n0: int = 0
 ) -> VerificationRecord:
     """check_jump_identity as a scan over one n at a time that keeps the
     first strictly worst residual."""
     S, M = S.tolist(), M.tolist()
-    prev_e = 0.0
-    worst, worst_at, worst_lhs, worst_rhs = -1.0, 0, 0.0, 0.0
-    for n, a in enumerate(w.tolist(), start=1):
-        predicted = 2.0 * a * S[n - 1]
-        e = S[n] * S[n] - M[n]
+    prev_e = S[0] * S[0] - M[0]
+    worst, worst_at, worst_lhs, worst_rhs = -1.0, n0, 0.0, 0.0
+    for i, a in enumerate(w.tolist(), start=1):
+        predicted = 2.0 * a * S[i - 1]
+        e = S[i] * S[i] - M[i]
         lhs = e - prev_e
         prev_e = e
         residual = relative_residual(lhs, predicted)
         if residual > worst:
-            worst, worst_at, worst_lhs, worst_rhs = residual, n, lhs, predicted
+            worst, worst_at, worst_lhs, worst_rhs = residual, n0 + i, lhs, predicted
     if worst < 0.0:
-        worst, worst_at, worst_lhs, worst_rhs = 0.0, 0, 0.0, 0.0
+        worst, worst_at, worst_lhs, worst_rhs = 0.0, n0, 0.0, 0.0
     return VerificationRecord(
         check_id="jump_identity",
         location=float(worst_at),
@@ -579,25 +588,131 @@ def abel_decompose_scalar(x: float, primes: Iterable[int]) -> AbelDecomposition:
     return AbelDecomposition(x, direct, boundary, integral, residual)
 
 
-def abel_records_scalar(cfg, table, *_primes) -> tuple[list, AbelDecomposition]:
-    """report._abel_records with abel_decompose_scalar run afresh at every
-    x of the table, each with its own direct_S and M."""
-    xs = table.x.tolist()
-    if not xs:
-        return [], table_of([], AbelDecomposition)
-    primes = prime_array(int(math.floor(xs[-1]))).tolist()
-    tol = cfg.tolerance("abel_identity")
-    decomps = []
-    worst = None
-    for x in xs:
-        dec = abel_decompose_scalar(x, primes[: bisect.bisect_right(primes, x)])
-        decomps.append(dec)
-        rec = identity_record(
-            "abel_identity", x, dec.direct_S, dec.boundary_term - dec.integral_term, tol
-        )
-        if worst is None or rec.residual > worst.residual:
-            worst = rec
-    return [worst], table_of(decomps, AbelDecomposition)
+class AbelFoldScalar:
+    """report's Abel fold with abel_decompose_scalar run afresh at every x
+    of the rows, each with its own direct_S and M; it reads no block."""
+
+    def __init__(self, rows, tol: float) -> None:
+        self.rows, self.tol = rows, tol
+
+    def step(self, *block) -> None:
+        pass
+
+    def records(self) -> list:
+        xs = self.rows.x.tolist()
+        if not xs:
+            self.abel = table_of([], AbelDecomposition)
+            return []
+        primes = prime_array(int(math.floor(xs[-1]))).tolist()
+        decomps = []
+        worst = None
+        for x in xs:
+            dec = abel_decompose_scalar(x, primes[: bisect.bisect_right(primes, x)])
+            decomps.append(dec)
+            rec = identity_record(
+                "abel_identity", x, dec.direct_S, dec.boundary_term - dec.integral_term, self.tol
+            )
+            if worst is None or rec.residual > worst.residual:
+                worst = rec
+        self.abel = table_of(decomps, AbelDecomposition)
+        return [worst]
+
+
+class Recorder:
+    """A fold of report's block pass that keeps every block it is handed:
+    n counts the primes, blocks the blocks (the closing empty one too), and
+    arrays() gives their weights and the sums S_n and M_n, n = 0..n; each
+    block must begin where the one before ended."""
+
+    def __init__(self) -> None:
+        self.n = self.blocks = 0
+        self.w, self.S, self.M = [np.empty(0)], [np.zeros(1)], [np.zeros(1)]
+
+    def step(self, n0, p, w, S, M) -> None:
+        assert n0 == self.n and len(p) == len(w) == len(S) - 1 == len(M) - 1
+        assert (S[0], M[0]) == (self.S[-1][-1], self.M[-1][-1])
+        self.n += len(p)
+        self.blocks += 1
+        self.w.append(w)
+        self.S.append(S[1:])
+        self.M.append(M[1:])
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(np.concatenate(parts) for parts in (self.w, self.S, self.M))
+
+
+def exact_sums_at(
+    v: np.ndarray, cuts: np.ndarray, extra: np.ndarray | None = None
+) -> np.ndarray:
+    """sum(v[:c]) (+ extra[i]) for each c = cuts[i], rounded once to a
+    double, for v of any length: the prefixes summed BLOCK values at a time
+    through _limbs, _prefix_limbs and _round_prefixes, the running total
+    carried as a Python int.  v and extra hold multiples of 2**-120 in
+    (-512, 512); cuts ascend.  The Abel pass's rounding before it ran in
+    blocks, and the whole-array path's."""
+    cuts = np.asarray(cuts, dtype=np.int64)
+    out = np.empty(len(cuts))
+    el = None if extra is None else _limbs(np.asarray(extra, dtype=np.float64))
+    base = i0 = 0
+    for b0 in range(0, len(v) + 1, BLOCK):
+        lv = _limbs(v[b0 : b0 + BLOCK])
+        i1 = int(np.searchsorted(cuts, b0 + lv.shape[1], side="right"))
+        if i1 > i0:  # a block with no cut only adds its total
+            sel = _prefix_limbs(lv, cuts[i0:i1] - b0)
+            if el is not None:
+                sel += el[:, i0:i1]
+            out[i0:i1] = _round_prefixes(base, sel)
+        base += _to_int(lv.sum(axis=1))
+        i0 = i1
+    return out
+
+
+def abel_decompose_whole(
+    xs: Sequence[float], S: Sequence[float], M: Sequence[float],
+    primes: np.ndarray, M_primes: np.ndarray,
+) -> AbelDecomposition:
+    """calculus.abel_decompose over every prime to max(xs) at once, as it
+    was before the block pass: primes ascending from 2, M_primes[k] the M
+    after primes[k]; the integral at each x is one exact_sums_at prefix."""
+    xs = np.asarray(xs, dtype=np.float64)
+    S, M = np.asarray(S, dtype=np.float64), np.asarray(M, dtype=np.float64)
+    if not len(xs):
+        return AbelDecomposition(xs, S, xs, xs, xs)
+    cuts = np.searchsorted(primes, xs, side="right")
+    h = 1.0 / weights(primes[: cuts.max()])
+    last = cuts - 1
+    h_x = 1.0 / weights(xs)
+    boundary = h_x * M
+    order = np.argsort(cuts, kind="stable")
+    integral = np.empty(len(xs))
+    integral[order] = exact_sums_at(
+        M_primes[: len(h) - 1] * (h[1:] - h[:-1]), last[order],
+        extra=(M * (h_x - h[last]))[order],
+    )
+    return AbelDecomposition(xs, S, boundary, integral, np.abs(S - (boundary - integral)) / S)
+
+
+def checks_whole(cfg, result) -> tuple[list, VerificationRecord, list, AbelDecomposition]:
+    """The pair records, the jump record, the Abel records and columns of a
+    run as verify and report formed them before the block pass: one array
+    of every check prime (RunContext.primes), their weights and every
+    prefix S_n and M_n (RunContext.sums, weight_arrays), the pair check on
+    the first n_pair, one jump scan over every n, and abel_decompose_whole
+    over every row at or below SCAN_CAP."""
+    primes = prime_array(min(cfg.x_max, SCAN_CAP))
+    w, S, M = weight_arrays(primes)
+    n_pair = min(PAIR_N_CAP, result.state.n)
+    pair = check_pair_identity(w[:n_pair], S, M, cfg.tolerance("pair_identity"))
+    n = np.arange(1, len(w) + 1)
+    jump = worst_record("jump_identity", n, np.diff(S * S - M), 2.0 * w * S[:-1],
+                        cfg.tolerance("jump_identity"))
+    table = result.checkpoints
+    rows = table.select(table.x <= SCAN_CAP)
+    abel = abel_decompose_whole(rows.x, rows.S, rows.M, primes, M[1:])
+    rhs = abel.boundary_term - abel.integral_term
+    records = [worst_record("abel_identity", abel.x, abel.direct_S, rhs,
+                            cfg.tolerance("abel_identity"))] if len(abel.x) else []
+    return pair, jump, records, abel
 
 
 def bound_record(

@@ -19,6 +19,7 @@ from oracles import (
     check_E_monotone_scalar,
     checkpoints_scalar,
     empirical_constants_scalar,
+    exact_sums_at,
     grid_points_loop,
     make_term,
     mertens_width_scalar,
@@ -28,11 +29,11 @@ from oracles import (
 )
 from primesums.accumulate import (
     BLOCK,
+    MARK_CHUNK,
     Checkpoint,
     SumState,
     _limbs,
     _round_prefixes,
-    exact_sums_at,
     grid_points,
     run_stream,
     snapshot,
@@ -387,6 +388,20 @@ class TestLazyPrefixes:
         s, m = whole.extend_primes(PRIME_TABLE[:n], whole_samples, marks)
         assert (s.tolist(), m.tolist(), whole_samples) == (s_at, m_at, samples)
         assert fields(whole) == fields(split)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1000, MARK_CHUNK])
+    def test_marks_at_every_prime_a_chunk_at_a_time(self, chunk, monkeypatch):
+        """A mark at every prime, some twice, as report's block pass and a
+        dense grid set them: rounded chunk marks at a time, each is the
+        push oracle's sum, across chunk and BLOCK edges."""
+        monkeypatch.setattr("primesums.accumulate.MARK_CHUNK", chunk)
+        n = 2 * BLOCK + 5
+        marks = np.sort(np.concatenate((np.arange(n + 1), [0, 7, 1000, BLOCK, BLOCK, n])))
+        got = SumState().extend_primes(PRIME_TABLE[:n], marks=marks)
+        after, _ = pushed_prefixes()
+        for name, sums in zip(("S", "M"), got):
+            slot = SumState.__slots__.index(name)
+            assert sums.tolist() == [math.ldexp(float(after[g][slot]), -120) for g in marks]
 
     @given(st.integers(0, 3), st.sampled_from([math.inf, 0.0, 0.3]), ascending_runs)
     @settings(max_examples=60, deadline=None)

@@ -25,7 +25,7 @@ from primesums.calculus import (
     quadrature,
 )
 from primesums.errors import DomainError, QuadratureError
-from primesums.report import SCAN_CAP, RunConfig, _abel_records
+from primesums.report import RunConfig, RunContext, run_checks
 from primesums.sieve import base_primes
 
 ROMBERG_2_10 = 2.8630264312956002  # int_2^10 dt/sqrt(t log t), frozen oracle
@@ -120,8 +120,8 @@ def primes_1e6():
 
 @pytest.fixture(scope="module")
 def M_primes_1e6(primes_1e6):
-    """The accumulator's M after each prime to 1e6, as RunContext passes
-    it to the Abel pass."""
+    """The accumulator's M after each prime to 1e6: what the block pass
+    hands abel_decompose, one block at a time."""
     return weight_arrays(primes_1e6)[2][1:]
 
 
@@ -177,7 +177,7 @@ class TestAbelGrid:
         S, M = np.empty(len(xs)), np.empty(len(xs))
         table = run_stream(1e6, np.array(xs)[order]).checkpoints
         S[order], M[order] = table.S, table.M
-        abel = abel_decompose(xs, S, M, np.array(primes_1e6), M_primes_1e6)
+        abel, _ = abel_decompose(xs, S, M, np.array(primes_1e6), M_primes_1e6)
         assert abel.x.tolist() == xs
         for i, x in enumerate(xs):
             ref = abel_decompose_scalar(x, primes_to(primes_1e6, x))
@@ -189,19 +189,26 @@ class TestAbelGrid:
             abel_decompose([3.0, 1.5], [1.0, 1.0], [1.0, 1.0], np.array([2, 3]), M_primes)
         with pytest.raises(DomainError):
             abel_decompose([3.0], [1.0], [1.0], np.array([5, 7]), M_primes)
-        empty = abel_decompose([], [], [], np.array([2, 3]), M_primes)
+        empty, carry = abel_decompose([], [], [], np.array([2, 3]), M_primes)
         assert all(len(getattr(empty, f.name)) == 0 for f in fields(empty))
+        # with the carry of a block before it, an x below the block's first
+        # prime lies in the cell from the prime before: the whole run's bits
+        M_all = weight_arrays([2, 3, 5, 7])[2][1:]
+        split, _ = abel_decompose([4.0], [1.0], [1.0], np.array([5, 7]), M_all[2:], carry)
+        whole, _ = abel_decompose([4.0], [1.0], [1.0], np.array([2, 3, 5, 7]), M_all)
+        assert repr(split) == repr(whole)
 
-    def test_dense_grid_to_1e6(self, primes_1e6, M_primes_1e6):
+    def test_dense_grid_to_1e6(self, primes_1e6):
         # ~9.2e4 points below 1e6: one abel_decompose_scalar per point
         # would take on the order of a quarter of an hour
         cfg = RunConfig(x_max=10**6, grid_ratio=1.0001)
-        table = run_stream(1e6, cfg.grid()).checkpoints
-        table = table.select(table.x <= SCAN_CAP)
+        ctx = RunContext(cfg, run_stream(1e6, cfg.grid()))
+        table = ctx.result.checkpoints
         xs = table.x
         assert len(xs) > 90_000
         t0 = time.perf_counter()
-        (worst,), abel = _abel_records(cfg, table, np.array(primes_1e6), M_primes_1e6)
+        (worst,) = [r for r in run_checks(ctx, "report") if r.check_id == "abel_identity"]
+        abel = ctx.folds["abel_identity"].abel
         assert time.perf_counter() - t0 < 30.0
         assert worst.passed
         assert abel.x.tolist() == xs.tolist()

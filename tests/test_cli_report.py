@@ -22,8 +22,8 @@ import primesums.report as report
 from oracles import (
     EagerCheckpoint,
     JumpState,
+    AbelFoldScalar,
     abel_decompose_scalar,
-    abel_records_scalar,
     an_sn_band_scalar,
     assert_same_table,
     block_sandwich_scalar,
@@ -852,6 +852,26 @@ def test_compute_peak_per_row(tmp_path, first_x):
     assert peak <= 120 * rows, peak / rows
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_checks_peak_above_the_stored_run(tmp_path, command):
+    """The checks of verify and of report on a stored 1e6 run trace at
+    most 3 MB above the run read back: the block pass holds one segment's
+    primes and one block's arrays, and the pair check its 5000 primes.
+    Traced here: 2.3 MB for verify and 2.0 MB for report, where the
+    whole-array path of 78,498 primes traced 6.3 MB and 4.9 MB."""
+    cfg = cfg_for(tmp_path, 10**6)
+    cmd_compute(cfg)
+    ctx = report.RunContext(cfg, read_checkpoint_file(cfg.checkpoint_path(), cfg))
+    tracemalloc.start()
+    try:
+        records = report.run_checks(ctx, command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in records)
+    assert peak <= 3_000_000, peak
+
+
 def _count_formatted(monkeypatch) -> list[int]:
     """Wrap report._table_chunks to count the rows it formats: one entry
     per call, that is per CSV written."""
@@ -1355,7 +1375,7 @@ def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
                         counted("pair", pair_records_scalar))
     monkeypatch.setattr(report, "check_jump_identity",
                         counted("jump", jump_record_scalar))
-    monkeypatch.setattr(report, "_abel_records", counted("abel", abel_records_scalar))
+    monkeypatch.setattr(report, "_AbelFold", counted("abel", AbelFoldScalar))
     monkeypatch.setattr(report, "block_sandwich", counted("blocks", block_sandwich_scalar))
     monkeypatch.setattr(report, "sandwich_records",
                         counted("sandwich", sandwich_records_scalar))
@@ -1369,10 +1389,11 @@ def test_outputs_equal_scalar_references(tmp_path, monkeypatch):
                         counted("bands", empirical_constants_scalar))
     monkeypatch.setattr(report, "an_sn_band", counted("anS", an_sn_band_scalar))
     assert verify_and_report("scalar") == vectorized
-    # the registry looks the checks up when it runs them, so the swaps took
-    # effect: pair and jump once in verify, the checks in verify and in
-    # report, the bands in report
-    assert calls == {"pair": 1, "jump": 1, "abel": 2, "blocks": 2, "sandwich": 2,
+    # the registry looks the checks and folds up when it runs them, so the
+    # swaps took effect: pair once in verify, jump once a block there (10
+    # blocks of primes to 1e6 and the closing empty one), the Abel fold and
+    # the checks in verify and in report, the bands in report
+    assert calls == {"pair": 1, "jump": 11, "abel": 2, "blocks": 2, "sandwich": 2,
                      "lower": 2, "scale": 2, "e": 2, "positive": 2, "bands": 1,
                      "anS": 1}
 
@@ -1386,7 +1407,9 @@ def test_abel_S_is_the_stored_S(tmp_path, ratio):
     cfg = cfg_for(tmp_path, 10**6, grid_ratio=ratio)
     cmd_compute(cfg)
     stored = read_checkpoint_file(cfg.checkpoint_path(), cfg)
-    (record,), abel = report.RunContext(cfg, stored).abel
+    ctx = report.RunContext(cfg, stored)
+    (record,) = [r for r in report.run_checks(ctx, "report") if r.check_id == "abel_identity"]
+    abel = ctx.folds["abel_identity"].abel
     assert record.passed
     table = stored.checkpoints
     assert abel.direct_S.tolist() == table.S[table.x <= report.SCAN_CAP].tolist()
@@ -1454,9 +1477,12 @@ def test_abel_M_is_the_accumulators(tmp_path, monkeypatch):
     calls = []
     decompose = report.abel_decompose
     monkeypatch.setattr(report, "abel_decompose", lambda *a: calls.append(a) or decompose(*a))
-    (record,), _ = report.RunContext(cfg, stored).abel
+    records = report.run_checks(report.RunContext(cfg, stored), "report")
+    (record,) = [r for r in records if r.check_id == "abel_identity"]
     assert record.passed
-    ((xs, S, M, primes, M_primes),) = calls
+    # one call a block: the blocks' rows, sums, primes and M, end to end
+    xs, S, M, primes, M_primes = (np.concatenate(a) for a in list(zip(*calls))[:5])
+    assert len(calls) == 11 and len(xs) == len(stored.checkpoints)
     w = weights(primes)
     squares = (w * w).tolist()
     units = itertools.accumulate(int(math.ldexp(v, 120)) for v in squares)

@@ -1,12 +1,17 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import primesums.report as report
 from oracles import (
+    Recorder,
     checkpoint_table_eager,
+    checks_whole,
+    exact_sums_at,
     jump_record_scalar,
     make_term,
     pair_prime_bound,
@@ -19,12 +24,12 @@ from oracles import (
 from primesums.accumulate import (
     BLOCK,
     SumState,
-    exact_sums_at,
     grid_points,
     run_stream,
 )
+from primesums.calculus import AbelDecomposition
 from primesums.errors import DomainError, SizeError
-from primesums.report import CHECKS, DEFAULT_TOLERANCES, RunConfig, RunContext
+from primesums.report import DEFAULT_TOLERANCES, RunConfig, RunContext, run_checks
 from primesums.sieve import base_primes, prime_array
 from primesums.verify import (
     _BRUTEFORCE_CAP,
@@ -231,54 +236,110 @@ class TestJumpIdentity:
         assert rec.location == k + 1
 
 
+def checks_of(ctx, command="verify"):
+    """The records of command's checks on ctx, by check id."""
+    out = {}
+    for record in run_checks(ctx, command):
+        out.setdefault(record.check_id, []).append(record)
+    return out
+
+
 class TestCheckContext:
-    """RunContext sieves to x_cap only; the pair check's primes lie at or
-    below x_cap at every x_max."""
+    """The block pass sieves to x_cap only; the pair check's primes lie at
+    or below x_cap at every x_max."""
 
     @pytest.mark.parametrize("x_max", [150, 1000, 48611, 48612, 10**6])
     def test_pair_and_jump_records_equal_a_wider_sieve(self, x_max, tmp_path):
         cfg = RunConfig(x_max=x_max, out_dir=tmp_path)
         ctx = RunContext(cfg, run_stream(float(x_max), cfg.grid()))
         n_jump = ctx.result.state.n  # every prime <= x_max, as x_max <= 1e6
-        assert ctx.n_pair == min(5000, n_jump) and len(ctx.primes) == n_jump
-        run = {c.check_id: c.run for c in CHECKS}
-        pair = run["pair_identity"](ctx, PAIR_TOL)
-        assert repr(pair) == repr(check_pair_identity(*first_n(ctx.n_pair), PAIR_TOL))
-        assert repr(run["jump_identity"](ctx, JUMP_TOL)) == repr(
+        seen = Recorder()
+        ctx.scan([seen])
+        assert ctx.n_pair == min(5000, n_jump) and seen.n == n_jump
+        records = checks_of(ctx)
+        pair = check_pair_identity(*first_n(ctx.n_pair), PAIR_TOL)
+        assert repr(records["pair_identity"]) == repr(pair)
+        assert repr(records["jump_identity"]) == repr(
             [check_jump_identity(*first_n(n_jump), JUMP_TOL)]
         )
 
     def test_prefix_sums_equal_exact_sums_at(self, tmp_path):
         # the accumulator's S_n and M_n of every prime to 1e6, n = 0..pi(1e6),
-        # are the exact prefix sums of w and w * w, rounded once
+        # as the block pass hands them to the folds, are the exact prefix
+        # sums of w and w * w, rounded once
         cfg = RunConfig(x_max=10**6, out_dir=tmp_path)
         ctx = RunContext(cfg, run_stream(1e6, cfg.grid()))
-        w, S, M = ctx.sums
+        seen = Recorder()
+        ctx.scan([seen])
+        w, S, M = seen.arrays()
         n = np.arange(len(w) + 1)
-        assert len(w) == 78498
+        assert len(w) == 78498 and seen.blocks == -(-78498 // BLOCK) + 1
         assert S.tolist() == exact_sums_at(w, n).tolist()
         assert M.tolist() == exact_sums_at(w * w, n).tolist()
 
     def test_nudged_accumulator_M_fails_jump_identity(self, tmp_path, monkeypatch):
         # the jump check reads M from SumState.extend_primes: one M_n off by
-        # a relative 1e-6 there fails it at n or n + 1
-        k = 26
-        extend = SumState.extend_primes
-
-        def nudged(self, primes, samples=None, marks=()):
-            S, M = extend(self, primes, samples, marks)
-            if len(M) > k:
-                M[k] *= 1 + 1e-6
-            return S, M
-
+        # a relative 1e-6 there, in the one block that forms it, fails it at
+        # n or n + 1, in the first block and past the first block boundary
         cfg = RunConfig(x_max=10**5, out_dir=tmp_path)
-        ctx = RunContext(cfg, run_stream(1e5, cfg.grid()))
-        run = {c.check_id: c.run for c in CHECKS}
-        assert run["jump_identity"](ctx, JUMP_TOL)[0].passed
-        monkeypatch.setattr(SumState, "extend_primes", nudged)
-        ctx = RunContext(cfg, ctx.result)
-        (rec,) = run["jump_identity"](ctx, JUMP_TOL)
-        assert not rec.passed and rec.location in (k, k + 1)
+        result = run_stream(1e5, cfg.grid())
+        assert checks_of(RunContext(cfg, result))["jump_identity"][0].passed
+        extend = SumState.extend_primes
+        for k in (26, BLOCK + 26):
+
+            def nudged(self, primes, samples=None, marks=()):
+                n0 = self.n
+                S, M = extend(self, primes, samples, marks)
+                if n0 < k <= n0 + len(primes):
+                    M[k - n0] *= 1 + 1e-6
+                return S, M
+
+            monkeypatch.setattr(SumState, "extend_primes", nudged)
+            (rec,) = checks_of(RunContext(cfg, result))["jump_identity"]
+            assert not rec.passed and rec.location in (k, k + 1)
+
+
+# the largest x_max drawn for a block size: a block of 1 prime costs a
+# Python step per prime
+BLOCK_CAPS = {1: 3000, 7: 30_000, 4096: 10**6, BLOCK: 10**6}
+
+
+class TestBlockPass:
+    """The block pass against the whole-array path it replaced
+    (oracles.checks_whole): at any block size the pair, jump and Abel
+    records and the Abel columns are the same bits."""
+
+    @given(
+        st.sampled_from(sorted(BLOCK_CAPS)).flatmap(
+            lambda b: st.tuples(st.just(b), st.integers(3, BLOCK_CAPS[b]))),
+        st.sampled_from([2**0.25, 1.0001]),
+    )
+    # the jumps at n = 1 and 2 both have residual 0: a block each, and the
+    # first of the equals is the record
+    @example((1, 4), 2**0.25)
+    # the rows at 475.68 and 951.37 lie in cells from the last prime of a
+    # block of 7 (467, 947) to the first of the next (479, 953)
+    @example((7, 1000), 2**0.25)
+    # the worst jump residual to 1e6 is at n = 70205, the first n of the
+    # second block, read against the first block's last S
+    @example((70204, 10**6), 2**0.25)
+    @example((BLOCK, 10**6), 1.0001)
+    @settings(max_examples=25, deadline=None)
+    def test_any_block_size_gives_the_whole_array_bits(self, size, ratio):
+        block, x_max = size
+        cfg = RunConfig(x_max=x_max, grid_start=min(100.0, x_max), grid_ratio=ratio)
+        result = run_stream(float(x_max), cfg.grid())
+        pair, jump, abel_records, abel = checks_whole(cfg, result)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(report, "BLOCK", block)
+            ctx = RunContext(cfg, result)
+            records = checks_of(ctx)
+        assert repr(records["pair_identity"]) == repr(pair)
+        assert repr(records["jump_identity"]) == repr([jump])
+        assert repr(records["abel_identity"]) == repr(abel_records)
+        folded = ctx.folds["abel_identity"].abel
+        for f in fields(AbelDecomposition):
+            assert getattr(folded, f.name).tobytes() == getattr(abel, f.name).tobytes(), f.name
 
 
 def cps_at(es):
