@@ -131,13 +131,15 @@ class AbelDecomposition:
 
 def abel_decompose(
     xs: Sequence[float], S: Sequence[float], M: Sequence[float],
-    primes: np.ndarray, M_primes: np.ndarray, carry: tuple[int, float, float] = (0, 0.0, 0.0),
+    primes: np.ndarray, w: np.ndarray, M_primes: np.ndarray,
+    carry: tuple[int, float, float] = (0, 0.0, 0.0),
 ) -> tuple[AbelDecomposition, tuple[int, float, float]]:
     """The partial-summation split at every x of xs in one pass over one
     block of primes, as columns in the order of xs, against the sums S and M
     (S[i], M[i] at xs[i]) the caller read; and the carry after the block.
 
-    primes is an ascending int64 block of consecutive primes and M_primes[k]
+    primes is an ascending int64 block of consecutive primes, w their
+    weights(primes), as the caller already formed them, and M_primes[k]
     the accumulator's M after primes[k].  carry is the integral from 2 to
     the prime before the block, as an int in units of 2**-120, with the M
     and h at that prime; the start carry (0, 0.0, 0.0) stands for no prime
@@ -145,9 +147,8 @@ def abel_decompose(
     the next block's first prime.  The integral of M(t) h'(t) is exact for
     the step function M: the sum over the cells [t_k, t_{k+1}) of
     M(t_k) * (h(t_{k+1}) - h(t_k)), where the t_k are the primes <= x
-    followed by x itself.  Per prime w is weights(p) and h = 1/w; at x, h is
-    1/weights(x), and M(x) is M[i], in the boundary h(x) M(x) and in x's own
-    last cell.  The block's cells, from the prime before it on, are formed
+    followed by x itself.  Per prime h = 1/w; at x, h is 1/weights(x),
+    and M(x) is M[i], in the boundary h(x) M(x) and in x's own last cell.  The block's cells, from the prime before it on, are formed
     once, and at each x the integral is the carry plus an exact prefix sum,
     rounded once (_prefix_limbs, _round_prefixes): a point costs O(1) after
     an O(len(primes)) set-up, and any split of the primes into blocks gives
@@ -156,7 +157,7 @@ def abel_decompose(
     xs = np.asarray(xs, dtype=np.float64)
     S, M = np.asarray(S, dtype=np.float64), np.asarray(M, dtype=np.float64)
     units, M_prev, h_prev = carry
-    h = np.concatenate(([h_prev], 1.0 / weights(primes)))
+    h = np.concatenate(([h_prev], 1.0 / w))
     cells = _limbs(np.concatenate(([M_prev], M_primes[:-1])) * np.diff(h))
     if len(primes):
         carry = (units + _to_int(cells.sum(axis=1)), float(M_primes[-1]), float(h[-1]))

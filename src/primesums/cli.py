@@ -6,10 +6,12 @@
 
 report's checkpoint file is the stored run, as --resume's is for compute
 and verify.  It answers the --x-max (not compute's), --grid-start and
---grid-ratio left out, and refuses one given otherwise; every other flag
-left out takes RunConfig's default.  Exit status: 0 on success (and when
-every verification record passes), 1 on failed checks or unreadable data
-files, 2 on usage/config errors.  Unknown flags are errors.
+--grid-ratio left out, and refuses one given otherwise; --out left out
+is primesums_out.  No flag sets a check's parameters or tolerance: they
+are constants of the check registry (report.CHECKS), so the records of a
+stored run depend on its file alone.  Exit status: 0 on success (and
+when every verification record passes), 1 on failed checks or unreadable
+data files, 2 on usage/config errors.  Unknown flags are errors.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import CheckpointFormatError, ConfigError
-from .report import (
-    DEFAULT_TOLERANCES,
-    RunConfig,
-    cmd_compute,
-    cmd_report,
-    cmd_verify,
-)
+from .report import RunConfig, cmd_compute, cmd_report, cmd_verify
 
 # --threads is accepted within these bounds and has no effect (the sieve runs
 # on one thread): it stays while perfbench/run.py passes --threads 1 to every command
@@ -47,21 +43,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         type=float,
         help="geometric spacing of checkpoints (> 1; 2^(1/4), or the file's)",
     )
-    p.add_argument("--A", type=float, help="block ratio for the lower-bound check (default: 8)")
-    p.add_argument(
-        "--lambda",
-        dest="lambdas",
-        type=float,
-        action="append",
-        metavar="RATIO",
-        help="sandwich block ratio, repeatable (default: 2 4 8)",
-    )
-    p.add_argument(
-        "--tol",
-        action="append",
-        metavar="CHECK=VALUE",
-        help=f"tolerance override, repeatable; checks: {', '.join(sorted(DEFAULT_TOLERANCES))}",
-    )
     p.add_argument("--out", type=Path, help="output directory (default: primesums_out)")
     p.add_argument(
         "--threads",
@@ -71,19 +52,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs:
-        check_id, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigError(f"--tol expects CHECK=VALUE, got {pair!r}")
-        try:
-            out[check_id] = float(value)
-        except ValueError:
-            raise ConfigError(f"--tol {check_id}: not a number: {value!r}")
-    return out
-
-
 def _config_from(args: argparse.Namespace) -> RunConfig:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
@@ -91,10 +59,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     stored = args.checkpoint_file if args.command == "report" else args.resume
     if args.x_max is None and (stored is None or args.command == "compute"):
         raise ConfigError("--x-max is required, but for verify --resume and report")
-    given = dict(grid_start=args.grid_start, grid_ratio=args.grid_ratio,
-                 A=args.A, out_dir=args.out,
-                 lambdas=args.lambdas and tuple(args.lambdas),
-                 tolerances=args.tol and _parse_tolerances(args.tol))
+    given = dict(grid_start=args.grid_start, grid_ratio=args.grid_ratio, out_dir=args.out)
     # the grid flags left out stay None for the file's header to answer
     answered = ("grid_start", "grid_ratio") if stored is not None else ()
     return RunConfig(x_max=args.x_max, resume_from=stored, **{

@@ -2,7 +2,7 @@
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value (bad grid ratio, segment size, ...)."""
+    """Invalid configuration value (bad grid ratio, x_max, thread count, ...)."""
 
 
 class DomainError(ValueError):

@@ -52,7 +52,7 @@ import os
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
@@ -94,12 +94,7 @@ from .asymptotics import (
 # its closing empty block included, and check_pair_identity once.  No
 # command calls snapshot or term_stream: they stay only so that the tracer
 # finds them.
-from .calculus import (
-    QUADRATURE_TOL_FLOOR,
-    AbelDecomposition,
-    abel_decompose,
-    main_term_identity,
-)
+from .calculus import AbelDecomposition, abel_decompose, main_term_identity
 from .csvcodec import encode_rows
 from .errors import CheckpointFormatError, ConfigError
 from .sieve import SieveConfig, stream_segments
@@ -135,6 +130,10 @@ _CHUNK = 4096  # table rows encoded at a time
 MAX_X_MAX = 10**13
 _NS_PER_PRIME = 200
 _BLOCK = 1 << 20  # bytes of a stored CSV read at a time
+# the block ratios of the lower-bound check and of the sandwiches, which
+# report.json echoes as config.A and config.lambdas
+LOWER_BOUND_A = 8.0
+SANDWICH_LAMBDAS = (2.0, 4.0, 8.0)
 
 
 def _fmt(x: float) -> str:
@@ -218,9 +217,6 @@ class RunConfig:
     x_max: int | None
     grid_start: float | None = 100.0
     grid_ratio: float | None = 2.0**0.25
-    A: float = 8.0
-    lambdas: tuple[float, ...] = (2.0, 4.0, 8.0)
-    tolerances: dict[str, float] = field(default_factory=dict)
     out_dir: Path = Path("primesums_out")
     resume_from: Path | None = None
 
@@ -243,26 +239,6 @@ class RunConfig:
         if None not in (self.x_max, self.grid_start, self.grid_ratio):
             # else these run again once a header has answered the Nones
             check_grid(self.grid_start, self.x_max, self.grid_ratio)
-        if not 1.0 < self.A < math.inf:
-            raise ConfigError(f"A must be finite and > 1, got {self.A}")
-        if not all(1.0 < lam < math.inf for lam in self.lambdas):
-            raise ConfigError(f"every lambda must be finite and > 1, got {self.lambdas}")
-        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ConfigError(
-                f"no tolerance to set for {unknown}: the exact checks "
-                f"({', '.join(EXACT_CHECKS)}) take none, and other ids are not checks"
-            )
-        bad = {k: v for k, v in self.tolerances.items() if not 0.0 <= v < math.inf}
-        if bad:
-            raise ConfigError(f"tolerances must be finite and >= 0, got {bad}")
-        main = self.tolerance("main_term")
-        if main / 10.0 < QUADRATURE_TOL_FLOOR:  # _main_term's quadrature tolerance
-            raise ConfigError(f"main_term tolerance must be >= 1e-11, got {main}")
-
-    def tolerance(self, check_id: str) -> float | None:
-        """The check's tolerance; None for an exact check."""
-        return self.tolerances.get(check_id, DEFAULT_TOLERANCES.get(check_id))
 
     def grid(self) -> np.ndarray:
         return grid_points(self.grid_start, float(self.x_max), self.grid_ratio)
@@ -542,7 +518,7 @@ class RunContext:
 
     @cached_property
     def blocks(self) -> Blocks:
-        return block_sandwich(self.result.checkpoints, self.cfg.lambdas)
+        return block_sandwich(self.result.checkpoints, SANDWICH_LAMBDAS)
 
 
 class _PairFold:
@@ -596,7 +572,7 @@ class _AbelFold:
         end = int(np.searchsorted(self.rows.x, p[-1], side="right")) if len(p) else len(self.rows)
         at = slice(self.done, end)
         rows = self.rows.select(at)
-        part, self.carry = abel_decompose(rows.x, rows.S, rows.M, p, M[1:], self.carry)
+        part, self.carry = abel_decompose(rows.x, rows.S, rows.M, p, w, M[1:], self.carry)
         for name in ("boundary_term", "integral_term", "residual"):
             getattr(self.abel, name)[at] = getattr(part, name)
         self.done = end
@@ -611,10 +587,10 @@ class _AbelFold:
 
 @dataclass(frozen=True)
 class Check:
-    """One registry entry: a check id, its default tolerance (None for an
-    exact check, which takes no --tol), the commands that run it, and
-    either its records given the run and the tolerance (run), or its fold
-    given the same (fold), whose records follow the block pass."""
+    """One registry entry: a check id, its tolerance (None for an exact
+    check, whose records carry 0.0), the commands that run it, and either
+    its records given the run and the tolerance (run), or its fold given
+    the same (fold), whose records follow the block pass."""
 
     check_id: str
     tolerance: float | None
@@ -654,12 +630,8 @@ CHECKS = (
     Check("main_term", 1e-8, _V, _main_term),
     Check("block_sandwich", 1e-12, _VR, lambda c, tol: sandwich_records(c.blocks, tol)),
     Check("lower_bound", 1e-12, _VR, lambda c, tol: lower_bound_check(
-        c.result.checkpoints, c.cfg.A, tol)),
+        c.result.checkpoints, LOWER_BOUND_A, tol)),
 )
-DEFAULT_TOLERANCES: dict[str, float] = {
-    c.check_id: c.tolerance for c in CHECKS if c.tolerance is not None
-}
-EXACT_CHECKS = tuple(c.check_id for c in CHECKS if c.tolerance is None)
 
 
 def run_checks(ctx: RunContext, command: str) -> list[VerificationRecord]:
@@ -667,13 +639,12 @@ def run_checks(ctx: RunContext, command: str) -> list[VerificationRecord]:
     folds of those checks are made, fed by one block pass (ctx.scan) and
     left in ctx.folds, then every check gives its records."""
     checks = [c for c in CHECKS if command in c.commands]
-    tol = {c.check_id: ctx.cfg.tolerance(c.check_id) for c in checks}
-    ctx.folds = {c.check_id: c.fold(ctx, tol[c.check_id]) for c in checks if c.fold}
+    ctx.folds = {c.check_id: c.fold(ctx, c.tolerance) for c in checks if c.fold}
     ctx.scan(ctx.folds.values())
     return [
         record
         for c in checks
-        for record in (ctx.folds[c.check_id].records() if c.fold else c.run(ctx, tol[c.check_id]))
+        for record in (ctx.folds[c.check_id].records() if c.fold else c.run(ctx, c.tolerance))
     ]
 
 
@@ -725,8 +696,8 @@ def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
             "x_max": cfg.x_max,
             "grid_start": cfg.grid_start,
             "grid_ratio": cfg.grid_ratio,
-            "A": cfg.A,
-            "lambdas": list(cfg.lambdas),
+            "A": LOWER_BOUND_A,
+            "lambdas": list(SANDWICH_LAMBDAS),
             "config_hash": cfg.config_hash(),
         },
         "metadata": {

@@ -58,7 +58,7 @@ from primesums.accumulate import (
 from primesums.asymptotics import AN_SN_SERIES, BAND_SERIES, Blocks, RatioBand
 from primesums.calculus import AbelDecomposition, _check_domain, _u_integral, eval_h
 from primesums.errors import DomainError, SequencingError, SizeError
-from primesums.report import PAIR_N_CAP, SCAN_CAP
+from primesums.report import CHECKS, PAIR_N_CAP, SCAN_CAP
 from primesums.sieve import DEFAULT_SEGMENT_SIZE, prime_array
 from primesums.verify import (
     _BRUTEFORCE_CAP,
@@ -667,19 +667,26 @@ def exact_sums_at(
     return out
 
 
+def registry_tolerance(check_id: str) -> float | None:
+    """The tolerance of the check registry's entry check_id (report.CHECKS)."""
+    (tol,) = [c.tolerance for c in CHECKS if c.check_id == check_id]
+    return tol
+
+
 def abel_decompose_whole(
     xs: Sequence[float], S: Sequence[float], M: Sequence[float],
-    primes: np.ndarray, M_primes: np.ndarray,
+    primes: np.ndarray, w: np.ndarray, M_primes: np.ndarray,
 ) -> AbelDecomposition:
     """calculus.abel_decompose over every prime to max(xs) at once, as it
-    was before the block pass: primes ascending from 2, M_primes[k] the M
-    after primes[k]; the integral at each x is one exact_sums_at prefix."""
+    was before the block pass: primes ascending from 2, w their weights,
+    M_primes[k] the M after primes[k]; the integral at each x is one
+    exact_sums_at prefix."""
     xs = np.asarray(xs, dtype=np.float64)
     S, M = np.asarray(S, dtype=np.float64), np.asarray(M, dtype=np.float64)
     if not len(xs):
         return AbelDecomposition(xs, S, xs, xs, xs)
     cuts = np.searchsorted(primes, xs, side="right")
-    h = 1.0 / weights(primes[: cuts.max()])
+    h = 1.0 / w[: cuts.max()]
     last = cuts - 1
     h_x = 1.0 / weights(xs)
     boundary = h_x * M
@@ -702,16 +709,16 @@ def checks_whole(cfg, result) -> tuple[list, VerificationRecord, list, AbelDecom
     primes = prime_array(min(cfg.x_max, SCAN_CAP))
     w, S, M = weight_arrays(primes)
     n_pair = min(PAIR_N_CAP, result.state.n)
-    pair = check_pair_identity(w[:n_pair], S, M, cfg.tolerance("pair_identity"))
+    pair = check_pair_identity(w[:n_pair], S, M, registry_tolerance("pair_identity"))
     n = np.arange(1, len(w) + 1)
     jump = worst_record("jump_identity", n, np.diff(S * S - M), 2.0 * w * S[:-1],
-                        cfg.tolerance("jump_identity"))
+                        registry_tolerance("jump_identity"))
     table = result.checkpoints
     rows = table.select(table.x <= SCAN_CAP)
-    abel = abel_decompose_whole(rows.x, rows.S, rows.M, primes, M[1:])
+    abel = abel_decompose_whole(rows.x, rows.S, rows.M, primes, w, M[1:])
     rhs = abel.boundary_term - abel.integral_term
     records = [worst_record("abel_identity", abel.x, abel.direct_S, rhs,
-                            cfg.tolerance("abel_identity"))] if len(abel.x) else []
+                            registry_tolerance("abel_identity"))] if len(abel.x) else []
     return pair, jump, records, abel
 
 

@@ -146,8 +146,8 @@ def test_criterion_04_abel_decomposition_grid_to_1e6():
     # the identity against the S and M the run stores at every grid point
     stored = run_stream(1e6, grid).checkpoints
     primes = prime_array(10**6)
-    M_primes = weight_arrays(primes)[2][1:]
-    dec, _ = abel_decompose(grid, stored.S, stored.M, primes, M_primes)
+    w, _, M = weight_arrays(primes)
+    dec, _ = abel_decompose(grid, stored.S, stored.M, primes, w, M[1:])
     worst = float(dec.residual.max())
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed <= 5.0

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import an_Sn_series, block_records_scalar, eval_w, rows, table_with
+from oracles import (
+    an_Sn_series,
+    block_records_scalar,
+    eval_w,
+    registry_tolerance,
+    rows,
+    table_with,
+)
 from primesums.accumulate import SumState, grid_points, run_stream, snapshot
 from primesums.asymptotics import (
     an_sn_band,
@@ -18,14 +25,13 @@ from primesums.asymptotics import (
     series_band,
 )
 from primesums.errors import ConfigError, DomainError
-from primesums.report import DEFAULT_TOLERANCES
 from primesums.sieve import base_primes
 
 R_S_10 = 1.0981183082402295
 R_E_PI_10 = 0.98108689789429748
-LOWER_TOL = DEFAULT_TOLERANCES["lower_bound"]
-SANDWICH_TOL = DEFAULT_TOLERANCES["block_sandwich"]
-SCALE_TOL = DEFAULT_TOLERANCES["scale_identity"]
+LOWER_TOL = registry_tolerance("lower_bound")
+SANDWICH_TOL = registry_tolerance("block_sandwich")
+SCALE_TOL = registry_tolerance("scale_identity")
 
 
 @pytest.fixture(scope="module")

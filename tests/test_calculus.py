@@ -177,25 +177,28 @@ class TestAbelGrid:
         S, M = np.empty(len(xs)), np.empty(len(xs))
         table = run_stream(1e6, np.array(xs)[order]).checkpoints
         S[order], M[order] = table.S, table.M
-        abel, _ = abel_decompose(xs, S, M, np.array(primes_1e6), M_primes_1e6)
+        primes = np.array(primes_1e6)
+        abel, _ = abel_decompose(xs, S, M, primes, weight_arrays(primes)[0], M_primes_1e6)
         assert abel.x.tolist() == xs
         for i, x in enumerate(xs):
             ref = abel_decompose_scalar(x, primes_to(primes_1e6, x))
             assert repr(self.row(abel, i)) == repr(ref)
 
     def test_rejects_small_x_and_missing_primes(self):
-        M_primes = weight_arrays([2, 3])[2][1:]
+        w, _, M = weight_arrays([2, 3])
         with pytest.raises(DomainError):
-            abel_decompose([3.0, 1.5], [1.0, 1.0], [1.0, 1.0], np.array([2, 3]), M_primes)
+            abel_decompose([3.0, 1.5], [1.0, 1.0], [1.0, 1.0], np.array([2, 3]), w, M[1:])
         with pytest.raises(DomainError):
-            abel_decompose([3.0], [1.0], [1.0], np.array([5, 7]), M_primes)
-        empty, carry = abel_decompose([], [], [], np.array([2, 3]), M_primes)
+            abel_decompose([3.0], [1.0], [1.0], np.array([5, 7]), w, M[1:])
+        empty, carry = abel_decompose([], [], [], np.array([2, 3]), w, M[1:])
         assert all(len(getattr(empty, f.name)) == 0 for f in fields(empty))
         # with the carry of a block before it, an x below the block's first
         # prime lies in the cell from the prime before: the whole run's bits
-        M_all = weight_arrays([2, 3, 5, 7])[2][1:]
-        split, _ = abel_decompose([4.0], [1.0], [1.0], np.array([5, 7]), M_all[2:], carry)
-        whole, _ = abel_decompose([4.0], [1.0], [1.0], np.array([2, 3, 5, 7]), M_all)
+        w_all, _, M_all = weight_arrays([2, 3, 5, 7])
+        split, _ = abel_decompose([4.0], [1.0], [1.0], np.array([5, 7]), w_all[2:],
+                                  M_all[3:], carry)
+        whole, _ = abel_decompose([4.0], [1.0], [1.0], np.array([2, 3, 5, 7]), w_all,
+                                  M_all[1:])
         assert repr(split) == repr(whole)
 
     def test_dense_grid_to_1e6(self, primes_1e6):

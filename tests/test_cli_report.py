@@ -260,26 +260,11 @@ class TestRunConfig:
             cfg_for(tmp_path, 50)  # below default grid_start
         with pytest.raises(ConfigError):
             cfg_for(tmp_path, 1000, grid_ratio=0.9)
-        with pytest.raises(ConfigError):
-            cfg_for(tmp_path, 1000, A=1.0)
-        with pytest.raises(ConfigError):
-            cfg_for(tmp_path, 1000, lambdas=(2.0, 1.0))
-        with pytest.raises(ConfigError):
-            cfg_for(tmp_path, 1000, tolerances={"no_such_check": 1.0})
         # NaN passes every comparison with a bound, and inf is no usable ratio
-        for kw in ({"A": math.nan}, {"A": math.inf}, {"lambdas": (2.0, math.nan)},
-                   {"grid_ratio": math.nan}, {"grid_ratio": math.inf},
-                   {"grid_start": math.nan}, {"tolerances": {"lower_bound": math.nan}},
-                   {"tolerances": {"lower_bound": math.inf}},
-                   {"tolerances": {"lower_bound": -1.0}}):
+        for kw in ({"grid_ratio": math.nan}, {"grid_ratio": math.inf},
+                   {"grid_start": math.nan}):
             with pytest.raises(ConfigError):
                 cfg_for(tmp_path, 1000, **kw)
-        cfg_for(tmp_path, 1000, tolerances={"lower_bound": 0.0})
-        # main_term's quadrature runs at a tenth of its tolerance, floor 1e-12
-        for value in (0.0, 5e-12):
-            with pytest.raises(ConfigError, match="main_term"):
-                cfg_for(tmp_path, 1000, tolerances={"main_term": value})
-        cfg_for(tmp_path, 1000, tolerances={"main_term": 1e-11})
         # more than 1e7 grid points, counted before any is built
         with pytest.raises(ConfigError, match="1e7 points"):
             cfg_for(tmp_path, 1000, grid_ratio=1.0000001)
@@ -338,8 +323,7 @@ class TestRunConfig:
         a = cfg_for(tmp_path, 10**4)
         b = cfg_for(tmp_path, 10**6)
         c = cfg_for(tmp_path, 10**4, grid_ratio=1.5)
-        d = cfg_for(tmp_path, 10**4, A=3.0, lambdas=(5.0,), tolerances={"main_term": 1e-6})
-        assert a.config_hash() == b.config_hash() == d.config_hash()
+        assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
 
@@ -1190,9 +1174,14 @@ class TestVerify:
         records, status = cmd_verify(again)
         assert status == 0
 
-    def test_tolerance_override_can_force_failure(self, tmp_path):
+    def test_tolerance_override_can_force_failure(self, tmp_path, monkeypatch):
+        """No flag sets a tolerance; a registry whose jump_identity entry has
+        tolerance 0.0 fails that check alone, since nothing beats an exact
+        zero at scale."""
         cfg = cfg_for(tmp_path, 10**3)
-        cfg.tolerances["jump_identity"] = 0.0  # nothing beats an exact zero at scale
+        monkeypatch.setattr(report, "CHECKS", tuple(
+            replace(c, tolerance=0.0) if c.check_id == "jump_identity" else c
+            for c in report.CHECKS))
         records, status = cmd_verify(cfg)
         assert status == 1
         failing = [r for r in records if not r.passed]
@@ -1481,9 +1470,9 @@ def test_abel_M_is_the_accumulators(tmp_path, monkeypatch):
     (record,) = [r for r in records if r.check_id == "abel_identity"]
     assert record.passed
     # one call a block: the blocks' rows, sums, primes and M, end to end
-    xs, S, M, primes, M_primes = (np.concatenate(a) for a in list(zip(*calls))[:5])
+    xs, S, M, primes, w, M_primes = (np.concatenate(a) for a in list(zip(*calls))[:6])
     assert len(calls) == 11 and len(xs) == len(stored.checkpoints)
-    w = weights(primes)
+    assert w.tolist() == weights(primes).tolist()  # the block's own, formed once
     squares = (w * w).tolist()
     units = itertools.accumulate(int(math.ldexp(v, 120)) for v in squares)
     exact = [math.ldexp(float(u), -120) for u in units]
@@ -1532,6 +1521,19 @@ class TestRegistry:
         assert set(emitted) == set(in_verify)
         # and in registry order
         assert sorted(emitted, key=in_verify.index) == emitted
+        # every verify and report record carries its entry's tolerance, 0.0
+        # for an exact check: the records depend on the stored file alone
+        tolerance = {c.check_id: 0.0 if c.tolerance is None else c.tolerance
+                     for c in report.CHECKS}
+        bundle = json.loads(report_on(cfg, stored_1e6).read_text())
+        carried = [(r.check_id, r.tolerance) for r in records] + [
+            (r["check_id"], r["tolerance"]) for r in bundle["verification_records"]]
+        assert all(tol == tolerance[_entry(check_id)] for check_id, tol in carried)
+        by_id = dict(carried)
+        assert [by_id[i] for i in ("e_monotone", "ratio_positive", "mertens_contraction")] == [
+            0.0, 0.0, 0.0]
+        assert by_id["block_sandwich_lower"] == by_id["block_sandwich_upper"] == tolerance[
+            "block_sandwich"]
 
     def test_no_record_lies_past_the_run(self, stored_1e6, tmp_path):
         # the late Mertens window [1e6, 1e8] holds only x = 1e6 here
@@ -1540,27 +1542,11 @@ class TestRegistry:
         assert max(r.location for r in records) <= 10**6
         assert [r.location for r in records if r.check_id == "mertens_contraction"] == [1e6]
 
-    def test_tol_accepts_exactly_the_registry_ids(self, tmp_path, capsys):
+    def test_registry_ids_and_exact_checks(self):
         ids = [c.check_id for c in report.CHECKS]
         assert len(set(ids)) == len(ids)
-        exact = ["e_monotone", "ratio_positive", "mertens_contraction"]
-        assert list(report.EXACT_CHECKS) == exact
-        assert list(report.DEFAULT_TOLERANCES) == [i for i in ids if i not in exact]
-        assert len(report.DEFAULT_TOLERANCES) == 7
-        out = str(tmp_path / "out")
-        for check_id in report.DEFAULT_TOLERANCES:
-            assert cli_main(["compute", "--x-max", "100", "--tol",
-                             f"{check_id}=0.5", "--out", out]) == 0
-        with pytest.raises(SystemExit):
-            cli_main(["verify", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert ", ".join(sorted(report.DEFAULT_TOLERANCES)) in help_text
-        assert not any(check_id in help_text for check_id in exact)
-        for check_id in (*exact, "block_sandwich_lower", "no_such_check", ""):
-            capsys.readouterr()
-            assert cli_main(["compute", "--x-max", "100", "--tol",
-                             f"{check_id}=0.5", "--out", out]) == 2
-            assert f"'{check_id}'" in capsys.readouterr().err
+        exact = [c.check_id for c in report.CHECKS if c.tolerance is None]
+        assert exact == ["e_monotone", "ratio_positive", "mertens_contraction"]
 
 
 def test_benchmark_accepts_report(tmp_path, monkeypatch):
@@ -1673,12 +1659,10 @@ class TestCli:
         assert cli_main(["compute", "--x-max", "1000"]) == 2
         assert cli_main(["verify", "--resume", str(ckpt)]) == 2
         assert cli_main(["report", str(ckpt)]) == 2
-        assert cli_main(["compute", "--x-max", "1000", "--A", "3", "--lambda", "5",
-                         "--tol", "main_term=1e-6", "--out", str(tmp_path)]) == 2
+        assert cli_main(["compute", "--x-max", "1000", "--out", str(tmp_path)]) == 2
         stored = RunConfig(x_max=None, grid_start=None, grid_ratio=None, resume_from=ckpt)
-        assert seen == [RunConfig(x_max=1000), stored, stored, RunConfig(
-            x_max=1000, A=3.0, lambdas=(5.0,), tolerances={"main_term": 1e-6},
-            out_dir=tmp_path)]
+        assert seen == [RunConfig(x_max=1000), stored, stored,
+                        RunConfig(x_max=1000, out_dir=tmp_path)]
 
     def test_unknown_flag_is_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -1687,15 +1671,19 @@ class TestCli:
 
     def test_segment_size_is_an_unknown_flag(self, tmp_path, capsys):
         """--segment-size is gone: no output byte depended on it, and no
-        size paid.  argparse refuses it (exit 2) before any work."""
+        size paid.  So are --tol, --A and --lambda: a check's tolerance and
+        block ratios are constants of the registry.  argparse refuses each
+        (exit 2) before any work, and no --out directory is made."""
         out = tmp_path / "never"
-        for command in (["compute"], ["verify"]):
-            with pytest.raises(SystemExit) as exc:
-                cli_main([*command, "--x-max", "2000", "--segment-size", "2048",
-                          "--out", str(out)])
-            assert exc.value.code == 2
-            assert "unrecognized arguments: --segment-size 2048" in capsys.readouterr().err
-        assert not out.exists()
+        for flag in (["--segment-size", "2048"], ["--tol", "jump_identity=1"],
+                     ["--A", "3"], ["--lambda", "5"]):
+            for command in (["compute"], ["verify"]):
+                with pytest.raises(SystemExit) as exc:
+                    cli_main([*command, "--x-max", "2000", *flag, "--out", str(out)])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: {' '.join(flag)}" in err
+            assert not out.exists()
 
     def test_cap_refused_with_projected_time(self, tmp_path, capsys):
         """An x_max past the cap exits 2, names the run's projected time, and
@@ -1717,11 +1705,7 @@ class TestCli:
         for flags in (["--x-max", str(10**13 + 1)], ["--x-max", str(2**53 + 1)],
                       ["--x-max", "1" + "0" * 400], ["--x-max", "2000", "--threads", "9"]):
             assert cli_main(["compute", *flags, "--out", out]) == 2
-        for flags in (["--A", "nan"], ["--A", "inf"], ["--lambda", "nan"],
-                      ["--grid-ratio", "nan"], ["--grid-ratio", "1.0000001"],
-                      ["--tol", "lower_bound=nan"],
-                      ["--tol", "lower_bound=-1"], ["--tol", "main_term=0"],
-                      ["--tol", "main_term=5e-12"]):
+        for flags in (["--grid-ratio", "nan"], ["--grid-ratio", "1.0000001"]):
             assert cli_main(["verify", "--x-max", "100000", *flags, "--out", out]) == 2
         assert not (tmp_path / "never").exists()
 
@@ -1733,19 +1717,3 @@ class TestCli:
              "--out", str(tmp_path), "--resume", str(bad)]
         )
         assert code == 1
-
-    def test_lambda_and_tol_flags(self, tmp_path):
-        out = str(tmp_path / "cli")
-        code = cli_main(
-            ["verify", "--x-max", "2000", "--out", out,
-             "--lambda", "2", "--lambda", "3",
-             "--tol", "jump_identity=1e-6", "--threads", "2"]
-        )
-        assert code == 0
-
-    def test_malformed_tol_exit_2(self, tmp_path):
-        code = cli_main(
-            ["verify", "--x-max", "2000", "--out", str(tmp_path),
-             "--tol", "jump_identity"]
-        )
-        assert code == 2

@@ -18,6 +18,7 @@ from oracles import (
     pair_records_scalar,
     pair_row_sums_limbs,
     pair_sum_bruteforce,
+    registry_tolerance,
     table_with,
     weight_arrays,
 )
@@ -29,7 +30,7 @@ from primesums.accumulate import (
 )
 from primesums.calculus import AbelDecomposition
 from primesums.errors import DomainError, SizeError
-from primesums.report import DEFAULT_TOLERANCES, RunConfig, RunContext, run_checks
+from primesums.report import RunConfig, RunContext, run_checks
 from primesums.sieve import base_primes, prime_array
 from primesums.verify import (
     _BRUTEFORCE_CAP,
@@ -43,8 +44,8 @@ from primesums.verify import (
 )
 
 TWO_A1_A2 = 0.71250731477826901
-PAIR_TOL = DEFAULT_TOLERANCES["pair_identity"]
-JUMP_TOL = DEFAULT_TOLERANCES["jump_identity"]
+PAIR_TOL = registry_tolerance("pair_identity")
+JUMP_TOL = registry_tolerance("jump_identity")
 
 # 9592 primes: the scan crosses a BLOCK
 W_1E5, S_1E5, M_1E5 = weight_arrays(prime_array(10**5))
