@@ -233,22 +233,20 @@ class SumState:
 
     S and M are exact integers in units of 2**-120, the sums of a_n and of
     a_n*a_n (the rounded double); S_total and M_total round them correctly.
-    The rest is what a resume continues from: n, the last prime and weight,
-    a_n * S_{n-1} at the last n, and whether w decreases from p = 3.  The
-    state after a run of primes is the same however it is split into calls.
+    The rest is what a resume continues from: n, the last prime, and
+    a_n * S_{n-1} at the last n.  The state after a run of primes is the
+    same however it is split into calls.
     """
 
     # also the keys of the checkpoint file's state, by name
-    __slots__ = ("n", "last_prime", "S", "M", "last_weight", "last_anS", "weights_decreasing")
+    __slots__ = ("n", "last_prime", "S", "M", "last_anS")
 
     def __init__(self) -> None:
         self.n = 0
         self.last_prime = 0
         self.S = 0
         self.M = 0
-        self.last_weight = math.inf
         self.last_anS = 0.0
-        self.weights_decreasing = True
 
     @property
     def S_total(self) -> float:
@@ -285,14 +283,11 @@ class SumState:
         for b0 in range(0, len(primes), BLOCK):
             w = weights(primes[b0 : b0 + BLOCK])
             n0, s0, m0 = self.n, self.S, self.M
-            d = np.concatenate(([self.last_weight], w))[max(2 - n0, 0) :]  # from w_3 on
-            self.weights_decreasing &= bool(np.all(d[1:] < d[:-1]))
             lw = _limbs(np.stack((w, w * w)))  # (limb, [w, w*w], prime)
             total = lw.sum(axis=2)
             self.n = n0 + len(w)
             self.S = s0 + _to_int(total[:, 0])
             self.M = m0 + _to_int(total[:, 1])
-            self.last_weight = float(w[-1])
             ks = [1 << e for e in range(n0.bit_length(), self.n.bit_length())]  # in (n0, n]
             if samples is not None and ks:
                 j = np.array(ks) - n0 - 1  # S_{k-1} is s0 plus w[:j]
@@ -310,7 +305,7 @@ class SumState:
             mi = mj
         if len(primes):
             # w_last * 2**120 is an integer, so S_{n-1} = S - w_last is exact
-            w_last = self.last_weight
+            w_last = float(w[-1])
             self.last_prime = int(primes[-1])
             self.last_anS = w_last * (float(self.S - int(w_last * _SCALE)) * _UNIT)
         return s_at, m_at

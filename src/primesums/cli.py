@@ -5,13 +5,13 @@
     primesums report  --out run/ run/checkpoints.txt
 
 report's checkpoint file is the stored run, as --resume's is for compute
-and verify.  It answers the --x-max (not compute's), --grid-start and
---grid-ratio left out, and refuses one given otherwise; --out left out
-is primesums_out.  No flag sets a check's parameters or tolerance: they
-are constants of the check registry (report.CHECKS), so the records of a
-stored run depend on its file alone.  Exit status: 0 on success (and
-when every verification record passes), 1 on failed checks or unreadable
-data files, 2 on usage/config errors.  Unknown flags are errors.
+and verify.  It answers the --x-max (not compute's) and --grid-ratio left
+out, and refuses one given otherwise; --out left out is primesums_out.
+No flag sets the grid's start (report.GRID_START) or a check's parameters
+or tolerance (report.CHECKS), so the records of a stored run depend on
+its file alone.  Exit status: 0 on success (and when every verification
+record passes), 1 on failed checks or unreadable data files, 2 on
+usage/config errors.  Unknown flags are errors.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         help="upper summation limit (required; verify --resume and report: the file's)",
     )
     p.add_argument(
-        "--grid-start", type=float, help="first checkpoint x (>= 3; 100, or the file's)"
-    )
-    p.add_argument(
         "--grid-ratio",
         type=float,
         help="geometric spacing of checkpoints (> 1; 2^(1/4), or the file's)",
@@ -59,11 +56,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     stored = args.checkpoint_file if args.command == "report" else args.resume
     if args.x_max is None and (stored is None or args.command == "compute"):
         raise ConfigError("--x-max is required, but for verify --resume and report")
-    given = dict(grid_start=args.grid_start, grid_ratio=args.grid_ratio, out_dir=args.out)
-    # the grid flags left out stay None for the file's header to answer
-    answered = ("grid_start", "grid_ratio") if stored is not None else ()
-    return RunConfig(x_max=args.x_max, resume_from=stored, **{
-        k: v for k, v in given.items() if v is not None or k in answered})
+    return RunConfig(x_max=args.x_max, grid_ratio=args.grid_ratio, out_dir=args.out,
+                     resume_from=stored)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,15 +12,15 @@ File formats
 ------------
 Checkpoint file (format 6): the magic line, one json header line, the
 table, and `end <crc32>` last, the CRC-32 of every byte before that line.
-The header's keys: anS (a_n*S_{n-1} at the power-of-two n), config_hash
-(of the accumulation-relevant config fields), created, csv (the byte
-length and CRC-32 of the checkpoints.csv written beside it), grid_ratio,
-grid_start, rows, state (the accumulator's slots, the exact sums as
-integers in units of 2**-120) and x_max; no reader looks up the
-segment_size key of earlier writers.  The `x pi S M` table (Checkpoint
-derives the rest) follows as lines of the base64 of up to _CHUNK binary
-_ROW records.  The records hold the doubles themselves,
-and json the sums as integers, so a restored run continues bit-identically.
+The header's keys: anS (a_n*S_{n-1} at the power-of-two n), created, csv
+(the byte length and CRC-32 of the checkpoints.csv written beside it),
+grid_ratio, grid_start (GRID_START), rows, state (the accumulator's
+slots, the exact sums as integers in units of 2**-120) and x_max; no
+reader looks up another key, such as earlier writers' config_hash.  The
+`x pi S M` table (Checkpoint derives the rest) follows as lines of the
+base64 of up to _CHUNK binary _ROW records.  The records hold the doubles
+themselves, and json the sums as integers, so a restored run continues
+bit-identically.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
@@ -44,7 +44,6 @@ chunk at a time.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import math
 import operator
@@ -130,6 +129,8 @@ _CHUNK = 4096  # table rows encoded at a time
 MAX_X_MAX = 10**13
 _NS_PER_PRIME = 200
 _BLOCK = 1 << 20  # bytes of a stored CSV read at a time
+# the first point of every grid, where ratio_positive and the Mertens windows begin
+GRID_START = 100.0
 # the block ratios of the lower-bound check and of the sandwiches, which
 # report.json echoes as config.A and config.lambdas
 LOWER_BOUND_A = 8.0
@@ -212,18 +213,20 @@ def _write_bytes(path: Path, blocks: Iterable[bytes], sealed: bool = False) -> t
 class RunConfig:
     """Everything a compute/verify/report invocation needs.  resume_from is
     the stored run, which compute continues and verify and report read; its
-    header answers x_max, grid_start and grid_ratio where they are None."""
+    header answers x_max and grid_ratio where they are None (a fresh run's
+    ratio is 2**0.25).  out_dir None is primesums_out."""
 
     x_max: int | None
-    grid_start: float | None = 100.0
-    grid_ratio: float | None = 2.0**0.25
-    out_dir: Path = Path("primesums_out")
+    grid_ratio: float | None = None
+    out_dir: Path | None = None
     resume_from: Path | None = None
 
     def __post_init__(self) -> None:
-        self.out_dir = Path(self.out_dir)
+        self.out_dir = Path(self.out_dir or "primesums_out")
         if self.resume_from is not None:
             self.resume_from = Path(self.resume_from)
+        elif self.grid_ratio is None:
+            self.grid_ratio = 2.0**0.25
         if self.x_max is not None:
             try:  # an int, as the checkpoint file's header types it
                 self.x_max = operator.index(self.x_max)
@@ -236,23 +239,12 @@ class RunConfig:
                 raise ConfigError(f"x_max must be <= {MAX_X_MAX:,}, got {self.x_max:,}: a "
                                   f"compute to it projects to about {hours:,} h at "
                                   f"{_NS_PER_PRIME} ns a prime")
-        if None not in (self.x_max, self.grid_start, self.grid_ratio):
-            # else these run again once a header has answered the Nones
-            check_grid(self.grid_start, self.x_max, self.grid_ratio)
+        if None not in (self.x_max, self.grid_ratio):
+            # else this runs again once a header has answered the Nones
+            check_grid(GRID_START, self.x_max, self.grid_ratio)
 
     def grid(self) -> np.ndarray:
-        return grid_points(self.grid_start, float(self.x_max), self.grid_ratio)
-
-    def config_hash(self) -> str:
-        """Hash of the accumulation-relevant fields only: extending x_max
-        stays resumable, regridding does not."""
-        payload = (
-            f"grid_start={_fmt(self.grid_start)};"
-            f"grid_ratio={_fmt(self.grid_ratio)};"
-            "weights=sqrt(log p / p);"
-            "accumulator=exact fixed point 2**-120"
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return grid_points(GRID_START, float(self.x_max), self.grid_ratio)
 
     def checkpoint_path(self) -> Path:
         return self.out_dir / "checkpoints.txt"
@@ -283,11 +275,10 @@ def write_checkpoint_file(
 ) -> None:
     header = {
         "anS": result.power_samples,
-        "config_hash": cfg.config_hash(),
         "created": datetime.now(timezone.utc).isoformat(),
         "csv": csv_digest,
         "grid_ratio": float(cfg.grid_ratio),
-        "grid_start": float(cfg.grid_start),
+        "grid_start": GRID_START,
         "rows": len(result.checkpoints),
         # the exact sums as integers, which json writes and reads exactly
         "state": {name: getattr(result.state, name) for name in SumState.__slots__},
@@ -302,9 +293,10 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
     which types every value, and its records into columns.
 
     With cfg, the stored run is its own config: the header fills in, in
-    place, what cfg leaves None of x_max, grid_start and grid_ratio, and
-    refuses another grid (CheckpointFormatError, by the config hash) and,
-    unless extend (x_max is a resume's target), another x_max (ConfigError).
+    place, what cfg leaves None of x_max and grid_ratio, and refuses a grid
+    other than cfg's, from GRID_START at cfg's ratio (CheckpointFormatError),
+    and, unless extend (x_max is a resume's target), another x_max
+    (ConfigError).
     """
     try:
         with open(path, "rb") as fh:
@@ -350,16 +342,15 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
                 f"x={float(x[bad[0]])!r} in strictly ascending order"
             )
         if cfg is not None:
-            for name, kind in (("x_max", int), ("grid_start", float), ("grid_ratio", float)):
+            for name, kind in (("x_max", int), ("grid_ratio", float)):
                 if getattr(cfg, name) is None:
                     setattr(cfg, name, _typed(name, header[name], kind))
             cfg.__post_init__()  # the answered fields' own checks
-            if header["config_hash"] != cfg.config_hash():
+            grid = _typed("grid_start", header["grid_start"], float), header["grid_ratio"]
+            if grid != (GRID_START, cfg.grid_ratio):
                 raise CheckpointFormatError(
-                    f"{path}: config hash {header['config_hash']} does not match "
-                    f"current accumulation config {cfg.config_hash()} "
-                    "(grid_start/grid_ratio changed; start a fresh run instead)"
-                )
+                    f"{path} holds a grid from {grid[0]!r} at ratio {grid[1]!r}, not from "
+                    f"{GRID_START!r} at {cfg.grid_ratio!r}: start a fresh run instead")
             if not extend and cfg.x_max != header["x_max"]:
                 raise ConfigError(f"{path} holds a run to x_max={header['x_max']}, not "
                                   f"{cfg.x_max}: leave --x-max out to take the file's")
@@ -432,9 +423,10 @@ def resume(path: Path, cfg: RunConfig) -> tuple[StoredRun, np.ndarray]:
     """Read a stored run into cfg (read_checkpoint_file, extend) and plan the
     continuation: the stored run cut to cfg's grid and the points left.
 
-    Both grids are the points start * ratio**k below their x_max, then x_max,
-    with one start and ratio (the config hash): the rows they share are a
-    common prefix.  Refuses (ConfigError) an x_max below the stored state."""
+    Both grids are the points GRID_START * ratio**k below their x_max, then
+    x_max, at one ratio (read_checkpoint_file compares it): the rows they
+    share are a common prefix.  Refuses (ConfigError) an x_max below the
+    stored state."""
     stored = read_checkpoint_file(path, cfg, extend=True)
     grid = cfg.grid()
     n = min(len(stored.checkpoints), len(grid))
@@ -694,11 +686,10 @@ def build_report_bundle(cfg: RunConfig, stored: RunResult) -> dict:
         "format_version": BUNDLE_FORMAT_VERSION,
         "config": {
             "x_max": cfg.x_max,
-            "grid_start": cfg.grid_start,
+            "grid_start": GRID_START,
             "grid_ratio": cfg.grid_ratio,
             "A": LOWER_BOUND_A,
             "lambdas": list(SANDWICH_LAMBDAS),
-            "config_hash": cfg.config_hash(),
         },
         "metadata": {
             "library_version": __version__,

@@ -301,9 +301,6 @@ def push(state: SumState, term: WeightedPrimeTerm) -> SumState:
     if isinstance(state, JumpState):
         state.E_incremental += int(half_jump * (2.0 * _SCALE))
     state.n += 1
-    if state.n >= 3 and w >= state.last_weight:
-        state.weights_decreasing = False
-    state.last_weight = w
     state.last_anS = half_jump
     state.last_prime = term.prime
     return state

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import eval_h_prime, eval_w, eval_w_prime, pair_prime_bound, rows
-from primesums.accumulate import SumState, grid_points, run_stream
+from primesums.accumulate import SumState, grid_points, run_stream, weights
 from primesums.asymptotics import (
     an_sn_band,
     block_sandwich,
@@ -27,7 +27,7 @@ from primesums.asymptotics import (
 )
 from primesums.calculus import abel_decompose, eval_h, main_term_identity
 from primesums.report import RunConfig, cmd_compute, read_checkpoint_file
-from primesums.sieve import prime_array, prime_count
+from primesums.sieve import SieveConfig, prime_array, prime_count, stream_segments
 from primesums.verify import check_jump_identity, check_pair_identity
 
 # --- frozen oracle values (tests/oracles.py, run before the main build) ---
@@ -237,11 +237,24 @@ def test_criterion_08_derivative_checks():
     assert ok
 
 
+def weights_decreasing_from_3(x_max: int) -> bool:
+    """Whether w decreases strictly from p = 3 over every prime to x_max:
+    each segment's weights against the one before, the last weight carried
+    across segments."""
+    last = math.inf  # w(2) < w(3), so 2 is left out
+    for seg in stream_segments(SieveConfig(x_max), start=3):
+        w = np.concatenate(([last], weights(seg.primes)))
+        if not np.all(w[1:] < w[:-1]):
+            return False
+        last = w[-1]
+    return True
+
+
 def test_criterion_09_monotonicity_positivity(big_run):
     cps = big_run.checkpoints
     ok_nonneg = bool(np.all(cps.E >= 0.0))
     ok_mono = all(bool(np.all(np.diff(getattr(cps, f)) >= 0)) for f in ("pi", "S", "M", "E"))
-    ok_weights = big_run.state.weights_decreasing
+    ok_weights = weights_decreasing_from_3(X_BIG)
     ok = ok_nonneg and ok_mono and ok_weights
     report(
         9,

@@ -158,8 +158,8 @@ class TestPush:
             prev = now
 
     def test_weights_strictly_decreasing_from_3(self):
-        state = state_over(base_primes(100_000))
-        assert state.weights_decreasing
+        w = weights(base_primes(100_000))
+        assert w[0] < w[1] and np.all(w[2:] < w[1:-1])  # w rises from 2 to 3, then falls
 
 
 class TestSnapshot:
@@ -383,7 +383,7 @@ class TestLazyPrefixes:
             slot = SumState.__slots__.index(name)
             assert got == [math.ldexp(float(after[g][slot]), -120) for g in marks], name
         assert samples == [(k, v) for k, v in pushed_samples if k <= n]
-        assert fields(split) == after[n]  # last_anS and weights_decreasing among them
+        assert fields(split) == after[n]  # last_anS among them
         whole, whole_samples = SumState(), []
         s, m = whole.extend_primes(PRIME_TABLE[:n], whole_samples, marks)
         assert (s.tolist(), m.tolist(), whole_samples) == (s_at, m_at, samples)
@@ -402,20 +402,6 @@ class TestLazyPrefixes:
         for name, sums in zip(("S", "M"), got):
             slot = SumState.__slots__.index(name)
             assert sums.tolist() == [math.ldexp(float(after[g][slot]), -120) for g in marks]
-
-    @given(st.integers(0, 3), st.sampled_from([math.inf, 0.0, 0.3]), ascending_runs)
-    @settings(max_examples=60, deadline=None)
-    def test_weights_decreasing_from_a_restored_state(self, n, last_weight, primes):
-        """The flag compares each w with the one before it from w_3 on,
-        across the call's first prime too: a restored state whose last
-        weight lies below the next one clears it only from n = 3."""
-        pushed, extended = SumState(), SumState()
-        for state in (pushed, extended):
-            state.n, state.last_prime, state.last_weight = n, 1, last_weight
-        for i, p in enumerate(primes, start=n + 1):
-            push(pushed, make_term(i, p))
-        extended.extend_primes(primes)
-        assert fields(extended) == fields(pushed)
 
 
 class TestLimbs:

@@ -80,7 +80,8 @@ BUNDLE_SCHEMA = {
         "format_version": {"const": 2},
         "config": {
             "type": "object",
-            "required": ["x_max", "grid_start", "grid_ratio", "config_hash"],
+            "required": ["x_max", "grid_start", "grid_ratio"],
+            "not": {"required": ["config_hash"]},
         },
         "metadata": {
             "type": "object",
@@ -122,8 +123,7 @@ BUNDLE_SCHEMA = {
 }
 
 
-STATE_FIELDS = ("n", "last_prime", "S", "M", "last_weight", "last_anS",
-                "weights_decreasing")
+STATE_FIELDS = ("n", "last_prime", "S", "M", "last_anS")
 
 
 def cfg_for(tmp_path, x_max, **kw):
@@ -138,8 +138,7 @@ def report_on(cfg, path):
 # the documented record of the checkpoint table (formats 4 to 6), stated
 # independently of report._ROW
 RECORD = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
-HEADER_KEYS = ["anS", "config_hash", "created", "csv", "grid_ratio", "grid_start", "rows",
-               "state", "x_max"]
+HEADER_KEYS = ["anS", "created", "csv", "grid_ratio", "grid_start", "rows", "state", "x_max"]
 
 
 def read_v6(path):
@@ -171,21 +170,28 @@ def stored_facts(path):
     return header, records.tobytes()
 
 
-# the state the writers of formats 2 to 6 stored: the slots of today and the
-# exact sum of the jumps 2*a_n*S_{n-1}, which the accumulator no longer keeps
+# the state the writers of formats 2 to 6 stored: the slots of today, the
+# exact sum of the jumps 2*a_n*S_{n-1}, the last weight and whether w
+# decreases from p = 3, which the accumulator no longer keeps
 OLD_STATE_FIELDS = ("n", "last_prime", "S", "M", "E_incremental", "last_weight",
                     "last_anS", "weights_decreasing")
+# the config_hash key those writers stored for the default grid, from 100 at
+# ratio 2**0.25: 16 hex digits of a sha256 of the grid fields
+OLD_CONFIG_HASH = "38f2f4f48cb5920d"
 
 
 def old_state(header):
-    """A format-6 header's state as the earlier writer stored it: with
+    """A format-6 header's state as the earlier writers stored it: with
     E_incremental, the exact jump sum over the primes it counts, from the
-    one-prime-at-a-time oracle."""
+    one-prime-at-a-time oracle, the last prime's weight, and the flag
+    weights_decreasing, true for every run."""
     state = JumpState()
     for i, p in enumerate(prime_array(header["state"]["last_prime"]).tolist(), start=1):
-        push(state, make_term(i, p))
+        term = make_term(i, p)
+        push(state, term)
     assert state.S == header["state"]["S"]
-    return {**header["state"], "E_incremental": state.E_incremental}
+    return {**header["state"], "E_incremental": state.E_incremental,
+            "last_weight": term.weight, "weights_decreasing": True}
 
 
 def older_head(cfg, version):
@@ -197,7 +203,7 @@ def older_head(cfg, version):
     state = (old_state(header)[name] for name in OLD_STATE_FIELDS)
     return [
         f"primesums-checkpoints v{version}",
-        f"config_hash {header['config_hash']}",
+        f"config_hash {OLD_CONFIG_HASH}",
         f"created {header['created']}",
         f"x_max {header['x_max']}",
         f"grid_start {header['grid_start']:.17g}",
@@ -257,14 +263,13 @@ def as_format_v5(cfg, path):
 class TestRunConfig:
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
-            cfg_for(tmp_path, 50)  # below default grid_start
+            cfg_for(tmp_path, 50)  # below GRID_START
         with pytest.raises(ConfigError):
             cfg_for(tmp_path, 1000, grid_ratio=0.9)
         # NaN passes every comparison with a bound, and inf is no usable ratio
-        for kw in ({"grid_ratio": math.nan}, {"grid_ratio": math.inf},
-                   {"grid_start": math.nan}):
+        for ratio in (math.nan, math.inf):
             with pytest.raises(ConfigError):
-                cfg_for(tmp_path, 1000, **kw)
+                cfg_for(tmp_path, 1000, grid_ratio=ratio)
         # more than 1e7 grid points, counted before any is built
         with pytest.raises(ConfigError, match="1e7 points"):
             cfg_for(tmp_path, 1000, grid_ratio=1.0000001)
@@ -282,20 +287,20 @@ class TestRunConfig:
         assert type(cfg.x_max) is int and cfg.x_max == 10**4
         cmd_compute(cfg)
         assert read_v6(cfg.checkpoint_path())[0]["x_max"] == 10**4
-        again = RunConfig(x_max=None, grid_start=None, grid_ratio=None,
-                          out_dir=tmp_path / "again", resume_from=cfg.checkpoint_path())
+        again = RunConfig(x_max=None, out_dir=tmp_path / "again",
+                          resume_from=cfg.checkpoint_path())
         assert cmd_verify(again)[1] == 0
         assert type(again.x_max) is int and again.x_max == 10**4
 
     def test_grid_refused_as_grid_points_refuses_it(self, tmp_path):
-        """RunConfig and grid_points make one grid check, with one message."""
-        for kw in ({"grid_start": math.nan}, {"grid_start": 2.0}, {"grid_ratio": math.inf},
-                   {"grid_ratio": 1.0}, {"grid_start": 2000.0}):
-            cfg = {"grid_start": 100.0, "grid_ratio": 2.0, **kw}
+        """RunConfig and grid_points from GRID_START make one grid check,
+        with one message."""
+        assert report.GRID_START == 100.0
+        for x_max, ratio in ((1000, math.nan), (1000, math.inf), (1000, 1.0), (99, 2.0)):
             with pytest.raises(ConfigError) as by_config:
-                cfg_for(tmp_path, 1000, **cfg)
+                cfg_for(tmp_path, x_max, grid_ratio=ratio)
             with pytest.raises(ConfigError) as by_grid:
-                grid_points(cfg["grid_start"], 1000, cfg["grid_ratio"])
+                grid_points(report.GRID_START, x_max, ratio)
             assert str(by_config.value) == str(by_grid.value)
 
     def test_limits_refused_before_any_work(self, tmp_path):
@@ -315,16 +320,29 @@ class TestRunConfig:
                 assert f"projects to about {hours} h at 200 ns a prime" in str(exc.value)
         # a stored run's x_max is held to the same cap
         with pytest.raises(ConfigError, match="projects to about 179 h"):
-            RunConfig(x_max=10**14, grid_start=None, grid_ratio=None,
-                      out_dir=tmp_path / "never", resume_from=tmp_path / "none.txt")
+            RunConfig(x_max=10**14, out_dir=tmp_path / "never",
+                      resume_from=tmp_path / "none.txt")
         assert not (tmp_path / "never").exists()
 
-    def test_hash_covers_grid_not_xmax(self, tmp_path):
-        a = cfg_for(tmp_path, 10**4)
-        b = cfg_for(tmp_path, 10**6)
-        c = cfg_for(tmp_path, 10**4, grid_ratio=1.5)
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+    def test_grid_compared_not_x_max(self, tmp_path):
+        """A stored run's grid is compared with the config's directly, its
+        x_max only where it is no resume's target: a resume to another x_max
+        on the file's grid reads it, given its ratio or left to it, and
+        another ratio is refused.  The header no longer holds a hash."""
+        cfg = cfg_for(tmp_path, 10**4)
+        cmd_compute(cfg)
+        path = cfg.checkpoint_path()
+        assert "config_hash" not in read_v6(path)[0]
+        for ratio in (2**0.25, None):
+            wider = RunConfig(x_max=10**6, grid_ratio=ratio, resume_from=path)
+            read_checkpoint_file(path, wider, extend=True)
+            assert wider.grid_ratio == 2**0.25
+        regrid = RunConfig(x_max=10**6, grid_ratio=1.5, resume_from=path)
+        with pytest.raises(CheckpointFormatError,
+                           match="from 100.0 at ratio 1.189207115002721, not from 100.0 at 1.5"):
+            read_checkpoint_file(path, regrid, extend=True)
+        with pytest.raises(ConfigError, match="x_max=10000, not 1000000"):
+            read_checkpoint_file(path, RunConfig(x_max=10**6, resume_from=path))
 
 
 class TestCompute:
@@ -396,7 +414,6 @@ class TestCheckpointFile:
         assert header["csv"] == [len(csv), zlib.crc32(csv)]
         assert (header["x_max"], header["grid_start"], header["grid_ratio"],
                 header["rows"]) == (10**4, 100.0, 2**0.25, 28)
-        assert header["config_hash"] == cfg.config_hash()
         assert sorted(header["state"]) == sorted(STATE_FIELDS)
         for field in STATE_FIELDS:
             value = header["state"][field]
@@ -532,7 +549,7 @@ class TestCheckpointFile:
             "no_rows": {k: v for k, v in header.items() if k != "rows"},
             "n_float": {**header, "state": {**state, "n": 1.5}},
             "S_float": {**header, "state": {**state, "S": float(state["S"])}},
-            "flag_int": {**header, "state": {**state, "weights_decreasing": 1}},
+            "prime_float": {**header, "state": {**state, "last_prime": float(state["last_prime"])}},
             "no_slot": {**header, "state": {k: v for k, v in state.items() if k != "M"}},
             "rows_float": {**header, "rows": 28.0},
             "anS_str": {**header, "anS": [[1, "0.0"], *header["anS"][1:]]},
@@ -553,7 +570,7 @@ class TestCheckpointFile:
                 read_checkpoint_file(path)
         out = tmp_path / "cli"
         for argv in (["verify", "--resume", str(paths["S_float"]), "--out", str(out)],
-                     ["report", "--out", str(out), str(paths["flag_int"])],
+                     ["report", "--out", str(out), str(paths["prime_float"])],
                      ["compute", "--x-max", "20000", "--resume", str(paths["n_float"]),
                       "--out", str(out)]):
             capsys.readouterr()
@@ -570,10 +587,10 @@ class TestCheckpointFile:
         # the unaltered header, written by the same helper, is read
         write_v6(tmp_path / "same.txt", header, records)
         assert read_checkpoint_file(tmp_path / "same.txt").state.S == state["S"]
-        # an int grid start given to RunConfig is written as the float it stands for
-        ints = RunConfig(x_max=10**4, grid_start=100, out_dir=tmp_path / "ints")
+        # an int grid ratio given to RunConfig is written as the float it stands for
+        ints = RunConfig(x_max=10**4, grid_ratio=2, out_dir=tmp_path / "ints")
         cmd_compute(ints)
-        assert read_v6(ints.checkpoint_path())[0]["grid_start"] == 100.0
+        assert read_v6(ints.checkpoint_path())[0]["grid_ratio"] == 2.0
         assert cli_main(["report", "--out", str(ints.out_dir), str(ints.checkpoint_path())]) == 0
 
     def test_refuses_altered_bytes(self, tmp_path, capsys):
@@ -1048,10 +1065,12 @@ class TestResume:
 
     def test_resume_from_a_file_with_the_segment_size(self, tmp_path):
         """A format-6 file as the writers before --segment-size was deleted
-        made it, whose header also holds segment_size (sealed again with a
-        valid CRC), is verified, reported and resumed as the file without it
-        is: the same verification.csv, checkpoints.csv and series_anS.csv,
-        byte for byte, and the resumed file's header has no segment_size."""
+        made it, whose header also holds segment_size, config_hash and the
+        state's last_weight and weights_decreasing (sealed again with a
+        valid CRC), is verified, reported and resumed as the file without
+        them is: the same verification.csv, checkpoints.csv and
+        series_anS.csv, byte for byte, and the resumed file's header has
+        none of those keys."""
         unsplit = RunConfig(x_max=10**5, out_dir=tmp_path / "unsplit")
         cmd_compute(unsplit)
         for name, size in (("first", None), ("older", 2048)):
@@ -1059,16 +1078,20 @@ class TestResume:
             cmd_compute(cfg)
             if size is not None:
                 header, records = read_v6(cfg.checkpoint_path())
-                write_v6(cfg.checkpoint_path(), {**header, "segment_size": size}, records)
-            stored = RunConfig(x_max=None, grid_start=None, grid_ratio=None,
-                               out_dir=tmp_path / name, resume_from=cfg.checkpoint_path())
+                write_v6(cfg.checkpoint_path(), {**header, "segment_size": size,
+                                                 "config_hash": OLD_CONFIG_HASH,
+                                                 "state": old_state(header)}, records)
+            stored = RunConfig(x_max=None, out_dir=tmp_path / name,
+                               resume_from=cfg.checkpoint_path())
             assert cmd_verify(stored)[1] == 0
             report_on(cfg, cfg.checkpoint_path())
             resumed = RunConfig(x_max=10**5, out_dir=tmp_path / f"{name}_resumed",
                                 resume_from=cfg.checkpoint_path())
             cmd_compute(resumed)
             report_on(resumed, resumed.checkpoint_path())
-        assert "segment_size" in read_v6(tmp_path / "older" / "checkpoints.txt")[0]
+        older = read_v6(tmp_path / "older" / "checkpoints.txt")[0]
+        assert {"segment_size", "config_hash"} <= set(older)
+        assert {"last_weight", "weights_decreasing"} <= set(older["state"])
         for name in ("verification.csv", "checkpoints.csv", "series_anS.csv"):
             assert ((tmp_path / "first" / name).read_bytes()
                     == (tmp_path / "older" / name).read_bytes()), name
@@ -1077,7 +1100,8 @@ class TestResume:
             for run in ("first_resumed", "older_resumed"):
                 assert ((unsplit.out_dir / name).read_bytes()
                         == (tmp_path / run / name).read_bytes()), (run, name)
-        assert "segment_size" not in read_v6(tmp_path / "older_resumed" / "checkpoints.txt")[0]
+        resumed = read_v6(tmp_path / "older_resumed" / "checkpoints.txt")[0]
+        assert list(resumed) == HEADER_KEYS and sorted(resumed["state"]) == sorted(STATE_FIELDS)
 
     def test_regrid_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
@@ -1230,8 +1254,8 @@ class TestReport:
         its header answers what cfg leaves None."""
         cfg = cfg_for(tmp_path, 10**4, grid_ratio=1.5)
         cmd_compute(cfg)
-        out = RunConfig(x_max=None, grid_start=None, grid_ratio=None,
-                        out_dir=tmp_path / "report", resume_from=cfg.checkpoint_path())
+        out = RunConfig(x_max=None, out_dir=tmp_path / "report",
+                        resume_from=cfg.checkpoint_path())
         bundle = json.loads(cmd_report(out).read_text())
         assert (out.x_max, out.grid_ratio) == (10**4, 1.5)
         assert bundle["config"]["x_max"] == 10**4
@@ -1277,15 +1301,23 @@ class TestStoredRun:
             assert "x_max=1000000, not 2000" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_other_grid_refused_by_hash(self, stored_1e6, tmp_path, capsys):
+    def test_other_grid_refused(self, stored_1e6, tmp_path, capsys):
+        """A --grid-ratio other than the file's, and a file whose grid starts
+        anywhere but at GRID_START (its header sealed again with grid_start
+        50), are refused with exit 1 by every command, before any work."""
+        header, records = read_v6(Path(stored_1e6))
+        at_50 = tmp_path / "at_50.txt"
+        write_v6(at_50, {**header, "grid_start": 50.0}, records)
         out = tmp_path / "out"
-        for argv in (["report", "--grid-ratio", "1.5", "--out", str(out), stored_1e6],
-                     ["verify", "--grid-ratio", "1.5", "--resume", stored_1e6, "--out", str(out)],
-                     ["compute", "--x-max", "2000000", "--grid-start", "50",
-                      "--resume", stored_1e6, "--out", str(out)]):
-            capsys.readouterr()
-            assert cli_main(argv) == 1, argv
-            assert "config hash" in capsys.readouterr().err
+        for path, flags, grid in ((stored_1e6, ["--grid-ratio", "1.5"], "from 100.0 at ratio"),
+                                  (str(at_50), [], "from 50.0 at ratio")):
+            for argv in (["report", *flags, "--out", str(out), path],
+                         ["verify", *flags, "--resume", path, "--out", str(out)],
+                         ["compute", "--x-max", "2000000", *flags, "--resume", path,
+                          "--out", str(out)]):
+                capsys.readouterr()
+                assert cli_main(argv) == 1, argv
+                assert f"holds a grid {grid}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_x_max_required_by_compute_and_plain_verify(self, stored_1e6, tmp_path, capsys):
@@ -1542,6 +1574,24 @@ class TestRegistry:
         assert max(r.location for r in records) <= 10**6
         assert [r.location for r in records if r.check_id == "mertens_contraction"] == [1e6]
 
+    def test_records_emitted_by_x_max(self, tmp_path):
+        """verify emits a record of every check from x_max = 1e6 on.  Below
+        it mertens_contraction has no late window, below 800 lower_bound no
+        block at A = 8 from 100, and below 200 the sandwiches no block at
+        lambda = 2: their records are left out, and the run still passes."""
+        every = {"pair_identity", "jump_identity", "e_monotone", "scale_identity",
+                 "ratio_positive", "mertens_contraction", "abel_identity", "main_term",
+                 "block_sandwich_lower", "block_sandwich_upper", "lower_bound"}
+        below_1e6 = {"mertens_contraction"}
+        below_800 = below_1e6 | {"lower_bound"}
+        below_200 = below_800 | {"block_sandwich_lower", "block_sandwich_upper"}
+        for x_max, missing in ((100, below_200), (199, below_200), (200, below_800),
+                               (799, below_800), (800, below_1e6), (999999, below_1e6),
+                               (10**6, set())):
+            records, status = cmd_verify(RunConfig(x_max=x_max, out_dir=tmp_path / str(x_max)))
+            assert status == 0, x_max
+            assert every - {r.check_id for r in records} == missing, x_max
+
     def test_registry_ids_and_exact_checks(self):
         ids = [c.check_id for c in report.CHECKS]
         assert len(set(ids)) == len(ids)
@@ -1660,7 +1710,7 @@ class TestCli:
         assert cli_main(["verify", "--resume", str(ckpt)]) == 2
         assert cli_main(["report", str(ckpt)]) == 2
         assert cli_main(["compute", "--x-max", "1000", "--out", str(tmp_path)]) == 2
-        stored = RunConfig(x_max=None, grid_start=None, grid_ratio=None, resume_from=ckpt)
+        stored = RunConfig(x_max=None, resume_from=ckpt)
         assert seen == [RunConfig(x_max=1000), stored, stored,
                         RunConfig(x_max=1000, out_dir=tmp_path)]
 
@@ -1672,11 +1722,12 @@ class TestCli:
     def test_segment_size_is_an_unknown_flag(self, tmp_path, capsys):
         """--segment-size is gone: no output byte depended on it, and no
         size paid.  So are --tol, --A and --lambda: a check's tolerance and
-        block ratios are constants of the registry.  argparse refuses each
-        (exit 2) before any work, and no --out directory is made."""
+        block ratios are constants of the registry; and --grid-start: every
+        grid starts at GRID_START, where the checks begin.  argparse refuses
+        each (exit 2) before any work, and no --out directory is made."""
         out = tmp_path / "never"
         for flag in (["--segment-size", "2048"], ["--tol", "jump_identity=1"],
-                     ["--A", "3"], ["--lambda", "5"]):
+                     ["--A", "3"], ["--lambda", "5"], ["--grid-start", "100"]):
             for command in (["compute"], ["verify"]):
                 with pytest.raises(SystemExit) as exc:
                     cli_main([*command, "--x-max", "2000", *flag, "--out", str(out)])
@@ -1713,7 +1764,6 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")
         code = cli_main(
-            ["compute", "--x-max", "2000", "--grid-start", "3",
-             "--out", str(tmp_path), "--resume", str(bad)]
+            ["compute", "--x-max", "2000", "--out", str(tmp_path), "--resume", str(bad)]
         )
         assert code == 1

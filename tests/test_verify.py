@@ -41,6 +41,7 @@ from primesums.verify import (
     check_jump_identity,
     check_pair_identity,
     relative_residual,
+    worst_record,
 )
 
 TWO_A1_A2 = 0.71250731477826901
@@ -310,14 +311,15 @@ class TestBlockPass:
     (oracles.checks_whole): at any block size the pair, jump and Abel
     records and the Abel columns are the same bits."""
 
+    # x_max from 100, the smallest run a config accepts
     @given(
         st.sampled_from(sorted(BLOCK_CAPS)).flatmap(
-            lambda b: st.tuples(st.just(b), st.integers(3, BLOCK_CAPS[b]))),
+            lambda b: st.tuples(st.just(b), st.integers(100, BLOCK_CAPS[b]))),
         st.sampled_from([2**0.25, 1.0001]),
     )
-    # the jumps at n = 1 and 2 both have residual 0: a block each, and the
-    # first of the equals is the record
-    @example((1, 4), 2**0.25)
+    # the smallest run, a block a prime: the jumps at n = 1 and 2 both have
+    # residual 0, and the worst, at n = 23, comes after them
+    @example((1, 100), 2**0.25)
     # the rows at 475.68 and 951.37 lie in cells from the last prime of a
     # block of 7 (467, 947) to the first of the next (479, 953)
     @example((7, 1000), 2**0.25)
@@ -328,7 +330,7 @@ class TestBlockPass:
     @settings(max_examples=25, deadline=None)
     def test_any_block_size_gives_the_whole_array_bits(self, size, ratio):
         block, x_max = size
-        cfg = RunConfig(x_max=x_max, grid_start=min(100.0, x_max), grid_ratio=ratio)
+        cfg = RunConfig(x_max=x_max, grid_ratio=ratio)
         result = run_stream(float(x_max), cfg.grid())
         pair, jump, abel_records, abel = checks_whole(cfg, result)
         with pytest.MonkeyPatch.context() as mp:
@@ -341,6 +343,20 @@ class TestBlockPass:
         folded = ctx.folds["abel_identity"].abel
         for f in fields(AbelDecomposition):
             assert getattr(folded, f.name).tobytes() == getattr(abel, f.name).tobytes(), f.name
+
+    def test_first_of_equal_jump_records_stays(self):
+        """The jumps at n = 1 and 2 both have residual 0, the worst of the
+        run to 4, which no config accepts: fed a block each, the jump fold
+        keeps the first of the equals, as the whole-array scan does."""
+        p = prime_array(4)
+        w, S, M = weight_arrays(p)
+        fold = report._JumpFold(JUMP_TOL)
+        for n0 in range(len(p)):
+            fold.step(n0, p[n0 : n0 + 1], w[n0 : n0 + 1], S[n0 : n0 + 2], M[n0 : n0 + 2])
+        whole = worst_record("jump_identity", np.arange(1, 3), np.diff(S * S - M),
+                             2.0 * w * S[:-1], JUMP_TOL)
+        assert (whole.location, whole.residual) == (1.0, 0.0)
+        assert repr(fold.records()) == repr([whole])
 
 
 def cps_at(es):
