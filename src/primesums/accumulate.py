@@ -25,7 +25,9 @@ within a block is formed only where a mark or a sample reads it.
 Checkpoints are one table over a geometric x-grid, held as its four stored
 columns x, pi, S and M, with E and the ratios derived where they are read;
 sums are inclusive (p <= x), and a grid point that lands exactly on a
-prime counts that prime.
+prime counts that prime.  stream_rows hands the table out a slice of at
+most SLICE rows at a time, which compute writes as it comes; run_stream
+collects the slices into the whole table for in-process callers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +57,8 @@ BLOCK = 1 << 13
 # marks of a block rounded at a time: a block with a mark at every prime
 # forms its gathered limbs and rounding carries a chunk at a time
 MARK_CHUNK = 1 << 11
+# grid points stream_rows reads at a time: bounds a slice's arrays
+SLICE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -375,23 +379,24 @@ class RunResult:
         return self.power_samples + ([(n, self.state.last_anS)] if n & (n - 1) else [])
 
 
-def run_stream(
+def stream_rows(
     x_max: float,
     grid: Sequence[float],
+    state: SumState,
+    samples: list[tuple[int, float]],
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    state: SumState | None = None,
-    samples: list[tuple[int, float]] | None = None,
-) -> RunResult:
-    """Sieve to x_max, fold every prime into the state, read the sums at
-    each grid point, and sample a_n * S_{n-1} at power-of-two n.
+) -> Iterator[Checkpoint]:
+    """Sieve to x_max, fold every prime into state, and hand out the sums
+    at the grid points as consecutive slices of the checkpoint table, at
+    most SLICE rows each; samples gets a_n * S_{n-1} at each power-of-two n.
 
     grid must be strictly ascending, not below the state's last prime and
-    not above x_max (else SequencingError); pass a restored state (and its
-    power-of-two samples) to continue an earlier run bit-identically.
+    not above x_max (else SequencingError, raised before any work).  A
+    window's primes are split at the last point of each slice it holds,
+    which extend_primes absorbs bit-identically under any split, so memory
+    holds one window's primes and one slice's arrays, whatever the grid.
     """
-    state = state if state is not None else SumState()
-    samples = list(samples or ())
     limit = int(math.floor(x_max))
     if limit < 2:
         raise ConfigError(f"x_max must be >= 2, got {x_max}")
@@ -406,22 +411,57 @@ def run_stream(
     if len(bad):
         raise SequencingError(f"grid point x={grid[bad[0] + 1]} does not follow "
                               f"x={grid[bad[0]]} in strictly ascending order")
-    pi = np.empty(len(grid), dtype=np.int64)
-    S, M = np.empty(len(grid)), np.empty(len(grid))
+    return _slices(limit, grid, state, samples, segment_size)
+
+
+def _slices(limit, grid, state, samples, segment_size) -> Iterator[Checkpoint]:
     gi = 0
     if state.last_prime < limit:
         cfg = SieveConfig(limit=limit, segment_size=segment_size)
         for seg in stream_segments(cfg, start=state.last_prime + 1):
+            n0, lo = state.n, 0  # the primes before the window, and of it absorbed
             gj = int(np.searchsorted(grid, seg.hi, side="right"))
-            cuts = np.searchsorted(seg.primes, grid[gi:gj], side="right")
-            pi[gi:gj] = state.n + cuts
-            first = np.flatnonzero(np.diff(cuts, prepend=-1))  # of each distinct cut
-            s_at, m_at = state.extend_primes(seg.primes, samples, cuts[first])
-            runs = np.diff(first, append=len(cuts))  # the points that share it
-            S[gi:gj], M[gi:gj] = np.repeat(s_at, runs), np.repeat(m_at, runs)
+            for g in range(gi, gj, SLICE):
+                x = grid[g : min(g + SLICE, gj)]
+                cuts = np.searchsorted(seg.primes, x, side="right")
+                first = np.flatnonzero(np.diff(cuts, prepend=-1))  # of each distinct cut
+                s_at, m_at = state.extend_primes(seg.primes[lo : cuts[-1]], samples,
+                                                 cuts[first] - lo)
+                runs = np.diff(first, append=len(cuts))  # the points that share it
+                yield checkpoint_table(x, n0 + cuts, np.repeat(s_at, runs), np.repeat(m_at, runs))
+                lo = int(cuts[-1])
+            state.extend_primes(seg.primes[lo:], samples)
             gi = gj
             del seg  # not kept alive while the next window is sieved
     # grid points past the last segment hold every prime absorbed
-    pi[gi:], S[gi:], M[gi:] = state.n, state.S_total, state.M_total
-    return RunResult(checkpoint_table(grid, pi, S, M), state, samples)
+    for g in range(gi, len(grid), SLICE):
+        x = grid[g : g + SLICE]
+        yield checkpoint_table(x, *(np.full(len(x), v) for v in
+                                    (state.n, state.S_total, state.M_total)))
 
+
+def run_stream(
+    x_max: float,
+    grid: Sequence[float],
+    *,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    state: SumState | None = None,
+    samples: list[tuple[int, float]] | None = None,
+) -> RunResult:
+    """The whole checkpoint table of stream_rows, its slices collected, with
+    the state and the power-of-two samples: for in-process callers.
+
+    Pass a restored state (and its power-of-two samples) to continue an
+    earlier run bit-identically; the samples given are copied, not extended.
+    """
+    state = state if state is not None else SumState()
+    samples = list(samples or ())
+    grid = np.asarray(grid, dtype=np.float64)
+    pi = np.empty(len(grid), dtype=np.int64)
+    S, M = np.empty(len(grid)), np.empty(len(grid))
+    i = 0
+    for rows in stream_rows(x_max, grid, state, samples, segment_size=segment_size):
+        at = slice(i, i + len(rows))
+        pi[at], S[at], M[at] = rows.pi, rows.S, rows.M
+        i = at.stop
+    return RunResult(checkpoint_table(grid, pi, S, M), state, samples)

@@ -97,11 +97,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from(args)
         if args.command == "compute":
-            result = cmd_compute(cfg)
-            table = result.checkpoints
+            # the last row is at x_max, where pi is the state's prime count
+            run = cmd_compute(cfg)
             print(
-                f"wrote {len(table)} checkpoints to {cfg.csv_path()} "
-                f"(pi({table.x[-1]:g}) = {table.pi[-1]})"
+                f"wrote {run.rows} checkpoints to {cfg.csv_path()} "
+                f"(pi({float(cfg.x_max):g}) = {run.state.n})"
             )
             return 0
         if args.command == "verify":

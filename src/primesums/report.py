@@ -18,14 +18,17 @@ grid_ratio, grid_start (GRID_START), rows, state (the accumulator's
 slots, the exact sums as integers in units of 2**-120) and x_max; no
 reader looks up another key, such as earlier writers' config_hash.  The
 `x pi S M` table (Checkpoint derives the rest) follows as lines of the
-base64 of up to _CHUNK binary _ROW records.  The records hold the doubles
-themselves, and json the sums as integers, so a restored run continues
-bit-identically.
+base64 of _CHUNK binary _ROW records, the last line fewer.  The records
+hold the doubles themselves, and json the sums as integers, so a restored
+run continues bit-identically.  compute writes the records to
+checkpoints.spill.tmp as it goes (a resume first copies there the record
+lines it keeps from the stored file), then the file as the magic, the
+header and a copy of the spill.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
 per checkpoint, 17-digit reals.  No timestamps, so identical configs give
 byte-identical bodies.  Rows are formatted by csvcodec.encode_rows, the
-bytes of the _CSV_ROW template's `%` on whole numpy columns, _CHUNK rows
+bytes of the _CSV_ROW template's `%` on whole numpy columns, _CSV_CHUNK rows
 at a time; series_anS.csv goes through it too.  A resume or report copies
 the rows it keeps from the stored CSV, when the checkpoint file's digest
 vouches for its bytes, and formats only the others.
@@ -36,8 +39,9 @@ report writes that as checkpoints.csv beside it.
 
 Tables stay columns (a dataclass of equal-length arrays) from the code
 that computes them to the writers; rows exist only inside the writers.
-compute holds the checkpoint table as its four stored columns, 32 bytes a
-row; E and the ratios are formed where they are read, by the CSV writer a
+compute holds no table: each slice of stream_rows goes to the CSV and to
+the spill (_Spill) as it comes, so it holds the grid's x and one slice.
+E and the ratios are formed where they are read, by the CSV writer a
 chunk at a time.
 """
 
@@ -51,7 +55,7 @@ import os
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
@@ -70,6 +74,7 @@ from .accumulate import (
     checkpoint_table,
     grid_points,
     run_stream,
+    stream_rows,
     weights,
 )
 from .asymptotics import (
@@ -123,7 +128,10 @@ _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 # 1e-9 tolerance at 1e8-scale S values
 SCAN_CAP = 10**6
 PAIR_N_CAP = 5000
-_CHUNK = 4096  # table rows encoded at a time
+_CHUNK = 4096  # records a line of the checkpoint file's table
+# CSV rows formatted at a time: a chunk's text, and its parts before they
+# are joined, stay near 0.2 MB each
+_CSV_CHUNK = 1 << 10
 # the largest x_max accepted: sieve windows sampled across a run to it on a 2-vCPU
 # box project about 19 h at 200 ns a prime (compute 1e11 took 99 ns a prime there)
 MAX_X_MAX = 10**13
@@ -143,29 +151,50 @@ def _fmt(x: float) -> str:
 
 def _csv_chunks(template: bytes, columns: list[np.ndarray]) -> Iterator[bytes]:
     """The CSV lines of the columns by the row template, each ended by a
-    newline, as ASCII bytes, _CHUNK rows at a time (csvcodec.encode_rows).
+    newline, as ASCII bytes, _CSV_CHUNK rows at a time (csvcodec.encode_rows).
     Memory holds one chunk's text, never the whole table."""
-    for i in range(0, len(columns[0]), _CHUNK):
-        yield encode_rows(template, [c[i : i + _CHUNK] for c in columns])
+    for i in range(0, len(columns[0]), _CSV_CHUNK):
+        yield encode_rows(template, [c[i : i + _CSV_CHUNK] for c in columns])
 
 
 def _table_chunks(table: Checkpoint) -> Iterator[bytes]:
-    """The checkpoint table's CSV lines by _CSV_ROW, _CHUNK rows at a time:
+    """The checkpoint table's CSV lines by _CSV_ROW, _CSV_CHUNK rows at a time:
     each chunk's derived columns are formed with it, unless the table
     already holds them."""
-    for i in range(0, len(table), _CHUNK):
-        chunk = table.select(slice(i, i + _CHUNK))
+    for i in range(0, len(table), _CSV_CHUNK):
+        chunk = table.select(slice(i, i + _CSV_CHUNK))
         yield encode_rows(_CSV_ROW, [getattr(chunk, name) for name in CSV_COLUMNS])
+
+
+def _records(table: Checkpoint) -> np.ndarray:
+    """The table's rows as _ROW records: the columns' own bits."""
+    records = np.empty(len(table), dtype=_ROW)
+    for name in _ROW.names:
+        records[name] = getattr(table, name)
+    return records
+
+
+def _line(records: np.ndarray) -> bytes:
+    """A record line of the checkpoint file: the base64 of the records."""
+    return base64.b64encode(records.tobytes()) + b"\n"
+
+
+def _decoded(line: bytes) -> np.ndarray:
+    """The records of a record line of the checkpoint file."""
+    return np.frombuffer(base64.b64decode(line.rstrip(b"\n"), validate=True), dtype=_ROW)
+
+
+def _line_rows(line: bytes) -> int:
+    """The records a record line holds, from its length, not decoded."""
+    text = line.rstrip(b"\n")
+    return (len(text) // 4 * 3 - (len(text) - len(text.rstrip(b"=")))) // _ROW.itemsize
 
 
 def _row_records(table: Checkpoint) -> Iterator[bytes]:
     """The checkpoint file's table, _CHUNK rows a line: the base64 of up to
-    _CHUNK _ROW records, the columns' own bits, no value formatted."""
+    _CHUNK _ROW records, no value formatted."""
     for i in range(0, len(table), _CHUNK):
-        records = np.empty(min(_CHUNK, len(table) - i), dtype=_ROW)
-        for name in _ROW.names:
-            records[name] = getattr(table, name)[i : i + _CHUNK]
-        yield base64.b64encode(records.tobytes()) + b"\n"
+        yield _line(_records(table.select(slice(i, i + _CHUNK))))
 
 
 def _json(record) -> dict:
@@ -263,40 +292,145 @@ def _typed(name: str, value, kind: type):
 
 @dataclass
 class StoredRun(RunResult):
-    """A run read back from its checkpoint file: the file's path, and the
-    (byte length, CRC-32) of the checkpoints.csv written beside it."""
+    """A run as its checkpoint file stores it: the file's path, the (byte
+    length, CRC-32) of the checkpoints.csv written beside it, and rows, the
+    rows of the file's table that the run keeps, its first.  checkpoints is
+    that table where read_checkpoint_file reads it whole, and None where it
+    stays on disk: in the run resume cuts and in the run compute wrote."""
 
     csv_digest: tuple[int, int]
     path: Path
+    rows: int
+
+
+class _Spill:
+    """The record lines of the checkpoint file that compute is writing, in
+    a temporary file (_spilled), _CHUNK records a line and the last line
+    shorter, until the header, which states the row count and the final
+    state, can go before them.  Memory holds one line's records."""
+
+    def __init__(self, fh: IO[bytes]) -> None:
+        self.fh, self.rows = fh, 0  # rows: the records of the lines written
+        self.pending, self.fill = np.empty(_CHUNK, dtype=_ROW), 0
+
+    def add(self, item: bytes | np.ndarray) -> None:
+        """Records, or a record line of a stored run: copied as it is if it
+        holds _CHUNK records and would start a line here, else decoded."""
+        if isinstance(item, bytes):
+            if not self.fill and _line_rows(item) == _CHUNK:
+                self.fh.write(item)
+                self.rows += _CHUNK
+                return
+            item = _decoded(item)
+        i = 0
+        while i < len(item):  # the records may fill several lines
+            part = item[i : i + _CHUNK - self.fill]
+            self.pending[self.fill : self.fill + len(part)] = part
+            self.fill += len(part)
+            i += len(part)
+            if self.fill == _CHUNK:
+                self.flush()
+
+    def tee(self, table: Checkpoint) -> Checkpoint:
+        """The table, once its records are added."""
+        self.add(_records(table))
+        return table
+
+    def flush(self) -> None:
+        """Write the pending records as a line, if there are any."""
+        if self.fill:
+            self.fh.write(_line(self.pending[: self.fill]))
+            self.rows += self.fill
+            self.fill = 0
+
+    def blocks(self) -> Iterator[bytes]:
+        """The lines written, _BLOCK bytes at a time."""
+        self.fh.seek(0)
+        while block := self.fh.read(_BLOCK):
+            yield block
+
+
+@contextmanager
+def _spilled(path: Path) -> Iterator[_Spill]:
+    """A _Spill for the checkpoint file at path, in <stem>.spill.tmp beside
+    it, which is removed when the block ends, however it ends."""
+    tmp = path.with_name(path.stem + ".spill.tmp")
+    try:
+        with open(tmp, "w+b") as fh:
+            yield _Spill(fh)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_checkpoint_file(
-    path: Path, cfg: RunConfig, result: RunResult, csv_digest: tuple[int, int]
+    path: Path, cfg: RunConfig, result: RunResult, csv_digest: tuple[int, int],
+    spill: _Spill | None = None,
 ) -> None:
+    """Write the run's checkpoint file to path (through _replacing): the
+    magic, the header, the records of result's table, or if spill is given
+    the lines in it, and the end line."""
+    if spill is None:
+        rows, lines = len(result.checkpoints), _row_records(result.checkpoints)
+    else:
+        spill.flush()
+        rows, lines = spill.rows, spill.blocks()
     header = {
         "anS": result.power_samples,
         "created": datetime.now(timezone.utc).isoformat(),
         "csv": csv_digest,
         "grid_ratio": float(cfg.grid_ratio),
         "grid_start": GRID_START,
-        "rows": len(result.checkpoints),
+        "rows": rows,
         # the exact sums as integers, which json writes and reads exactly
         "state": {name: getattr(result.state, name) for name in SumState.__slots__},
         "x_max": cfg.x_max,
     }
     head = f"{_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("ascii")
-    _write_bytes(path, chain([head], _row_records(result.checkpoints)), sealed=True)
+    _write_bytes(path, chain([head], lines), sealed=True)
 
 
-def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False) -> StoredRun:
-    """Parse a checkpoint file, one line at a time: its header by json.loads,
-    which types every value, and its records into columns.
+def _stored_run(path: Path, head: bytes, cfg: RunConfig | None, extend: bool) -> StoredRun:
+    """The run a checkpoint file's header line states, without its table,
+    by json.loads, which types every value; with cfg, as read_checkpoint_file
+    answers and checks it."""
+    header = json.loads(head)
+    rows = _typed("rows", header["rows"], int)
+    state = SumState()
+    for name in SumState.__slots__:
+        setattr(state, name, _typed(name, header["state"][name], type(getattr(state, name))))
+    if cfg is not None:
+        for name, kind in (("x_max", int), ("grid_ratio", float)):
+            if getattr(cfg, name) is None:
+                setattr(cfg, name, _typed(name, header[name], kind))
+        cfg.__post_init__()  # the answered fields' own checks
+        grid = _typed("grid_start", header["grid_start"], float), header["grid_ratio"]
+        if grid != (GRID_START, cfg.grid_ratio):
+            raise CheckpointFormatError(
+                f"{path} holds a grid from {grid[0]!r} at ratio {grid[1]!r}, not from "
+                f"{GRID_START!r} at {cfg.grid_ratio!r}: start a fresh run instead")
+        if not extend and cfg.x_max != header["x_max"]:
+            raise ConfigError(f"{path} holds a run to x_max={header['x_max']}, not "
+                              f"{cfg.x_max}: leave --x-max out to take the file's")
+    samples = [(_typed("anS", n, int), _typed("anS", v, float)) for n, v in header["anS"]]
+    csv_size, csv_crc = header["csv"]  # of another type, they vouch for no CSV
+    return StoredRun(None, state, samples, (csv_size, csv_crc), path, rows)
+
+
+def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False,
+                         each: Callable[[np.ndarray], None] | None = None) -> StoredRun:
+    """Parse a checkpoint file, one line at a time: its header (_stored_run)
+    as it is read, then its records into columns.
 
     With cfg, the stored run is its own config: the header fills in, in
     place, what cfg leaves None of x_max and grid_ratio, and refuses a grid
     other than cfg's, from GRID_START at cfg's ratio (CheckpointFormatError),
     and, unless extend (x_max is a resume's target), another x_max
-    (ConfigError).
+    (ConfigError).  An error in the header is raised once the end marker's
+    checksum has vouched for the bytes, so a damaged file reports the damage.
+
+    each, if given, is handed the records of each line in turn, once the
+    header has answered cfg, and the table is not kept: the run's
+    checkpoints are None.
     """
     try:
         with open(path, "rb") as fh:
@@ -306,12 +440,30 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
                     f"{path}: not a checkpoint file (expected header {_MAGIC!r})"
                 )
             crc = zlib.crc32(head, zlib.crc32(magic))  # of every line before the end marker
-            records = bytearray()
+            run = error = None
+            try:
+                run = _stored_run(path, head, cfg, extend)
+            except (CheckpointFormatError, ConfigError, IndexError, KeyError, TypeError,
+                    ValueError) as exc:
+                error = exc
+            table, size = bytearray() if each is None else None, 0
+            last, order = np.empty(0), None  # order: the first pair of rows out of order
             for line in fh:
                 if line.startswith(b"end "):
                     break
                 crc = zlib.crc32(line, crc)
-                records += base64.b64decode(line.rstrip(b"\n"), validate=True)
+                block = base64.b64decode(line.rstrip(b"\n"), validate=True)
+                size += len(block)
+                records = np.frombuffer(block, dtype=_ROW, count=len(block) // _ROW.itemsize)
+                x = np.concatenate((last, records["x"]))
+                bad = np.flatnonzero(~(x[:-1] < x[1:]))
+                if order is None and len(bad):
+                    order = float(x[bad[0]]), float(x[bad[0] + 1])
+                last = x[-1:]
+                if table is not None:
+                    table += block
+                elif run is not None:
+                    each(records)
             else:
                 raise CheckpointFormatError(f"{path}: truncated (no end marker)")
             if fh.readline():
@@ -322,42 +474,24 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
                 f"{path}: checksum mismatch (crc32 {checksum} declared, "
                 f"{crc:08x} computed): the file was altered or damaged"
             )
-        header = json.loads(head)
-        if len(records) != _typed("rows", header["rows"], int) * _ROW.itemsize:
+        if error is not None:
+            raise error
+        if size != run.rows * _ROW.itemsize:
             raise CheckpointFormatError(
-                f"{path}: row count mismatch ({header['rows']} declared, "
-                f"{len(records) / _ROW.itemsize:g} found)"
+                f"{path}: row count mismatch ({run.rows} declared, "
+                f"{size / _ROW.itemsize:g} found)"
             )
-        if not records:
+        if not size:
             raise CheckpointFormatError(f"{path}: no checkpoint rows")
-        state = SumState()
-        for name in SumState.__slots__:
-            setattr(state, name, _typed(name, header["state"][name], type(getattr(state, name))))
-        cells = np.frombuffer(records, dtype=_ROW)  # the records, not copied
-        x = cells["x"]
-        bad = np.flatnonzero(~(x[:-1] < x[1:]))
-        if len(bad):
+        if order is not None:
             raise CheckpointFormatError(
-                f"{path}: checkpoint x={float(x[bad[0] + 1])!r} does not follow "
-                f"x={float(x[bad[0]])!r} in strictly ascending order"
+                f"{path}: checkpoint x={order[1]!r} does not follow "
+                f"x={order[0]!r} in strictly ascending order"
             )
-        if cfg is not None:
-            for name, kind in (("x_max", int), ("grid_ratio", float)):
-                if getattr(cfg, name) is None:
-                    setattr(cfg, name, _typed(name, header[name], kind))
-            cfg.__post_init__()  # the answered fields' own checks
-            grid = _typed("grid_start", header["grid_start"], float), header["grid_ratio"]
-            if grid != (GRID_START, cfg.grid_ratio):
-                raise CheckpointFormatError(
-                    f"{path} holds a grid from {grid[0]!r} at ratio {grid[1]!r}, not from "
-                    f"{GRID_START!r} at {cfg.grid_ratio!r}: start a fresh run instead")
-            if not extend and cfg.x_max != header["x_max"]:
-                raise ConfigError(f"{path} holds a run to x_max={header['x_max']}, not "
-                                  f"{cfg.x_max}: leave --x-max out to take the file's")
-        table = checkpoint_table(*(cells[name] for name in _ROW.names))
-        samples = [(_typed("anS", n, int), _typed("anS", v, float)) for n, v in header["anS"]]
-        csv_size, csv_crc = header["csv"]  # of another type, they vouch for no CSV
-        return StoredRun(table, state, samples, (csv_size, csv_crc), path)
+        if table is not None:
+            cells = np.frombuffer(table, dtype=_ROW)  # the records, not copied
+            run.checkpoints = checkpoint_table(*(cells[name] for name in _ROW.names))
+        return run
     except (CheckpointFormatError, ConfigError):
         raise
     except OSError as exc:
@@ -366,12 +500,31 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
         raise CheckpointFormatError(f"{path}: malformed checkpoint file: {exc}")
 
 
+def _kept_records(stored: StoredRun) -> Iterator[bytes | np.ndarray]:
+    """The records of stored's kept rows, its first stored.rows, as they lie
+    in its file: each line wholly kept as it is read, base64 and newline, and
+    the line the cut falls in, if any, decoded and cut."""
+    left = stored.rows
+    with open(stored.path, "rb") as fh:
+        fh.readline(), fh.readline()  # the magic and the header
+        while left:
+            line = fh.readline()
+            if not line or line.startswith(b"end "):
+                raise CheckpointFormatError(f"{stored.path} changed while it was read")
+            n = _line_rows(line)
+            if n > left:
+                yield _decoded(line)[:left]
+                return
+            left -= n
+            yield line
+
+
 def _vouched_prefix(stored: StoredRun) -> int:
-    """The byte length of the header and the rows of stored's table at the
-    head of the checkpoints.csv beside its file, if that whole file has the
+    """The byte length of the header and of stored's kept rows at the head
+    of the checkpoints.csv beside its file, if that whole file has the
     bytes stored.csv_digest vouches for; else 0, also when there is none.
     Reads the whole file, _BLOCK bytes at a time."""
-    rows = len(stored.checkpoints)
+    rows = stored.rows
     size = crc = lines = end = 0  # lines: the newlines before this block
     try:
         with open(stored.path.with_name("checkpoints.csv"), "rb") as fh:
@@ -388,10 +541,17 @@ def _vouched_prefix(stored: StoredRun) -> int:
     return end if (size, crc) == stored.csv_digest else 0
 
 
-def _csv_blocks(table: Checkpoint, stored: StoredRun | None) -> Iterator[bytes]:
-    """The bytes of the table's CSV: the header and stored's rows copied
-    from the CSV beside its file, if _vouched_prefix vouches for them, and
-    every other row formatted by _table_chunks."""
+def _kept_table(item: bytes | np.ndarray) -> Checkpoint:
+    """The table of records of _kept_records: a line, or records."""
+    records = _decoded(item) if isinstance(item, bytes) else item
+    return checkpoint_table(*(records[name] for name in _ROW.names))
+
+
+def _csv_blocks(tables: Iterable[Checkpoint], stored: StoredRun | None) -> Iterator[bytes]:
+    """The bytes of the CSV: the header and stored's kept rows copied from
+    the CSV beside its file, if _vouched_prefix vouches for them, else
+    formatted from its records; then each table's rows, formatted by
+    _table_chunks as it comes."""
     end = left = _vouched_prefix(stored) if stored is not None else 0
     if end:
         with open(stored.path.with_name("checkpoints.csv"), "rb") as fh:
@@ -403,72 +563,91 @@ def _csv_blocks(table: Checkpoint, stored: StoredRun | None) -> Iterator[bytes]:
                 yield block
     else:
         yield (",".join(CSV_COLUMNS) + "\n").encode()
-    yield from _table_chunks(table.select(slice(len(stored.checkpoints) if end else 0, None)))
+        if stored is not None:
+            tables = chain(map(_kept_table, _kept_records(stored)), tables)
+    for table in tables:
+        yield from _table_chunks(table)
 
 
-def write_csv(path: Path, table: Checkpoint, stored: StoredRun | None = None) -> tuple[int, int]:
-    """Write the table as CSV to path; return the (byte length, CRC-32) of
-    what was written, which the checkpoint file's header records.
+def write_csv(path: Path, tables: Iterable[Checkpoint],
+              stored: StoredRun | None = None) -> tuple[int, int]:
+    """Write to path the CSV of stored's kept rows, then of the rows of each
+    table in turn, as they come; return the (byte length, CRC-32) of what
+    was written, which the checkpoint file's header records.
 
     stored is a run read back from its checkpoint file (or cut by resume)
-    whose rows begin the table.  If the checkpoints.csv beside that file
-    has exactly the bytes its digest vouches for, the header and those rows
-    are copied, and only the rows after them formatted; if it is missing,
-    truncated or altered, none is copied.  Either way the bytes written are
-    the same."""
-    return _write_bytes(path, _csv_blocks(table, stored))
+    whose first stored.rows rows begin the CSV.  If the checkpoints.csv
+    beside that file has exactly the bytes its digest vouches for, the
+    header and those rows are copied; if it is missing, truncated or
+    altered, they are formatted from the records of the checkpoint file.
+    Either way the bytes written are the same."""
+    return _write_bytes(path, _csv_blocks(tables, stored))
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[StoredRun, np.ndarray]:
     """Read a stored run into cfg (read_checkpoint_file, extend) and plan the
-    continuation: the stored run cut to cfg's grid and the points left.
+    continuation: the stored run cut to the rows it shares with cfg's grid,
+    which stay on disk, and the points left.
 
     Both grids are the points GRID_START * ratio**k below their x_max, then
     x_max, at one ratio (read_checkpoint_file compares it): the rows they
-    share are a common prefix.  Refuses (ConfigError) an x_max below the
-    stored state."""
-    stored = read_checkpoint_file(path, cfg, extend=True)
-    grid = cfg.grid()
-    n = min(len(stored.checkpoints), len(grid))
-    # the first row where they differ, or n
-    k = int(np.argmin(np.append(stored.checkpoints.x[:n] == grid[:n], False)))
-    kept, remaining = stored.checkpoints.select(slice(0, k)), grid[k:]
+    share are a common prefix, which the stored records are compared with
+    a line at a time; no stored table is built.  Refuses (ConfigError) an
+    x_max below the stored state."""
+    grid, shared, seen = None, 0, 0
+
+    def count_shared(records: np.ndarray) -> None:
+        nonlocal grid, shared, seen
+        if grid is None:
+            grid = cfg.grid()  # the header has answered cfg before the first line
+        if shared == seen:  # every row so far on the grid
+            on = records["x"][: len(grid) - shared] == grid[shared : shared + len(records)]
+            shared += int(np.argmin(np.append(on, False)))  # the first row off it
+        seen += len(records)
+
+    # a file with no record line is refused, so grid is built
+    stored = read_checkpoint_file(path, cfg, extend=True, each=count_shared)
+    remaining = grid[shared:]
     last = stored.state.last_prime
     if cfg.x_max < last or (len(remaining) and remaining[0] < last):
         raise ConfigError(
             f"cannot resume to x_max={cfg.x_max}: stored state already covers "
             f"primes to {last}"
         )
-    return replace(stored, checkpoints=kept), remaining
+    return replace(stored, rows=shared), remaining
 
 
-def cmd_compute(cfg: RunConfig) -> RunResult:
-    """Sieve to x_max, accumulate, and write the CSV, then the checkpoint
-    file with the CSV's digest.
+def cmd_compute(cfg: RunConfig) -> StoredRun:
+    """Sieve to x_max, accumulate, and stream the rows to disk a slice at a
+    time; return the run as written, without its table.
+
+    Each slice of stream_rows goes to the CSV as it comes (write_csv), and
+    its records to checkpoints.spill.tmp beside the checkpoint file (_Spill);
+    the checkpoint file is then written as its header followed by a copy of
+    the spill, with the CSV's digest.  A resume adds the stored run's kept rows first: their
+    CSV bytes copied from the stored CSV (see write_csv), their record lines
+    copied from the stored file, only the line holding the cut decoded.
+    Memory holds the grid's x and one slice, not the table.
 
     Deterministic and idempotent for a fixed config; with resume_from the
-    stored state continues bit-identically to an uninterrupted run, and the
-    kept rows are copied from the stored CSV (see write_csv).  Both files
-    are always written, so a completed run resumed in place gets the same
-    bytes again.
+    stored state continues bit-identically to an uninterrupted run.  Both
+    files are always written, so a completed run resumed in place gets the
+    same bytes again.  Each goes through _replacing, and the spill is
+    removed however the run ends: a compute that fails leaves the old files
+    as they were, and one that is killed leaves them whole, with at most
+    stray .tmp files beside them.
     """
     stored, grid = (None, cfg.grid()) if cfg.resume_from is None else resume(cfg.resume_from, cfg)
-    result = stored or RunResult(checkpoint_table([], [], [], []), SumState(), [])
+    run = stored or StoredRun(None, SumState(), [], (0, 0), cfg.checkpoint_path(), 0)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if len(grid):
-        new = run_stream(float(cfg.x_max), grid, state=result.state,
-                         samples=result.power_samples)
-        if len(result.checkpoints):  # a resume: the kept rows' stored columns, then the new
-            table = Checkpoint(*(np.concatenate((getattr(result.checkpoints, f.name),
-                                                 getattr(new.checkpoints, f.name)))
-                                 for f in fields(Checkpoint)))
-            # the kept rows as a view of it, so that the stored records are freed
-            stored = replace(stored, checkpoints=table.select(slice(0, len(stored.checkpoints))))
-            new.checkpoints = table
-        result = new
-    csv_digest = write_csv(cfg.csv_path(), result.checkpoints, stored)
-    write_checkpoint_file(cfg.checkpoint_path(), cfg, result, csv_digest)
-    return result
+    with _spilled(cfg.checkpoint_path()) as spill:
+        if stored is not None:
+            for item in _kept_records(stored):
+                spill.add(item)
+        rows = stream_rows(float(cfg.x_max), grid, run.state, run.power_samples) if len(grid) else ()
+        csv_digest = write_csv(cfg.csv_path(), map(spill.tee, rows), stored)
+        write_checkpoint_file(cfg.checkpoint_path(), cfg, run, csv_digest, spill)
+    return replace(run, csv_digest=csv_digest, path=cfg.checkpoint_path(), rows=spill.rows)
 
 
 @dataclass
@@ -717,7 +896,7 @@ def cmd_report(cfg: RunConfig) -> Path:
     with _replacing(out) as fh:
         json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    write_csv(cfg.csv_path(), stored.checkpoints, stored)
+    write_csv(cfg.csv_path(), (), stored)
     samples = stored.an_sn_samples
     columns = [np.array([n for n, _ in samples], dtype=np.int64),
                np.array([v for _, v in samples], dtype=np.float64)]

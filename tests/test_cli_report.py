@@ -44,6 +44,7 @@ from oracles import (
     table_with,
 )
 from primesums.accumulate import (
+    SumState,
     checkpoint_table,
     grid_points,
     run_stream,
@@ -357,12 +358,15 @@ class TestCompute:
     def test_single_row_at_100(self, tmp_path):
         cfg = cfg_for(tmp_path, 100)
         result = cmd_compute(cfg)
-        assert result.checkpoints.x.tolist() == [100.0]
-        assert result.checkpoints.pi.tolist() == [25]
+        assert (result.rows, result.state.n) == (1, 25)
+        table = read_checkpoint_file(cfg.checkpoint_path()).checkpoints
+        assert table.x.tolist() == [100.0]
+        assert table.pi.tolist() == [25]
 
     def test_final_row_matches_oracle_at_1e6(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**6)
-        last = cmd_compute(cfg).checkpoints
+        cmd_compute(cfg)
+        last = read_checkpoint_file(cfg.checkpoint_path()).checkpoints
         assert last.pi[-1] == 78498
         assert last.S[-1] == pytest.approx(586.82519310647922, rel=1e-10)
         assert last.M[-1] == pytest.approx(12.483585396239194, rel=1e-10)
@@ -397,11 +401,15 @@ class TestCheckpointFile:
         base64 lines and `end <crc32>`, the checksum of every byte before
         it.  The header holds the exact sums as json integers, the
         power-of-two samples only and the byte length and CRC-32 of the CSV
-        beside the file; the records hold x, pi, S and M, bit for bit.  The
-        reader derives the rest, equal by repr to compute's table, and the
-        final-n sample from the state."""
+        beside the file; the records hold x, pi, S and M, bit for bit, those
+        of run_stream's table in process.  The reader derives the rest, equal
+        by repr to that table, and the final-n sample from the state.
+        compute returns the run as written, without its table."""
         cfg = cfg_for(tmp_path, 10**4)
         result = cmd_compute(cfg)
+        assert result.checkpoints is None and result.rows == 28
+        assert (result.path, result.csv_digest) == (cfg.checkpoint_path(),
+                                                    read_checkpoint_file(result.path).csv_digest)
         text = cfg.checkpoint_path().read_bytes()
         lines = text.decode().splitlines()
         assert lines[0] == "primesums-checkpoints v6"
@@ -422,7 +430,7 @@ class TestCheckpointFile:
         for field in ("n", "S", "M"):
             assert type(header["state"][field]) is int, field
         assert header["state"]["S"] > 2**53  # held exactly, in units of 2**-120
-        table = result.checkpoints
+        table = run_stream(1e4, cfg.grid()).checkpoints
         for name in RECORD.names:
             assert np.array_equal(records[name].view(np.int64),
                                   getattr(table, name).view(np.int64)), name
@@ -633,9 +641,10 @@ class TestCheckpointFile:
         that raises midway, once a chunk of rows has gone to the
         temporary file, must leave that copy whole."""
         cfg = cfg_for(tmp_path, 10**6, grid_ratio=1.001)
-        result = cmd_compute(cfg)
-        assert len(result.checkpoints) > report._CHUNK
+        cmd_compute(cfg)
         path = cfg.checkpoint_path()
+        result = read_checkpoint_file(path)
+        assert len(result.checkpoints) > report._CHUNK
         before = path.read_bytes()
         tmp = path.with_name(path.name + ".tmp")
         row_records = report._row_records
@@ -703,13 +712,16 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
 
 
 def assert_codec_matches(table) -> None:
-    """In chunks of _CHUNK rows (the last one shorter), each line ended by a
-    newline, report._table_chunks gives the CSV bytes of the per-value
-    codec, and report._row_records gives lines of the base64 of as many
-    records, which hold the x, pi, S and M columns bit for bit."""
-    sizes = [min(report._CHUNK, len(table) - i) for i in range(0, len(table), report._CHUNK)]
+    """In chunks of _CSV_CHUNK rows (the last one shorter), each line ended
+    by a newline, report._table_chunks gives the CSV bytes of the per-value
+    codec, and report._row_records gives lines of the base64 of _CHUNK
+    records (the last line fewer), which hold the x, pi, S and M columns
+    bit for bit."""
+    def sizes(chunk):
+        return [min(chunk, len(table) - i) for i in range(0, len(table), chunk)]
+
     chunks = list(report._table_chunks(table))
-    assert [c.count(b"\n") for c in chunks] == sizes
+    assert [c.count(b"\n") for c in chunks] == sizes(report._CSV_CHUNK)
     assert all(c.endswith(b"\n") for c in chunks)
     lines = b"".join(chunks).decode("ascii").split("\n")[:-1]
     scalar = list(table_lines_scalar(table, report.CSV_COLUMNS, ","))
@@ -722,7 +734,7 @@ def assert_codec_matches(table) -> None:
     # decoded as documented
     chunks = [np.frombuffer(base64.b64decode(line[:-1], validate=True), dtype=RECORD)
               for line in rows]
-    assert [len(c) for c in chunks] == sizes
+    assert [len(c) for c in chunks] == sizes(report._CHUNK)
     records = np.concatenate(chunks)
     for name in RECORD.names:
         bits, written = records[name].view(np.int64), getattr(table, name).view(np.int64)
@@ -827,30 +839,109 @@ class TestDerivedAgainstEager:
             lazy.E
         columns = [getattr(eager, name) for name in report.CSV_COLUMNS]
         for chunk in range(1, self.N + 1):
-            monkeypatch.setattr(report, "_CHUNK", chunk)
+            monkeypatch.setattr(report, "_CSV_CHUNK", chunk)
             assert list(report._table_chunks(lazy)) == list(
                 report._csv_chunks(report._CSV_ROW, columns))
         assert ("derived" in vars(lazy)) == formed
 
 
-@pytest.mark.parametrize("first_x", [10**6, 5 * 10**5], ids=["completed", "split"])
+@pytest.mark.parametrize("first_x", [10**5, 5 * 10**4], ids=["completed", "split"])
 def test_compute_peak_per_row(tmp_path, first_x):
-    """compute, then a resume to 1e6, on the dense grid (92,110 rows)
-    trace at most 120 bytes a row at their peak: the table is held as its
-    four stored columns, 32 bytes a row, and never copied whole beside
-    itself.  Holding all nine columns took 202 bytes a row."""
-    first = RunConfig(x_max=first_x, grid_ratio=1.0001, out_dir=tmp_path / "first")
-    resumed = RunConfig(x_max=10**6, grid_ratio=1.0001, out_dir=tmp_path / "resumed",
-                        resume_from=first.checkpoint_path())
+    """compute to first_x, then a resume to 1e5, trace a peak that grows by
+    at most 16 bytes for each row the 1.00002 grid (345,393 rows) adds to
+    the 1.0001 one (69,083): rows stream to disk a slice at a time, so
+    memory holds the grid's x, 8 bytes a row, and one slice, not the table.
+    Traced here: 7.6 bytes a row (completed) and 8.3 (split), where holding
+    the table's four stored columns took 54 and 74."""
+    peaks, rows = [], []
+    for ratio in (1.0001, 1.00002):
+        out = tmp_path / str(ratio)
+        first = RunConfig(x_max=first_x, grid_ratio=ratio, out_dir=out / "first")
+        resumed = RunConfig(x_max=10**5, grid_ratio=ratio, out_dir=out / "resumed",
+                            resume_from=first.checkpoint_path())
+        tracemalloc.start()
+        try:
+            cmd_compute(first)
+            cmd_compute(resumed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        with open(resumed.checkpoint_path()) as fh:  # the row count, from the header
+            fh.readline()
+            rows.append(json.loads(fh.readline())["rows"])
+    assert rows == [69_083, 345_393]
+    per_row = (peaks[1] - peaks[0]) / (rows[1] - rows[0])
+    assert per_row <= 16, per_row
+
+
+def test_compute_peak_on_the_default_grid(tmp_path):
+    """compute to 1e8 on the default grid (81 rows) traces at most 0.5 MB
+    above the 3.3e6 that TestRunStream::test_one_prime_array_per_window
+    anchors for run_stream alone: streaming a few rows to the CSV and the
+    spill adds next to nothing to the sieve's window.  Traced here: 2.65
+    MB, against 2.52 MB for run_stream."""
+    cfg = cfg_for(tmp_path, 10**8)
     tracemalloc.start()
     try:
-        cmd_compute(first)
-        rows = len(cmd_compute(resumed).checkpoints)
+        cmd_compute(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == 92_110
-    assert peak <= 120 * rows, peak / rows
+    assert peak <= 3.3e6 + 0.5e6, peak
+
+
+def test_record_lines_hold_4096_records(tmp_path):
+    """Every record line of checkpoints.txt but the last decodes to 4096
+    records of 32 bytes, as the README states: after a streamed compute,
+    and after a resume whose cut falls mid-line.  The run to 5e4 stores
+    62,151 rows, 711 in its last line, and the resume keeps 710 of them:
+    that line is decoded and cut, the 15 before it copied as they are.  The
+    resumed file states the unsplit run, record for record."""
+    first = RunConfig(x_max=5 * 10**4, grid_ratio=1.0001, out_dir=tmp_path / "first")
+    cmd_compute(first)
+    runs = {name: RunConfig(x_max=10**5, grid_ratio=1.0001, out_dir=tmp_path / name,
+                            resume_from=first.checkpoint_path() if name == "resumed" else None)
+            for name in ("unsplit", "resumed")}
+    kept = resume(first.checkpoint_path(), replace(runs["resumed"]))[0]
+    assert (read_v6(first.checkpoint_path())[0]["rows"], kept.rows) == (62_151, 62_150)
+    for cfg in runs.values():
+        cmd_compute(cfg)
+    lines = {}
+    for cfg in (first, *runs.values()):
+        lines[cfg.out_dir.name] = cfg.checkpoint_path().read_bytes().splitlines()[2:-1]
+        sizes = [len(base64.b64decode(line, validate=True)) for line in lines[cfg.out_dir.name]]
+        assert set(sizes[:-1]) == {4096 * 32} and 0 < sizes[-1] <= 4096 * 32, sizes
+    assert lines["resumed"][:15] == lines["first"][:15]
+    assert lines["resumed"][15] != lines["first"][15]
+    assert stored_facts(runs["resumed"].checkpoint_path()) == stored_facts(
+        runs["unsplit"].checkpoint_path())
+
+
+def test_failed_resume_in_place_keeps_the_stored_files(tmp_path, monkeypatch):
+    """A resume in place that raises midway, at the second
+    SumState.extend_primes call, once the first slice's rows have gone to
+    the CSV's .tmp file and to the spill, leaves checkpoints.txt and
+    checkpoints.csv as they were, byte for byte, and no .tmp file."""
+    first = RunConfig(x_max=10**4, grid_ratio=1.0001, out_dir=tmp_path)
+    cmd_compute(first)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["checkpoints.csv", "checkpoints.txt"]
+    extend_primes = SumState.extend_primes
+    temporaries = []  # the .tmp files and their sizes at each call
+
+    def failing(self, *args, **kwargs):
+        temporaries.append({p.name: p.stat().st_size for p in tmp_path.glob("*.tmp")})
+        if len(temporaries) == 2:
+            raise RuntimeError("stopped")
+        return extend_primes(self, *args, **kwargs)
+
+    monkeypatch.setattr(SumState, "extend_primes", failing)
+    with pytest.raises(RuntimeError, match="stopped"):
+        cmd_compute(RunConfig(x_max=10**5, grid_ratio=1.0001, out_dir=tmp_path,
+                              resume_from=first.checkpoint_path()))
+    assert sorted(temporaries[1]) == ["checkpoints.csv.tmp", "checkpoints.spill.tmp"]
+    assert all(temporaries[1].values())
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -874,16 +965,22 @@ def test_checks_peak_above_the_stored_run(tmp_path, command):
 
 
 def _count_formatted(monkeypatch) -> list[int]:
-    """Wrap report._table_chunks to count the rows it formats: one entry
-    per call, that is per CSV written."""
+    """Wrap report.write_csv and report._table_chunks to count the rows
+    formatted: one entry per CSV written, the rows of every slice
+    _table_chunks formats for it."""
     counts = []
-    table_chunks = report._table_chunks
+    table_chunks, write_csv = report._table_chunks, report.write_csv
 
     def counted(table):
-        counts.append(len(table))
+        counts[-1] += len(table)
         return table_chunks(table)
 
+    def writing(*args, **kwargs):
+        counts.append(0)
+        return write_csv(*args, **kwargs)
+
     monkeypatch.setattr(report, "_table_chunks", counted)
+    monkeypatch.setattr(report, "write_csv", writing)
     return counts
 
 
@@ -933,7 +1030,7 @@ class TestCsvReuse:
             csv.write_bytes(text[: len(text) // 2])
         resumed = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path / "resumed",
                             resume_from=first.checkpoint_path())
-        k = len(resume(first.checkpoint_path(), resumed)[0].checkpoints)
+        k = resume(first.checkpoint_path(), resumed)[0].rows
         cmd_compute(resumed)
         assert resumed.csv_path().read_bytes() == unsplit
         grid = resumed.grid()
@@ -1132,7 +1229,7 @@ class TestResume:
         assert cfg.csv_path().read_bytes() == csv
         assert stored_facts(cfg.checkpoint_path()) == facts
         assert formatted == [0]
-        assert result.checkpoints.pi[-1] == 1229
+        assert (result.rows, result.state.n) == (28, 1229)
 
     def test_in_place_onto_a_stored_point_rewrites_both_files(self, tmp_path):
         """A run to 12805 (last prime 12799) resumed in place to 12800, a
@@ -1345,16 +1442,17 @@ class TestStoredRun:
                              ids=["on_lattice", "stored", "past_last_prime", "off_lattice"])
     def test_prefix_cut_keeps_the_rows_isin_kept(self, tmp_path, target):
         """On the lattice 100 * 2**k, a stored run to 1e4 (last prime 9973)
-        resumed to target keeps the rows np.isin picks, and leaves the same
-        points to compute."""
+        resumed to target keeps the rows np.isin picks, its first kept.rows,
+        and leaves the same points to compute."""
         first = RunConfig(x_max=10**4, grid_ratio=2.0, out_dir=tmp_path)
         cmd_compute(first)
         cfg = RunConfig(x_max=target, grid_ratio=2.0, out_dir=tmp_path / "next")
         kept, remaining = resume(first.checkpoint_path(), cfg)
+        assert kept.checkpoints is None  # the stored table is not built
         stored = read_checkpoint_file(first.checkpoint_path()).checkpoints
         grid = np.asarray(cfg.grid())
         isin = stored.select(np.isin(stored.x, grid))
-        assert_same_table(kept.checkpoints, isin)
+        assert_same_table(stored.select(slice(0, kept.rows)), isin)
         assert remaining.tolist() == grid[~np.isin(grid, isin.x)].tolist()
 
 
