@@ -10,28 +10,27 @@ primes, never an array of them all.
 
 File formats
 ------------
-Checkpoint file (format 6): the magic line, one json header line, the
-table, and `end <crc32>` last, the CRC-32 of every byte before that line.
-The header's keys: anS (a_n*S_{n-1} at the power-of-two n), created, csv
-(the byte length and CRC-32 of the checkpoints.csv written beside it),
-grid_ratio, grid_start (GRID_START), rows, state (the accumulator's
-slots, the exact sums as integers in units of 2**-120) and x_max; no
-reader looks up another key, such as earlier writers' config_hash.  The
-`x pi S M` table (Checkpoint derives the rest) follows as lines of the
-base64 of _CHUNK binary _ROW records, the last line fewer.  The records
-hold the doubles themselves, and json the sums as integers, so a restored
-run continues bit-identically.  compute writes the records to
-checkpoints.spill.tmp as it goes (a resume first copies there the record
-lines it keeps from the stored file), then the file as the magic, the
-header and a copy of the spill.
+Checkpoint file (format 7): the magic line, one json header line and
+`end <crc32>`, the CRC-32 of every byte before that line.  The header's
+keys: anS (a_n*S_{n-1} at the power-of-two n), created, csv (the byte
+length and CRC-32 of the checkpoints.csv beside it, which holds the
+table), grid_ratio, grid_start (GRID_START), rows, state (the
+accumulator's slots, the exact sums as integers in units of 2**-120, so
+a restored run continues bit-identically) and x_max; no reader looks up
+another key, such as earlier writers' config_hash.  The table is stored
+once, in the CSV, whose digest the header vouches for: a CSV it does not
+vouch for is refused, and a fresh compute is the cure.  A format-6 file,
+whose base64 record lines held a second copy of the table, still reads.
 
 CSV: header row `x,pi,S,M,E,r_S,r_E_pi,r_E_x,mertens_remainder`, one row
-per checkpoint, 17-digit reals.  No timestamps, so identical configs give
-byte-identical bodies.  Rows are formatted by csvcodec.encode_rows, the
-bytes of the _CSV_ROW template's `%` on whole numpy columns, _CSV_CHUNK rows
-at a time; series_anS.csv goes through it too.  A resume or report copies
-the rows it keeps from the stored CSV, when the checkpoint file's digest
-vouches for its bytes, and formats only the others.
+per checkpoint, 17-digit reals, which read back as the doubles they were
+written from.  No timestamps, so identical configs give byte-identical
+bodies.  Rows are formatted by csvcodec.encode_rows, the bytes of the
+_CSV_ROW template's `%` on whole numpy columns, _CSV_CHUNK rows at a
+time; series_anS.csv goes through it too.  A resume or report copies the
+rows it keeps from the stored CSV and formats only the others; verify
+and report parse its x, pi, S and M columns (Checkpoint derives the
+rest).
 
 JSON bundle (format 2): config echo, verification records, ratio bands,
 block stats, abel decompositions, and run metadata.  No checkpoint table:
@@ -39,15 +38,14 @@ report writes that as checkpoints.csv beside it.
 
 Tables stay columns (a dataclass of equal-length arrays) from the code
 that computes them to the writers; rows exist only inside the writers.
-compute holds no table: each slice of stream_rows goes to the CSV and to
-the spill (_Spill) as it comes, so it holds the grid's x and one slice.
+compute holds no table: each slice of stream_rows goes to the CSV as it
+comes, so it holds the grid's x and one slice.
 E and the ratios are formed where they are read, by the CSV writer a
 chunk at a time.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import operator
@@ -110,16 +108,15 @@ from .verify import (
     worst_record,
 )
 
-FORMAT_VERSION = 6  # of the checkpoint file
+FORMAT_VERSION = 7  # of the checkpoint file
 _MAGIC = f"primesums-checkpoints v{FORMAT_VERSION}"
+# the magic lines read: format 6 is format 7 with a second copy of the table
+_MAGICS = (_MAGIC.encode(), b"primesums-checkpoints v6")
 BUNDLE_FORMAT_VERSION = 2  # of report.json
 
 CSV_COLUMNS = ("x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder")
 # one CSV line: x, pi as an integer, then the reals, each with 17 digits
 _CSV_ROW = ",".join(["%.17g", "%d", *["%.17g"] * (len(CSV_COLUMNS) - 2)]).encode() + b"\n"
-# a record of the checkpoint file's table, little-endian on every host:
-# the columns a Checkpoint holds
-_ROW = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
 # report.json keys that differ from the dataclass field names
 _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 
@@ -128,7 +125,6 @@ _JSON_NAMES = {"passed": "pass", "lam": "lambda"}
 # 1e-9 tolerance at 1e8-scale S values
 SCAN_CAP = 10**6
 PAIR_N_CAP = 5000
-_CHUNK = 4096  # records a line of the checkpoint file's table
 # CSV rows formatted at a time: a chunk's text, and its parts before they
 # are joined, stay near 0.2 MB each
 _CSV_CHUNK = 1 << 10
@@ -164,37 +160,6 @@ def _table_chunks(table: Checkpoint) -> Iterator[bytes]:
     for i in range(0, len(table), _CSV_CHUNK):
         chunk = table.select(slice(i, i + _CSV_CHUNK))
         yield encode_rows(_CSV_ROW, [getattr(chunk, name) for name in CSV_COLUMNS])
-
-
-def _records(table: Checkpoint) -> np.ndarray:
-    """The table's rows as _ROW records: the columns' own bits."""
-    records = np.empty(len(table), dtype=_ROW)
-    for name in _ROW.names:
-        records[name] = getattr(table, name)
-    return records
-
-
-def _line(records: np.ndarray) -> bytes:
-    """A record line of the checkpoint file: the base64 of the records."""
-    return base64.b64encode(records.tobytes()) + b"\n"
-
-
-def _decoded(line: bytes) -> np.ndarray:
-    """The records of a record line of the checkpoint file."""
-    return np.frombuffer(base64.b64decode(line.rstrip(b"\n"), validate=True), dtype=_ROW)
-
-
-def _line_rows(line: bytes) -> int:
-    """The records a record line holds, from its length, not decoded."""
-    text = line.rstrip(b"\n")
-    return (len(text) // 4 * 3 - (len(text) - len(text.rstrip(b"=")))) // _ROW.itemsize
-
-
-def _row_records(table: Checkpoint) -> Iterator[bytes]:
-    """The checkpoint file's table, _CHUNK rows a line: the base64 of up to
-    _CHUNK _ROW records, no value formatted."""
-    for i in range(0, len(table), _CHUNK):
-        yield _line(_records(table.select(slice(i, i + _CHUNK))))
 
 
 def _json(record) -> dict:
@@ -292,101 +257,36 @@ def _typed(name: str, value, kind: type):
 
 @dataclass
 class StoredRun(RunResult):
-    """A run as its checkpoint file stores it: the file's path, the (byte
-    length, CRC-32) of the checkpoints.csv written beside it, and rows, the
-    rows of the file's table that the run keeps, its first.  checkpoints is
-    that table where read_checkpoint_file reads it whole, and None where it
-    stays on disk: in the run resume cuts and in the run compute wrote."""
+    """A run as its checkpoint file states it: the file's path, the (byte
+    length, CRC-32) of the checkpoints.csv beside it, which holds the
+    table, rows, the rows of that table the run keeps, its first, and the
+    x_max the file states.  checkpoints is the table where
+    read_checkpoint_file parses it, and None where it stays on disk: in
+    the run resume cuts and in the run compute wrote."""
 
     csv_digest: tuple[int, int]
     path: Path
     rows: int
+    x_max: int
 
 
-class _Spill:
-    """The record lines of the checkpoint file that compute is writing, in
-    a temporary file (_spilled), _CHUNK records a line and the last line
-    shorter, until the header, which states the row count and the final
-    state, can go before them.  Memory holds one line's records."""
-
-    def __init__(self, fh: IO[bytes]) -> None:
-        self.fh, self.rows = fh, 0  # rows: the records of the lines written
-        self.pending, self.fill = np.empty(_CHUNK, dtype=_ROW), 0
-
-    def add(self, item: bytes | np.ndarray) -> None:
-        """Records, or a record line of a stored run: copied as it is if it
-        holds _CHUNK records and would start a line here, else decoded."""
-        if isinstance(item, bytes):
-            if not self.fill and _line_rows(item) == _CHUNK:
-                self.fh.write(item)
-                self.rows += _CHUNK
-                return
-            item = _decoded(item)
-        i = 0
-        while i < len(item):  # the records may fill several lines
-            part = item[i : i + _CHUNK - self.fill]
-            self.pending[self.fill : self.fill + len(part)] = part
-            self.fill += len(part)
-            i += len(part)
-            if self.fill == _CHUNK:
-                self.flush()
-
-    def tee(self, table: Checkpoint) -> Checkpoint:
-        """The table, once its records are added."""
-        self.add(_records(table))
-        return table
-
-    def flush(self) -> None:
-        """Write the pending records as a line, if there are any."""
-        if self.fill:
-            self.fh.write(_line(self.pending[: self.fill]))
-            self.rows += self.fill
-            self.fill = 0
-
-    def blocks(self) -> Iterator[bytes]:
-        """The lines written, _BLOCK bytes at a time."""
-        self.fh.seek(0)
-        while block := self.fh.read(_BLOCK):
-            yield block
-
-
-@contextmanager
-def _spilled(path: Path) -> Iterator[_Spill]:
-    """A _Spill for the checkpoint file at path, in <stem>.spill.tmp beside
-    it, which is removed when the block ends, however it ends."""
-    tmp = path.with_name(path.stem + ".spill.tmp")
-    try:
-        with open(tmp, "w+b") as fh:
-            yield _Spill(fh)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def write_checkpoint_file(
-    path: Path, cfg: RunConfig, result: RunResult, csv_digest: tuple[int, int],
-    spill: _Spill | None = None,
-) -> None:
-    """Write the run's checkpoint file to path (through _replacing): the
-    magic, the header, the records of result's table, or if spill is given
-    the lines in it, and the end line."""
-    if spill is None:
-        rows, lines = len(result.checkpoints), _row_records(result.checkpoints)
-    else:
-        spill.flush()
-        rows, lines = spill.rows, spill.blocks()
+def write_checkpoint_file(path: Path, cfg: RunConfig, run: StoredRun) -> None:
+    """Write run's checkpoint file to path (through _replacing): the magic,
+    the header and the end line.  The header vouches for the table: the
+    run.rows rows of the CSV whose (byte length, CRC-32) is run.csv_digest."""
     header = {
-        "anS": result.power_samples,
+        "anS": run.power_samples,
         "created": datetime.now(timezone.utc).isoformat(),
-        "csv": csv_digest,
+        "csv": run.csv_digest,
         "grid_ratio": float(cfg.grid_ratio),
         "grid_start": GRID_START,
-        "rows": rows,
+        "rows": run.rows,
         # the exact sums as integers, which json writes and reads exactly
-        "state": {name: getattr(result.state, name) for name in SumState.__slots__},
-        "x_max": cfg.x_max,
+        "state": {name: getattr(run.state, name) for name in SumState.__slots__},
+        "x_max": run.x_max,
     }
     head = f"{_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("ascii")
-    _write_bytes(path, chain([head], lines), sealed=True)
+    _write_bytes(path, [head], sealed=True)
 
 
 def _stored_run(path: Path, head: bytes, cfg: RunConfig | None, extend: bool) -> StoredRun:
@@ -395,6 +295,7 @@ def _stored_run(path: Path, head: bytes, cfg: RunConfig | None, extend: bool) ->
     answers and checks it."""
     header = json.loads(head)
     rows = _typed("rows", header["rows"], int)
+    x_max = _typed("x_max", header["x_max"], int)
     state = SumState()
     for name in SumState.__slots__:
         setattr(state, name, _typed(name, header["state"][name], type(getattr(state, name))))
@@ -408,34 +309,33 @@ def _stored_run(path: Path, head: bytes, cfg: RunConfig | None, extend: bool) ->
             raise CheckpointFormatError(
                 f"{path} holds a grid from {grid[0]!r} at ratio {grid[1]!r}, not from "
                 f"{GRID_START!r} at {cfg.grid_ratio!r}: start a fresh run instead")
-        if not extend and cfg.x_max != header["x_max"]:
-            raise ConfigError(f"{path} holds a run to x_max={header['x_max']}, not "
+        if not extend and cfg.x_max != x_max:
+            raise ConfigError(f"{path} holds a run to x_max={x_max}, not "
                               f"{cfg.x_max}: leave --x-max out to take the file's")
     samples = [(_typed("anS", n, int), _typed("anS", v, float)) for n, v in header["anS"]]
-    csv_size, csv_crc = header["csv"]  # of another type, they vouch for no CSV
-    return StoredRun(None, state, samples, (csv_size, csv_crc), path, rows)
+    # the table's one vouch: exactly two ints, else the file is malformed
+    size, crc = (_typed("csv", v, int) for v in header["csv"])
+    return StoredRun(None, state, samples, (size, crc), path, rows, x_max)
 
 
-def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False,
-                         each: Callable[[np.ndarray], None] | None = None) -> StoredRun:
-    """Parse a checkpoint file, one line at a time: its header (_stored_run)
-    as it is read, then its records into columns.
+def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=False) -> StoredRun:
+    """Parse a checkpoint file, one line at a time, and, unless extend, the
+    table in the checkpoints.csv beside it (_stored_table).
 
     With cfg, the stored run is its own config: the header fills in, in
     place, what cfg leaves None of x_max and grid_ratio, and refuses a grid
     other than cfg's, from GRID_START at cfg's ratio (CheckpointFormatError),
-    and, unless extend (x_max is a resume's target), another x_max
-    (ConfigError).  An error in the header is raised once the end marker's
-    checksum has vouched for the bytes, so a damaged file reports the damage.
-
-    each, if given, is handed the records of each line in turn, once the
-    header has answered cfg, and the table is not kept: the run's
-    checkpoints are None.
+    and, unless extend (x_max is a resume's target, which reads no row),
+    another x_max (ConfigError).  An error in the header is raised once the
+    end marker's checksum has vouched for the bytes, so a damaged file
+    reports the damage.  A format-6 file, whose record lines held a second
+    copy of the table, is read as format 7: those lines go into the
+    checksum and are otherwise skipped.
     """
     try:
         with open(path, "rb") as fh:
             magic, head = fh.readline(), fh.readline()
-            if magic.rstrip(b"\n") != _MAGIC.encode():
+            if magic.rstrip(b"\n") not in _MAGICS:
                 raise CheckpointFormatError(
                     f"{path}: not a checkpoint file (expected header {_MAGIC!r})"
                 )
@@ -446,24 +346,10 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
             except (CheckpointFormatError, ConfigError, IndexError, KeyError, TypeError,
                     ValueError) as exc:
                 error = exc
-            table, size = bytearray() if each is None else None, 0
-            last, order = np.empty(0), None  # order: the first pair of rows out of order
             for line in fh:
                 if line.startswith(b"end "):
                     break
-                crc = zlib.crc32(line, crc)
-                block = base64.b64decode(line.rstrip(b"\n"), validate=True)
-                size += len(block)
-                records = np.frombuffer(block, dtype=_ROW, count=len(block) // _ROW.itemsize)
-                x = np.concatenate((last, records["x"]))
-                bad = np.flatnonzero(~(x[:-1] < x[1:]))
-                if order is None and len(bad):
-                    order = float(x[bad[0]]), float(x[bad[0] + 1])
-                last = x[-1:]
-                if table is not None:
-                    table += block
-                elif run is not None:
-                    each(records)
+                crc = zlib.crc32(line, crc)  # a format-6 record line
             else:
                 raise CheckpointFormatError(f"{path}: truncated (no end marker)")
             if fh.readline():
@@ -476,21 +362,10 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
             )
         if error is not None:
             raise error
-        if size != run.rows * _ROW.itemsize:
-            raise CheckpointFormatError(
-                f"{path}: row count mismatch ({run.rows} declared, "
-                f"{size / _ROW.itemsize:g} found)"
-            )
-        if not size:
+        if run.rows < 1:
             raise CheckpointFormatError(f"{path}: no checkpoint rows")
-        if order is not None:
-            raise CheckpointFormatError(
-                f"{path}: checkpoint x={order[1]!r} does not follow "
-                f"x={order[0]!r} in strictly ascending order"
-            )
-        if table is not None:
-            cells = np.frombuffer(table, dtype=_ROW)  # the records, not copied
-            run.checkpoints = checkpoint_table(*(cells[name] for name in _ROW.names))
+        if not extend:
+            run.checkpoints = _stored_table(run)
         return run
     except (CheckpointFormatError, ConfigError):
         raise
@@ -500,73 +375,83 @@ def read_checkpoint_file(path: Path, cfg: RunConfig | None = None, *, extend=Fal
         raise CheckpointFormatError(f"{path}: malformed checkpoint file: {exc}")
 
 
-def _kept_records(stored: StoredRun) -> Iterator[bytes | np.ndarray]:
-    """The records of stored's kept rows, its first stored.rows, as they lie
-    in its file: each line wholly kept as it is read, base64 and newline, and
-    the line the cut falls in, if any, decoded and cut."""
-    left = stored.rows
-    with open(stored.path, "rb") as fh:
-        fh.readline(), fh.readline()  # the magic and the header
-        while left:
-            line = fh.readline()
-            if not line or line.startswith(b"end "):
-                raise CheckpointFormatError(f"{stored.path} changed while it was read")
-            n = _line_rows(line)
-            if n > left:
-                yield _decoded(line)[:left]
-                return
-            left -= n
-            yield line
-
-
-def _vouched_prefix(stored: StoredRun) -> int:
-    """The byte length of the header and of stored's kept rows at the head
-    of the checkpoints.csv beside its file, if that whole file has the
-    bytes stored.csv_digest vouches for; else 0, also when there is none.
-    Reads the whole file, _BLOCK bytes at a time."""
-    rows = stored.rows
-    size = crc = lines = end = 0  # lines: the newlines before this block
+def _stored_csv(run: StoredRun) -> Iterator[bytes]:
+    """The checkpoints.csv beside run's file, _BLOCK bytes at a time.  Once
+    the last block is handed out, refuse (CheckpointFormatError) a CSV of
+    another byte length or CRC-32 than run.csv_digest, or none: that digest
+    is the table's one vouch, and a fresh compute is the cure."""
+    csv = run.path.with_name("checkpoints.csv")
+    size = crc = 0
     try:
-        with open(stored.path.with_name("checkpoints.csv"), "rb") as fh:
+        with open(csv, "rb") as fh:
             while block := fh.read(_BLOCK):
-                crc = zlib.crc32(block, crc)
-                n = block.count(b"\n")
-                if not end and lines + n > rows:  # the block holds newline number rows + 1
-                    at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-                    end = size + int(at[rows - lines]) + 1
-                lines += n
                 size += len(block)
-    except OSError:
-        return 0  # no stored CSV: every row is formatted
-    return end if (size, crc) == stored.csv_digest else 0
-
-
-def _kept_table(item: bytes | np.ndarray) -> Checkpoint:
-    """The table of records of _kept_records: a line, or records."""
-    records = _decoded(item) if isinstance(item, bytes) else item
-    return checkpoint_table(*(records[name] for name in _ROW.names))
-
-
-def _csv_blocks(tables: Iterable[Checkpoint], stored: StoredRun | None) -> Iterator[bytes]:
-    """The bytes of the CSV: the header and stored's kept rows copied from
-    the CSV beside its file, if _vouched_prefix vouches for them, else
-    formatted from its records; then each table's rows, formatted by
-    _table_chunks as it comes."""
-    end = left = _vouched_prefix(stored) if stored is not None else 0
-    if end:
-        with open(stored.path.with_name("checkpoints.csv"), "rb") as fh:
-            while left:
-                block = fh.read(min(_BLOCK, left))
-                if not block:
-                    raise OSError(f"{fh.name} shrank while it was copied")
-                left -= len(block)
+                crc = zlib.crc32(block, crc)
                 yield block
-    else:
-        yield (",".join(CSV_COLUMNS) + "\n").encode()
-        if stored is not None:
-            tables = chain(map(_kept_table, _kept_records(stored)), tables)
-    for table in tables:
-        yield from _table_chunks(table)
+    except OSError as exc:
+        raise CheckpointFormatError(f"cannot read {csv}, the table of {run.path}: {exc}")
+    if (size, crc) != run.csv_digest:
+        raise CheckpointFormatError(
+            f"{csv}: not the table {run.path} vouches for ({size} bytes, crc32 {crc:08x}; "
+            f"vouched: {run.csv_digest[0]} bytes, crc32 {run.csv_digest[1]:08x}): it was "
+            f"altered or damaged, and a fresh compute writes it again")
+
+
+def _stored_table(run: StoredRun) -> Checkpoint:
+    """run's table: the x, pi, S and M columns of its CSV's rows, parsed
+    (np.loadtxt, which reads each %.17g field back as the double it was
+    written from) a block at a time from the bytes _stored_csv checks.
+    Memory holds the columns and one block.  Refuses a CSV of other than
+    run.rows rows, or whose x do not ascend strictly; a parse error is
+    raised once the digest has vouched for the bytes."""
+    columns = np.empty((4, run.rows))
+    found, head, tail = 0, 1, b""  # found: the rows read; head: the header line to skip
+    blocks = _stored_csv(run)
+    try:
+        for block in blocks:
+            text, newline, tail = (tail + block).rpartition(b"\n")
+            if newline:
+                lines, head = text.split(b"\n")[head:], 0
+                n = min(len(lines), run.rows - found)  # the rows past run.rows are counted
+                if n:
+                    columns[:, found : found + n] = np.loadtxt(
+                        lines[:n], delimiter=",", usecols=(0, 1, 2, 3), ndmin=2,
+                        encoding="ascii").T
+                found += len(lines)
+    except ValueError:
+        for _ in blocks:  # the digest first: damage is reported as damage
+            pass
+        raise
+    if found != run.rows or tail:
+        raise CheckpointFormatError(
+            f"{run.path}: row count mismatch ({run.rows} declared, {found} in its CSV)")
+    x = columns[0]
+    bad = np.flatnonzero(~(x[:-1] < x[1:]))
+    if len(bad):
+        raise CheckpointFormatError(
+            f"{run.path}: checkpoint x={float(x[bad[0] + 1])!r} does not follow "
+            f"x={float(x[bad[0]])!r} in strictly ascending order")
+    return checkpoint_table(*columns)
+
+
+def _kept_csv(stored: StoredRun) -> Iterator[bytes]:
+    """The header line and stored's kept rows, its first stored.rows, of the
+    CSV beside its file, byte for byte, from the blocks _stored_csv checks,
+    which are read to the end: a CSV the header does not vouch for is
+    refused before any row after them is formatted."""
+    left = stored.rows + 1  # the lines to copy
+    for block in _stored_csv(stored):
+        if left:
+            n = block.count(b"\n")
+            if n >= left:  # the block holds the last line to copy
+                end = -1
+                for _ in range(left):
+                    end = block.index(b"\n", end + 1)
+                block = block[: end + 1]
+            left -= min(n, left)
+            yield block
+    if left:
+        raise CheckpointFormatError(f"{stored.path}: row count mismatch (its CSV is short)")
 
 
 def write_csv(path: Path, tables: Iterable[Checkpoint],
@@ -576,37 +461,38 @@ def write_csv(path: Path, tables: Iterable[Checkpoint],
     was written, which the checkpoint file's header records.
 
     stored is a run read back from its checkpoint file (or cut by resume)
-    whose first stored.rows rows begin the CSV.  If the checkpoints.csv
-    beside that file has exactly the bytes its digest vouches for, the
-    header and those rows are copied; if it is missing, truncated or
-    altered, they are formatted from the records of the checkpoint file.
-    Either way the bytes written are the same."""
-    return _write_bytes(path, _csv_blocks(tables, stored))
+    whose first stored.rows rows begin the CSV: the header line and those
+    rows are copied from the checkpoints.csv beside that file (_kept_csv),
+    which is refused, and nothing written, unless it has exactly the bytes
+    the digest vouches for.  Each table's rows are formatted by
+    _table_chunks as they come."""
+    head = _kept_csv(stored) if stored is not None else [(",".join(CSV_COLUMNS) + "\n").encode()]
+    return _write_bytes(path, chain(head, chain.from_iterable(map(_table_chunks, tables))))
 
 
 def resume(path: Path, cfg: RunConfig) -> tuple[StoredRun, np.ndarray]:
-    """Read a stored run into cfg (read_checkpoint_file, extend) and plan the
-    continuation: the stored run cut to the rows it shares with cfg's grid,
-    which stay on disk, and the points left.
+    """Read a stored run's header into cfg (read_checkpoint_file, extend) and
+    plan the continuation: the stored run cut to the rows it shares with
+    cfg's grid, which stay on disk, and the points left.
 
     Both grids are the points GRID_START * ratio**k below their x_max, then
-    x_max, at one ratio (read_checkpoint_file compares it): the rows they
-    share are a common prefix, which the stored records are compared with
-    a line at a time; no stored table is built.  Refuses (ConfigError) an
-    x_max below the stored state."""
-    grid, shared, seen = None, 0, 0
-
-    def count_shared(records: np.ndarray) -> None:
-        nonlocal grid, shared, seen
-        if grid is None:
-            grid = cfg.grid()  # the header has answered cfg before the first line
-        if shared == seen:  # every row so far on the grid
-            on = records["x"][: len(grid) - shared] == grid[shared : shared + len(records)]
-            shared += int(np.argmin(np.append(on, False)))  # the first row off it
-        seen += len(records)
-
-    # a file with no record line is refused, so grid is built
-    stored = read_checkpoint_file(path, cfg, extend=True, each=count_shared)
+    x_max, at one ratio (read_checkpoint_file compares it), so the stored
+    table's x are grid_points to the file's x_max, and the rows the two
+    grids share are their common prefix: the lattice points below both
+    x_max, then one more if the next points are equal.  No stored number is
+    parsed.  Refuses a file whose rows are not its grid's in number
+    (CheckpointFormatError), and an x_max below the stored state
+    (ConfigError)."""
+    stored = read_checkpoint_file(path, cfg, extend=True)
+    old = grid_points(GRID_START, float(stored.x_max), cfg.grid_ratio)
+    if len(old) != stored.rows:
+        raise CheckpointFormatError(
+            f"{path}: row count mismatch ({stored.rows} declared, {len(old)} in its grid)")
+    k = int(np.searchsorted(old[:-1], cfg.x_max))  # the stored lattice points below x_max
+    at = old[k]
+    del old  # memory holds one grid at a time
+    grid = cfg.grid()
+    shared = k + int(grid[k] == at)
     remaining = grid[shared:]
     last = stored.state.last_prime
     if cfg.x_max < last or (len(remaining) and remaining[0] < last):
@@ -621,33 +507,30 @@ def cmd_compute(cfg: RunConfig) -> StoredRun:
     """Sieve to x_max, accumulate, and stream the rows to disk a slice at a
     time; return the run as written, without its table.
 
-    Each slice of stream_rows goes to the CSV as it comes (write_csv), and
-    its records to checkpoints.spill.tmp beside the checkpoint file (_Spill);
-    the checkpoint file is then written as its header followed by a copy of
-    the spill, with the CSV's digest.  A resume adds the stored run's kept rows first: their
-    CSV bytes copied from the stored CSV (see write_csv), their record lines
-    copied from the stored file, only the line holding the cut decoded.
-    Memory holds the grid's x and one slice, not the table.
+    Each slice of stream_rows goes to the CSV's .tmp file as it comes
+    (write_csv), and the checkpoint file, the header that vouches for the
+    CSV, is written once the CSV is in place.  A resume copies the stored
+    run's kept rows first, byte for byte, from the stored CSV (see
+    write_csv).  Memory holds the grid's x and one slice, not the table.
 
     Deterministic and idempotent for a fixed config; with resume_from the
     stored state continues bit-identically to an uninterrupted run.  Both
     files are always written, so a completed run resumed in place gets the
-    same bytes again.  Each goes through _replacing, and the spill is
-    removed however the run ends: a compute that fails leaves the old files
-    as they were, and one that is killed leaves them whole, with at most
-    stray .tmp files beside them.
+    same bytes again.  Each goes through _replacing: a compute that fails
+    leaves the old files as they were, and one that is killed leaves them
+    whole, with at most stray .tmp files beside them; but one killed in
+    place between the two replaces leaves a header that no longer vouches
+    for the CSV, and the run is refused until a fresh compute.
     """
     stored, grid = (None, cfg.grid()) if cfg.resume_from is None else resume(cfg.resume_from, cfg)
-    run = stored or StoredRun(None, SumState(), [], (0, 0), cfg.checkpoint_path(), 0)
+    run = stored or StoredRun(None, SumState(), [], (0, 0), cfg.checkpoint_path(), 0, cfg.x_max)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with _spilled(cfg.checkpoint_path()) as spill:
-        if stored is not None:
-            for item in _kept_records(stored):
-                spill.add(item)
-        rows = stream_rows(float(cfg.x_max), grid, run.state, run.power_samples) if len(grid) else ()
-        csv_digest = write_csv(cfg.csv_path(), map(spill.tee, rows), stored)
-        write_checkpoint_file(cfg.checkpoint_path(), cfg, run, csv_digest, spill)
-    return replace(run, csv_digest=csv_digest, path=cfg.checkpoint_path(), rows=spill.rows)
+    rows = stream_rows(float(cfg.x_max), grid, run.state, run.power_samples) if len(grid) else ()
+    digest = write_csv(cfg.csv_path(), rows, stored)
+    run = replace(run, csv_digest=digest, path=cfg.checkpoint_path(),
+                  rows=run.rows + len(grid), x_max=cfg.x_max)
+    write_checkpoint_file(run.path, cfg, run)
+    return run
 
 
 @dataclass

@@ -59,7 +59,6 @@ from primesums.report import (
     cmd_verify,
     read_checkpoint_file,
     resume,
-    write_checkpoint_file,
 )
 from primesums.sieve import prime_array
 
@@ -136,18 +135,24 @@ def report_on(cfg, path):
     return cmd_report(replace(cfg, resume_from=path))
 
 
-# the documented record of the checkpoint table (formats 4 to 6), stated
-# independently of report._ROW
+# the documented record of the checkpoint table that formats 4 to 6 held
+# beside the CSV, stated independently of the reader
 RECORD = np.dtype([("x", "<f8"), ("pi", "<i8"), ("S", "<f8"), ("M", "<f8")])
 HEADER_KEYS = ["anS", "created", "csv", "grid_ratio", "grid_start", "rows", "state", "x_max"]
 
 
-def read_v6(path):
-    """A format-6 checkpoint file as (its header, by json.loads, its
-    records): the lines between the header and the end marker decoded."""
-    lines = path.read_bytes().splitlines()
-    records = [np.frombuffer(base64.b64decode(line), dtype=RECORD) for line in lines[2:-1]]
-    return json.loads(lines[1]), np.concatenate(records)
+def read_header(path):
+    """A checkpoint file's header (format 6 or 7), by json.loads."""
+    return json.loads(path.read_bytes().splitlines()[1])
+
+
+def records_of(path):
+    """The table of the run stored at path as RECORD records."""
+    table = read_checkpoint_file(path).checkpoints
+    records = np.empty(len(table), dtype=RECORD)
+    for name in RECORD.names:
+        records[name] = getattr(table, name)
+    return records
 
 
 def write_v6(path, header, records, after=()):
@@ -163,12 +168,27 @@ def write_v6(path, header, records, after=()):
     path.write_text(body + end + "".join(line + "\n" for line in after))
 
 
+def write_v7(path, header, after=()):
+    """Write a format-7 file: the magic, header as one json line, `end
+    <crc32>` with the correct checksum, then the lines of after."""
+    body = f"primesums-checkpoints v7\n{json.dumps(header, sort_keys=True)}\n"
+    path.write_text(body + f"end {zlib.crc32(body.encode()):08x}\n"
+                    + "".join(line + "\n" for line in after))
+
+
+def seal(path, header, csv, after=()):
+    """Write the bytes csv as the checkpoints.csv beside path, and at path
+    a format-7 file of header whose csv digest vouches for them."""
+    path.with_name("checkpoints.csv").write_bytes(csv)
+    write_v7(path, {**header, "csv": [len(csv), zlib.crc32(csv)]}, after)
+
+
 def stored_facts(path):
-    """What a checkpoint file states but its creation time: the header
-    without created, and the bytes of its records."""
-    header, records = read_v6(path)
+    """What a stored run states but its creation time: the checkpoint
+    file's header without created, and the bytes of the CSV beside it."""
+    header = read_header(path)
     del header["created"]
-    return header, records.tobytes()
+    return header, path.with_name("checkpoints.csv").read_bytes()
 
 
 # the state the writers of formats 2 to 6 stored: the slots of today, the
@@ -200,7 +220,7 @@ def older_head(cfg, version):
     to 5 wrote them: the header lines, the state row (OLD_STATE_FIELDS in
     order, sums and counts as integers, the flag as 0/1, reals with 17
     digits) and the anS lines.  Only format 5 has the csv line."""
-    header = read_v6(cfg.checkpoint_path())[0]
+    header = read_header(cfg.checkpoint_path())
     state = (old_state(header)[name] for name in OLD_STATE_FIELDS)
     return [
         f"primesums-checkpoints v{version}",
@@ -252,13 +272,13 @@ def as_format_v3(cfg, path):
 def as_format_v4(cfg, path):
     """Write to path the checkpoint file that format 4 held for cfg's
     computed run: binary records in `rows` lines, no csv line."""
-    write_v5(path, older_head(cfg, 4), read_v6(cfg.checkpoint_path())[1])
+    write_v5(path, older_head(cfg, 4), records_of(cfg.checkpoint_path()))
 
 
 def as_format_v5(cfg, path):
     """Write to path the checkpoint file that format 5 held for cfg's
     computed run: format 4 with the csv line."""
-    write_v5(path, older_head(cfg, 5), read_v6(cfg.checkpoint_path())[1])
+    write_v5(path, older_head(cfg, 5), records_of(cfg.checkpoint_path()))
 
 
 class TestRunConfig:
@@ -287,7 +307,7 @@ class TestRunConfig:
         cfg = cfg_for(tmp_path, np.int64(10**4))
         assert type(cfg.x_max) is int and cfg.x_max == 10**4
         cmd_compute(cfg)
-        assert read_v6(cfg.checkpoint_path())[0]["x_max"] == 10**4
+        assert read_header(cfg.checkpoint_path())["x_max"] == 10**4
         again = RunConfig(x_max=None, out_dir=tmp_path / "again",
                           resume_from=cfg.checkpoint_path())
         assert cmd_verify(again)[1] == 0
@@ -333,7 +353,7 @@ class TestRunConfig:
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
         path = cfg.checkpoint_path()
-        assert "config_hash" not in read_v6(path)[0]
+        assert "config_hash" not in read_header(path)
         for ratio in (2**0.25, None):
             wider = RunConfig(x_max=10**6, grid_ratio=ratio, resume_from=path)
             read_checkpoint_file(path, wider, extend=True)
@@ -397,12 +417,12 @@ class TestCompute:
 
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
-        """Format 6 is the magic, one json header line, the records in
-        base64 lines and `end <crc32>`, the checksum of every byte before
-        it.  The header holds the exact sums as json integers, the
-        power-of-two samples only and the byte length and CRC-32 of the CSV
-        beside the file; the records hold x, pi, S and M, bit for bit, those
-        of run_stream's table in process.  The reader derives the rest, equal
+        """Format 7 is the magic, one json header line and `end <crc32>`,
+        the checksum of every byte before it.  The header holds the exact
+        sums as json integers, the power-of-two samples only and the byte
+        length and CRC-32 of the CSV beside the file, which holds the table:
+        its x, pi, S and M fields read back, value by value, as the bits of
+        run_stream's table in process.  The reader derives the rest, equal
         by repr to that table, and the final-n sample from the state.
         compute returns the run as written, without its table."""
         cfg = cfg_for(tmp_path, 10**4)
@@ -412,11 +432,11 @@ class TestCheckpointFile:
                                                     read_checkpoint_file(result.path).csv_digest)
         text = cfg.checkpoint_path().read_bytes()
         lines = text.decode().splitlines()
-        assert lines[0] == "primesums-checkpoints v6"
-        assert len(lines) == 4  # magic, header, one chunk of records, end
+        assert lines[0] == "primesums-checkpoints v7"
+        assert len(lines) == 3  # magic, header, end: no copy of the table
         body = text[: text.rindex(b"end ")]
         assert lines[-1] == f"end {zlib.crc32(body):08x}"
-        header, records = read_v6(cfg.checkpoint_path())
+        header = read_header(cfg.checkpoint_path())
         assert list(header) == HEADER_KEYS
         csv = cfg.csv_path().read_bytes()
         assert header["csv"] == [len(csv), zlib.crc32(csv)]
@@ -431,9 +451,10 @@ class TestCheckpointFile:
             assert type(header["state"][field]) is int, field
         assert header["state"]["S"] > 2**53  # held exactly, in units of 2**-120
         table = run_stream(1e4, cfg.grid()).checkpoints
-        for name in RECORD.names:
-            assert np.array_equal(records[name].view(np.int64),
-                                  getattr(table, name).view(np.int64)), name
+        fields = [line.split(",")[:4] for line in csv.decode().splitlines()[1:]]
+        for name, column in zip(RECORD.names, zip(*fields)):
+            parse = int if name == "pi" else float
+            assert [parse(v) for v in column] == getattr(table, name).tolist(), name
         assert [n for n, _ in header["anS"]] == [1 << k for k in range(11)]
         stored = read_checkpoint_file(cfg.checkpoint_path())
         for field in STATE_FIELDS:
@@ -494,44 +515,52 @@ class TestCheckpointFile:
         cmd_compute(cfg)
         text = cfg.checkpoint_path().read_text().splitlines()
         clipped = tmp_path / "clipped.txt"
-        clipped.write_text("\n".join(text[:-3]) + "\n")
-        with pytest.raises(CheckpointFormatError):
+        clipped.write_text("\n".join(text[:-1]) + "\n")
+        with pytest.raises(CheckpointFormatError, match="truncated"):
             read_checkpoint_file(clipped)
 
     def test_rejects_rows_out_of_order(self, tmp_path, capsys):
+        """Two rows of the CSV swapped, and the header sealed again with its
+        digest: verify and report, which parse the table, refuse it.  A
+        resume parses no stored number (its rows are the grid's), so it
+        copies the rows the digest vouches for, as they are."""
         cfg = cfg_for(tmp_path, 10**5)
         cmd_compute(cfg)
-        header, records = read_v6(cfg.checkpoint_path())
-        records = records.copy()
-        records[[5, 6]] = records[[6, 5]]
-        swapped = tmp_path / "swapped.txt"
-        write_v6(swapped, header, records)
+        lines = cfg.csv_path().read_bytes().splitlines(keepends=True)
+        lines[6], lines[7] = lines[7], lines[6]  # rows 5 and 6
+        swapped = tmp_path / "swapped" / "checkpoints.txt"
+        swapped.parent.mkdir()
+        seal(swapped, read_header(cfg.checkpoint_path()), b"".join(lines))
         with pytest.raises(CheckpointFormatError, match="ascending"):
             read_checkpoint_file(swapped)
         common = ["--x-max", str(10**5), "--out", str(tmp_path / "cli")]
-        for argv in (["compute", *common, "--resume", str(swapped)],
-                     ["verify", *common, "--resume", str(swapped)],
+        for argv in (["verify", *common, "--resume", str(swapped)],
                      ["report", *common, str(swapped)]):
+            capsys.readouterr()
             assert cli_main(argv) == 1, argv
-        assert not (tmp_path / "cli" / "checkpoints.csv").exists()
+            assert "ascending" in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
 
     def test_rejects_lines_after_end_and_empty_tables(self, tmp_path, capsys):
-        """end <crc32> is the last line, the records are the header's rows
-        of 32 bytes each, and rows >= 1."""
+        """end <crc32> is the last line, the CSV holds the header's rows,
+        as many as its grid has, and rows >= 1."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
-        header, records = read_v6(cfg.checkpoint_path())
+        header = read_header(cfg.checkpoint_path())
         assert header["rows"] == 28
-        row = records[-1:].copy()
-        row["pi"] = 5000
+        csv = cfg.csv_path().read_bytes()
         trailing = tmp_path / "trailing.txt"
-        write_v6(trailing, header, records, after=[base64.b64encode(row.tobytes()).decode()])
+        seal(trailing, header, csv, after=[csv.splitlines()[-1].decode()])
         empty = tmp_path / "empty_table.txt"
-        write_v6(empty, {**header, "rows": 0}, records[:0])
+        write_v7(empty, {**header, "rows": 0})
         miscounted = tmp_path / "miscounted.txt"
-        write_v6(miscounted, {**header, "rows": 27}, records)
+        write_v7(miscounted, {**header, "rows": 27})
+        # a CSV a row short, sealed: the grid has the header's rows, the CSV not
+        short = tmp_path / "short" / "checkpoints.txt"
+        short.parent.mkdir()
+        seal(short, header, csv[: csv.rindex(b"\n", 0, -1) + 1])
         for path, message in ((trailing, "after the end marker"), (empty, "no checkpoint rows"),
-                              (miscounted, "row count mismatch")):
+                              (miscounted, "row count mismatch"), (short, "row count mismatch")):
             with pytest.raises(CheckpointFormatError, match=message):
                 read_checkpoint_file(path)
             common = ["--x-max", str(10**4), "--out", str(tmp_path / "cli")]
@@ -546,10 +575,14 @@ class TestCheckpointFile:
         """With a correct checksum, a header that is not json, lacks a key,
         or gives a value the reader uses another type than the writer's is
         refused as malformed: json.loads types every value, and no value is
-        cast."""
+        cast.  The csv digest, the table's one vouch, is exactly two ints."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
-        header, records = read_v6(cfg.checkpoint_path())
+        header = read_header(cfg.checkpoint_path())
+        # the unaltered header beside the CSV, written by the same helper, is read
+        seal(tmp_path / "same.txt", header, cfg.csv_path().read_bytes())
+        assert read_checkpoint_file(tmp_path / "same.txt").state.S == header["state"]["S"]
+        size, crc = header["csv"]
         state = header["state"]
         # the same value in another type, so that only the type is wrong
         cases = {
@@ -562,16 +595,19 @@ class TestCheckpointFile:
             "rows_float": {**header, "rows": 28.0},
             "anS_str": {**header, "anS": [[1, "0.0"], *header["anS"][1:]]},
             "anS_triple": {**header, "anS": [[1, 0.0, 0.0], *header["anS"][1:]]},
-            "csv_short": {**header, "csv": header["csv"][:1]},
+            "csv_short": {**header, "csv": [size]},
+            "csv_long": {**header, "csv": [size, crc, 0]},
+            "csv_float": {**header, "csv": [size, float(crc)]},
+            "csv_bool": {**header, "csv": [size, True]},
+            "csv_int": {**header, "csv": size},
         }
         paths = {}
         for name, mistyped in cases.items():
             paths[name] = tmp_path / f"{name}.txt"
-            write_v6(paths[name], mistyped, records)
+            write_v7(paths[name], mistyped)
         paths["not_json"] = tmp_path / "not_json.txt"
-        write_v6(paths["not_json"], header, records)
-        lines = paths["not_json"].read_text().splitlines()
-        body = "\n".join([lines[0], lines[1][:-1], *lines[2:-1]]) + "\n"  # no closing brace
+        lines = (tmp_path / "same.txt").read_text().splitlines()
+        body = "\n".join([lines[0], lines[1][:-1]]) + "\n"  # no closing brace
         paths["not_json"].write_text(body + f"end {zlib.crc32(body.encode()):08x}\n")
         for name, path in paths.items():
             with pytest.raises(CheckpointFormatError, match="malformed checkpoint file"):
@@ -587,85 +623,80 @@ class TestCheckpointFile:
         # x_max and the grid are read where the header answers the config
         for key, value in (("x_max", 10000.0), ("grid_start", 100), ("grid_ratio", "1.2")):
             path = tmp_path / f"{key}.txt"
-            write_v6(path, {**header, key: value}, records)
+            write_v7(path, {**header, key: value})
             capsys.readouterr()
             assert cli_main(["report", "--out", str(out), str(path)]) == 1, key
             assert f"malformed checkpoint file: {key}=" in capsys.readouterr().err
         assert not out.exists()
-        # the unaltered header, written by the same helper, is read
-        write_v6(tmp_path / "same.txt", header, records)
-        assert read_checkpoint_file(tmp_path / "same.txt").state.S == state["S"]
         # an int grid ratio given to RunConfig is written as the float it stands for
         ints = RunConfig(x_max=10**4, grid_ratio=2, out_dir=tmp_path / "ints")
         cmd_compute(ints)
-        assert read_v6(ints.checkpoint_path())[0]["grid_ratio"] == 2.0
+        assert read_header(ints.checkpoint_path())["grid_ratio"] == 2.0
         assert cli_main(["report", "--out", str(ints.out_dir), str(ints.checkpoint_path())]) == 0
 
     def test_refuses_altered_bytes(self, tmp_path, capsys):
-        """One base64 character of a record changed to another valid one, or
-        one digit of the exact S in the header, still parses; the end
-        marker's checksum refuses both, in every command that reads the file."""
+        """One digit of a row of the CSV, or of the exact S in the header,
+        changed to another at the same length, still parses; the header's
+        digest of the CSV refuses the first, and the end marker's checksum
+        the second, in every command that reads the file."""
         cfg = cfg_for(tmp_path, 10**4)
         cmd_compute(cfg)
         lines = cfg.checkpoint_path().read_text().splitlines()
-        S = str(read_v6(cfg.checkpoint_path())[0]["state"]["S"])
+        S = str(read_header(cfg.checkpoint_path())["state"]["S"])
         k = len(S) // 2
         S_altered = S[:k] + ("8" if S[k] == "9" else "9") + S[k + 1 :]
-        k = len(lines[2]) // 2
-        altered = {
-            "rows": (2, lines[2][:k] + ("B" if lines[2][k] == "A" else "A") + lines[2][k + 1 :]),
-            "state": (1, lines[1].replace(f'"S": {S},', f'"S": {S_altered},')),
-        }
-        for tag, (i, line) in altered.items():
-            assert line != lines[i]
-            path = altered[tag] = tmp_path / f"{tag}.txt"
-            path.write_text("\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n")
-        # both still decode: only the checksum tells
-        assert len(read_v6(altered["rows"])[1]) == 28
-        assert str(read_v6(altered["state"])[0]["state"]["S"]) == S_altered
-        for tag, path in altered.items():
-            with pytest.raises(CheckpointFormatError, match="checksum mismatch"):
+        state = tmp_path / "state.txt"
+        state.write_text("\n".join(
+            [lines[0], lines[1].replace(f'"S": {S},', f'"S": {S_altered},'), lines[2]]) + "\n")
+        assert str(read_header(state)["state"]["S"]) == S_altered
+        rows = tmp_path / "rows" / "checkpoints.txt"
+        rows.parent.mkdir()
+        rows.write_bytes(cfg.checkpoint_path().read_bytes())
+        csv = cfg.csv_path().read_bytes()
+        k = csv.index(b"\n", len(csv) // 2) - 1  # the last digit of a row
+        rows.with_name("checkpoints.csv").write_bytes(
+            csv[:k] + (b"8" if csv[k : k + 1] == b"9" else b"9") + csv[k + 1 :])
+        for tag, path, message in (("rows", rows, "not the table"),
+                                   ("state", state, "checksum mismatch")):
+            with pytest.raises(CheckpointFormatError, match=message):
                 read_checkpoint_file(path)
             out = tmp_path / f"cli_{tag}"
-            common = ["--x-max", str(10**5), "--out", str(out)]
-            for argv in (["verify", *common, "--resume", str(path)],
-                         ["report", *common, str(path)],
-                         ["compute", *common, "--resume", str(path)]):
+            for argv in (["verify", "--resume", str(path), "--out", str(out)],
+                         ["report", "--out", str(out), str(path)],
+                         ["compute", "--x-max", str(10**5), "--resume", str(path),
+                          "--out", str(out)]):
                 capsys.readouterr()
                 assert cli_main(argv) == 1, argv
-                assert "checksum" in capsys.readouterr().err
+                assert message in capsys.readouterr().err
             assert not (out / "checkpoints.csv").exists()
+            assert not (out / "checkpoints.txt").exists()
 
     def test_write_cut_short_keeps_old_file(self, tmp_path, monkeypatch):
-        """A resume in place rewrites the only copy of the state: a write
-        that raises midway, once a chunk of rows has gone to the
-        temporary file, must leave that copy whole."""
+        """A compute in place rewrites the only copy of the run: a write of
+        the CSV that raises midway, once a chunk of rows has gone to the
+        temporary file, must leave both stored files whole."""
         cfg = cfg_for(tmp_path, 10**6, grid_ratio=1.001)
         cmd_compute(cfg)
-        path = cfg.checkpoint_path()
-        result = read_checkpoint_file(path)
-        assert len(result.checkpoints) > report._CHUNK
-        before = path.read_bytes()
-        tmp = path.with_name(path.name + ".tmp")
-        row_records = report._row_records
+        assert read_header(cfg.checkpoint_path())["rows"] > report._CSV_CHUNK
+        before = {p.name: p.read_bytes() for p in cfg.out_dir.iterdir()}
+        tmp = cfg.csv_path().with_name("checkpoints.csv.tmp")
+        table_chunks = report._table_chunks
         cut_at = []  # the temporary file's size when the write is cut
 
-        def killed(*args):
-            yield next(row_records(*args))
+        def killed(table):
+            yield next(table_chunks(table))
             # resumed once the first chunk has been written
             cut_at.append(tmp.stat().st_size)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(report, "_row_records", killed)
+        monkeypatch.setattr(report, "_table_chunks", killed)
         with pytest.raises(KeyboardInterrupt):
-            # the cut file is discarded, so its digest is never read
-            write_checkpoint_file(path, cfg, result, (0, 0))
+            cmd_compute(cfg)
         assert cut_at[0] > 0
-        assert path.read_bytes() == before
-        stored = read_checkpoint_file(path)
-        assert_same_table(stored.checkpoints, result.checkpoints)
-        assert sorted(p.name for p in cfg.out_dir.iterdir()) == [
-            "checkpoints.csv", "checkpoints.txt"]
+        assert {p.name: p.read_bytes() for p in cfg.out_dir.iterdir()} == before
+        monkeypatch.undo()
+        assert_same_table(read_checkpoint_file(cfg.checkpoint_path()).checkpoints,
+                          run_stream(1e6, cfg.grid()).checkpoints)
 
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(CheckpointFormatError):
@@ -714,9 +745,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
 def assert_codec_matches(table) -> None:
     """In chunks of _CSV_CHUNK rows (the last one shorter), each line ended
     by a newline, report._table_chunks gives the CSV bytes of the per-value
-    codec, and report._row_records gives lines of the base64 of _CHUNK
-    records (the last line fewer), which hold the x, pi, S and M columns
-    bit for bit."""
+    codec."""
     def sizes(chunk):
         return [min(chunk, len(table) - i) for i in range(0, len(table), chunk)]
 
@@ -729,18 +758,6 @@ def assert_codec_matches(table) -> None:
     # the first row that differs, not a diff of the whole text
     i = next((i for i, (a, b) in enumerate(zip(lines, scalar)) if a != b), None)
     assert i is None, (i, lines[i], scalar[i])
-    rows = list(report._row_records(table))
-    assert all(line.endswith(b"\n") for line in rows)
-    # decoded as documented
-    chunks = [np.frombuffer(base64.b64decode(line[:-1], validate=True), dtype=RECORD)
-              for line in rows]
-    assert [len(c) for c in chunks] == sizes(report._CHUNK)
-    records = np.concatenate(chunks)
-    for name in RECORD.names:
-        bits, written = records[name].view(np.int64), getattr(table, name).view(np.int64)
-        # the first row whose bits differ
-        i = next(iter(np.flatnonzero(bits != written)), None)
-        assert i is None, (name, i, bits[i], written[i])
 
 
 real = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
@@ -752,10 +769,11 @@ class TestTableCodec:
     @pytest.fixture(scope="class")
     def dense(self):
         table = run_stream(1e6, grid_points(100.0, 1e6, 1.001)).checkpoints
-        assert len(table) > report._CHUNK + 1
+        assert len(table) > 4 * report._CSV_CHUNK + 1
         return table
 
-    @pytest.mark.parametrize("rows", [1, report._CHUNK - 1, report._CHUNK, report._CHUNK + 1])
+    # the edges of the fourth chunk: 4095, 4096 and 4097 rows
+    @pytest.mark.parametrize("rows", [1, *(4 * report._CSV_CHUNK + d for d in (-1, 0, 1))])
     def test_chunk_edges(self, dense, rows):
         assert_codec_matches(dense.select(slice(0, rows)))
 
@@ -764,9 +782,10 @@ class TestTableCodec:
         their bytes, not of the codec that wrote them.  So a change to the
         columns or the row template comes with a new FORMAT_VERSION, and
         the old codec's files are refused rather than copied beside rows of
-        the new one."""
+        the new one.  Format 7 kept format 6's codec, so those files still
+        read."""
         assert (report.FORMAT_VERSION, report.CSV_COLUMNS, report._CSV_ROW) == (
-            6,
+            7,
             ("x", "pi", "S", "M", "E", "r_S", "r_E_pi", "r_E_x", "mertens_remainder"),
             b"%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
         )
@@ -850,9 +869,10 @@ def test_compute_peak_per_row(tmp_path, first_x):
     """compute to first_x, then a resume to 1e5, trace a peak that grows by
     at most 16 bytes for each row the 1.00002 grid (345,393 rows) adds to
     the 1.0001 one (69,083): rows stream to disk a slice at a time, so
-    memory holds the grid's x, 8 bytes a row, and one slice, not the table.
-    Traced here: 7.6 bytes a row (completed) and 8.3 (split), where holding
-    the table's four stored columns took 54 and 74."""
+    memory holds the grid's x, 8 bytes a row, and one slice, not the table;
+    a resume drops the stored grid before it builds the new one.  Traced
+    here: 8.0 bytes a row (completed) and 8.0 (split), where holding the
+    table's four stored columns took 54 and 74."""
     peaks, rows = [], []
     for ratio in (1.0001, 1.00002):
         out = tmp_path / str(ratio)
@@ -877,9 +897,9 @@ def test_compute_peak_per_row(tmp_path, first_x):
 def test_compute_peak_on_the_default_grid(tmp_path):
     """compute to 1e8 on the default grid (81 rows) traces at most 0.5 MB
     above the 3.3e6 that TestRunStream::test_one_prime_array_per_window
-    anchors for run_stream alone: streaming a few rows to the CSV and the
-    spill adds next to nothing to the sieve's window.  Traced here: 2.65
-    MB, against 2.52 MB for run_stream."""
+    anchors for run_stream alone: streaming a few rows to the CSV adds next
+    to nothing to the sieve's window.  Traced here: 2.52 MB, as for
+    run_stream."""
     cfg = cfg_for(tmp_path, 10**8)
     tracemalloc.start()
     try:
@@ -890,37 +910,10 @@ def test_compute_peak_on_the_default_grid(tmp_path):
     assert peak <= 3.3e6 + 0.5e6, peak
 
 
-def test_record_lines_hold_4096_records(tmp_path):
-    """Every record line of checkpoints.txt but the last decodes to 4096
-    records of 32 bytes, as the README states: after a streamed compute,
-    and after a resume whose cut falls mid-line.  The run to 5e4 stores
-    62,151 rows, 711 in its last line, and the resume keeps 710 of them:
-    that line is decoded and cut, the 15 before it copied as they are.  The
-    resumed file states the unsplit run, record for record."""
-    first = RunConfig(x_max=5 * 10**4, grid_ratio=1.0001, out_dir=tmp_path / "first")
-    cmd_compute(first)
-    runs = {name: RunConfig(x_max=10**5, grid_ratio=1.0001, out_dir=tmp_path / name,
-                            resume_from=first.checkpoint_path() if name == "resumed" else None)
-            for name in ("unsplit", "resumed")}
-    kept = resume(first.checkpoint_path(), replace(runs["resumed"]))[0]
-    assert (read_v6(first.checkpoint_path())[0]["rows"], kept.rows) == (62_151, 62_150)
-    for cfg in runs.values():
-        cmd_compute(cfg)
-    lines = {}
-    for cfg in (first, *runs.values()):
-        lines[cfg.out_dir.name] = cfg.checkpoint_path().read_bytes().splitlines()[2:-1]
-        sizes = [len(base64.b64decode(line, validate=True)) for line in lines[cfg.out_dir.name]]
-        assert set(sizes[:-1]) == {4096 * 32} and 0 < sizes[-1] <= 4096 * 32, sizes
-    assert lines["resumed"][:15] == lines["first"][:15]
-    assert lines["resumed"][15] != lines["first"][15]
-    assert stored_facts(runs["resumed"].checkpoint_path()) == stored_facts(
-        runs["unsplit"].checkpoint_path())
-
-
 def test_failed_resume_in_place_keeps_the_stored_files(tmp_path, monkeypatch):
     """A resume in place that raises midway, at the second
     SumState.extend_primes call, once the first slice's rows have gone to
-    the CSV's .tmp file and to the spill, leaves checkpoints.txt and
+    the CSV's .tmp file, leaves checkpoints.txt and
     checkpoints.csv as they were, byte for byte, and no .tmp file."""
     first = RunConfig(x_max=10**4, grid_ratio=1.0001, out_dir=tmp_path)
     cmd_compute(first)
@@ -939,7 +932,7 @@ def test_failed_resume_in_place_keeps_the_stored_files(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="stopped"):
         cmd_compute(RunConfig(x_max=10**5, grid_ratio=1.0001, out_dir=tmp_path,
                               resume_from=first.checkpoint_path()))
-    assert sorted(temporaries[1]) == ["checkpoints.csv.tmp", "checkpoints.spill.tmp"]
+    assert sorted(temporaries[1]) == ["checkpoints.csv.tmp"]
     assert all(temporaries[1].values())
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -986,9 +979,9 @@ def _count_formatted(monkeypatch) -> list[int]:
 
 class TestCsvReuse:
     """A resume or report copies the rows it keeps from the stored
-    checkpoints.csv when the checkpoint file's csv line vouches for all of
-    its bytes, and formats only the others: the bytes written are the
-    unsplit run's whatever the stored CSV holds."""
+    checkpoints.csv, which the checkpoint file's csv digest vouches for,
+    and formats only the others: the bytes written are the unsplit run's.
+    A stored CSV the digest does not vouch for is refused."""
 
     @pytest.fixture(scope="class")
     def unsplit(self, tmp_path_factory):
@@ -999,8 +992,7 @@ class TestCsvReuse:
         cmd_compute(cfg)
         return cfg.csv_path().read_bytes()
 
-    @pytest.mark.parametrize("stored_csv", ["present", "small_blocks", "report", "deleted",
-                                            "altered", "truncated"])
+    @pytest.mark.parametrize("stored_csv", ["present", "small_blocks", "report"])
     def test_split_equals_unsplit(self, unsplit, tmp_path, monkeypatch, capsys, stored_csv):
         first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path / "first")
         cmd_compute(first)
@@ -1017,28 +1009,53 @@ class TestCsvReuse:
                              str(first.checkpoint_path())]) == 0
             assert csv.read_bytes() == text and formatted == [0]
             formatted.clear()
-        elif stored_csv == "deleted":
+        resumed = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path / "resumed",
+                            resume_from=first.checkpoint_path())
+        k = resume(first.checkpoint_path(), resumed)[0].rows
+        cmd_compute(resumed)
+        assert resumed.csv_path().read_bytes() == unsplit
+        assert formatted == [len(resumed.grid()[k:])]
+        # and the new checkpoint file vouches for the new CSV
+        assert read_header(resumed.checkpoint_path())["csv"] == [len(unsplit),
+                                                                 zlib.crc32(unsplit)]
+
+    @pytest.mark.parametrize("damage", ["deleted", "altered", "truncated"])
+    def test_unvouched_csv_refused(self, tmp_path, capsys, damage):
+        """A stored CSV deleted, with one digit of a kept row altered, or cut
+        in half, is no longer the table the checkpoint file vouches for:
+        compute --resume, verify --resume and report each exit 1 with a
+        message that names checkpoints.csv, into a fresh --out and in
+        place.  The stored files stay byte for byte as they were, and no
+        checkpoint file is written; a fresh compute is the cure."""
+        first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path / "first")
+        cmd_compute(first)
+        csv = first.csv_path()
+        text = csv.read_bytes()
+        if damage == "deleted":
             csv.unlink()
-        elif stored_csv == "altered":
+        elif damage == "altered":
             # one digit of a kept row, at the same length
             lines = text.split(b"\n")
             digit = lines[100][-1:]
             lines[100] = lines[100][:-1] + str((int(digit) + 1) % 10).encode()
             csv.write_bytes(b"\n".join(lines))
             assert len(csv.read_bytes()) == len(text)
-        elif stored_csv == "truncated":
+        else:
             csv.write_bytes(text[: len(text) // 2])
-        resumed = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path / "resumed",
-                            resume_from=first.checkpoint_path())
-        k = resume(first.checkpoint_path(), resumed)[0].rows
-        cmd_compute(resumed)
-        assert resumed.csv_path().read_bytes() == unsplit
-        grid = resumed.grid()
-        vouched = stored_csv in ("present", "small_blocks", "report")
-        assert formatted == [len(grid[k:]) if vouched else len(grid)]
-        # and the new checkpoint file vouches for the new CSV
-        assert read_v6(resumed.checkpoint_path())[0]["csv"] == [len(unsplit),
-                                                                zlib.crc32(unsplit)]
+        before = {p.name: p.read_bytes() for p in first.out_dir.iterdir()}
+        ckpt, fresh = str(first.checkpoint_path()), tmp_path / "fresh"
+        for out in (str(fresh), str(first.out_dir)):
+            for argv in (["compute", "--x-max", "200000", "--resume", ckpt, "--out", out],
+                         ["verify", "--resume", ckpt, "--out", out],
+                         ["report", "--out", out, ckpt]):
+                capsys.readouterr()
+                assert cli_main(argv) == 1, argv
+                assert "checkpoints.csv" in capsys.readouterr().err, argv
+            assert {p.name: p.read_bytes() for p in first.out_dir.iterdir()} == before
+        assert not fresh.exists() or not any(fresh.iterdir())
+        assert cli_main(["compute", "--x-max", "100000", "--grid-ratio", "1.001",
+                         "--out", str(first.out_dir)]) == 0
+        assert csv.read_bytes() == text
 
     def test_resume_in_place(self, unsplit, tmp_path, monkeypatch):
         """--out the stored directory: the stored CSV is read while its
@@ -1049,7 +1066,7 @@ class TestCsvReuse:
         first = RunConfig(x_max=10**5, grid_ratio=1.001, out_dir=tmp_path)
         cmd_compute(first)
         formatted = _count_formatted(monkeypatch)
-        facts = []  # stored_facts of the checkpoint file after each resume
+        facts = []  # stored_facts of the run after each resume
         for _ in range(2):
             cmd_compute(RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path,
                                   resume_from=first.checkpoint_path()))
@@ -1060,31 +1077,6 @@ class TestCsvReuse:
         assert formatted[1] == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoints.csv", "checkpoints.txt"]
-
-    def test_completed_resume_in_place_heals_the_csv(self, unsplit, tmp_path):
-        """A completed run resumed in place whose CSV the digest does not
-        vouch for (one digit altered) writes both files again: the CSV is
-        the unsplit run's, and the new checkpoint file vouches for it."""
-        cfg = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path)
-        cmd_compute(cfg)
-        text = cfg.csv_path().read_bytes()
-        cfg.csv_path().write_bytes(text[:-2] + str((int(text[-2:-1]) + 1) % 10).encode() + b"\n")
-        before = stored_facts(cfg.checkpoint_path())
-        cmd_compute(RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path,
-                              resume_from=cfg.checkpoint_path()))
-        assert cfg.csv_path().read_bytes() == unsplit
-        assert stored_facts(cfg.checkpoint_path()) == before
-
-    def test_report_in_place_heals_the_csv(self, unsplit, tmp_path):
-        """report with --out the stored directory writes a CSV its digest
-        does not vouch for (one digit altered) again, byte for byte."""
-        cfg = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path)
-        cmd_compute(cfg)
-        text = cfg.csv_path().read_bytes()
-        cfg.csv_path().write_bytes(text[:-2] + str((int(text[-2:-1]) + 1) % 10).encode() + b"\n")
-        assert cli_main(["report", "--out", str(tmp_path), str(cfg.checkpoint_path())]) == 0
-        assert cfg.csv_path().read_bytes() == text == unsplit
-
 
 class TestResume:
     def test_split_equals_unsplit(self, tmp_path):
@@ -1145,8 +1137,9 @@ class TestResume:
         cmd_compute(unsplit)
         first = RunConfig(x_max=10**4, out_dir=tmp_path / "first")
         cmd_compute(first)
-        header, records = read_v6(first.checkpoint_path())
-        write_v6(first.checkpoint_path(), {**header, "state": old_state(header)}, records)
+        header = read_header(first.checkpoint_path())
+        write_v6(first.checkpoint_path(), {**header, "state": old_state(header)},
+                 records_of(first.checkpoint_path()))
         stored = read_checkpoint_file(first.checkpoint_path())
         assert [getattr(stored.state, f) for f in STATE_FIELDS] == [
             header["state"][f] for f in STATE_FIELDS]
@@ -1158,7 +1151,7 @@ class TestResume:
         for name in ("checkpoints.csv", "series_anS.csv"):
             assert ((unsplit.out_dir / name).read_bytes()
                     == (resumed.out_dir / name).read_bytes()), name
-        assert "E_incremental" not in read_v6(resumed.checkpoint_path())[0]["state"]
+        assert "E_incremental" not in read_header(resumed.checkpoint_path())["state"]
 
     def test_resume_from_a_file_with_the_segment_size(self, tmp_path):
         """A format-6 file as the writers before --segment-size was deleted
@@ -1174,10 +1167,11 @@ class TestResume:
             cfg = RunConfig(x_max=10**4, out_dir=tmp_path / name)
             cmd_compute(cfg)
             if size is not None:
-                header, records = read_v6(cfg.checkpoint_path())
+                header = read_header(cfg.checkpoint_path())
                 write_v6(cfg.checkpoint_path(), {**header, "segment_size": size,
                                                  "config_hash": OLD_CONFIG_HASH,
-                                                 "state": old_state(header)}, records)
+                                                 "state": old_state(header)},
+                         records_of(cfg.checkpoint_path()))
             stored = RunConfig(x_max=None, out_dir=tmp_path / name,
                                resume_from=cfg.checkpoint_path())
             assert cmd_verify(stored)[1] == 0
@@ -1186,7 +1180,7 @@ class TestResume:
                                 resume_from=cfg.checkpoint_path())
             cmd_compute(resumed)
             report_on(resumed, resumed.checkpoint_path())
-        older = read_v6(tmp_path / "older" / "checkpoints.txt")[0]
+        older = read_header(tmp_path / "older" / "checkpoints.txt")
         assert {"segment_size", "config_hash"} <= set(older)
         assert {"last_weight", "weights_decreasing"} <= set(older["state"])
         for name in ("verification.csv", "checkpoints.csv", "series_anS.csv"):
@@ -1197,8 +1191,55 @@ class TestResume:
             for run in ("first_resumed", "older_resumed"):
                 assert ((unsplit.out_dir / name).read_bytes()
                         == (tmp_path / run / name).read_bytes()), (run, name)
-        resumed = read_v6(tmp_path / "older_resumed" / "checkpoints.txt")[0]
+        resumed = read_header(tmp_path / "older_resumed" / "checkpoints.txt")
         assert list(resumed) == HEADER_KEYS and sorted(resumed["state"]) == sorted(STATE_FIELDS)
+
+    def test_format_6_run_reads_as_format_7(self, tmp_path, capsys):
+        """A format-6 file as its writers made it, with record lines, the
+        old keys config_hash and segment_size, and the state's last_weight
+        and weights_decreasing (write_v6), beside the CSV it vouches for,
+        reads as the format-7 file of the same compute: its record lines go
+        into the checksum and are otherwise skipped.  It verifies, reports
+        and resumes to the same bytes, and the resume to the unsplit run's.
+        Once its CSV is altered, every command refuses it with exit 1."""
+        unsplit = RunConfig(x_max=10**5, out_dir=tmp_path / "unsplit")
+        cmd_compute(unsplit)
+        paths = {}
+        for name in ("v7", "v6"):
+            cfg = RunConfig(x_max=10**4, out_dir=tmp_path / name)
+            cmd_compute(cfg)
+            paths[name] = cfg.checkpoint_path()
+        header = read_header(paths["v6"])
+        write_v6(paths["v6"], {**header, "segment_size": 1 << 20, "config_hash": OLD_CONFIG_HASH,
+                               "state": old_state(header)}, records_of(paths["v6"]))
+        lines = paths["v6"].read_text().splitlines()
+        assert lines[0] == "primesums-checkpoints v6" and len(lines) == 4
+        assert {"last_weight", "weights_decreasing"} <= set(read_header(paths["v6"])["state"])
+        runs = {name: read_checkpoint_file(path) for name, path in paths.items()}
+        assert_same_table(runs["v6"].checkpoints, runs["v7"].checkpoints)
+        for field in STATE_FIELDS:
+            assert getattr(runs["v6"].state, field) == getattr(runs["v7"].state, field)
+        assert runs["v6"].an_sn_samples == runs["v7"].an_sn_samples
+        for name, path in paths.items():
+            out, resumed = (str(tmp_path / f"{name}_{kind}") for kind in ("out", "resumed"))
+            assert cli_main(["verify", "--resume", str(path), "--out", out]) == 0
+            assert cli_main(["report", "--out", out, str(path)]) == 0
+            assert cli_main(["compute", "--x-max", "100000", "--resume", str(path),
+                             "--out", resumed]) == 0
+        assert _outputs(tmp_path / "v6_out") == _outputs(tmp_path / "v7_out")
+        for name in ("v6", "v7"):
+            resumed = tmp_path / f"{name}_resumed" / "checkpoints.txt"
+            assert stored_facts(resumed) == stored_facts(unsplit.checkpoint_path())
+        csv = paths["v6"].with_name("checkpoints.csv")
+        text = csv.read_bytes()
+        csv.write_bytes(text[:-2] + str((int(text[-2:-1]) + 1) % 10).encode() + b"\n")
+        out = str(tmp_path / "refused")
+        for argv in (["compute", "--x-max", "100000", "--resume", str(paths["v6"]), "--out", out],
+                     ["verify", "--resume", str(paths["v6"]), "--out", out],
+                     ["report", "--out", out, str(paths["v6"])]):
+            capsys.readouterr()
+            assert cli_main(argv) == 1, argv
+            assert "checkpoints.csv" in capsys.readouterr().err, argv
 
     def test_regrid_refused(self, tmp_path):
         cfg = cfg_for(tmp_path, 10**4)
@@ -1402,9 +1443,8 @@ class TestStoredRun:
         """A --grid-ratio other than the file's, and a file whose grid starts
         anywhere but at GRID_START (its header sealed again with grid_start
         50), are refused with exit 1 by every command, before any work."""
-        header, records = read_v6(Path(stored_1e6))
         at_50 = tmp_path / "at_50.txt"
-        write_v6(at_50, {**header, "grid_start": 50.0}, records)
+        write_v7(at_50, {**read_header(Path(stored_1e6)), "grid_start": 50.0})
         out = tmp_path / "out"
         for path, flags, grid in ((stored_1e6, ["--grid-ratio", "1.5"], "from 100.0 at ratio"),
                                   (str(at_50), [], "from 50.0 at ratio")):
@@ -1545,29 +1585,33 @@ def test_abel_S_is_the_stored_S(tmp_path, ratio):
 
 
 def _verify_altered(tmp_path, column):
-    """verify --resume on a stored 1.01 run to 1e6 whose column (S or M) is
-    raised by a relative 1e-6 at the grid point nearest above 5e5, written
-    back with a valid CRC: the abel_identity record, the exit status, and
-    the altered row's x and value.  The same run unaltered must pass."""
+    """verify --resume on a copy of a stored 1.01 run to 1e6 whose column
+    (S or M) is raised by a relative 1e-6 at the grid point nearest above
+    5e5, in its CSV, with the header sealed again with that CSV's digest:
+    the abel_identity record, the exit status, and the altered row's x and
+    value.  The same run unaltered must pass."""
     cfg = cfg_for(tmp_path, 10**6, grid_ratio=1.01)
     cmd_compute(cfg)
     assert cmd_verify(replace(cfg, resume_from=cfg.checkpoint_path()))[1] == 0
     run = read_checkpoint_file(cfg.checkpoint_path(), cfg)
     table = run.checkpoints
-    sums = {"S": table.S.copy(), "M": table.M.copy()}
     i = int(np.searchsorted(table.x, 5e5))
-    sums[column][i] *= 1.0 + 1e-6
-    altered = replace(run, checkpoints=checkpoint_table(table.x, table.pi, **sums))
-    path = tmp_path / "altered.txt"
-    write_checkpoint_file(path, cfg, altered, run.csv_digest)
+    value = getattr(table, column)[i] * (1.0 + 1e-6)
+    lines = cfg.csv_path().read_bytes().splitlines(keepends=True)
+    fields = lines[i + 1].split(b",")  # after the CSV's header line
+    fields[RECORD.names.index(column)] = b"%.17g" % value
+    lines[i + 1] = b",".join(fields)
+    path = tmp_path / "altered" / "checkpoints.txt"
+    path.parent.mkdir()
+    seal(path, read_header(cfg.checkpoint_path()), b"".join(lines))
     records, status = cmd_verify(replace(cfg, out_dir=tmp_path / "verify", resume_from=path))
     (abel,) = [r for r in records if r.check_id == "abel_identity"]
-    return abel, status, table.x[i], sums[column][i]
+    return abel, status, table.x[i], value
 
 
 def test_altered_stored_S_fails_abel_identity(tmp_path):
     """A stored run whose S is altered at one grid point below 1e6, and
-    written back with a valid CRC, fails abel_identity at that point:
+    sealed again with the altered CSV's digest, fails abel_identity at that point:
     the check compares the stored S, not a sum of its own."""
     abel, status, x, S = _verify_altered(tmp_path, "S")
     assert status == 1
