@@ -1057,6 +1057,39 @@ class TestCsvReuse:
                          "--out", str(first.out_dir)]) == 0
         assert csv.read_bytes() == text
 
+    @staticmethod
+    def _completed_with_last_digit_altered(tmp_path):
+        """A completed 2e5 run whose CSV has the last digit of its last row
+        altered, at the same length; the run, the stored bytes of each file,
+        and the CSV's bytes before the alteration."""
+        cfg = RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path)
+        cmd_compute(cfg)
+        text = cfg.csv_path().read_bytes()
+        cfg.csv_path().write_bytes(text[:-2] + str((int(text[-2:-1]) + 1) % 10).encode() + b"\n")
+        return cfg, {p.name: p.read_bytes() for p in tmp_path.iterdir()}, text
+
+    def test_completed_resume_in_place_refuses_the_altered_csv(self, tmp_path, capsys):
+        """A completed run resumed in place, every row kept, whose CSV the
+        digest does not vouch for is refused: exit 1 naming checkpoints.csv,
+        both files byte for byte as they were, and no file left beside
+        them.  A fresh compute writes the run's CSV again."""
+        cfg, before, text = self._completed_with_last_digit_altered(tmp_path)
+        assert cli_main(["compute", "--x-max", "200000", "--resume",
+                         str(cfg.checkpoint_path()), "--out", str(tmp_path)]) == 1
+        assert "checkpoints.csv" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        cmd_compute(RunConfig(x_max=2 * 10**5, grid_ratio=1.001, out_dir=tmp_path))
+        assert cfg.csv_path().read_bytes() == text
+
+    def test_report_in_place_refuses_the_altered_csv(self, tmp_path, capsys):
+        """report with --out the stored directory, whose CSV the digest does
+        not vouch for, exits 1 naming checkpoints.csv, writes no report file
+        and leaves both stored files byte for byte as they were."""
+        cfg, before, _ = self._completed_with_last_digit_altered(tmp_path)
+        assert cli_main(["report", "--out", str(tmp_path), str(cfg.checkpoint_path())]) == 1
+        assert "checkpoints.csv" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_resume_in_place(self, unsplit, tmp_path, monkeypatch):
         """--out the stored directory: the stored CSV is read while its
         replacement is written beside it, and the bytes are the unsplit
